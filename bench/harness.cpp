@@ -103,8 +103,6 @@ std::vector<std::pair<std::string, std::uint64_t>> stats_kv(
       {"finalize_simd", s.finalize_simd},
       {"arena_reuses", s.arena_reuses},
       {"arena_fresh", s.arena_fresh},
-      {"tier_compactions", s.tier_compactions},
-      {"tier_cold_hits", s.tier_cold_hits},
       {"bulk_runs", s.bulk_runs},
       {"bulk_run_intervals", s.bulk_run_intervals},
       {"batch_drains", s.batch_drains},

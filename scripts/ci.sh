@@ -13,7 +13,8 @@
 #   scripts/ci.sh perf       # perf smoke: micro_access (fails below the 3x
 #                            # fast-path bar or with a dead memo cache),
 #                            # emits BENCH_access.json; micro_treap
-#                            # --bulk-json (fails below the 2x bulk-run
+#                            # --bulk-json (fails below the 1.2x run-finger
+#                            # bar or above the 88 B/segment footprint
 #                            # bar), emits BENCH_treap.json; micro_reach
 #                            # (fails below the 2x DePa storm-qps geomean
 #                            # bar), emits BENCH_reach.json; plus a tiny
@@ -31,13 +32,13 @@
 #                            # guarded/unguarded twin kernels through every
 #                            # detector, in the plain AND the TSan builds
 #   scripts/ci.sh simd       # hot-path knob suite (ctest -L simd): arena /
-#                            # tier / SIMD-finalize bit-identity, in the
+#                            # SIMD-finalize bit-identity, in the
 #                            # portable build AND a -DPINT_MARCH_NATIVE=ON
 #                            # build (native vs scalar-fallback codegen)
 #   scripts/ci.sh perfgate   # perf-regression gate: re-runs both micro
 #                            # benches and fails on a >10% geomean
 #                            # regression vs the committed BENCH_*.json, or
-#                            # any enforced treap row under its bar
+#                            # any enforced store row under its bar
 #                            # (scripts/perfgate.py via ctest -L perfgate)
 #
 # Each lane builds into its own directory (build/, build-tsan/, build-asan/,
@@ -149,9 +150,10 @@ run_lane() {
       ./build/bench/micro_access --json BENCH_access.json
       python3 -m json.tool BENCH_access.json > /dev/null
       echo "validated BENCH_access.json"
-      # micro_treap --bulk-json enforces the bulk sorted-run bar itself:
-      # exits non-zero if the run API is under 2x the per-record loop on the
-      # disjoint or adjacent writer workload, or if the two paths diverge.
+      # micro_treap --bulk-json enforces the store bars itself: exits
+      # non-zero if the run API is under 1.2x the per-record loop on an
+      # enforced dense-run row, if the fft-strided store needs more than
+      # 88 bytes per segment, or if the two paths diverge.
       ./build/bench/micro_treap --bulk-json BENCH_treap.json
       python3 -m json.tool BENCH_treap.json > /dev/null
       echo "validated BENCH_treap.json"

@@ -16,8 +16,10 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     (default 10%; looser than the geomean bar because a single kernel's
     ratio is noisier than the geomean on a shared host) against its
     committed row;
-  * any treap row marked "enforced" in the committed snapshot has a fresh
-    per-record speedup below the committed "speedup_bar";
+  * any store row marked "enforced" in the committed snapshot has a fresh
+    per-record speedup below the committed "speedup_bar", or any row
+    carrying "bytes_per_segment" (the fft-strided footprint) exceeds the
+    committed "footprint_bar";
   * the strong-scaling efficiency at max workers (BENCH_fig3.json, emitted
     by fig3_strong_scaling --json) regressed by more than
     --scaling-tolerance (default 10%) on the kernel geomean against the
@@ -29,7 +31,7 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     hard failure (efficiencies of different oracles are not comparable).
 
 The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5, heat
-memo rate > 0.5, enforced treap rows >= bar on their own fresh numbers)
+memo rate > 0.5, enforced store rows >= bar on their own fresh numbers)
 already make the benches themselves exit non-zero; this script adds only
 the against-the-committed-baseline comparison.
 
@@ -90,22 +92,34 @@ def gate_access(baseline, fresh, tolerance, kernel_tolerance):
 
 def gate_treap(baseline, fresh):
     bar = baseline.get("speedup_bar", 2.0)
+    footprint_bar = baseline.get("footprint_bar")
     fresh_rows = {r["name"]: r for r in fresh["rows"]}
     failures = []
     for row in baseline["rows"]:
-        if not row.get("enforced", False):
-            continue
         name = row["name"]
+        gated_footprint = footprint_bar is not None and "bytes_per_segment" in row
+        if not row.get("enforced", False) and not gated_footprint:
+            continue
         fr = fresh_rows.get(name)
         if fr is None:
-            failures.append(f"FAIL treap row '{name}' missing from fresh run")
+            failures.append(f"FAIL store row '{name}' missing from fresh run")
             continue
-        line = (f"treap {name}: fresh speedup {fr['speedup']:.2f} "
-                f"(committed {row['speedup']:.2f}, bar {bar:.2f})")
-        if fr["speedup"] < bar:
-            failures.append(f"FAIL {line}")
-        else:
-            print(f"ok   {line}")
+        if row.get("enforced", False):
+            line = (f"store {name}: fresh speedup {fr['speedup']:.2f} "
+                    f"(committed {row['speedup']:.2f}, bar {bar:.2f})")
+            if fr["speedup"] < bar:
+                failures.append(f"FAIL {line}")
+            else:
+                print(f"ok   {line}")
+        if gated_footprint:
+            cur = fr.get("bytes_per_segment", float("inf"))
+            line = (f"store {name}: fresh {cur:.1f} B/segment "
+                    f"(committed {row['bytes_per_segment']:.1f}, "
+                    f"bar {footprint_bar:.1f})")
+            if cur > footprint_bar:
+                failures.append(f"FAIL {line}")
+            else:
+                print(f"ok   {line}")
     return failures
 
 

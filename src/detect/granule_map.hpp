@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "support/assert.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 namespace pint::detect {
 
@@ -41,7 +41,7 @@ class GranuleMap {
   /// cb(granule_lo, granule_hi, accessor) for every granule of [lo, hi]
   /// with a recorded accessor. Bounds reported at granule granularity.
   template <class F>
-  void query(treap::addr_t lo, treap::addr_t hi, F&& cb) const {
+  void query(store::addr_t lo, store::addr_t hi, F&& cb) const {
     std::uint64_t glo = lo / kGranuleBytes;
     std::uint64_t ghi = hi / kGranuleBytes;
     if (min_key_ > max_key_) return;
@@ -57,8 +57,8 @@ class GranuleMap {
 
   /// Last-writer semantics: report previous owners, then overwrite.
   template <class F>
-  void insert_writer(treap::addr_t lo, treap::addr_t hi,
-                     const treap::Accessor& a, F&& cb) {
+  void insert_writer(store::addr_t lo, store::addr_t hi,
+                     const store::Accessor& a, F&& cb) {
     for (std::uint64_t g = lo / kGranuleBytes; g <= hi / kGranuleBytes; ++g) {
       Slot* s = find_or_insert(g);
       if (s->occupied) {
@@ -71,8 +71,8 @@ class GranuleMap {
 
   /// Reader semantics: per granule, resolve(prev, a) true => a wins.
   template <class R>
-  void insert_reader(treap::addr_t lo, treap::addr_t hi,
-                     const treap::Accessor& a, R&& resolve) {
+  void insert_reader(store::addr_t lo, store::addr_t hi,
+                     const store::Accessor& a, R&& resolve) {
     for (std::uint64_t g = lo / kGranuleBytes; g <= hi / kGranuleBytes; ++g) {
       Slot* s = find_or_insert(g);
       if (!s->occupied || resolve(s->who, a)) {
@@ -95,13 +95,13 @@ class GranuleMap {
   }
 
   template <class Iv, class F>
-  void insert_writer_run(const Iv* iv, std::size_t k, const treap::Accessor& a,
+  void insert_writer_run(const Iv* iv, std::size_t k, const store::Accessor& a,
                          F&& cb) {
     for (std::size_t j = 0; j < k; ++j) insert_writer(iv[j].lo, iv[j].hi, a, cb);
   }
 
   template <class Iv, class R>
-  void insert_reader_run(const Iv* iv, std::size_t k, const treap::Accessor& a,
+  void insert_reader_run(const Iv* iv, std::size_t k, const store::Accessor& a,
                          R&& resolve) {
     for (std::size_t j = 0; j < k; ++j) {
       insert_reader(iv[j].lo, iv[j].hi, a, resolve);
@@ -113,7 +113,7 @@ class GranuleMap {
     for (std::size_t j = 0; j < k; ++j) erase_range(iv[j].lo, iv[j].hi);
   }
 
-  void erase_range(treap::addr_t lo, treap::addr_t hi) {
+  void erase_range(store::addr_t lo, store::addr_t hi) {
     // Clamp to the granule range ever inserted: shadow stores skip unmapped
     // regions, so clearing a (huge) never-touched stack range must be cheap.
     std::uint64_t g = lo / kGranuleBytes;
@@ -141,7 +141,7 @@ class GranuleMap {
   struct Slot {
     std::uint64_t key = 0;  // granule + 1; 0 = never used
     bool occupied = false;  // false with key != 0 = tombstone
-    treap::Accessor who;
+    store::Accessor who;
   };
 
   static std::size_t hash(std::uint64_t g) {

@@ -1,9 +1,10 @@
 #pragma once
 
 // Shared access-history processing: how one strand record is applied to a
-// writer / reader interval treap.  Used by all three of PINT's treap workers
-// and by STINT's synchronous processing - the semantics are identical, only
-// *when* and *on which thread* they run differs (paper §III-A).
+// writer / reader interval store (the paper's treaps; DESIGN.md §15).  Used
+// by all three of PINT's treap workers and by STINT's synchronous
+// processing - the semantics are identical, only *when* and *on which
+// thread* they run differs (paper §III-A).
 
 #include <atomic>
 
@@ -13,7 +14,7 @@
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
 #include "reach/engine.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 namespace pint::detect {
 
@@ -53,7 +54,7 @@ enum class ReaderSide {
   kSerial,     // serial detection (STINT): replace only when in series
 };
 
-inline treap::Accessor accessor_of(const Strand& s) {
+inline store::Accessor accessor_of(const Strand& s) {
   return {s.label, s.sid, s.tag, s.lsid};
 }
 
@@ -66,12 +67,12 @@ inline treap::Accessor accessor_of(const Strand& s) {
 /// `me` is captured by value; engine/reporter/stats by reference.  `memo`
 /// (optional) is the calling history worker's private precedes() cache.
 template <class Engine = reach::Engine>
-inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
+inline auto make_conflict_cb(store::Accessor me, bool prev_write,
                              bool cur_write, Engine& reach,
                              RaceReporter& rep, Stats& stats,
                              typename Engine::Memo* memo = nullptr) {
   return [me, prev_write, cur_write, &reach, &rep, &stats, memo](
-             addr_t lo, addr_t hi, const treap::Accessor& prev) {
+             addr_t lo, addr_t hi, const store::Accessor& prev) {
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
     if (locksets_share(prev.lsid, me.lsid)) return;  // common mutex held
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
@@ -89,11 +90,11 @@ inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
 /// left/right tiebreak (left_of(me, prev) is the negated English bit), so
 /// the memo pays off even on the resolver path.
 template <class Engine = reach::Engine>
-inline auto make_reader_resolver(treap::Accessor me, Engine& reach,
+inline auto make_reader_resolver(store::Accessor me, Engine& reach,
                                  Stats& stats, ReaderSide side,
                                  typename Engine::Memo* memo = nullptr) {
-  return [me, &reach, &stats, side, memo](const treap::Accessor& prev,
-                                          const treap::Accessor& cur) {
+  return [me, &reach, &stats, side, memo](const store::Accessor& prev,
+                                          const store::Accessor& cur) {
     (void)cur;
     if (prev.sid == me.sid) return false;
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
@@ -114,14 +115,15 @@ inline auto make_reader_resolver(treap::Accessor me, Engine& reach,
 
 /// Reads checked against the last-writer history, then writes checked
 /// against and inserted into it (query-before-insert, per Theorem 5's
-/// proof), then clears applied. Works with any store exposing the treap's
-/// query/insert_writer/insert_reader/erase_range interface.
+/// proof), then clears applied. Works with any store exposing the
+/// query/insert_writer/insert_reader/erase_range interface of
+/// store::IntervalStore.
 template <class History, class Engine = reach::Engine>
 inline void process_writer_treap(History& t, const Strand& s,
                                  Engine& reach, RaceReporter& rep,
                                  Stats& stats,
                                  typename Engine::Memo* memo = nullptr) {
-  const treap::Accessor me = accessor_of(s);
+  const store::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& reads = s.reads.items();
   if (bulk && s.reads.canonical() && !reads.empty()) {
@@ -158,7 +160,7 @@ inline void process_reader_treap(History& t, const Strand& s,
                                  Engine& reach, RaceReporter& rep,
                                  Stats& stats, ReaderSide side,
                                  typename Engine::Memo* memo = nullptr) {
-  const treap::Accessor me = accessor_of(s);
+  const store::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& writes = s.writes.items();
   if (bulk && s.writes.canonical() && !writes.empty()) {

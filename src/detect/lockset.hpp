@@ -5,7 +5,7 @@
 // Each strand segment carries a compact `lockset_t` id naming the exact set
 // of mutexes held while its accesses were recorded (0 = no locks, the
 // overwhelmingly common case).  History records inherit the id through
-// `treap::Accessor` / the shadow cells, and the conflict paths suppress a
+// `store::Accessor` / the shadow cells, and the conflict paths suppress a
 // report when both sides' segments share a lock - two parallel accesses
 // guarded by a common mutex are not a race (PWR-style lockset reasoning,
 // layered over the interval machinery instead of replacing it).

@@ -52,16 +52,12 @@ struct Stats {
   // empty_strand_skips counts strands collected with no recorded work that
   // skipped queue publication entirely.  finalize_sorted_skips counts
   // AccessBuffer seals whose items were already sorted (no sort at all);
-  // finalize_simd those that took the vectorized merge.  tier_compactions /
-  // tier_cold_hits are the tiered history stores' compaction sweeps and
-  // cold-tier segment emissions.
+  // finalize_simd those that took the vectorized merge.
   std::atomic<std::uint64_t> arena_reuses{0};
   std::atomic<std::uint64_t> arena_fresh{0};
   std::atomic<std::uint64_t> empty_strand_skips{0};
   std::atomic<std::uint64_t> finalize_sorted_skips{0};
   std::atomic<std::uint64_t> finalize_simd{0};
-  std::atomic<std::uint64_t> tier_compactions{0};
-  std::atomic<std::uint64_t> tier_cold_hits{0};
 
   // Bulk-run apply + batched lane consumption (DESIGN.md §10).  bulk_runs
   // counts *_run calls issued to a history store, bulk_run_intervals the
@@ -118,7 +114,6 @@ struct Stats {
     tail_probe_hits = tail_probe_misses = 0;
     arena_reuses = arena_fresh = empty_strand_skips = 0;
     finalize_sorted_skips = finalize_simd = 0;
-    tier_compactions = tier_cold_hits = 0;
     bulk_runs = bulk_run_intervals = 0;
     batch_drains = batch_strands = prefetch_issues = deep_backoffs = 0;
     strands = traces = steals = reach_queries = 0;
@@ -136,7 +131,6 @@ struct Stats {
     std::uint64_t tail_probe_hits, tail_probe_misses;
     std::uint64_t arena_reuses, arena_fresh, empty_strand_skips;
     std::uint64_t finalize_sorted_skips, finalize_simd;
-    std::uint64_t tier_compactions, tier_cold_hits;
     std::uint64_t bulk_runs, bulk_run_intervals;
     std::uint64_t batch_drains, batch_strands, prefetch_issues, deep_backoffs;
     std::uint64_t strands, traces, steals, reach_queries;
@@ -177,7 +171,6 @@ struct Stats {
             arena_reuses.load(),      arena_fresh.load(),
             empty_strand_skips.load(),
             finalize_sorted_skips.load(), finalize_simd.load(),
-            tier_compactions.load(),  tier_cold_hits.load(),
             bulk_runs.load(),
             bulk_run_intervals.load(), batch_drains.load(),
             batch_strands.load(),     prefetch_issues.load(),

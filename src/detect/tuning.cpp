@@ -75,7 +75,6 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     else if (key == "memo") ok = parse_bool(val, &base.memo);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
     else if (key == "arena") ok = parse_bool(val, &base.arena);
-    else if (key == "tier") ok = parse_bool(val, &base.tier);
     else if (key == "simd") ok = parse_bool(val, &base.simd);
     if (!ok) warn_once(item);
   }

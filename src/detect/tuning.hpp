@@ -21,7 +21,7 @@
 namespace pint::detect {
 
 struct Tuning {
-  /// Sorted-run bulk treap apply (DESIGN.md §10).  Global knob.
+  /// Sorted-run bulk store apply (DESIGN.md §10).  Global knob.
   bool bulk_apply = true;
   /// Thread-local AccessCursor fast path (DESIGN.md §9).  Global knob.
   bool access_fast_path = true;
@@ -35,16 +35,10 @@ struct Tuning {
   /// lock events entirely (records keep lsid 0, the pre-lock behavior).
   bool lock_edges = true;
   /// Arena-batched allocation (DESIGN.md §13): strand/trace/chunk pools and
-  /// treap node chunks draw from process-wide recyclers and retire
+  /// interval-store node chunks draw from process-wide recyclers and retire
   /// wholesale.  Global knob; changes allocation provenance only, never
   /// stored bytes - results are bit-identical either way.
   bool arena = true;
-  /// Tiered history (DESIGN.md §13): each history lane keeps a flat sorted
-  /// cold tier under the treap hot frontier.  Per-detector: read at
-  /// construction (the stores are built in the constructor).  Off by
-  /// default: the tier wins on query-dominated stores and is measured by
-  /// micro_treap; the kernel suite is rewrite-heavy.
-  bool tier = false;
   /// SIMD/branchless AccessBuffer::finalize (DESIGN.md §13): sortedness
   /// detector + radix bucketing + AVX2 merge mask, runtime-dispatched with
   /// a bit-identical scalar fallback.  Global knob.

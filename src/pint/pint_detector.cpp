@@ -11,7 +11,6 @@
 #include "support/arena.hpp"
 #include "support/error_sink.hpp"
 #include "support/failpoint.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
 
@@ -21,11 +20,6 @@ using detect::ReaderSide;
 using detect::Strand;
 
 namespace {
-std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t s = seed + salt * 0x9e3779b97f4a7c15ULL;
-  return splitmix64(s);
-}
-
 // How long an allocation-failure fallback waits for the pipeline to recycle
 // an object before declaring the run unsurvivable (clean abort through the
 // error sink rather than a silent hang).
@@ -104,19 +98,13 @@ T* pool_take(Spinlock& mu, std::vector<T*>& pool,
 
 PintDetector::PintDetector(const Options& opt)
     : opt_(opt),
-      queue_(opt.queue_capacity),
-      writer_treap_(subseed(opt.seed, 1), opt.tuning.tier),
-      lreader_treap_(subseed(opt.seed, 2), opt.tuning.tier),
-      rreader_treap_(subseed(opt.seed, 3), opt.tuning.tier) {
+      queue_(opt.queue_capacity) {
   rep_.set_verbose(opt_.verbose_races);
   PINT_CHECK_MSG(
       opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
       "sharded history supports the treap store only");
   for (int k = 0; k < opt_.history_shards; ++k) {
-    shards_.push_back(std::make_unique<HistoryShard>(
-        subseed(opt_.seed, 10 + std::uint64_t(k) * 3),
-        subseed(opt_.seed, 11 + std::uint64_t(k) * 3),
-        subseed(opt_.seed, 12 + std::uint64_t(k) * 3), opt_.tuning.tier));
+    shards_.push_back(std::make_unique<HistoryShard>());
   }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();
@@ -899,7 +887,7 @@ void PintDetector::reader_loop(ReaderSide side) {
   const bool left = side == ReaderSide::kLeftMost;
   telem::set_thread_role(left ? "lreader" : "rreader");
   const char* span_name = left ? "lreader.strand" : "rreader.strand";
-  detect::TieredHistory& t = left ? lreader_treap_ : rreader_treap_;
+  store::IntervalStore& t = left ? lreader_treap_ : rreader_treap_;
   detect::GranuleMap& m = left ? lreader_map_ : rreader_map_;
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
   StopwatchAccum& watch = left ? lreader_watch_ : rreader_watch_;
@@ -1255,21 +1243,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
   const support::ArenaCounters arena_now = support::arena_counters();
   stats_.arena_reuses.fetch_add(arena_now.reuses - arena_at_start.reuses);
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
-  // Tiered-history tallies: all history threads joined (quiescence).
-  std::uint64_t tier_comp = writer_treap_.compactions() +
-                            lreader_treap_.compactions() +
-                            rreader_treap_.compactions();
-  std::uint64_t tier_cold = writer_treap_.cold_hits() +
-                            lreader_treap_.cold_hits() +
-                            rreader_treap_.cold_hits();
-  for (const auto& sh : shards_) {
-    tier_comp += sh->writer.compactions() + sh->lreader.compactions() +
-                 sh->rreader.compactions();
-    tier_cold += sh->writer.cold_hits() + sh->lreader.cold_hits() +
-                 sh->rreader.cold_hits();
-  }
-  stats_.tier_compactions.fetch_add(tier_comp);
-  stats_.tier_cold_hits.fetch_add(tier_cold);
   // Memo-cache totals: all history threads are joined (quiescence), so the
   // plain per-cache counters are safe to sum here.
   std::uint64_t mq = memo_writer_.queries + memo_lreader_.queries +

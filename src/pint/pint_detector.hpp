@@ -33,7 +33,6 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "detect/tiered_history.hpp"
 #include "pint/ah_queue.hpp"
 #include "pint/sharded_history.hpp"
 #include "pint/trace.hpp"
@@ -41,7 +40,7 @@
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
 #include "support/watchdog.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 namespace pint::pintd {
 
@@ -213,9 +212,9 @@ class PintDetector final : public detect::Detector,
   detect::RaceReporter rep_;
   detect::Stats stats_;
   AhQueue queue_;
-  detect::TieredHistory writer_treap_;
-  detect::TieredHistory lreader_treap_;
-  detect::TieredHistory rreader_treap_;
+  store::IntervalStore writer_treap_;
+  store::IntervalStore lreader_treap_;
+  store::IntervalStore rreader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap lreader_map_;
   detect::GranuleMap rreader_map_;

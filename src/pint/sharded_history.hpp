@@ -22,11 +22,10 @@
 #include <vector>
 
 #include "detect/history.hpp"
-#include "detect/tiered_history.hpp"
 #include "reach/engine.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 namespace pint::pintd {
 
@@ -60,17 +59,13 @@ inline void for_shard_pieces(detect::addr_t lo, detect::addr_t hi, int shard,
 
 /// One history shard: the full three-store summary for its stripes.
 struct HistoryShard {
-  detect::TieredHistory writer;
-  detect::TieredHistory lreader;
-  detect::TieredHistory rreader;
+  store::IntervalStore writer;
+  store::IntervalStore lreader;
+  store::IntervalStore rreader;
   StopwatchAccum watch;
   // precedes() memo - touched only by this shard's worker thread, like the
-  // treaps above.  Counters summed into Stats at run end (quiescence).
+  // stores above.  Counters summed into Stats at run end (quiescence).
   reach::Engine::Memo memo;
-
-  HistoryShard(std::uint64_t seed_w, std::uint64_t seed_l, std::uint64_t seed_r,
-               bool tier = false)
-      : writer(seed_w, tier), lreader(seed_l, tier), rreader(seed_r, tier) {}
 
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against all three stores then inserted, clears/frees
@@ -87,7 +82,7 @@ struct HistoryShard {
                reach::Engine& reach, detect::RaceReporter& rep,
                detect::Stats& stats, bool use_memo = true) {
     using detect::ReaderSide;
-    const treap::Accessor me = detect::accessor_of(s);
+    const store::Accessor me = detect::accessor_of(s);
     const bool bulk = detect::bulk_apply();
     reach::Engine::Memo* const mm = use_memo ? &memo : nullptr;
 

@@ -76,7 +76,7 @@ concept HappensBeforeEngine =
 // oracle is a -DPINT_REACH_BACKEND=... away (the top-level CMake option of
 // the same name maps `sporder`/`depa` onto these types) and everything
 // re-types.  Selection is compile-time, not a detect::Tuning runtime knob,
-// deliberately: strands, treap nodes and trace records embed Engine::Label
+// deliberately: strands, store segments and trace records embed Engine::Label
 // BY VALUE, so runtime dispatch would mean either fattening every record to
 // the union of both label layouts or virtualizing the hottest query in the
 // detector - EXPERIMENTS.md §fig3 carries the measured ablation that

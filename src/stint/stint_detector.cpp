@@ -5,7 +5,6 @@
 
 #include "detect/instrument.hpp"
 #include "support/arena.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace pint::stint {
@@ -13,9 +12,7 @@ namespace pint::stint {
 using detect::Strand;
 
 StintDetector::StintDetector(const Options& opt)
-    : opt_(opt),
-      writer_treap_(opt.seed * 2 + 1, opt.tuning.tier),
-      reader_treap_(opt.seed * 2 + 2, opt.tuning.tier) {
+    : opt_(opt) {
   rep_.set_verbose(opt_.verbose_races);
 }
 
@@ -323,10 +320,6 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   const support::ArenaCounters arena1 = support::arena_counters();
   stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
   stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
-  stats_.tier_compactions.store(writer_treap_.compactions() +
-                                reader_treap_.compactions());
-  stats_.tier_cold_hits.store(writer_treap_.cold_hits() +
-                              reader_treap_.cold_hits());
   telem::count("access.tail.hits", tail_hits_);
   telem::count("access.tail.misses", tail_misses_);
   telem::count("access.finalize.sorted", fin_sorted_);

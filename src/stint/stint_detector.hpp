@@ -24,11 +24,10 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "detect/tiered_history.hpp"
 #include "reach/engine.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 namespace pint::stint {
 
@@ -92,8 +91,8 @@ class StintDetector final : public detect::Detector,
   reach::Engine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
-  detect::TieredHistory writer_treap_;
-  detect::TieredHistory reader_treap_;
+  store::IntervalStore writer_treap_;
+  store::IntervalStore reader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap reader_map_;
   // precedes() memo - everything is single-threaded here, so one cache is

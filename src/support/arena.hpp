@@ -5,9 +5,9 @@
 // Two primitives, both behind the `arena` Tuning knob:
 //
 //  * SlabSource - a freelist of raw fixed-size memory blocks keyed by size
-//    class.  The interval treaps carve their 512-node chunks from it instead
-//    of `new Node[kChunk]`, and hand every chunk back wholesale in their
-//    destructor.  Steady-state treap growth therefore touches the system
+//    class.  The interval stores carve their 32-node leaf and internal-node
+//    chunks from it and hand every chunk back wholesale in their
+//    destructor.  Steady-state store growth therefore touches the system
 //    allocator only the first time a size class is seen.
 //
 //  * Recycler<T> - a freelist of fully-constructed heap objects (Strand,
@@ -79,7 +79,7 @@ class SlabSource {
 
   /// Free every retained block at process exit (the function-local static's
   /// destructor).  Anything still checked out is its taker's to give back
-  /// first - detectors are destroyed before main returns, and the treaps
+  /// first - detectors are destroyed before main returns, and the stores
   /// hand their chunks back in their own destructors.
   ~SlabSource() {
     for (auto& c : classes_) {

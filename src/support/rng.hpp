@@ -3,7 +3,7 @@
 // Small deterministic PRNGs.
 //
 // SplitMix64 is used for seeding; Xoshiro256** is the general-purpose
-// generator (treap priorities, victim selection, test workloads).  Both are
+// generator (victim selection, test workloads).  Both are
 // tiny, allocation-free, and safe to embed one-per-worker to avoid shared
 // state.
 

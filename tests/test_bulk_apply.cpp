@@ -1,8 +1,8 @@
 // Equivalence regression for the bulk sorted-run apply (DESIGN.md §10): the
-// *_run treap operations and the batched history-lane consumption must be
+// *_run store operations and the batched history-lane consumption must be
 // invisible to detection results.  Checked at three strengths:
 //
-//  * treap unit tests: randomized interleaved runs/erases compare the run
+//  * store unit tests: randomized interleaved runs/erases compare the run
 //    API against per-interval loops - exact callback/resolver sequences,
 //    final contents and invariants - plus targeted edge shapes (segments
 //    spanning several run intervals, runs ending at kMaxAddr, the
@@ -26,26 +26,26 @@
 #include "detect/granule_map.hpp"
 #include "detect/history.hpp"
 #include "kernels/kernels.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 using namespace pint;
 
 namespace {
 
-constexpr treap::addr_t kMaxAddr = ~treap::addr_t(0);
+constexpr store::addr_t kMaxAddr = ~store::addr_t(0);
 
 struct Iv {
-  treap::addr_t lo, hi;
+  store::addr_t lo, hi;
 };
 
-treap::Accessor acc(std::uint64_t sid) { return {{}, sid}; }
+store::Accessor acc(std::uint64_t sid) { return {{}, sid}; }
 
 // Event log entry: op tag, segment bounds, accessor sid.
 using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
 // Stored interval: (lo, hi, sid).
 using Seg = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
-std::vector<Seg> contents(const treap::IntervalTreap& t) {
+std::vector<Seg> contents(const store::IntervalStore& t) {
   std::vector<Seg> out;
   t.for_each([&](auto lo, auto hi, const auto& w) {
     out.push_back({lo, hi, w.sid});
@@ -54,7 +54,7 @@ std::vector<Seg> contents(const treap::IntervalTreap& t) {
 }
 
 /// Deterministic winner rule shared by both twins of every reader test.
-bool resolve_by_sid(const treap::Accessor& prev, const treap::Accessor& a) {
+bool resolve_by_sid(const store::Accessor& prev, const store::Accessor& a) {
   return ((prev.sid * 31 + a.sid) & 1) == 0;
 }
 
@@ -79,10 +79,7 @@ std::vector<Iv> random_run(Xoshiro256& rng, std::uint64_t span) {
 TEST(TreapRunApi, RandomizedRunsMatchPerRecordExactly) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Xoshiro256 rng(seed);
-    // Same treap seed: node priorities may still diverge (run apply rebuilds
-    // gap nodes, consuming the RNG differently), but contents, callback
-    // order and invariants must not.
-    treap::IntervalTreap per(seed * 977), run(seed * 977);
+    store::IntervalStore per, run;
     std::vector<Ev> ev_per, ev_run;
     auto log_to = [](std::vector<Ev>& ev, char tag) {
       return [&ev, tag](auto lo, auto hi, const auto& w) {
@@ -140,15 +137,14 @@ TEST(TreapRunApi, RandomizedRunsMatchPerRecordExactly) {
 }
 
 /// Strided runs: tiny intervals with gaps orders of magnitude wider (the
-/// fft butterfly shape).  These take the sparse dispatch in every *_run -
-/// the per-interval path instead of the span carve (DESIGN.md §11.3) - and
-/// must stay indistinguishable from the per-record twin while the treap's
-/// gap coverage (written by interleaved DENSE runs, which stay on the
-/// carve) sits inside every sparse span.
+/// fft butterfly shape).  The leaf finger re-descends for most of them, and
+/// they must stay indistinguishable from the per-record twin while the
+/// store's gap coverage (written by interleaved dense runs) sits inside
+/// every sparse span.
 TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Xoshiro256 rng(seed);
-    treap::IntervalTreap per(seed * 1663), run(seed * 1663);
+    store::IntervalStore per, run;
     std::vector<Ev> ev_per, ev_run;
     auto log_to = [](std::vector<Ev>& ev, char tag) {
       return [&ev, tag](auto lo, auto hi, const auto& w) {
@@ -215,7 +211,7 @@ TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
 }
 
 TEST(TreapRunApi, SegmentSpanningSeveralRunIntervalsIsTrimmedPerInterval) {
-  treap::IntervalTreap t;
+  store::IntervalStore t;
   t.insert_writer(0, 999, acc(1), [](auto, auto, const auto&) {});
   const Iv run[] = {{100, 199}, {300, 399}, {500, 599}};
   std::vector<Ev> ev;
@@ -241,8 +237,8 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
   const Iv run[] = {{kMaxAddr - 300, kMaxAddr - 201},
                     {kMaxAddr - 100, kMaxAddr}};
   for (const bool reader : {false, true}) {
-    treap::IntervalTreap per(5), bulk(5);
-    for (treap::IntervalTreap* t : {&per, &bulk}) {
+    store::IntervalStore per, bulk;
+    for (store::IntervalStore* t : {&per, &bulk}) {
       t->insert_writer(kMaxAddr - 350, kMaxAddr - 250, acc(1),
                        [](auto, auto, const auto&) {});
       t->insert_writer(kMaxAddr - 50, kMaxAddr, acc(1),
@@ -284,7 +280,7 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
 // (found while deriving the run variant): the tail-gap push must not wrap
 // cursor past kMaxAddr and emit a bogus [0, kMaxAddr] piece.
 TEST(TreapRunApi, PerRecordReaderInsertAtMaxAddrDoesNotWrap) {
-  treap::IntervalTreap t;
+  store::IntervalStore t;
   t.insert_reader(kMaxAddr - 7, kMaxAddr, acc(1),
                   [](const auto&, const auto&) { return true; });
   std::vector<Seg> want = {{kMaxAddr - 7, kMaxAddr, 1}};
@@ -303,7 +299,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   // calls leave k nodes (coalescing is per-call), so the run variant must
   // too - this is what keeps final contents bit-identical.
   const Iv run[] = {{0, 63}, {64, 127}, {128, 191}};
-  treap::IntervalTreap per(9), bulk(9);
+  store::IntervalStore per, bulk;
   for (const Iv& iv : run) {
     per.insert_reader(iv.lo, iv.hi, acc(1),
                       [](const auto&, const auto&) { return true; });
@@ -314,7 +310,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   EXPECT_EQ(contents(per), contents(bulk));
   // Within one interval coalescing still applies: fragmented prior coverage
   // resolved to one winner collapses to one node either way.
-  treap::IntervalTreap frag(11);
+  store::IntervalStore frag;
   frag.insert_writer(200, 219, acc(2), [](auto, auto, const auto&) {});
   frag.insert_writer(230, 249, acc(3), [](auto, auto, const auto&) {});
   const Iv one[] = {{200, 259}};
@@ -324,7 +320,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
 }
 
 TEST(TreapRunApi, EraseRunPreservesGapCoverage) {
-  treap::IntervalTreap t;
+  store::IntervalStore t;
   t.insert_writer(0, 999, acc(1), [](auto, auto, const auto&) {});
   const Iv run[] = {{0, 99}, {200, 299}, {900, 999}};
   t.erase_run(run, 3);

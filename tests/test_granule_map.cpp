@@ -11,7 +11,7 @@
 
 using namespace pint;
 using detect::GranuleMap;
-using treap::Accessor;
+using store::Accessor;
 
 namespace {
 Accessor acc(std::uint64_t sid) { return {{}, sid}; }

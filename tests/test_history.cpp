@@ -10,7 +10,7 @@
 #include "detect/granule_map.hpp"
 #include "detect/history.hpp"
 #include "pint/sharded_history.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 using namespace pint;
 using detect::ReaderSide;
@@ -73,7 +73,7 @@ class HistoryStore : public ::testing::Test {
   }
 };
 
-using Stores = ::testing::Types<treap::IntervalTreap, detect::GranuleMap>;
+using Stores = ::testing::Types<store::IntervalStore, detect::GranuleMap>;
 TYPED_TEST_SUITE(HistoryStore, Stores);
 
 TYPED_TEST(HistoryStore, ParallelWriteWriteRaces) {
@@ -219,8 +219,8 @@ TEST(ShardedHistory, MatchesRoleWorkersOnScriptedStrands) {
   // scripted conflict patterns.
   for (int variant = 0; variant < 6; ++variant) {
     HistoryFixture fx_a, fx_b;
-    treap::IntervalTreap w, l, r;
-    pintd::HistoryShard s0(1, 2, 3), s1(4, 5, 6), s2(7, 8, 9);
+    store::IntervalStore w, l, r;
+    pintd::HistoryShard s0, s1, s2;
     pintd::HistoryShard* shards[3] = {&s0, &s1, &s2};
 
     auto drive = [&](HistoryFixture& fx, auto&& apply) {

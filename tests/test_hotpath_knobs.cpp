@@ -1,17 +1,14 @@
-// Hot-path knob equivalence suite (DESIGN.md §13): the arena recycler, the
-// tiered flat+treap history and the SIMD finalize are pure mechanism - they
-// must be invisible to detection results.  Checked at three strengths:
+// Hot-path knob equivalence suite (DESIGN.md §13): the arena recycler and
+// the SIMD finalize are pure mechanism - they must be invisible to
+// detection results.  Checked at two strengths:
 //
-//  * store-level: TieredHistory (tier enabled, small compact_every so
-//    compactions actually fire) against a plain IntervalTreap - exact
-//    callback/resolver sequences, final stored segment sets, invariants;
 //  * finalize-level: finalize_intervals with the SIMD knob on vs off over
 //    adversarial interval shapes (radix-path sizes, near-zero and
 //    near-kMaxAddr addresses exercising the sign-bias trick, nested /
 //    adjacent / duplicate intervals) - identical canonical output;
 //  * whole-detector: race RECORDS bit-identical on the deterministic
 //    detectors (STINT, phased one-core PINT) for every single-knob flip on
-//    the kernel suite and for the full 2^3 knob cross-product on random
+//    the kernel suite and for the full 2^2 knob cross-product on random
 //    series-parallel programs; pipelined / sharded PINT agree on the
 //    verdict (same caveat as test_access_path.cpp).
 
@@ -24,219 +21,16 @@
 #include <vector>
 
 #include "common.hpp"
-#include "detect/tiered_history.hpp"
 #include "detect/tuning.hpp"
 #include "detect/types.hpp"
 #include "kernels/kernels.hpp"
 #include "support/arena.hpp"
-#include "treap/interval_treap.hpp"
 
 using namespace pint;
 
 namespace {
 
-constexpr treap::addr_t kMaxAddr = ~treap::addr_t(0);
-
-treap::Accessor acc(std::uint64_t sid) { return {{}, sid}; }
-
-// Event log entry: op tag + three op-dependent fields (see the loggers).
-using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
-// Stored interval: (lo, hi, sid).
-using Seg = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
-
-template <class Store>
-std::vector<Seg> contents(const Store& t) {
-  std::vector<Seg> out;
-  t.for_each([&](auto lo, auto hi, const auto& w) {
-    out.push_back({lo, hi, w.sid});
-  });
-  return out;
-}
-
-bool resolve_by_sid(const treap::Accessor& prev, const treap::Accessor& a) {
-  return ((prev.sid * 31 + a.sid) & 1) == 0;
-}
-
-struct Iv {
-  treap::addr_t lo, hi;
-};
-
-std::vector<Iv> random_run(Xoshiro256& rng, std::uint64_t span) {
-  const std::size_t k = 1 + rng.next_below(8);
-  std::vector<Iv> run;
-  std::uint64_t lo = rng.next_below(span);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::uint64_t len = 1 + rng.next_below(96);
-    run.push_back({lo, lo + len - 1});
-    lo += len + rng.next_below(3);
-  }
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// TieredHistory vs plain treap (cold-tier compaction/query property test)
-// ---------------------------------------------------------------------------
-
-TEST(TieredHistory, RandomizedOpsMatchPlainTreapExactly) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    Xoshiro256 rng(seed);
-    treap::IntervalTreap plain(seed * 977);
-    // compact_every=16: hundreds of compaction sweeps over a 300-step run,
-    // so the cold tier carries real coverage and the carve/zipper paths see
-    // hot+cold splits of every shape.
-    detect::TieredHistory tiered(seed * 977, /*enabled=*/true,
-                                 /*compact_every=*/16);
-    std::vector<Ev> ev_plain, ev_tier;
-    auto log_to = [](std::vector<Ev>& ev, char tag) {
-      return [&ev, tag](auto lo, auto hi, const auto& w) {
-        ev.push_back({tag, lo, hi, w.sid});
-      };
-    };
-    for (int step = 0; step < 300; ++step) {
-      const std::uint64_t lo = rng.next_below(1 << 13);
-      const std::uint64_t hi = lo + rng.next_below(256);
-      const std::uint64_t sid = 2 + std::uint64_t(step);
-      switch (rng.next_below(4)) {
-        case 0:
-          plain.insert_writer(lo, hi, acc(sid), log_to(ev_plain, 'w'));
-          tiered.insert_writer(lo, hi, acc(sid), log_to(ev_tier, 'w'));
-          break;
-        case 1:
-          plain.insert_reader(lo, hi, acc(sid),
-                              [&](const auto& p, const auto& a) {
-                                ev_plain.push_back({'r', p.sid, a.sid, 0});
-                                return resolve_by_sid(p, a);
-                              });
-          tiered.insert_reader(lo, hi, acc(sid),
-                               [&](const auto& p, const auto& a) {
-                                 ev_tier.push_back({'r', p.sid, a.sid, 0});
-                                 return resolve_by_sid(p, a);
-                               });
-          break;
-        case 2:
-          plain.query(lo, hi, log_to(ev_plain, 'q'));
-          tiered.query(lo, hi, log_to(ev_tier, 'q'));
-          break;
-        case 3:
-          plain.erase_range(lo, hi);
-          tiered.erase_range(lo, hi);
-          break;
-      }
-      ASSERT_EQ(ev_plain, ev_tier) << "seed=" << seed << " step=" << step;
-      if (step % 25 == 0) {
-        ASSERT_EQ(contents(plain), contents(tiered))
-            << "seed=" << seed << " step=" << step;
-        ASSERT_TRUE(tiered.check_invariants());
-        ASSERT_EQ(plain.size(), tiered.size());
-      }
-    }
-    EXPECT_EQ(contents(plain), contents(tiered)) << "seed=" << seed;
-    EXPECT_TRUE(tiered.check_invariants());
-    // The property run must actually have exercised the tier, not just the
-    // hot treap: compactions fired and queries were served from cold.
-    EXPECT_GT(tiered.compactions(), 0u) << "seed=" << seed;
-    EXPECT_GT(tiered.cold_hits(), 0u) << "seed=" << seed;
-  }
-}
-
-TEST(TieredHistory, BulkRunDelegationMatchesPlainTreapRuns) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Xoshiro256 rng(seed);
-    treap::IntervalTreap plain(seed * 1663);
-    detect::TieredHistory tiered(seed * 1663, true, 16);
-    std::vector<Ev> ev_plain, ev_tier;
-    auto log_to = [](std::vector<Ev>& ev, char tag) {
-      return [&ev, tag](auto lo, auto hi, const auto& w) {
-        ev.push_back({tag, lo, hi, w.sid});
-      };
-    };
-    for (int step = 0; step < 120; ++step) {
-      const auto r = random_run(rng, 1 << 13);
-      const std::uint64_t sid = 2 + std::uint64_t(step);
-      switch (rng.next_below(4)) {
-        case 0:
-          plain.insert_writer_run(r.data(), r.size(), acc(sid),
-                                  log_to(ev_plain, 'w'));
-          tiered.insert_writer_run(r.data(), r.size(), acc(sid),
-                                   log_to(ev_tier, 'w'));
-          break;
-        case 1:
-          plain.insert_reader_run(r.data(), r.size(), acc(sid),
-                                  [&](const auto& p, const auto& a) {
-                                    ev_plain.push_back({'r', p.sid, a.sid, 0});
-                                    return resolve_by_sid(p, a);
-                                  });
-          tiered.insert_reader_run(r.data(), r.size(), acc(sid),
-                                   [&](const auto& p, const auto& a) {
-                                     ev_tier.push_back({'r', p.sid, a.sid, 0});
-                                     return resolve_by_sid(p, a);
-                                   });
-          break;
-        case 2:
-          plain.query_run(r.data(), r.size(), log_to(ev_plain, 'q'));
-          tiered.query_run(r.data(), r.size(), log_to(ev_tier, 'q'));
-          break;
-        case 3:
-          plain.erase_run(r.data(), r.size());
-          tiered.erase_run(r.data(), r.size());
-          break;
-      }
-      ASSERT_EQ(ev_plain, ev_tier) << "seed=" << seed << " step=" << step;
-    }
-    EXPECT_EQ(contents(plain), contents(tiered)) << "seed=" << seed;
-    EXPECT_TRUE(tiered.check_invariants());
-  }
-}
-
-TEST(TieredHistory, ColdStraddlesAndMaxAddrMatchPlainTreap) {
-  treap::IntervalTreap plain(5);
-  detect::TieredHistory tiered(5, true, /*compact_every=*/1);
-  auto noop = [](auto, auto, const auto&) {};
-  // compact_every=1: every insert lands in cold immediately, so the next op
-  // always hits the cold-vacate paths (left / right / both-straddle).
-  plain.insert_writer(100, 999, acc(1), noop);
-  tiered.insert_writer(100, 999, acc(1), noop);
-  // Both-straddle: the right remainder must become its own node either way.
-  plain.insert_writer(400, 599, acc(2), noop);
-  tiered.insert_writer(400, 599, acc(2), noop);
-  EXPECT_EQ(contents(plain), contents(tiered));
-  // Reader over a hot/cold split with the kMaxAddr wrap guard.
-  plain.insert_writer(kMaxAddr - 100, kMaxAddr, acc(3), noop);
-  tiered.insert_writer(kMaxAddr - 100, kMaxAddr, acc(3), noop);
-  std::vector<Ev> ev_plain, ev_tier;
-  plain.insert_reader(kMaxAddr - 150, kMaxAddr, acc(4),
-                      [&](const auto& p, const auto& a) {
-                        ev_plain.push_back({'r', p.sid, a.sid, 0});
-                        return resolve_by_sid(p, a);
-                      });
-  tiered.insert_reader(kMaxAddr - 150, kMaxAddr, acc(4),
-                       [&](const auto& p, const auto& a) {
-                         ev_tier.push_back({'r', p.sid, a.sid, 0});
-                         return resolve_by_sid(p, a);
-                       });
-  EXPECT_EQ(ev_plain, ev_tier);
-  EXPECT_EQ(contents(plain), contents(tiered));
-  EXPECT_TRUE(tiered.check_invariants());
-  // Erase across both tiers.
-  plain.erase_range(0, kMaxAddr);
-  tiered.erase_range(0, kMaxAddr);
-  EXPECT_TRUE(tiered.empty());
-  EXPECT_EQ(contents(plain), contents(tiered));
-}
-
-TEST(TieredHistory, DisabledIsAPassThrough) {
-  treap::IntervalTreap plain(7);
-  detect::TieredHistory off(7, /*enabled=*/false, 1);
-  auto noop = [](auto, auto, const auto&) {};
-  for (int i = 0; i < 64; ++i) {
-    plain.insert_writer(i * 10, i * 10 + 5, acc(1 + i), noop);
-    off.insert_writer(i * 10, i * 10 + 5, acc(1 + i), noop);
-  }
-  EXPECT_EQ(contents(plain), contents(off));
-  EXPECT_EQ(off.compactions(), 0u);  // never tiers when disabled
-  EXPECT_EQ(off.cold_hits(), 0u);
-  EXPECT_FALSE(off.enabled());
-}
+constexpr detect::addr_t kMaxAddr = ~detect::addr_t(0);
 
 // ---------------------------------------------------------------------------
 // finalize_intervals: SIMD vs scalar fuzz
@@ -406,7 +200,7 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
 }
 
 struct Knobs {
-  bool arena, tier, simd;
+  bool arena, simd;
 };
 
 RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
@@ -414,7 +208,6 @@ RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
   TuningGuard g;
   detect::Tuning t = g.saved;
   t.arena = k.arena;
-  t.tier = k.tier;
   t.simd = k.simd;
   if (sys == Sys::kStint) {
     stint::StintDetector::Options o;
@@ -435,7 +228,7 @@ RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
   return summarize(det.reporter(), det.stats());
 }
 
-const Knobs kDefaults = {true, false, true};
+const Knobs kDefaults = {true, true};
 
 class KernelHotpathKnobs : public ::testing::TestWithParam<std::string> {};
 
@@ -452,16 +245,15 @@ TEST_P(KernelHotpathKnobs, SingleKnobFlipsAreBitIdentical) {
     auto kr = fresh();
     const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
     const Knobs flips[] = {
-        {false, false, true},  // arena off
-        {true, true, true},    // tier on
-        {true, false, false},  // simd off
+        {false, true},  // arena off
+        {true, false},  // simd off
     };
     for (const Knobs& k : flips) {
       auto kf = fresh();
       const RunOut out = run_config(sys, k, [&] { kf->run(); });
       EXPECT_EQ(ref.rebased, out.rebased)
           << "records diverge, sys=" << int(sys) << " arena=" << k.arena
-          << " tier=" << k.tier << " simd=" << k.simd;
+          << " simd=" << k.simd;
       EXPECT_EQ(ref.distinct, out.distinct);
       if (!k.simd) {
         EXPECT_EQ(out.stats.finalize_simd, 0u) << "simd off still vectorized";
@@ -486,7 +278,7 @@ TEST_P(KernelHotpathKnobs, PipelinedAndShardedAgreeOnTheVerdict) {
     auto kr = fresh();
     const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
     auto kf = fresh();
-    const RunOut out = run_config(sys, {false, true, false}, [&] { kf->run(); });
+    const RunOut out = run_config(sys, {false, false}, [&] { kf->run(); });
     EXPECT_EQ(ref.distinct, out.distinct) << "sys=" << int(sys);
     if (ref.dropped == 0 && out.dropped == 0) {
       EXPECT_EQ(ref.pairs, out.pairs) << "sys=" << int(sys);
@@ -498,7 +290,7 @@ INSTANTIATE_TEST_SUITE_P(All, KernelHotpathKnobs,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
 
-// The full 2^3 cross-product on random series-parallel programs: cheap
+// The full 2^2 cross-product on random series-parallel programs: cheap
 // enough to run every combination bit-exactly (same pool address every run,
 // so the rebase is the identity).
 TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
@@ -511,12 +303,11 @@ TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
     const auto body = [p, base] { test::exec_node(*p, base); };
 
     const RunOut ref = run_config(Sys::kStint, kDefaults, body);
-    for (int mask = 0; mask < 8; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    for (int mask = 0; mask < 4; ++mask) {
+      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
       const RunOut out = run_config(Sys::kStint, k, body);
       EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " tier=" << k.tier
-          << " simd=" << k.simd;
+          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
       EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
     }
     EXPECT_EQ(ref.distinct > 0,
@@ -535,12 +326,11 @@ TEST(RandomProgramHotpathKnobs, PhasedPintFullCrossProduct) {
     const auto body = [p, base] { test::exec_node(*p, base); };
 
     const RunOut ref = run_config(Sys::kPintSeq, kDefaults, body);
-    for (int mask = 0; mask < 8; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    for (int mask = 0; mask < 4; ++mask) {
+      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
       const RunOut out = run_config(Sys::kPintSeq, k, body);
       EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " tier=" << k.tier
-          << " simd=" << k.simd;
+          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
     }
   }
 }
@@ -565,7 +355,6 @@ TEST(ArenaKnob, RecyclerActuallyReusesAcrossDetectorInstances) {
 TEST(TuningKnobs, DefaultsMatchTheDocumentedContract) {
   const detect::Tuning t;
   EXPECT_TRUE(t.arena);   // recycling on: provenance only, never bytes
-  EXPECT_FALSE(t.tier);   // off: kernel suite is rewrite-heavy (DESIGN.md §13)
   EXPECT_TRUE(t.simd);    // on: bit-identical scalar fallback exists
 }
 

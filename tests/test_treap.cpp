@@ -1,27 +1,33 @@
-// Unit + property tests for the non-overlapping interval treap.
+// Unit, differential and property tests for the interval store (the B+-tree
+// that holds each access history, DESIGN.md §15).
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "support/rng.hpp"
-#include "treap/interval_treap.hpp"
+#include "store/interval_store.hpp"
 
 using namespace pint;
-using treap::Accessor;
-using treap::IntervalTreap;
+using store::Accessor;
+using store::IntervalStore;
 
 namespace {
 
+constexpr std::uint64_t kMaxAddr = ~std::uint64_t(0);
+constexpr std::uint64_t B = IntervalStore::kLeaf;
+
 Accessor acc(std::uint64_t sid) { return {{}, sid}; }
+auto noop = [](auto, auto, const auto&) {};
 
 struct Seg {
   std::uint64_t lo, hi, sid;
   bool operator==(const Seg&) const = default;
 };
 
-std::vector<Seg> contents(const IntervalTreap& t) {
+std::vector<Seg> contents(const IntervalStore& t) {
   std::vector<Seg> out;
   t.for_each([&](std::uint64_t lo, std::uint64_t hi, const Accessor& a) {
     out.push_back({lo, hi, a.sid});
@@ -29,28 +35,117 @@ std::vector<Seg> contents(const IntervalTreap& t) {
   return out;
 }
 
-/// Reference model: one owner per byte.
-class ByteModel {
- public:
-  void write(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid) {
-    for (auto b = lo; b <= hi; ++b) owner_[b] = sid;
-  }
-  void erase(std::uint64_t lo, std::uint64_t hi) {
-    owner_.erase(owner_.lower_bound(lo), owner_.upper_bound(hi));
-  }
-  /// Segments as (byte -> sid) coalesced like the treap would store them...
-  /// only per-byte equality is checked, which is representation-independent.
-  std::uint64_t at(std::uint64_t b) const {
-    auto it = owner_.find(b);
-    return it == owner_.end() ? 0 : it->second;
-  }
-  const std::map<std::uint64_t, std::uint64_t>& map() const { return owner_; }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> owner_;
+struct Iv {
+  std::uint64_t lo, hi;
 };
 
-std::uint64_t treap_at(const IntervalTreap& t, std::uint64_t b) {
+// Event log entry: op tag + three op-dependent fields.
+using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+/// Reference model: one (segment id, owner) per byte.  A stored segment is a
+/// maximal run of bytes sharing a segment id, so the model states the
+/// store's segment-level contract directly - which overlaps a write reports,
+/// which segments a reader insert resolves and how its pieces coalesce -
+/// without any tree.
+class ByteModel {
+ public:
+  /// Last-writer insert; logs ('w', lo, hi, prev sid) per overlapped segment.
+  void write(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid,
+             std::vector<Ev>* ev) {
+    for (const Seg& s : overlaps(lo, hi)) {
+      ev->push_back({'w', s.lo, s.hi, s.sid});
+    }
+    assign(lo, hi, sid);
+  }
+  /// Reader insert: one resolve per overlapped segment in address order,
+  /// gaps to the new reader, same-owner neighbours of this call coalesced.
+  template <class R>
+  void read(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid,
+            R&& resolve) {
+    std::vector<Seg> pieces;
+    auto push = [&](std::uint64_t a, std::uint64_t b, std::uint64_t w) {
+      if (!pieces.empty() && pieces.back().sid == w &&
+          pieces.back().hi + 1 == a) {
+        pieces.back().hi = b;
+      } else {
+        pieces.push_back({a, b, w});
+      }
+    };
+    std::uint64_t cur = lo;
+    bool done = false;
+    for (const Seg& s : overlaps(lo, hi)) {
+      if (s.lo > cur) push(cur, s.lo - 1, sid);
+      push(s.lo, s.hi, resolve(acc(s.sid), acc(sid)) ? sid : s.sid);
+      if (s.hi == hi) {
+        done = true;
+        break;
+      }
+      cur = s.hi + 1;
+    }
+    if (!done) push(cur, hi, sid);
+    for (const Seg& p : pieces) assign(p.lo, p.hi, p.sid);
+  }
+  void erase(std::uint64_t lo, std::uint64_t hi) {
+    owner_.erase(owner_.lower_bound(lo),
+                 hi == kMaxAddr ? owner_.end() : owner_.upper_bound(hi));
+  }
+  void query(std::uint64_t lo, std::uint64_t hi, std::vector<Ev>* ev) const {
+    for (const Seg& s : overlaps(lo, hi)) {
+      ev->push_back({'q', s.lo, s.hi, s.sid});
+    }
+  }
+  std::uint64_t at(std::uint64_t b) const {
+    auto it = owner_.find(b);
+    return it == owner_.end() ? 0 : it->second.sid;
+  }
+  /// Maximal same-id runs: the segment set the store must hold.
+  std::vector<Seg> segments() const {
+    return runs(owner_.begin(), owner_.end());
+  }
+
+ private:
+  struct Cell {
+    std::uint64_t id, sid;
+  };
+  using Map = std::map<std::uint64_t, Cell>;
+
+  void assign(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid) {
+    const std::uint64_t id = next_id_++;
+    for (auto b = lo;; ++b) {
+      owner_[b] = {id, sid};
+      if (b == hi) break;
+    }
+  }
+  /// Overlapped segments trimmed to [lo, hi], in address order.
+  std::vector<Seg> overlaps(std::uint64_t lo, std::uint64_t hi) const {
+    return runs(owner_.lower_bound(lo),
+                hi == kMaxAddr ? owner_.end() : owner_.upper_bound(hi));
+  }
+  static std::vector<Seg> runs(Map::const_iterator it,
+                               Map::const_iterator end) {
+    std::vector<Seg> out;
+    std::uint64_t id = 0;
+    for (; it != end; ++it) {
+      if (!out.empty() && id == it->second.id &&
+          out.back().hi + 1 == it->first) {
+        out.back().hi = it->first;
+      } else {
+        out.push_back({it->first, it->first, it->second.sid});
+        id = it->second.id;
+      }
+    }
+    return out;
+  }
+
+  Map owner_;
+  std::uint64_t next_id_ = 1;
+};
+
+bool resolve_by_sid(const Accessor& prev, const Accessor& a) {
+  return ((prev.sid * 31 + a.sid) & 1) == 0;
+}
+
+std::uint64_t store_at(const IntervalStore& t, std::uint64_t b) {
   std::uint64_t sid = 0;
   t.query(b, b, [&](std::uint64_t, std::uint64_t, const Accessor& a) {
     sid = a.sid;
@@ -58,14 +153,25 @@ std::uint64_t treap_at(const IntervalTreap& t, std::uint64_t b) {
   return sid;
 }
 
+/// n disjoint 4-byte segments [10i, 10i+3], owner i+1.
+void fill(IntervalStore& t, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    t.insert_writer(i * 10, i * 10 + 3, acc(i + 1), noop);
+  }
+}
+
 }  // namespace
 
-TEST(Treap, PaperExampleSplitsCorrectly) {
+// ---------------------------------------------------------------------------
+// Segment semantics
+// ---------------------------------------------------------------------------
+
+TEST(IntervalStore, PaperExampleSplitsCorrectly) {
   // Paper §III-A: {[1,4]:u, [6,10]:v} + write [3,7]:w
   //            => {[1,2]:u, [3,7]:w, [8,10]:v}
-  IntervalTreap t;
-  t.insert_writer(1, 4, acc(1), [](auto, auto, const auto&) {});
-  t.insert_writer(6, 10, acc(2), [](auto, auto, const auto&) {});
+  IntervalStore t;
+  t.insert_writer(1, 4, acc(1), noop);
+  t.insert_writer(6, 10, acc(2), noop);
   std::vector<Seg> reported;
   t.insert_writer(3, 7, acc(3), [&](std::uint64_t lo, std::uint64_t hi,
                                     const Accessor& a) {
@@ -77,9 +183,9 @@ TEST(Treap, PaperExampleSplitsCorrectly) {
   EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Treap, ExactCoverInsert) {
-  IntervalTreap t;
-  t.insert_writer(10, 20, acc(1), [](auto, auto, const auto&) {});
+TEST(IntervalStore, ExactCoverInsert) {
+  IntervalStore t;
+  t.insert_writer(10, 20, acc(1), noop);
   std::vector<Seg> rep;
   t.insert_writer(10, 20, acc(2), [&](std::uint64_t lo, std::uint64_t hi,
                                       const Accessor& a) {
@@ -89,18 +195,18 @@ TEST(Treap, ExactCoverInsert) {
   EXPECT_EQ(contents(t), (std::vector<Seg>{{10, 20, 2}}));
 }
 
-TEST(Treap, InsertInsideSplitsBothSides) {
-  IntervalTreap t;
-  t.insert_writer(0, 100, acc(1), [](auto, auto, const auto&) {});
-  t.insert_writer(40, 60, acc(2), [](auto, auto, const auto&) {});
+TEST(IntervalStore, InsertInsideSplitsBothSides) {
+  IntervalStore t;
+  t.insert_writer(0, 100, acc(1), noop);
+  t.insert_writer(40, 60, acc(2), noop);
   EXPECT_EQ(contents(t),
             (std::vector<Seg>{{0, 39, 1}, {40, 60, 2}, {61, 100, 1}}));
   EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Treap, QueryDoesNotMutate) {
-  IntervalTreap t;
-  t.insert_writer(5, 9, acc(1), [](auto, auto, const auto&) {});
+TEST(IntervalStore, QueryDoesNotMutate) {
+  IntervalStore t;
+  t.insert_writer(5, 9, acc(1), noop);
   int hits = 0;
   t.query(0, 100, [&](std::uint64_t lo, std::uint64_t hi, const Accessor& a) {
     EXPECT_EQ(lo, 5u);
@@ -112,37 +218,38 @@ TEST(Treap, QueryDoesNotMutate) {
   EXPECT_EQ(contents(t).size(), 1u);
 }
 
-TEST(Treap, QueryTrimsToRange) {
-  IntervalTreap t;
-  t.insert_writer(10, 30, acc(1), [](auto, auto, const auto&) {});
+TEST(IntervalStore, QueryTrimsToRange) {
+  IntervalStore t;
+  t.insert_writer(10, 30, acc(1), noop);
   t.query(20, 25, [&](std::uint64_t lo, std::uint64_t hi, const Accessor&) {
     EXPECT_EQ(lo, 20u);
     EXPECT_EQ(hi, 25u);
   });
 }
 
-TEST(Treap, EraseRangeTruncatesBoundaries) {
-  IntervalTreap t;
-  t.insert_writer(0, 9, acc(1), [](auto, auto, const auto&) {});
-  t.insert_writer(10, 19, acc(2), [](auto, auto, const auto&) {});
-  t.insert_writer(20, 29, acc(3), [](auto, auto, const auto&) {});
+TEST(IntervalStore, EraseRangeTruncatesBoundaries) {
+  IntervalStore t;
+  t.insert_writer(0, 9, acc(1), noop);
+  t.insert_writer(10, 19, acc(2), noop);
+  t.insert_writer(20, 29, acc(3), noop);
   t.erase_range(5, 24);
   EXPECT_EQ(contents(t), (std::vector<Seg>{{0, 4, 1}, {25, 29, 3}}));
   EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Treap, EraseAllLeavesEmpty) {
-  IntervalTreap t;
+TEST(IntervalStore, EraseAllLeavesEmpty) {
+  IntervalStore t;
   for (int i = 0; i < 64; ++i) {
     t.insert_writer(std::uint64_t(i) * 10, std::uint64_t(i) * 10 + 5, acc(1),
-                    [](auto, auto, const auto&) {});
+                    noop);
   }
   t.erase_range(0, 10000);
   EXPECT_TRUE(t.empty());
+  EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Treap, ReaderInsertSeriesReplaces) {
-  IntervalTreap t;
+TEST(IntervalStore, ReaderInsertSeriesReplaces) {
+  IntervalStore t;
   t.insert_reader(0, 50, acc(1), [](const Accessor&, const Accessor&) {
     return true;  // unconditionally take new (no prior anyway)
   });
@@ -153,8 +260,8 @@ TEST(Treap, ReaderInsertSeriesReplaces) {
             (std::vector<Seg>{{0, 9, 1}, {10, 20, 2}, {21, 50, 1}}));
 }
 
-TEST(Treap, ReaderInsertKeepLosesGaps) {
-  IntervalTreap t;
+TEST(IntervalStore, ReaderInsertKeepLosesGaps) {
+  IntervalStore t;
   t.insert_reader(10, 20, acc(1),
                   [](const Accessor&, const Accessor&) { return true; });
   // Old reader kept on overlap; the new one still fills uncovered gaps.
@@ -164,40 +271,307 @@ TEST(Treap, ReaderInsertKeepLosesGaps) {
             (std::vector<Seg>{{0, 9, 2}, {10, 20, 1}, {21, 30, 2}}));
 }
 
-TEST(Treap, ReaderInsertCoalescesSameWinner) {
-  IntervalTreap t;
+TEST(IntervalStore, ReaderInsertCoalescesSameWinner) {
+  IntervalStore t;
   t.insert_reader(10, 14, acc(1),
                   [](const Accessor&, const Accessor&) { return true; });
   t.insert_reader(15, 19, acc(1),
                   [](const Accessor&, const Accessor&) { return true; });
-  // Covering insert where the NEW accessor always wins merges to one node.
+  // Covering insert where the NEW accessor always wins merges to one segment.
   t.insert_reader(5, 25, acc(1),
                   [](const Accessor&, const Accessor&) { return true; });
   EXPECT_EQ(contents(t), (std::vector<Seg>{{5, 25, 1}}));
 }
 
-TEST(Treap, AdjacentIntervalsDoNotMergeAcrossOwners) {
-  IntervalTreap t;
-  t.insert_writer(0, 9, acc(1), [](auto, auto, const auto&) {});
-  t.insert_writer(10, 19, acc(2), [](auto, auto, const auto&) {});
+TEST(IntervalStore, AdjacentIntervalsDoNotMergeAcrossOwners) {
+  IntervalStore t;
+  t.insert_writer(0, 9, acc(1), noop);
+  t.insert_writer(10, 19, acc(2), noop);
   EXPECT_EQ(contents(t).size(), 2u);
 }
 
-TEST(Treap, SingleByteIntervals) {
-  IntervalTreap t;
+TEST(IntervalStore, SingleByteIntervals) {
+  IntervalStore t;
   for (std::uint64_t b = 0; b < 100; b += 2) {
-    t.insert_writer(b, b, acc(b + 1), [](auto, auto, const auto&) {});
+    t.insert_writer(b, b, acc(b + 1), noop);
   }
   EXPECT_EQ(t.size(), 50u);
-  t.insert_writer(0, 99, acc(777), [](auto, auto, const auto&) {});
+  t.insert_writer(0, 99, acc(777), noop);
   EXPECT_EQ(contents(t), (std::vector<Seg>{{0, 99, 777}}));
+  EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(Treap, PropertyWriterMatchesByteModel) {
+// ---------------------------------------------------------------------------
+// Leaf boundaries
+// ---------------------------------------------------------------------------
+
+TEST(IntervalStore, LeafCapacityBoundaries) {
+  // B-1 and B segments fit the root leaf; B+1 forces the first split.  Each
+  // size then takes a covering write across every boundary it has.
+  for (std::uint64_t n : {B - 1, B, B + 1, 2 * B, 2 * B + 1}) {
+    IntervalStore t;
+    fill(t, n);
+    ASSERT_TRUE(t.check_invariants()) << "n=" << n;
+    ASSERT_EQ(t.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(store_at(t, i * 10 + 2), i + 1);
+    }
+    std::vector<Seg> rep;
+    t.insert_writer(5, n * 10, acc(999), [&](auto lo, auto hi, const auto& a) {
+      rep.push_back({lo, hi, a.sid});
+    });
+    ASSERT_EQ(rep.size(), n - 1) << "n=" << n;  // every segment but [0,3]
+    EXPECT_EQ(rep.front(), (Seg{10, 13, 2}));
+    EXPECT_EQ(contents(t), (std::vector<Seg>{{0, 3, 1}, {5, n * 10, 999}}));
+    EXPECT_TRUE(t.check_invariants()) << "n=" << n;
+  }
+}
+
+TEST(IntervalStore, CarveSpanningManyLeaves) {
+  // 8 leaves' worth of segments; one write covers the middle ~5 leaves and
+  // trims a segment on each side, so whole leaves are unlinked and the
+  // surviving neighbours meet at one separator.
+  IntervalStore t;
+  const std::uint64_t n = 8 * B;
+  fill(t, n);
+  ByteModel m;
+  std::vector<Ev> ev_m, ev_t;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    m.write(i * 10, i * 10 + 3, i + 1, &ev_m);
+  }
+  ev_m.clear();
+  const std::uint64_t lo = B * 10 + 2, hi = 6 * B * 10 + 1;
+  m.write(lo, hi, 5000, &ev_m);
+  t.insert_writer(lo, hi, acc(5000), [&](auto a, auto b, const auto& w) {
+    ev_t.push_back({'w', a, b, w.sid});
+  });
+  EXPECT_EQ(ev_t, ev_m);
+  EXPECT_GE(ev_t.size(), 4 * B);
+  EXPECT_EQ(contents(t), m.segments());
+  EXPECT_TRUE(t.check_invariants());
+  // Erase across the same span, then a reader insert over the hole.
+  t.erase_range(lo - 30, hi + 30);
+  m.erase(lo - 30, hi + 30);
+  EXPECT_EQ(contents(t), m.segments());
+  EXPECT_TRUE(t.check_invariants());
+  t.insert_reader(0, n * 10, acc(6000), resolve_by_sid);
+  m.read(0, n * 10, 6000, resolve_by_sid);
+  EXPECT_EQ(contents(t), m.segments());
+  EXPECT_TRUE(t.check_invariants());
+}
+
+TEST(IntervalStore, WritesEndingAtMaxAddr) {
+  IntervalStore t;
+  ByteModel m;
+  std::vector<Ev> ev_m, ev_t;
+  auto log = [&](auto a, auto b, const auto& w) {
+    ev_t.push_back({'w', a, b, w.sid});
+  };
+  // Enough segments near the top of the address space to span leaves.
+  for (std::uint64_t i = 0; i < 3 * B; ++i) {
+    const std::uint64_t lo = kMaxAddr - 6000 + i * 100;
+    t.insert_writer(lo, lo + 49, acc(i + 1), noop);
+    m.write(lo, lo + 49, i + 1, &ev_m);
+  }
+  t.insert_writer(kMaxAddr - 7, kMaxAddr, acc(90), log);
+  m.write(kMaxAddr - 7, kMaxAddr, 90, &ev_m);
+  // Overwrite from mid-way to the very top: every later leaf goes.
+  ev_m.clear();
+  t.insert_writer(kMaxAddr - 2525, kMaxAddr, acc(91), log);
+  m.write(kMaxAddr - 2525, kMaxAddr, 91, &ev_m);
+  EXPECT_EQ(ev_t, ev_m);
+  EXPECT_EQ(contents(t), m.segments());
+  EXPECT_EQ(contents(t).back(), (Seg{kMaxAddr - 2525, kMaxAddr, 91}));
+  EXPECT_TRUE(t.check_invariants());
+  t.insert_reader(kMaxAddr - 3000, kMaxAddr, acc(92), resolve_by_sid);
+  m.read(kMaxAddr - 3000, kMaxAddr, 92, resolve_by_sid);
+  EXPECT_EQ(contents(t), m.segments());
+  t.erase_range(kMaxAddr - 100, kMaxAddr);
+  m.erase(kMaxAddr - 100, kMaxAddr);
+  EXPECT_EQ(contents(t), m.segments());
+  EXPECT_TRUE(t.check_invariants());
+}
+
+TEST(IntervalStore, EmptiedLeavesAreReclaimed) {
+  IntervalStore t;
+  fill(t, 40 * B);
+  const std::size_t full = t.node_bytes();
+  // Erasing three quarters of the segments, one at a time from the left,
+  // empties (and frees) their leaves.
+  for (std::uint64_t i = 0; i < 30 * B; ++i) t.erase_range(i * 10, i * 10 + 3);
+  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.size(), 10 * B);
+  EXPECT_LT(t.node_bytes(), full / 2);
+  // Thinning the rest to one segment per old leaf folds small leaves into
+  // their siblings instead of keeping a leaf per survivor.
+  for (std::uint64_t i = 30 * B; i < 40 * B; ++i) {
+    if (i % B != 0) t.erase_range(i * 10, i * 10 + 3);
+  }
+  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.size(), 10u);
+  EXPECT_LT(t.node_bytes(), full / 10);
+  t.erase_range(0, kMaxAddr);
+  EXPECT_TRUE(t.empty());
+  EXPECT_TRUE(t.check_invariants());
+}
+
+TEST(IntervalStore, FootprintStaysUnderTheTreapNode) {
+  // Sibling balancing keeps leaves well filled whether segments arrive in
+  // address order (coalesced records) or scattered (strided reads): the
+  // footprint per segment stays under the 88-byte treap node it replaced.
+  IntervalStore ascending, scattered;
+  fill(ascending, 64 * B);
+  Xoshiro256 rng(5);
+  std::vector<std::uint64_t> order(64 * B);
+  for (std::uint64_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (std::uint64_t i : order) {
+    scattered.insert_writer(i * 10, i * 10 + 3, acc(i + 1), noop);
+  }
+  for (const IntervalStore* t : {&ascending, &scattered}) {
+    ASSERT_EQ(t->size(), 64 * B);
+    EXPECT_LT(double(t->node_bytes()) / double(t->size()), 88.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: every op, runs included, against the byte model
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A sorted, pairwise-disjoint run (adjacency allowed): up to kmax
+/// intervals of up to `len` bytes with gaps up to `gap`.
+std::vector<Iv> make_run(Xoshiro256& rng, std::uint64_t span, std::size_t kmax,
+                         std::uint64_t len, std::uint64_t gap) {
+  const std::size_t k = 1 + rng.next_below(kmax);
+  std::vector<Iv> run;
+  std::uint64_t lo = rng.next_below(span);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::uint64_t l = 1 + rng.next_below(len);
+    run.push_back({lo, lo + l - 1});
+    lo += l + rng.next_below(gap + 1);
+  }
+  return run;
+}
+
+/// Applies one random op (single or run form) to both the store and the
+/// model, logging callbacks and resolver calls into ev_t / ev_m.
+void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
+               const std::vector<Iv>& r, std::uint64_t sid,
+               std::vector<Ev>* ev_t, std::vector<Ev>* ev_m) {
+  auto log_t = [ev_t](char tag) {
+    return [ev_t, tag](auto lo, auto hi, const auto& w) {
+      ev_t->push_back({tag, lo, hi, w.sid});
+    };
+  };
+  auto resolve_t = [ev_t](const Accessor& p, const Accessor& a) {
+    ev_t->push_back({'r', p.sid, a.sid, 0});
+    return resolve_by_sid(p, a);
+  };
+  auto resolve_m = [ev_m](const Accessor& p, const Accessor& a) {
+    ev_m->push_back({'r', p.sid, a.sid, 0});
+    return resolve_by_sid(p, a);
+  };
+  const bool run = r.size() > 1 || rng.next_below(2) == 0;
+  switch (rng.next_below(4)) {
+    case 0:
+      if (run) {
+        t.insert_writer_run(r.data(), r.size(), acc(sid), log_t('w'));
+      } else {
+        t.insert_writer(r[0].lo, r[0].hi, acc(sid), log_t('w'));
+      }
+      for (const Iv& iv : r) m.write(iv.lo, iv.hi, sid, ev_m);
+      break;
+    case 1:
+      if (run) {
+        t.insert_reader_run(r.data(), r.size(), acc(sid), resolve_t);
+      } else {
+        t.insert_reader(r[0].lo, r[0].hi, acc(sid), resolve_t);
+      }
+      for (const Iv& iv : r) m.read(iv.lo, iv.hi, sid, resolve_m);
+      break;
+    case 2:
+      if (run) {
+        t.query_run(r.data(), r.size(), log_t('q'));
+      } else {
+        t.query(r[0].lo, r[0].hi, log_t('q'));
+      }
+      for (const Iv& iv : r) m.query(iv.lo, iv.hi, ev_m);
+      break;
+    case 3:
+      if (run) {
+        t.erase_run(r.data(), r.size());
+      } else {
+        t.erase_range(r[0].lo, r[0].hi);
+      }
+      for (const Iv& iv : r) m.erase(iv.lo, iv.hi);
+      break;
+  }
+}
+
+}  // namespace
+
+TEST(IntervalStoreDifferential, EveryOpMatchesTheByteModelExactly) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Xoshiro256 rng(seed);
-    IntervalTreap t(seed);
+    IntervalStore t;
     ByteModel m;
+    std::vector<Ev> ev_t, ev_m;
+    for (int step = 0; step < 2500; ++step) {
+      // Short intervals over a 16 KiB span keep ~1000 segments live: many
+      // leaves, a two-level tree, and constant splits and merges.
+      const std::uint64_t span = 1 << 14;
+      const auto r = rng.next_below(3) == 0
+                         ? make_run(rng, span, 24, 6, 40)   // sparse run
+                         : make_run(rng, span, 6, 48, 3);   // dense run
+      random_op(rng, t, m, r, 2 + std::uint64_t(step) % 97, &ev_t, &ev_m);
+      ASSERT_EQ(ev_t, ev_m) << "seed=" << seed << " step=" << step;
+      if (step % 100 == 0) {
+        ASSERT_TRUE(t.check_invariants()) << "seed=" << seed << " @" << step;
+        ASSERT_EQ(contents(t), m.segments()) << "seed=" << seed << " @" << step;
+      }
+    }
+    EXPECT_TRUE(t.check_invariants());
+    EXPECT_EQ(contents(t), m.segments()) << "seed=" << seed;
+  }
+}
+
+TEST(IntervalStoreDifferential, WideErasesAndCoversMatchTheByteModel) {
+  // Fewer, larger ops: carves that span many leaves (and unlink them) are
+  // the common case here rather than the exception.
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+    Xoshiro256 rng(seed);
+    IntervalStore t;
+    ByteModel m;
+    std::vector<Ev> ev_t, ev_m;
+    for (int step = 0; step < 600; ++step) {
+      const auto r = rng.next_below(4) == 0
+                         ? make_run(rng, 1 << 13, 2, 1500, 400)
+                         : make_run(rng, 1 << 13, 40, 3, 12);
+      random_op(rng, t, m, r, 2 + std::uint64_t(step) % 13, &ev_t, &ev_m);
+      ASSERT_EQ(ev_t, ev_m) << "seed=" << seed << " step=" << step;
+      if (step % 50 == 0) {
+        ASSERT_TRUE(t.check_invariants()) << "seed=" << seed << " @" << step;
+        ASSERT_EQ(contents(t), m.segments()) << "seed=" << seed << " @" << step;
+      }
+    }
+    EXPECT_EQ(contents(t), m.segments()) << "seed=" << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Properties
+// ---------------------------------------------------------------------------
+
+TEST(IntervalStore, PropertyWriterMatchesByteModel) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Xoshiro256 rng(seed);
+    IntervalStore t;
+    ByteModel m;
+    std::vector<Ev> sink;
     constexpr std::uint64_t kSpan = 2000;
     for (int op = 0; op < 3000; ++op) {
       const std::uint64_t lo = rng.next_below(kSpan);
@@ -205,8 +579,8 @@ TEST(Treap, PropertyWriterMatchesByteModel) {
       const auto kind = rng.next_below(10);
       if (kind < 7) {
         const std::uint64_t sid = 1 + rng.next_below(1000);
-        t.insert_writer(lo, hi, acc(sid), [](auto, auto, const auto&) {});
-        m.write(lo, hi, sid);
+        t.insert_writer(lo, hi, acc(sid), noop);
+        m.write(lo, hi, sid, &sink);
       } else if (kind < 9) {
         // query must report exactly the model's owned bytes
         std::map<std::uint64_t, std::uint64_t> got;
@@ -225,21 +599,21 @@ TEST(Treap, PropertyWriterMatchesByteModel) {
     }
     ASSERT_TRUE(t.check_invariants()) << "seed=" << seed;
     for (std::uint64_t b = 0; b < kSpan + 64; b += 7) {
-      ASSERT_EQ(treap_at(t, b), m.at(b)) << "seed=" << seed << " byte=" << b;
+      ASSERT_EQ(store_at(t, b), m.at(b)) << "seed=" << seed << " byte=" << b;
     }
   }
 }
 
-TEST(Treap, PropertyNoOverlapInvariantUnderChurn) {
+TEST(IntervalStore, PropertyNoOverlapInvariantUnderChurn) {
   Xoshiro256 rng(99);
-  IntervalTreap t;
+  IntervalStore t;
   for (int op = 0; op < 20000; ++op) {
     const std::uint64_t lo = rng.next_below(1 << 16);
     const std::uint64_t hi = lo + rng.next_below(256);
     if (rng.next_below(4) == 0) {
       t.erase_range(lo, hi);
     } else if (rng.next_below(2) == 0) {
-      t.insert_writer(lo, hi, acc(op + 1), [](auto, auto, const auto&) {});
+      t.insert_writer(lo, hi, acc(op + 1), noop);
     } else {
       t.insert_reader(lo, hi, acc(op + 1),
                       [&](const Accessor&, const Accessor&) {
@@ -251,4 +625,54 @@ TEST(Treap, PropertyNoOverlapInvariantUnderChurn) {
     }
   }
   EXPECT_TRUE(t.check_invariants());
+}
+
+TEST(IntervalStore, FftStridedRunsMatchPerIntervalTwin) {
+  // fft's reader traffic: runs of single-granule intervals with a large
+  // stride at bit-reversed offsets, revisited stage after stage.  The run
+  // form (leaf finger) and the per-interval loop must agree event for event,
+  // and the store must end up one segment per granule.
+  constexpr std::uint64_t kRuns = 64, kPerRun = 32, kStride = 4096;
+  auto bitrev = [](std::uint64_t x, int bits) {
+    std::uint64_t r = 0;
+    for (int i = 0; i < bits; ++i) r |= ((x >> i) & 1) << (bits - 1 - i);
+    return r;
+  };
+  IntervalStore run, per;
+  std::vector<Ev> ev_run, ev_per;
+  auto resolve_into = [](std::vector<Ev>* ev) {
+    return [ev](const Accessor& p, const Accessor& a) {
+      ev->push_back({'r', p.sid, a.sid, 0});
+      return (p.sid + a.sid) % 3 != 0;
+    };
+  };
+  for (std::uint64_t stage = 0; stage < 3; ++stage) {
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+      std::vector<Iv> iv;
+      const std::uint64_t off = bitrev(r, 6) * 8;
+      for (std::uint64_t j = 0; j < kPerRun; ++j) {
+        const std::uint64_t lo = j * kStride + off;
+        iv.push_back({lo, lo + 7});
+      }
+      const std::uint64_t sid = 1 + stage * kRuns + r;
+      run.insert_reader_run(iv.data(), iv.size(), acc(sid),
+                            resolve_into(&ev_run));
+      for (const Iv& x : iv) {
+        per.insert_reader(x.lo, x.hi, acc(sid), resolve_into(&ev_per));
+      }
+      ASSERT_EQ(ev_run, ev_per) << "stage=" << stage << " run=" << r;
+    }
+    ASSERT_TRUE(run.check_invariants());
+  }
+  EXPECT_EQ(contents(run), contents(per));
+  EXPECT_EQ(run.size(), kRuns * kPerRun);
+  // Queries along the same stride see one granule per interval.
+  std::vector<Iv> probe;
+  for (std::uint64_t j = 0; j < kPerRun; ++j) {
+    probe.push_back({j * kStride, j * kStride + 511});
+  }
+  std::size_t hits = 0;
+  run.query_run(probe.data(), probe.size(),
+                [&](auto, auto, const auto&) { ++hits; });
+  EXPECT_EQ(hits, kRuns * kPerRun);
 }
