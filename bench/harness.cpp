@@ -83,46 +83,14 @@ std::unique_ptr<detect::DetectorRunner> make_runner(const RunSpec& spec) {
   return nullptr;
 }
 
-/// Stats snapshot flattened for write_metrics_json()'s "stats" section.
+/// Stats snapshot flattened for write_metrics_json()'s "stats" section:
+/// every counter of the Stats table, then the run's degradation status.
 std::vector<std::pair<std::string, std::uint64_t>> stats_kv(
     const detect::Stats::Snapshot& s, const detect::RunResult& rr) {
   return {
-      {"raw_reads", s.raw_reads},
-      {"raw_writes", s.raw_writes},
-      {"read_intervals", s.read_intervals},
-      {"write_intervals", s.write_intervals},
-      {"fastpath_accesses", s.fastpath_accesses},
-      {"fastpath_hits", s.fastpath_hits},
-      {"slowpath_accesses", s.slowpath_accesses},
-      {"memo_queries", s.memo_queries},
-      {"memo_hits", s.memo_hits},
-      {"tail_probe_hits", s.tail_probe_hits},
-      {"tail_probe_misses", s.tail_probe_misses},
-      {"empty_strand_skips", s.empty_strand_skips},
-      {"finalize_sorted_skips", s.finalize_sorted_skips},
-      {"finalize_simd", s.finalize_simd},
-      {"arena_reuses", s.arena_reuses},
-      {"arena_fresh", s.arena_fresh},
-      {"bulk_runs", s.bulk_runs},
-      {"bulk_run_intervals", s.bulk_run_intervals},
-      {"batch_drains", s.batch_drains},
-      {"batch_strands", s.batch_strands},
-      {"prefetch_issues", s.prefetch_issues},
-      {"deep_backoffs", s.deep_backoffs},
-      {"strands", s.strands},
-      {"traces", s.traces},
-      {"steals", s.steals},
-      {"reach_queries", s.reach_queries},
-      {"stalled_pushes", s.stalled_pushes},
-      {"backoff_pauses", s.backoff_pauses},
-      {"dropped_strands", s.dropped_strands},
-      {"oom_events", s.oom_events},
-      {"watchdog_trips", s.watchdog_trips},
-      {"core_ns", s.core_ns},
-      {"writer_ns", s.writer_ns},
-      {"lreader_ns", s.lreader_ns},
-      {"rreader_ns", s.rreader_ns},
-      {"total_ns", s.total_ns},
+#define PINT_STATS_KV(name) {#name, s.name},
+      PINT_STATS_COUNTERS(PINT_STATS_KV)
+#undef PINT_STATS_KV
       {"run_status", std::uint64_t(rr.status)},
       {"degraded_sequential_history",
        std::uint64_t(rr.degraded_sequential_history)},

@@ -1,6 +1,6 @@
-// Access hot-path microbenchmark (DESIGN.md §9, §11): ns/access for the
+// Access hot-path microbenchmark (DESIGN.md §9): ns/access for the
 // thread-local AccessCursor fast path vs the classic record_access_slow
-// route, cursor and reachability-memo hit rates plus policy counters per
+// route, cursor and reachability-memo hit rates plus cursor spills per
 // kernel, and the geo-mean detection overhead over all seven kernels.  The
 // perf-smoke and perfgate CI lanes run this and check the emitted JSON
 // (see scripts/ci.sh, scripts/perfgate.py).
@@ -76,8 +76,6 @@ struct KernelRow {
   double cursor_hit_rate = 0.0;
   double tail_hit_rate = 0.0;
   std::uint64_t cursor_spills = 0;
-  std::uint64_t policy_switches = 0;
-  std::uint64_t policy_bypass = 0;
 };
 
 KernelRow run_kernel(const std::string& name, double scale) {
@@ -112,8 +110,6 @@ KernelRow run_kernel(const std::string& name, double scale) {
     row.tail_hit_rate = double(r.stats.tail_probe_hits) / double(tails);
   }
   row.cursor_spills = r.stats.cursor_spills;
-  row.policy_switches = r.stats.policy_switches;
-  row.policy_bypass = r.stats.policy_bypass;
   return row;
 }
 
@@ -142,15 +138,12 @@ bool write_json(const std::string& path, const AccessTiming& fast,
                  "%.6f, \"setup_s\": %.6f, "
                  "\"overhead\": %.2f, \"cursor_hit_rate\": %.4f, "
                  "\"tail_hit_rate\": %.4f, "
-                 "\"cursor_spills\": %llu, \"policy_switches\": %llu, "
-                 "\"policy_bypass\": %llu, "
+                 "\"cursor_spills\": %llu, "
                  "\"memo_queries\": %llu, \"memo_hits\": %llu, "
                  "\"memo_hit_rate\": %.4f}%s\n",
                  r.name.c_str(), r.base_s, r.pint_s, r.setup_s, r.overhead,
                  r.cursor_hit_rate, r.tail_hit_rate,
                  (unsigned long long)r.cursor_spills,
-                 (unsigned long long)r.policy_switches,
-                 (unsigned long long)r.policy_bypass,
                  (unsigned long long)r.memo_queries,
                  (unsigned long long)r.memo_hits, r.memo_hit_rate,
                  i + 1 < rows.size() ? "," : "");
@@ -181,26 +174,9 @@ int main(int argc, char** argv) {
       accesses = std::strtoull(next(), nullptr, 10);
     } else if (std::strcmp(s, "--scale") == 0) {
       scale = std::atof(next());
-    } else if (std::strcmp(s, "--policy") == 0) {
-      // Force a cursor policy for the whole run (perf A/B of the adaptive
-      // machine; verdicts are policy-invariant, see DESIGN.md §11).
-      const std::string p = next();
-      if (p == "adaptive") {
-        detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-      } else if (p == "inline") {
-        detect::set_cursor_policy(detect::CursorPolicy::kInline);
-      } else if (p == "wide") {
-        detect::set_cursor_policy(detect::CursorPolicy::kWide);
-      } else if (p == "bypass") {
-        detect::set_cursor_policy(detect::CursorPolicy::kBypass);
-      } else {
-        std::fprintf(stderr, "unknown --policy %s\n", p.c_str());
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json FILE] [--accesses N] [--scale S] "
-                   "[--policy adaptive|inline|wide|bypass]\n",
+                   "usage: %s [--json FILE] [--accesses N] [--scale S]\n",
                    argv[0]);
       return 2;
     }
@@ -229,9 +205,9 @@ int main(int argc, char** argv) {
   std::size_t n3 = 0;
   std::printf("\n# kernels at scale %.2f (baseline vs one-core phased PINT)\n",
               scale);
-  std::printf("%-8s %10s %10s %9s %9s %12s %10s %12s %9s %7s %8s\n", "kernel",
+  std::printf("%-8s %10s %10s %9s %9s %12s %10s %12s %9s\n", "kernel",
               "base_s", "pint_s", "setup_s", "overhead", "cursor_hit",
-              "tail_hit", "memo_hit", "spills", "switch", "bypass");
+              "tail_hit", "memo_hit", "spills");
   for (const auto& name : kernel_set) {
     rows.push_back(run_kernel(name, scale));
     const KernelRow& r = rows.back();
@@ -240,14 +216,10 @@ int main(int argc, char** argv) {
       log_sum3 += std::log(r.overhead);
       ++n3;
     }
-    std::printf(
-        "%-8s %10.4f %10.4f %9.5f %8.2fx %12.4f %10.4f %12.4f %9llu %7llu "
-        "%8llu\n",
-        r.name.c_str(), r.base_s, r.pint_s, r.setup_s, r.overhead,
-        r.cursor_hit_rate, r.tail_hit_rate, r.memo_hit_rate,
-        (unsigned long long)r.cursor_spills,
-        (unsigned long long)r.policy_switches,
-        (unsigned long long)r.policy_bypass);
+    std::printf("%-8s %10.4f %10.4f %9.5f %8.2fx %12.4f %10.4f %12.4f %9llu\n",
+                r.name.c_str(), r.base_s, r.pint_s, r.setup_s, r.overhead,
+                r.cursor_hit_rate, r.tail_hit_rate, r.memo_hit_rate,
+                (unsigned long long)r.cursor_spills);
   }
   const double geomean = std::exp(log_sum / double(rows.size()));
   const double geomean3 = n3 > 0 ? std::exp(log_sum3 / double(n3)) : 0.0;

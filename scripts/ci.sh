@@ -40,11 +40,16 @@
 #                            # regression vs the committed BENCH_*.json, or
 #                            # any enforced store row under its bar
 #                            # (scripts/perfgate.py via ctest -L perfgate)
+#   scripts/ci.sh bench      # repo benchmark smoke (benchmark/run.sh
+#                            # --smoke): builds pintbench in build-bench/
+#                            # and runs one tiny pass of every workload, so
+#                            # a Stats or API change that breaks the
+#                            # benchmark driver fails here
 #
 # Each lane builds into its own directory (build/, build-tsan/, build-asan/,
-# build-notelem/) so switching lanes never churns another lane's objects.  A
-# sanitizer report exits the test non-zero, so a green lane means zero
-# reports.
+# build-notelem/, build-bench/) so switching lanes never churns another
+# lane's objects.  A sanitizer report exits the test non-zero, so a green
+# lane means zero reports.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,7 +58,7 @@ JOBS="${JOBS:-$(nproc)}"
 LANES=("$@")
 if [ ${#LANES[@]} -eq 0 ]; then
   LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd backend
-         perfgate)
+         perfgate bench)
 fi
 
 build_dir() {
@@ -211,6 +216,11 @@ run_lane() {
         -DPINT_PERFGATE=ON
       cmake --build build -j "$JOBS"
       (cd build && ctest --output-on-failure -L perfgate)
+      return
+      ;;
+    bench)
+      echo "=== lane: bench (build dir: build-bench) ==="
+      benchmark/run.sh --smoke
       return
       ;;
     *) echo "unknown lane: $lane" >&2; exit 2 ;;

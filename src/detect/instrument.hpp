@@ -125,17 +125,14 @@ class AccessBuffer;
 /// counts recorded through the cursor since install, how many of them were
 /// absorbed in cursor storage (open interval + pending ring - no per-access
 /// AccessBuffer touch; the bounded end-of-strand drain is the normal
-/// hand-off, not a miss), and the adaptive-policy activity (spills = the
-/// per-access buffer touches that did happen, whether ring overflow or
-/// bypass; bypassed = the subset routed by a bypass-mode site; switches =
-/// per-site policy transitions taken while this strand ran).
+/// hand-off, not a miss), and the spills (the per-access buffer touches
+/// that did happen: ring overflow, or every access in the coalesce-off
+/// ablation).
 struct CursorFlush {
   std::uint64_t raw_reads = 0;
   std::uint64_t raw_writes = 0;
   std::uint64_t hits = 0;
   std::uint64_t spills = 0;
-  std::uint64_t bypassed = 0;
-  std::uint64_t policy_switches = 0;
 };
 
 /// Installs this thread's AccessCursor over the given strand buffers.  Any
@@ -162,28 +159,6 @@ bool cursor_installed();
 /// Flip only at quiescence (no detection run in flight).
 void set_access_fast_path(bool on);
 bool access_fast_path();
-
-/// Cursor miss-path policy (DESIGN.md §11).  kAdaptive (the default) lets a
-/// per-call-site stride predictor pick between the three fixed modes; the
-/// fixed values force one mode at every site - ablation / bit-identity
-/// knobs, exactly like set_access_fast_path.  Any policy yields identical
-/// race reports: every route funnels into the same AccessBuffer, whose
-/// finalize() sort-merge is invariant under intermediate merge policy.
-/// Flip only at quiescence.
-enum class CursorPolicy : std::uint8_t {
-  kAdaptive = 0,  // per-site state machine (inline -> wide -> bypass)
-  kInline = 1,    // always the base pending ring (the PR 4 behavior)
-  kWide = 2,      // always the widened pending ring
-  kBypass = 3,    // every miss goes straight to AccessBuffer::add
-};
-void set_cursor_policy(CursorPolicy p);
-CursorPolicy cursor_policy();
-const char* cursor_policy_name(CursorPolicy p);
-
-/// Clears the calling thread's per-site policy table (tests: deterministic
-/// counter runs).  Worker threads' tables are untouched; policy state never
-/// affects verdicts, only where misses are routed.
-void cursor_policy_reset();
 
 }  // namespace detect
 

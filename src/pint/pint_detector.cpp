@@ -383,8 +383,6 @@ void PintDetector::cursor_flush(CoreWS& ws) {
   ws.fast_accesses += fl.raw_reads + fl.raw_writes;
   ws.fast_hits += fl.hits;
   ws.cursor_spills += fl.spills;
-  ws.policy_switches += fl.policy_switches;
-  ws.policy_bypass += fl.bypassed;
 }
 
 // ---------------------------------------------------------------------------
@@ -1086,8 +1084,8 @@ void PintDetector::dump_progress(const char* stalled) {
 RunResult PintDetector::run(std::function<void()> fn) {
   PINT_CHECK_MSG(!used_, "PintDetector instances are single-use");
   used_ = true;
-  // Tuning snapshot -> process globals (access fast path, cursor policy,
-  // bulk apply); the per-detector knobs are read from opt_.tuning directly.
+  // Tuning snapshot -> process globals (access fast path, bulk apply,
+  // arena, SIMD); the per-detector knobs are read from opt_.tuning directly.
   opt_.tuning.apply_globals();
   RunResult result;
 
@@ -1230,8 +1228,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.fastpath_accesses.fetch_add(ws->fast_accesses);
     stats_.fastpath_hits.fetch_add(ws->fast_hits);
     stats_.cursor_spills.fetch_add(ws->cursor_spills);
-    stats_.policy_switches.fetch_add(ws->policy_switches);
-    stats_.policy_bypass.fetch_add(ws->policy_bypass);
     stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
     stats_.tail_probe_hits.fetch_add(ws->tail_hits);
     stats_.tail_probe_misses.fetch_add(ws->tail_misses);
@@ -1275,10 +1271,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
                stats_.fastpath_hits.load(std::memory_order_relaxed));
   telem::count("access.fastpath.spills",
                stats_.cursor_spills.load(std::memory_order_relaxed));
-  telem::count("access.policy.switches",
-               stats_.policy_switches.load(std::memory_order_relaxed));
-  telem::count("access.policy.bypass",
-               stats_.policy_bypass.load(std::memory_order_relaxed));
   telem::count("access.slowpath.total",
                stats_.slowpath_accesses.load(std::memory_order_relaxed));
   telem::count("reach.memo.queries", mq);

@@ -138,7 +138,7 @@ class PintDetector final : public detect::Detector,
     // the thread-local cursor, the subset its inline caches absorbed, and
     // accesses that took the classic virtual-dispatch route.
     std::uint64_t fast_accesses = 0, fast_hits = 0, slow_accesses = 0;
-    std::uint64_t cursor_spills = 0, policy_switches = 0, policy_bypass = 0;
+    std::uint64_t cursor_spills = 0;
     // AccessBuffer::add tail-probe outcomes and finalize route tallies
     // (DESIGN.md §13), folded from each strand's buffers at seal time.
     std::uint64_t tail_hits = 0, tail_misses = 0;

@@ -68,8 +68,6 @@ void StintDetector::cursor_flush() {
   fast_accesses_ += fl.raw_reads + fl.raw_writes;
   fast_hits_ += fl.hits;
   cursor_spills_ += fl.spills;
-  policy_switches_ += fl.policy_switches;
-  policy_bypass_ += fl.bypassed;
 }
 
 void StintDetector::process_strand(Strand* s) {
@@ -305,8 +303,6 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.fastpath_accesses.store(fast_accesses_);
   stats_.fastpath_hits.store(fast_hits_);
   stats_.cursor_spills.store(cursor_spills_);
-  stats_.policy_switches.store(policy_switches_);
-  stats_.policy_bypass.store(policy_bypass_);
   stats_.slowpath_accesses.store(slow_accesses_);
   const std::uint64_t mq = memo_.queries;
   const std::uint64_t mh = memo_.hits;
@@ -327,8 +323,6 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   telem::count("access.fastpath.total", fast_accesses_);
   telem::count("access.fastpath.hits", fast_hits_);
   telem::count("access.fastpath.spills", cursor_spills_);
-  telem::count("access.policy.switches", policy_switches_);
-  telem::count("access.policy.bypass", policy_bypass_);
   telem::count("access.slowpath.total", slow_accesses_);
   telem::count("reach.memo.queries", mq);
   telem::count("reach.memo.hits", mh);

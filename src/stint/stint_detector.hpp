@@ -108,7 +108,7 @@ class StintDetector final : public detect::Detector,
   std::uint64_t read_intervals_ = 0, write_intervals_ = 0;
   std::uint64_t strands_ = 0;
   std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
-  std::uint64_t cursor_spills_ = 0, policy_switches_ = 0, policy_bypass_ = 0;
+  std::uint64_t cursor_spills_ = 0;
   std::uint64_t tail_hits_ = 0, tail_misses_ = 0;
   std::uint64_t fin_sorted_ = 0, fin_simd_ = 0;
   StopwatchAccum writer_watch_, reader_watch_;

@@ -9,8 +9,9 @@
 //    RECORDS are bit-identical across fast path on/off (same sids, same
 //    kinds, same byte ranges - rebased when the two runs use fresh kernel
 //    heaps);
-//  * pipelined PINT: the detected pair set and distinct count match; the
-//    sampled records() prefix is only compared below the reporter cap;
+//  * pipelined and sharded PINT: the detected pair set and distinct count
+//    match; the sampled records() prefix is only compared below the
+//    reporter cap;
 //  * coalesce on/off: identical racing-pair sets on every kernel; on random
 //    programs the contract is the detection verdict (checked against the
 //    oracle), since finer intervals may retain different readers.
@@ -175,22 +176,6 @@ using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
 enum class Sys { kStint, kPintSeq, kPint1, kPintShard };
 
-// RAII: policy tests flip the global cursor-policy knob; never leak the
-// setting, and clear this thread's per-site table so a later test starts
-// from virgin policy state.  (Worker-thread tables may keep stale site
-// modes; that is perf-only state and can never change a verdict.)
-struct CursorPolicyGuard {
-  detect::CursorPolicy saved = detect::cursor_policy();
-  ~CursorPolicyGuard() {
-    detect::set_cursor_policy(saved);
-    detect::cursor_policy_reset();
-  }
-};
-
-constexpr detect::CursorPolicy kAllPolicies[] = {
-    detect::CursorPolicy::kAdaptive, detect::CursorPolicy::kInline,
-    detect::CursorPolicy::kWide, detect::CursorPolicy::kBypass};
-
 struct RunOut {
   std::vector<FullRecord> full;    // sorted, absolute addresses
   std::vector<FullRecord> rebased; // same, addresses rebased to the run min
@@ -319,18 +304,22 @@ TEST_P(KernelAccessPath, PipelinedPintAgreesOnThePairSet) {
     k->prepare();
     return k;
   };
-  auto kf = fresh();
-  const RunOut fast = run_config(Sys::kPint1, true, true, [&] { kf->run(); });
-  auto ks = fresh();
-  const RunOut slow = run_config(Sys::kPint1, true, false, [&] { ks->run(); });
-  // The detected pair SET is deterministic (queue order fixes processing
-  // order), but records() keeps only the first max_records distinct pairs,
-  // and on race-heavy kernels WHICH pairs land in that prefix depends on
-  // reader-thread interleaving.  So the sampled pair sets are only
-  // comparable when neither run hit the cap; the distinct count always is.
-  EXPECT_EQ(fast.distinct, slow.distinct);
-  if (fast.dropped == 0 && slow.dropped == 0) {
-    EXPECT_EQ(fast.pairs, slow.pairs);
+  // Pipelined PINT, and the §VI sharded history on top of it.
+  for (const Sys sys : {Sys::kPint1, Sys::kPintShard}) {
+    auto kf = fresh();
+    const RunOut fast = run_config(sys, true, true, [&] { kf->run(); });
+    auto ks = fresh();
+    const RunOut slow = run_config(sys, true, false, [&] { ks->run(); });
+    // The detected pair SET is deterministic (queue order fixes processing
+    // order), but records() keeps only the first max_records distinct
+    // pairs, and on race-heavy kernels WHICH pairs land in that prefix
+    // depends on reader-thread interleaving.  So the sampled pair sets are
+    // only comparable when neither run hit the cap; the distinct count
+    // always is.
+    EXPECT_EQ(fast.distinct, slow.distinct) << "sys=" << int(sys);
+    if (fast.dropped == 0 && slow.dropped == 0) {
+      EXPECT_EQ(fast.pairs, slow.pairs) << "sys=" << int(sys);
+    }
   }
 }
 
@@ -374,99 +363,11 @@ TEST(RandomProgramAccessPath, AllFourConfigurationsAgree) {
     EXPECT_EQ(ref.distinct > 0,
               test::oracle_any_race(*p, test::program_pool_bytes(pc)))
         << "seed=" << seed;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive-cursor policy equivalence (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-// The per-site policy machine may only move work between the cursor's
-// absorption tiers and the spill path - never change what gets recorded.
-// Deterministic detectors must be record-bit-identical under every policy.
-TEST_P(KernelAccessPath, EveryCursorPolicyIsBitIdenticalOnPhasedDetectors) {
-  CursorPolicyGuard pg;
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  auto fresh = [&] {
-    auto k = kernels::make_kernel(GetParam(), cfg);
-    k->prepare();
-    return k;
-  };
-  detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-  auto ks = fresh();
-  // Reference: the slow route, which no cursor policy can touch.
-  const RunOut ref = run_config(Sys::kPintSeq, true, false, [&] { ks->run(); });
-  for (const detect::CursorPolicy p : kAllPolicies) {
-    detect::set_cursor_policy(p);
-    auto k = fresh();
-    const RunOut out = run_config(Sys::kPintSeq, true, true, [&] { k->run(); });
-    EXPECT_EQ(out.rebased, ref.rebased)
-        << "policy " << detect::cursor_policy_name(p) << " changed records";
-    EXPECT_EQ(out.distinct, ref.distinct)
-        << "policy " << detect::cursor_policy_name(p);
-  }
-}
-
-// Pipelined and sharded PINT: the distinct-race count is deterministic for
-// a fixed configuration (the sampled records() prefix is not, see
-// PipelinedPintAgreesOnThePairSet) - so policy invariance is checked per
-// system against that system's own slow-route run.
-TEST_P(KernelAccessPath, EveryCursorPolicyAgreesOnPipelinedAndSharded) {
-  CursorPolicyGuard pg;
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  auto fresh = [&] {
-    auto k = kernels::make_kernel(GetParam(), cfg);
-    k->prepare();
-    return k;
-  };
-  for (const Sys sys : {Sys::kPint1, Sys::kPintShard}) {
-    detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-    auto ks = fresh();
-    const RunOut ref = run_config(sys, true, false, [&] { ks->run(); });
-    for (const detect::CursorPolicy p : kAllPolicies) {
-      detect::set_cursor_policy(p);
-      auto k = fresh();
-      const RunOut out = run_config(sys, true, true, [&] { k->run(); });
-      EXPECT_EQ(out.distinct, ref.distinct)
-          << "sys=" << int(sys) << " policy "
-          << detect::cursor_policy_name(p);
-      if (out.dropped == 0 && ref.dropped == 0) {
-        EXPECT_EQ(out.pairs, ref.pairs)
-            << "sys=" << int(sys) << " policy "
-            << detect::cursor_policy_name(p);
-      }
-    }
-  }
-}
-
-// Random programs hit the policy machine with much denser strand churn than
-// the kernels (sites see cross-strand windows, bypass leases straddle
-// installs).  Full records must still be bit-identical on STINT, and the
-// verdict must agree on sharded PINT.
-TEST(RandomProgramAccessPath, EveryCursorPolicyAgrees) {
-  CursorPolicyGuard pg;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    test::ProgramConfig pc;
-    auto prog = test::ProgramGen(seed, pc).generate();
-    std::vector<unsigned char> pool(test::program_pool_bytes(pc), 0);
-    unsigned char* base = pool.data();
-    const test::PNode* p = prog.get();
-    const auto body = [p, base] { test::exec_node(*p, base); };
-    detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-    const RunOut ref = run_config(Sys::kStint, true, false, body);
-    for (const detect::CursorPolicy pol : kAllPolicies) {
-      detect::set_cursor_policy(pol);
-      const RunOut out = run_config(Sys::kStint, true, true, body);
-      EXPECT_EQ(out.full, ref.full)
-          << "seed=" << seed << " policy " << detect::cursor_policy_name(pol);
-      const RunOut sh = run_config(Sys::kPintShard, true, true, body);
-      EXPECT_EQ(sh.distinct > 0, ref.distinct > 0)
-          << "seed=" << seed << " policy " << detect::cursor_policy_name(pol);
-    }
+    // Sharded PINT: the verdict, on both routes.
+    const RunOut sh_fast = run_config(Sys::kPintShard, true, true, body);
+    const RunOut sh_slow = run_config(Sys::kPintShard, true, false, body);
+    EXPECT_EQ(sh_fast.distinct > 0, ref.distinct > 0) << "seed=" << seed;
+    EXPECT_EQ(sh_slow.distinct > 0, ref.distinct > 0) << "seed=" << seed;
   }
 }
 
@@ -475,9 +376,7 @@ TEST(RandomProgramAccessPath, EveryCursorPolicyAgrees) {
 // alternating merge streams (which the pending ring absorbs perfectly)
 // scored zero.  Hits are now defined as raw accesses minus actual
 // AccessBuffer spills; sort must score well above the BENCH_access bar.
-TEST(CursorPolicy, SortKernelKeepsAHighCursorHitRate) {
-  CursorPolicyGuard pg;
-  detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
+TEST(AccessCursor, SortKernelKeepsAHighCursorHitRate) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.2;  // the BENCH_access.json shape
   auto k = kernels::make_kernel("sort", cfg);

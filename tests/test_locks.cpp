@@ -182,6 +182,11 @@ TEST(LockAblation, EnvSpecTogglesLockEdges) {
   t = detect::Tuning::parse("locks=on,memo=off", t);
   EXPECT_TRUE(t.lock_edges);
   EXPECT_FALSE(t.memo);
+  // The removed cursor= key is ignored (warn-once); the other keys apply.
+  detect::Tuning want;
+  want.memo = false;
+  EXPECT_EQ(detect::Tuning::parse("cursor=wide,memo=off", detect::Tuning{}),
+            want);
 }
 
 // ---------------------------------------------------------------------------

@@ -445,3 +445,29 @@ TEST(StatsContract, SnapshotAndClearAtQuiescence) {
   EXPECT_EQ(zero.traces, 0u);
   EXPECT_EQ(zero.total_ns, 0u);
 }
+
+// Every counter of the PINT_STATS_COUNTERS table reaches snapshot() under
+// its own name (distinct values catch crossed wiring), clear() zeroes all of
+// them, and Snapshot holds nothing the table does not declare.
+TEST(StatsContract, EveryTableCounterSnapshotsAndClears) {
+#define PINT_STATS_ONE(name) +1
+  constexpr std::size_t kCounters = 0 PINT_STATS_COUNTERS(PINT_STATS_ONE);
+#undef PINT_STATS_ONE
+  static_assert(sizeof(detect::Stats::Snapshot) ==
+                kCounters * sizeof(std::uint64_t));
+  detect::Stats st;
+  std::uint64_t v = 0;
+#define PINT_STATS_SET(name) st.name.store(++v);
+  PINT_STATS_COUNTERS(PINT_STATS_SET)
+#undef PINT_STATS_SET
+  const detect::Stats::Snapshot snap = st.snapshot();
+  v = 0;
+#define PINT_STATS_CHECK(name) EXPECT_EQ(snap.name, ++v) << #name;
+  PINT_STATS_COUNTERS(PINT_STATS_CHECK)
+#undef PINT_STATS_CHECK
+  st.clear();
+  const detect::Stats::Snapshot zero = st.snapshot();
+#define PINT_STATS_ZERO(name) EXPECT_EQ(zero.name, 0u) << #name;
+  PINT_STATS_COUNTERS(PINT_STATS_ZERO)
+#undef PINT_STATS_ZERO
+}
