@@ -16,14 +16,13 @@
 // (total at 1 worker / (max_workers * total at max workers)); the committed
 // BENCH_fig3.json snapshot of that file is what scripts/perfgate.py's
 // scaling key gates against (efficiency at max workers must not regress
-// >10%), and the JSON records which reachability backend produced it.
+// >10%).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "reach/engine.hpp"
 
 using namespace pint;
 using bench::RunSpec;
@@ -48,7 +47,6 @@ bool write_json(const std::string& path, double scale, int max_workers,
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"bench\": \"fig3_strong_scaling\",\n");
-  std::fprintf(f, "  \"backend\": \"%s\",\n", reach::Engine::kName);
   std::fprintf(f, "  \"scale\": %g,\n", scale);
   std::fprintf(f, "  \"max_workers\": %d,\n", max_workers);
   std::fprintf(f, "  \"kernels\": [\n");
@@ -84,9 +82,8 @@ int main(int argc, char** argv) {
                        : std::vector<int>{1, 2, 4, 8};
 
   bench::print_environment_note("Figure 3: strong scaling of PINT");
-  std::printf("# scale=%.3g; backend=%s; cells: total seconds, (core "
-              "seconds) when the treap component dominates\n\n",
-              scale, reach::Engine::kName);
+  std::printf("# scale=%.3g; cells: total seconds, (core seconds) when the "
+              "treap component dominates\n\n", scale);
 
   std::printf("%-6s |", "bench");
   for (int w : worker_counts) std::printf(" %13s%-2d", "core workers=", w);

@@ -1,14 +1,12 @@
-// Relabel-storm microbenchmark for the reachability backends (DESIGN.md §14).
+// Concurrent spawn/query microbenchmark for the reachability engine
+// (DESIGN.md §14).
 //
-//   ./micro_reach [--json FILE] [--spawns N] [--no-bar]
+//   ./micro_reach [--json FILE] [--slots N] [--msec M] [--prebuild N]
 //
-// Times precedes() under concurrent STRUCTURAL churn, which is exactly the
-// regime that separates the two engines: SpOrder's order-maintenance lists
-// take tag-exhaustion relabels on hot insertion points and serve readers
-// through seqlocks (a relabel storm stalls every concurrent query), while
-// DePa labels are immutable words - a query never synchronizes with a spawn.
-//
-// Both engines are driven by the same harness in ONE binary:
+// Times DePa's precedes() while other threads keep spawning: the regime a
+// detector's history lanes query in while core workers mint labels.  DePa
+// labels are immutable words, so a query never synchronizes with a spawn;
+// this bench keeps that property measured.
 //
 //   * half the threads are BUILDERS: each executes a bounded-depth
 //     recursive fork-join schedule (spawn descends into the child, joins
@@ -19,34 +17,23 @@
 //     (256-child fan blocks: one sync node, siblings spawned off the
 //     continuation chain), `steal` (deep, but every 64 spawns the builder
 //     swaps its current strand with a random peer through a shared board,
-//     re-creating work-stealing's migrating insertion points - the worst
-//     relabel storm SpOrder sees);
+//     re-creating work-stealing's migrating insertion points);
 //   * the other half are QUERIERS: each draws random pairs from a sliding
 //     window over the last 4k published labels and calls precedes() with NO
-//     memo - the raw oracle is the thing under test.  (A memo hit costs the
-//     same for both engines, so routing through MemoCache only measures the
-//     cache; worse, the faster engine publishes more labels, churns the
-//     window faster, and gets a *lower* hit rate - an anti-signal.)
+//     memo - the raw engine is the thing under test (a memo hit would only
+//     measure the cache).
 //
 // Labels are published once into a pre-sized slot array (write the label,
 // then release-store the ready flag; queriers acquire-load before reading),
 // so the harness itself adds no locks to the measured paths.  Cells are
-// TIME-boxed, not count-boxed: SpOrder's spawn rate under a storm runs an
-// order of magnitude below DePa's (that asymmetry is itself a finding, see
-// the committed numbers), so a fixed spawn budget either starves the
-// queriers on one engine or runs far longer on the other.  Every cell gets the same
-// wall-clock window with churn live for all of it; builders that fill the
-// publication array keep spawning unpublished, so the structural churn
-// never stops.  Throughput numbers are queries/sec and spawns/sec over the
-// window.
-//
-// The committed BENCH_reach.json is the evidence behind this PR's
-// acceptance bar, enforced in-binary: DePa must clear 2x SpOrder
-// queries/sec on the steal schedule at 16 threads.
+// TIME-boxed: every cell gets the same wall-clock window with churn live
+// for all of it; builders that fill the publication array keep spawning
+// unpublished, so the churn never stops.  Throughput numbers are
+// queries/sec and spawns/sec over the window; the committed
+// BENCH_reach.json is this binary's --json output.
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -54,7 +41,7 @@
 #include <thread>
 #include <vector>
 
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/rng.hpp"
 #include "support/spinlock.hpp"
 
@@ -78,7 +65,6 @@ const char* sched_name(Sched s) {
 }
 
 struct CellResult {
-  std::string engine;
   std::string schedule;
   int threads = 0;
   double elapsed_s = 0;
@@ -88,34 +74,33 @@ struct CellResult {
   double queries_per_s = 0;
 };
 
-template <class E>
+using Label = reach::Engine::Label;
+
 struct Slot {
-  typename E::Label label;
+  Label label;
   std::atomic<std::uint32_t> ready{0};
 };
 
-/// One benchmark cell: build + query the given engine under one schedule
-/// for a fixed wall-clock window.
-template <class E>
+/// One benchmark cell: build + query a fresh engine under one schedule for
+/// a fixed wall-clock window.
 CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
                     int msec, std::uint64_t prebuild) {
   const int builders = threads / 2;
   const int queriers = threads - builders;
 
-  E eng;
-  // Pre-grow the structure to detector scale before the clock starts: a real
-  // run holds millions of strand labels, and SpOrder's storm cost scales with
-  // list size (a top-level relabel walks every group inside an open seqlock
-  // window), so a cold list flatters it enormously.  Single-threaded, deep
-  // recursive shape, unpublished - it only exists to mature the structure.
+  reach::Engine eng;
+  // Pre-grow the engine to detector scale before the clock starts: a real
+  // run holds millions of strand labels (and their frozen path chunks).
+  // Single-threaded, deep recursive shape, unpublished - it only exists to
+  // mature the chunk arena.
   if (prebuild > 0) {
     Xoshiro256 rng(991);
-    std::vector<typename E::Label> syncs;
-    typename E::Label warm_sync;
+    std::vector<Label> syncs;
+    Label warm_sync;
     auto cur = eng.on_spawn(eng.root_label(), &warm_sync).child;
     for (std::uint64_t spawned = 0; spawned < prebuild;) {
       if (syncs.size() < 48 && (syncs.empty() || rng.next_below(100) < 92)) {
-        typename E::Label sync;
+        Label sync;
         const auto s = eng.on_spawn(cur, &sync);
         syncs.push_back(sync);
         cur = s.child;
@@ -126,7 +111,7 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
       }
     }
   }
-  std::vector<Slot<E>> slots(capacity + std::uint64_t(builders));
+  std::vector<Slot> slots(capacity + std::uint64_t(builders));
   std::atomic<std::uint64_t> reserve{0};
   std::atomic<int> ready_threads{0};
   std::atomic<bool> go{false};
@@ -134,10 +119,10 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
   // Seed each builder with its own child of a root fan, so frontiers start
   // parallel to each other (steal swaps then cross genuinely unrelated
   // subtrees).
-  auto frontier = std::vector<typename E::Label>(std::size_t(builders));
+  auto frontier = std::vector<Label>(std::size_t(builders));
   {
     auto cur = eng.root_label();
-    typename E::Label sync;
+    Label sync;
     for (int b = 0; b < builders; ++b) {
       const auto s = eng.on_spawn(cur, &sync);
       frontier[std::size_t(b)] = s.child;
@@ -147,9 +132,9 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
   // Steal board: one published frontier per builder, swapped under a lock
   // (off the measured fast path: every kStealPeriod spawns).
   Spinlock board_mu;
-  std::vector<typename E::Label> board = frontier;
+  std::vector<Label> board = frontier;
 
-  auto publish = [&](std::uint64_t idx, const typename E::Label& l) {
+  auto publish = [&](std::uint64_t idx, const Label& l) {
     slots[idx].label = l;
     slots[idx].ready.store(1, std::memory_order_release);
   };
@@ -178,8 +163,8 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
       // continuation strand and sync node); popping a frame joins the block
       // and continues from the sync strand.
       struct Frame {
-        typename E::Label cont;
-        typename E::Label sync;
+        Label cont;
+        Label sync;
         int fan_left;
       };
       std::vector<Frame> stack;
@@ -190,15 +175,14 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
       ready_threads.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       while (true) {
-        // Deadline checked every step: a single storm-afflicted on_spawn is
-        // the expensive unit here, so a sparser check could overshoot badly.
+        // Deadline checked every step, so no cell overshoots its window.
         if (past_deadline()) break;
         const bool can_descend = int(stack.size()) < max_depth;
         if (can_descend &&
             (stack.empty() || int(rng.next_below(100)) < p_descend)) {
           // Open a block at the current strand; descend into the child.
           Frame f;
-          f.sync = typename E::Label{};
+          f.sync = Label{};
           const auto s = eng.on_spawn(cur, &f.sync);
           f.cont = s.cont;
           f.fan_left = fan - 1;
@@ -275,7 +259,6 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
   const auto t1 = std::chrono::steady_clock::now();
 
   CellResult r;
-  r.engine = E::kName;
   r.schedule = sched_name(sched);
   r.threads = threads;
   r.elapsed_s = std::chrono::duration<double>(t1 - t0).count();
@@ -287,8 +270,7 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
 }
 
 bool write_json(const std::string& path, std::uint64_t capacity,
-                std::uint64_t prebuild, const std::vector<CellResult>& cells,
-                double storm_ratio) {
+                std::uint64_t prebuild, const std::vector<CellResult>& cells) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"bench\": \"micro_reach\",\n");
@@ -299,33 +281,13 @@ bool write_json(const std::string& path, std::uint64_t capacity,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
     std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"schedule\": \"%s\", "
+                 "    {\"engine\": \"depa\", \"schedule\": \"%s\", "
                  "\"threads\": %d, \"elapsed_s\": %.4f, "
                  "\"spawns_per_s\": %.0f, \"queries_per_s\": %.0f}%s\n",
-                 c.engine.c_str(), c.schedule.c_str(), c.threads, c.elapsed_s,
-                 c.spawns_per_s, c.queries_per_s,
-                 i + 1 < cells.size() ? "," : "");
+                 c.schedule.c_str(), c.threads, c.elapsed_s, c.spawns_per_s,
+                 c.queries_per_s, i + 1 < cells.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"ratios\": [\n");
-  bool first = true;
-  for (const CellResult& d : cells) {
-    if (d.engine != "depa") continue;
-    for (const CellResult& s : cells) {
-      if (s.engine != "sporder" || s.schedule != d.schedule ||
-          s.threads != d.threads) {
-        continue;
-      }
-      std::fprintf(f,
-                   "%s    {\"schedule\": \"%s\", \"threads\": %d, "
-                   "\"depa_over_sporder_qps\": %.2f}",
-                   first ? "" : ",\n", d.schedule.c_str(), d.threads,
-                   d.queries_per_s / s.queries_per_s);
-      first = false;
-    }
-  }
-  std::fprintf(f, "\n  ],\n");
-  std::fprintf(f, "  \"storm_geomean_16\": %.2f\n}\n", storm_ratio);
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return true;
 }
@@ -337,7 +299,6 @@ int main(int argc, char** argv) {
   std::uint64_t capacity = std::uint64_t(1) << 20;  // published-label slots
   int msec = 1000;                                  // wall window per cell
   std::uint64_t prebuild = std::uint64_t(1) << 21;  // pre-grown strand count
-  bool enforce_bar = true;
   for (int i = 1; i < argc; ++i) {
     const char* s = argv[i];
     auto next = [&]() -> const char* {
@@ -355,72 +316,36 @@ int main(int argc, char** argv) {
       msec = int(std::strtol(next(), nullptr, 10));
     } else if (std::strcmp(s, "--prebuild") == 0) {
       prebuild = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(s, "--no-bar") == 0) {
-      enforce_bar = false;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json FILE] [--slots N] [--msec M] "
-                   "[--prebuild N] [--no-bar]\n",
+                   "[--prebuild N]\n",
                    argv[0]);
       return 2;
     }
   }
 
   std::printf(
-      "# micro_reach: precedes() under structural churn, %d ms/cell, "
+      "# micro_reach: DePa precedes() under concurrent spawns, %d ms/cell, "
       "%llu label slots, %llu pre-grown strands\n",
       msec, (unsigned long long)capacity, (unsigned long long)prebuild);
-  std::printf("%-8s %-6s %8s %12s %14s %14s\n", "engine", "sched", "threads",
-              "elapsed_s", "spawns/s", "queries/s");
+  std::printf("%-6s %8s %12s %14s %14s\n", "sched", "threads", "elapsed_s",
+              "spawns/s", "queries/s");
 
   std::vector<CellResult> cells;
-  double storm_log_sum = 0;
-  int storm_cells = 0;
   for (const int threads : {4, 16}) {
     for (const Sched sched : {Sched::kDeep, Sched::kWide, Sched::kSteal}) {
-      CellResult sp = run_cell<reach::SpOrderEngine>(sched, threads, capacity,
-                                                     msec, prebuild);
-      CellResult dp =
-          run_cell<reach::DePaEngine>(sched, threads, capacity, msec, prebuild);
-      for (const CellResult* c : {&sp, &dp}) {
-        std::printf("%-8s %-6s %8d %12.3f %14.0f %14.0f\n", c->engine.c_str(),
-                    c->schedule.c_str(), c->threads, c->elapsed_s,
-                    c->spawns_per_s, c->queries_per_s);
-      }
-      std::printf("         %-6s %8d ratio depa/sporder qps: %.2fx\n",
-                  sched_name(sched), threads,
-                  dp.queries_per_s / sp.queries_per_s);
-      if (threads == 16) {
-        storm_log_sum += std::log(dp.queries_per_s / sp.queries_per_s);
-        ++storm_cells;
-      }
-      cells.push_back(sp);
-      cells.push_back(dp);
+      const CellResult c = run_cell(sched, threads, capacity, msec, prebuild);
+      std::printf("%-6s %8d %12.3f %14.0f %14.0f\n", c.schedule.c_str(),
+                  c.threads, c.elapsed_s, c.spawns_per_s, c.queries_per_s);
+      cells.push_back(c);
     }
   }
-  // Aggregate over the three 16-worker storm schedules with a geometric
-  // mean: any single cell's ratio swings wildly run-to-run (whether a
-  // relabel cascade lands inside the window is scheduling luck - observed
-  // spread on one cell is ~2x to ~10000x), and a ratio-of-rates aggregates
-  // multiplicatively, not additively.
-  const double storm_geomean = std::exp(storm_log_sum / storm_cells);
-  std::printf("         storm geomean (all 16-thread cells): %.2fx\n",
-              storm_geomean);
 
-  if (!write_json(json_path, capacity, prebuild, cells, storm_geomean)) {
+  if (!write_json(json_path, capacity, prebuild, cells)) {
     std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
   std::printf("\n# wrote %s\n", json_path.c_str());
-
-  // Acceptance bar (DESIGN.md §14): across the relabel-storm schedules at
-  // 16 threads DePa queries must average >= 2x SpOrder's rate.
-  if (enforce_bar && storm_geomean < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: 16-thread depa/sporder qps geomean %.2f is below "
-                 "the 2.0x bar\n",
-                 storm_geomean);
-    return 1;
-  }
   return 0;
 }

@@ -1,90 +1,18 @@
-// Microbenchmarks for the remaining substrates: order maintenance, the
-// work-stealing deque, the access-history queue, and spawn/sync overhead.
+// Microbenchmarks for the remaining substrates: the work-stealing deque, the
+// access-history queue, and spawn/sync overhead.
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "detect/strand.hpp"
-#include "om/order_maintenance.hpp"
 #include "pint/ah_queue.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/scheduler.hpp"
-#include "support/rng.hpp"
 
 using namespace pint;
 
 namespace {
-
-void BM_OmInsertAfterChain(benchmark::State& state) {
-  om::List l;
-  om::Item* cur = l.base();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    cur = l.insert_after(cur);
-    ++n;
-  }
-  state.SetItemsProcessed(std::int64_t(n));
-}
-BENCHMARK(BM_OmInsertAfterChain);
-
-void BM_OmInsertAfterHotspot(benchmark::State& state) {
-  // Repeated insert-after-the-same-item: the worst case for tag gaps,
-  // forcing regular redistributions.
-  om::List l;
-  om::Item* pivot = l.insert_after(l.base());
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    l.insert_after(pivot);
-    ++n;
-  }
-  state.SetItemsProcessed(std::int64_t(n));
-}
-BENCHMARK(BM_OmInsertAfterHotspot);
-
-void BM_OmPrecedes(benchmark::State& state) {
-  om::List l;
-  std::vector<om::Item*> items{l.base()};
-  om::Item* cur = l.base();
-  for (int i = 0; i < (1 << 14); ++i) items.push_back(cur = l.insert_after(cur));
-  Xoshiro256 rng(3);
-  bool acc = false;
-  for (auto _ : state) {
-    const auto* a = items[rng.next_below(items.size())];
-    const auto* b = items[rng.next_below(items.size())];
-    acc ^= l.precedes(a, b);
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_OmPrecedes);
-
-void BM_OmPrecedesUnderConcurrentInserts(benchmark::State& state) {
-  om::List l;
-  std::vector<om::Item*> items{l.base()};
-  om::Item* cur = l.base();
-  for (int i = 0; i < (1 << 12); ++i) items.push_back(cur = l.insert_after(cur));
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    Xoshiro256 rng(5);
-    om::Item* w = l.base();
-    while (!stop.load(std::memory_order_relaxed)) {
-      w = l.insert_after(items[rng.next_below(items.size())]);
-      (void)w;
-    }
-  });
-  Xoshiro256 rng(7);
-  bool acc = false;
-  for (auto _ : state) {
-    const auto* a = items[rng.next_below(items.size())];
-    const auto* b = items[rng.next_below(items.size())];
-    acc ^= l.precedes(a, b);
-  }
-  stop.store(true);
-  writer.join();
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_OmPrecedesUnderConcurrentInserts);
 
 void BM_DequePushPop(benchmark::State& state) {
   rt::WsDeque d;

@@ -16,16 +16,9 @@
 #                            # --bulk-json (fails below the 1.2x run-finger
 #                            # bar or above the 88 B/segment footprint
 #                            # bar), emits BENCH_treap.json; micro_reach
-#                            # (fails below the 2x DePa storm-qps geomean
-#                            # bar), emits BENCH_reach.json; plus a tiny
-#                            # fig1_overview run
-#   scripts/ci.sh backend    # reachability backend matrix: full ctest with
-#                            # -DPINT_REACH_BACKEND=sporder (the non-default
-#                            # engine; tier1/tsan already cover depa), a
-#                            # byte-for-byte race-report digest diff between
-#                            # the two plain builds (ctest -L reachmatrix
-#                            # with PINT_REACH_DIGEST), and ctest -L tsan in
-#                            # a sporder TSan build
+#                            # (DePa spawn/query throughput under
+#                            # concurrent spawns), emits BENCH_reach.json;
+#                            # plus a tiny fig1_overview run
 #   scripts/ci.sh bulkapply  # bulk-run equivalence suite (ctest -L
 #                            # bulkapply) in the plain AND the TSan builds
 #   scripts/ci.sh locks      # lockset matrix suite (ctest -L locks):
@@ -57,8 +50,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 LANES=("$@")
 if [ ${#LANES[@]} -eq 0 ]; then
-  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd backend
-         perfgate bench)
+  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd perfgate
+         bench)
 fi
 
 build_dir() {
@@ -162,11 +155,9 @@ run_lane() {
       ./build/bench/micro_treap --bulk-json BENCH_treap.json
       python3 -m json.tool BENCH_treap.json > /dev/null
       echo "validated BENCH_treap.json"
-      # micro_reach enforces the reachability storm bar itself: exits
-      # non-zero unless DePa's unmemoized precedes() rate averages >= 2x
-      # SpOrder's (geomean over the 16-thread storm schedules, against a
-      # pre-grown 2M-strand structure).  The JSON it emits is the committed
-      # BENCH_reach.json.
+      # micro_reach times DePa's unmemoized precedes() and on_spawn while
+      # builder threads keep spawning (against a pre-grown 2M-strand
+      # engine).  The JSON it emits is the committed BENCH_reach.json.
       ./build/bench/micro_reach --json BENCH_reach.json
       python3 -m json.tool BENCH_reach.json > /dev/null
       echo "validated BENCH_reach.json"
@@ -174,40 +165,6 @@ run_lane() {
       # detector that silently stopped taking the fast path in the full
       # harness (the run aborts on verification failure or false races).
       ./build/bench/fig1_overview --kernel mmul --scale 0.25 --reps 1
-      return
-      ;;
-    backend)
-      # The seam contract (reach/engine.hpp) must hold for BOTH engines at
-      # all times.  tier1/tsan exercise the default backend (depa); this
-      # lane builds the sporder twin, runs the full suite against it, and
-      # certifies the headline cross-backend property: byte-identical race
-      # reports on the reachmatrix suite, plain and under TSan.
-      echo "=== lane: backend (build dirs: build, build-reach-sporder," \
-           "build-reach-sporder-tsan) ==="
-      build_dir build ""
-      cmake -B build-reach-sporder -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPINT_SAN="" -DPINT_REACH_BACKEND=sporder
-      cmake --build build-reach-sporder -j "$JOBS"
-      (cd build-reach-sporder && ctest --output-on-failure)
-      # Race-report digest diff: the reachmatrix tests append one canonical
-      # line per detector run when PINT_REACH_DIGEST is set; the two
-      # backends must produce byte-identical files.
-      local ddir
-      ddir="$(mktemp -d)"
-      (cd build && PINT_REACH_DIGEST="$ddir/depa.txt" \
-        ctest --output-on-failure -L reachmatrix)
-      (cd build-reach-sporder && PINT_REACH_DIGEST="$ddir/sporder.txt" \
-        ctest --output-on-failure -L reachmatrix)
-      diff "$ddir/depa.txt" "$ddir/sporder.txt"
-      echo "race-report digests bit-identical across backends" \
-           "($(wc -l < "$ddir/depa.txt") detector runs)"
-      rm -rf "$ddir"
-      # The sporder engine's seqlock protocol needs its own TSan
-      # certification (the tsan lane's build is depa).
-      cmake -B build-reach-sporder-tsan -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPINT_SAN=thread -DPINT_REACH_BACKEND=sporder
-      cmake --build build-reach-sporder-tsan -j "$JOBS"
-      (cd build-reach-sporder-tsan && ctest --output-on-failure -L tsan)
       return
       ;;
     perfgate)

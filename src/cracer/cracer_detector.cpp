@@ -54,7 +54,7 @@ AccessorRec* CracerDetector::alloc_strand(const reach::Engine::Label& label,
 }
 
 // ---------------------------------------------------------------------------
-// Shadow-cell protocol (Mellor-Crummey '91 triple, WSP-Order reachability)
+// Shadow-cell protocol (Mellor-Crummey '91 triple, DePa reachability)
 // ---------------------------------------------------------------------------
 
 void CracerDetector::read_cell(ShadowCell& c, const AccessorRec& me) {
@@ -204,12 +204,9 @@ void CracerDetector::on_spawn_return(rt::Worker&, rt::TaskFrame& child, bool) {
 }
 
 void CracerDetector::on_continuation(rt::Worker&, rt::TaskFrame& parent,
-                                     bool stolen) {
+                                     bool) {
   PINT_ASSERT(parent.det_cont != nullptr);
   auto* t = static_cast<AccessorRec*>(parent.det_cont);
-  // Steal maintenance for the reachability engine (no-op for both current
-  // backends - their labels are globally valid; seam contract).
-  if (stolen) reach_.on_steal(t->label);
   parent.det_strand = t;
   parent.det_cont = nullptr;
 }
@@ -218,8 +215,6 @@ void CracerDetector::on_after_sync(rt::Worker&, rt::TaskFrame& f,
                                    rt::SyncBlock& blk, bool) {
   auto* j = static_cast<AccessorRec*>(blk.det_sync);
   if (j == nullptr) return;
-  // Join maintenance (no-op for both current backends; seam contract).
-  reach_.on_join(static_cast<AccessorRec*>(f.det_strand)->label, j->label);
   f.det_strand = j;
   blk.det_sync = nullptr;
 }

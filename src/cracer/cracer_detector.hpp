@@ -3,7 +3,7 @@
 // C-RACER baseline (Utterback et al., SPAA'16): the state-of-the-art
 // *parallel* race detector with conventional hashmap-style access history.
 //
-// Same reachability engine as PINT (WSP-Order / SP-order labels), but the
+// Same reachability engine as PINT (DePa path labels), but the
 // access history is shadow memory queried and updated *synchronously at
 // every memory access* - the cost profile PINT's interval-based history is
 // designed to beat.  Because checks are per-access, strands need no interval
@@ -20,7 +20,7 @@
 #include "detect/report.hpp"
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/spinlock.hpp"
 #include "support/timer.hpp"

@@ -19,7 +19,7 @@
 
 #include "detect/lockset.hpp"
 #include "detect/types.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/assert.hpp"
 #include "support/spinlock.hpp"
 

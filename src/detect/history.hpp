@@ -13,7 +13,7 @@
 #include "detect/report.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "store/interval_store.hpp"
 
 namespace pint::detect {
@@ -66,11 +66,10 @@ inline store::Accessor accessor_of(const Strand& s) {
 /// segments held no common lock (epoch×lockset filtering, DESIGN.md §12).
 /// `me` is captured by value; engine/reporter/stats by reference.  `memo`
 /// (optional) is the calling history worker's private precedes() cache.
-template <class Engine = reach::Engine>
 inline auto make_conflict_cb(store::Accessor me, bool prev_write,
-                             bool cur_write, Engine& reach,
+                             bool cur_write, reach::Engine& reach,
                              RaceReporter& rep, Stats& stats,
-                             typename Engine::Memo* memo = nullptr) {
+                             reach::Engine::Memo* memo = nullptr) {
   return [me, prev_write, cur_write, &reach, &rep, &stats, memo](
              addr_t lo, addr_t hi, const store::Accessor& prev) {
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
@@ -89,17 +88,15 @@ inline auto make_conflict_cb(store::Accessor me, bool prev_write,
 /// to DAG-conforming processing).  One Relation answers series-ness AND the
 /// left/right tiebreak (left_of(me, prev) is the negated English bit), so
 /// the memo pays off even on the resolver path.
-template <class Engine = reach::Engine>
-inline auto make_reader_resolver(store::Accessor me, Engine& reach,
+inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
                                  Stats& stats, ReaderSide side,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::Engine::Memo* memo = nullptr) {
   return [me, &reach, &stats, side, memo](const store::Accessor& prev,
                                           const store::Accessor& cur) {
     (void)cur;
     if (prev.sid == me.sid) return false;
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    const typename Engine::Relation r =
-        reach.relation(prev.label, me.label, memo);
+    const reach::Relation r = reach.relation(prev.label, me.label, memo);
     if (r.eng && r.heb) return true;  // prev ~> me
     switch (side) {
       case ReaderSide::kLeftMost:
@@ -118,11 +115,11 @@ inline auto make_reader_resolver(store::Accessor me, Engine& reach,
 /// proof), then clears applied. Works with any store exposing the
 /// query/insert_writer/insert_reader/erase_range interface of
 /// store::IntervalStore.
-template <class History, class Engine = reach::Engine>
+template <class History>
 inline void process_writer_treap(History& t, const Strand& s,
-                                 Engine& reach, RaceReporter& rep,
+                                 reach::Engine& reach, RaceReporter& rep,
                                  Stats& stats,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::Engine::Memo* memo = nullptr) {
   const store::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& reads = s.reads.items();
@@ -155,11 +152,11 @@ inline void process_writer_treap(History& t, const Strand& s,
 
 /// Writes checked against the reader history, then reads inserted with the
 /// side's retention rule, then clears applied.
-template <class History, class Engine = reach::Engine>
+template <class History>
 inline void process_reader_treap(History& t, const Strand& s,
-                                 Engine& reach, RaceReporter& rep,
+                                 reach::Engine& reach, RaceReporter& rep,
                                  Stats& stats, ReaderSide side,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::Engine::Memo* memo = nullptr) {
   const store::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& writes = s.writes.items();

@@ -18,8 +18,7 @@
 //   hand-off, not a miss); cursor_spills the complement (ring overflow /
 //   ablation add_raw events); slowpath_accesses those that took the classic
 //   detector-load + virtual-dispatch route.  memo_queries/memo_hits are the
-//   history lanes' reachability-memo totals (DePa pair verdicts by default,
-//   SP-order label coordinates in a -DPINT_REACH_BACKEND=sporder build).
+//   history lanes' reachability-memo totals (cached DePa pair verdicts).
 //
 //   AccessBuffer::add tail-probe fast path (DESIGN.md §13).  Every add()
 //   probes the last kTails stored intervals for a stream to extend before

@@ -17,7 +17,7 @@
 
 #include "detect/lockset.hpp"
 #include "detect/types.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 
 namespace pint::rt {
 struct TaskFrame;

@@ -131,8 +131,6 @@ void OracleDetector::on_after_sync(rt::Worker&, rt::TaskFrame& f,
                                    rt::SyncBlock& blk, bool) {
   auto* j = static_cast<StrandInfo*>(blk.det_sync);
   if (j == nullptr) return;
-  // Join maintenance (no-op for both current backends; seam contract).
-  reach_.on_join(static_cast<StrandInfo*>(f.det_strand)->label, j->label);
   f.det_strand = j;
   blk.det_sync = nullptr;
 }

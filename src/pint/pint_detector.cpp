@@ -498,7 +498,7 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   auto* j = static_cast<Strand*>(blk.det_sync);
   if (j == nullptr) {
     // First spawn of the sync block: create the sync node now so its label
-    // is in series with the entire block (see reach/sp_order.hpp).
+    // is in series with the entire block (see reach/depa.hpp).
     j = alloc_strand(ws);
     blk.det_sync = j;
   }
@@ -552,10 +552,7 @@ void PintDetector::on_continuation(rt::Worker& w, rt::TaskFrame& parent,
   parent.det_strand = t;
   if (stolen) {
     // Algorithm 1, lines 22-24: a stolen continuation starts a new trace on
-    // the thief.  The reachability engine hears about the migration too -
-    // a no-op for both current backends (their labels are globally valid),
-    // but the seam's contract for an engine keeping per-worker state.
-    reach_.on_steal(t->label);
+    // the thief.
     auto& ws = *static_cast<CoreWS*>(w.det_worker);
     start_new_trace(ws);
   }
@@ -586,9 +583,6 @@ void PintDetector::on_after_sync(rt::Worker& w, rt::TaskFrame& f,
                                  rt::SyncBlock& blk, bool trivial) {
   auto* j = static_cast<Strand*>(blk.det_sync);
   if (j == nullptr) return;
-  // Join maintenance: the strand that reached the sync joins the block's
-  // sync node (no-op for both current backends; seam contract).
-  reach_.on_join(static_cast<Strand*>(f.det_strand)->label, j->label);
   if (!trivial) {
     // Algorithm 1, lines 35-37: a non-trivial sync starts a new trace on
     // whichever worker passed it.

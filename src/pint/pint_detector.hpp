@@ -4,9 +4,10 @@
 //
 // Architecture (paper §III):
 //  * CORE COMPONENT: `core_workers` workers execute the program under the
-//    continuation-stealing scheduler, maintain WSP-Order reachability
-//    labels, coalesce each strand's accesses into intervals, and deposit
-//    finished strands into per-worker trace FIFOs (Algorithm 1).
+//    continuation-stealing scheduler, maintain DePa reachability labels
+//    (in the paper's WSP-Order role), coalesce each strand's accesses into
+//    intervals, and deposit finished strands into per-worker trace FIFOs
+//    (Algorithm 1).
 //  * ACCESS-HISTORY COMPONENT: three treap workers run asynchronously.  The
 //    WRITER treap worker collects ready strands from the traces in a
 //    DAG-conforming order (Algorithm 2 + collection rules), appends them to
@@ -36,7 +37,7 @@
 #include "pint/ah_queue.hpp"
 #include "pint/sharded_history.hpp"
 #include "pint/trace.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
 #include "support/watchdog.hpp"

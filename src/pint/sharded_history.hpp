@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "detect/history.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 #include "store/interval_store.hpp"

@@ -1,22 +1,22 @@
 #pragma once
 
-// DePa graph-encoded reachability for series-parallel DAGs (DESIGN.md §14).
+// Reachability for series-parallel DAGs: DePa graph-encoded path labels
+// (DESIGN.md §14), the detectors' answer to the paper's WSP-Order black box.
 //
-// Where the SP-order backend (sp_order.hpp) maintains two shared
-// order-maintenance lists - and therefore pays seqlock-guarded group splits
-// and top-level relabels that stall every concurrent reader - this backend
-// encodes each strand's position IN ITS OWN LABEL: the path from the root of
-// the binary fork-join decomposition, as a string of 2-bit symbols packed
+// Each strand's position is encoded IN ITS OWN LABEL: the path from the root
+// of the binary fork-join decomposition, as a string of 2-bit symbols packed
 // into 64-bit words (a (depth, path-bitstring) pair, after Westrick/Wang/
 // Acar's "DePa: Simple, Provably Efficient, and Practical Order Maintenance
-// for Task Parallelism").
+// for Task Parallelism").  No shared order structure exists, so nothing is
+// ever relabeled.
 //
 // At a spawn of strand u the three successor vertices get
 //
 //     child        = u . Child
 //     continuation = u . Cont
-//     sync node    = u . Join     (created at the block's FIRST spawn,
-//                                  exactly the sp_order sync-node contract)
+//     sync node    = u . Join     (created at the block's FIRST spawn, so
+//                                  the detector knows the label of the
+//                                  strand after the sync before reaching it)
 //
 // and for two labels the relation is decided by the LOWEST-indexed symbol
 // where the paths diverge:
@@ -28,21 +28,22 @@
 //     equal labels  ->  ordered by NEITHER (same-label lockset segments)
 //
 // Symbols are appended at the tail word of the label; when a word fills it
-// is frozen into an immutable, reverse-linked PathChunk drawn from the PR 8
-// slab arena.  Chunks below a fork are SHARED by every descendant label, so
+// is frozen into an immutable, reverse-linked PathChunk drawn from the
+// process slab arena (support/arena.hpp).  Chunks below a fork are SHARED by every descendant label, so
 // (a) a label costs O(1) amortized space per spawn and (b) relation() can
 // stop its word-compare loop the moment both sides reach the same chunk
 // object - everything below the fork is identical by construction.
 //
-// What this buys over SP-order, structurally:
+// Consequences the detectors rely on:
 //   * on_spawn touches no shared mutable state (one spinlocked slab bump
-//     every 32 symbols of depth is the only cross-thread contact),
+//     every 32 symbols of depth is the only cross-thread contact), so labels
+//     are globally valid the moment they are minted - steals and joins need
+//     no maintenance at all;
 //   * relation() is a pure word-compare over immutable memory - no seqlock
-//     windows, no retries, no fences - safe and wait-free from any lane,
-//   * structural_epoch() is constant: a cached pair verdict can never be
-//     invalidated structurally, so the memo is re-keyed on label CONTENT
-//     (tail word + chunk pointer + bit length per side) and entries live
-//     forever.
+//     windows, no retries, no fences - safe and wait-free from any lane;
+//   * a cached pair verdict can never be invalidated, so the memo is keyed
+//     on label CONTENT (tail word + chunk pointer + bit length per side) and
+//     entries live forever.
 
 #include <bit>
 #include <cstddef>
@@ -55,8 +56,15 @@
 
 namespace pint::reach {
 
-// Relation{eng, heb} is shared with the SP-order backend (sp_order.hpp).
-struct Relation;
+/// Both order verdicts for an ordered label pair (u, v).  One Relation
+/// answers every predicate the history lanes ask: series (eng && heb),
+/// parallel (eng != heb), and English-order left_of (eng).  For distinct
+/// vertices the reversed pair is the negation of both bits; equal labels
+/// yield {false, false}.
+struct Relation {
+  bool eng = false;  // u before v in the English (child-first) order
+  bool heb = false;  // u before v in the Hebrew (continuation-first) order
+};
 
 /// One frozen 64-bit word of a label's path, reverse-linked toward the root.
 /// Immutable after publication; allocated from the engine's slab arena and
@@ -82,13 +90,11 @@ struct DePaLabel {
 };
 
 /// Pair-verdict memo for DePaEngine::relation().  One per history lane,
-/// strictly single-threaded, direct-mapped like the SP-order MemoCache - but
-/// keyed on label IDENTITY (the full 20-byte content of each side) instead
-/// of om::Group version sums.  DePa labels are immutable and a given path
-/// has exactly one (frozen, tail, bits) representation, so a key match IS
-/// the verdict: entries never need invalidation and there is no validation
-/// read at all on a hit.  structural_epoch() being constant is the same
-/// fact seen from the outside.
+/// strictly single-threaded and direct-mapped, keyed on label IDENTITY (the
+/// full 20-byte content of each side).  DePa labels are immutable and a
+/// given path has exactly one (frozen, tail, bits) representation, so a key
+/// match IS the verdict: entries never need invalidation and there is no
+/// validation read at all on a hit.
 class DePaMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t(1) << 14;  // 1 MiB
@@ -154,17 +160,12 @@ class DePaMemo {
   std::vector<Entry> entries_;
 };
 
-/// The DePa (graph-encoded) happens-before backend.  Selected via
-/// -DPINT_REACH_BACKEND=depa; satisfies reach::HappensBeforeEngine.
+/// The happens-before engine every detector, history lane and strand record
+/// uses (through the `reach::Engine` alias below).
 class DePaEngine {
  public:
   using Label = DePaLabel;
   using Memo = DePaMemo;
-  // Relation is defined in sp_order.hpp (both backends share it); alias
-  // established below, after the symbol constants.
-  using Relation = reach::Relation;
-
-  static constexpr const char* kName = "depa";
 
   DePaEngine() = default;
   DePaEngine(const DePaEngine&) = delete;
@@ -201,14 +202,6 @@ class DePaEngine {
     return out;
   }
 
-  /// Steal/join maintenance: DePa labels are globally valid the moment they
-  /// are minted (nothing is worker-relative), so both are no-ops here.  The
-  /// detectors still CALL them on the stolen-continuation and sync-elapsed
-  /// paths - the seam's contract, so a backend tracking per-worker state
-  /// plugs in without touching the trace layers.
-  void on_steal(const Label&) {}
-  void on_join(const Label&, const Label&) {}
-
   /// Both order verdicts for (u, v).  Wait-free: reads only the two labels'
   /// immutable words.  The memo can change the cost, never the verdict, and
   /// a null memo degrades to the direct word-compare.
@@ -223,10 +216,6 @@ class DePaEngine {
   /// For two *parallel* strands: is u left of v in the left-to-right
   /// depth-first execution order? (English-order comparison.)
   bool left_of(const Label& u, const Label& v, Memo* memo = nullptr) const;
-
-  /// Labels are immutable and self-contained: no structural mutation can
-  /// ever invalidate a cached verdict.  Constant (and trivially monotone).
-  std::uint64_t structural_epoch() const { return 0; }
 
   /// Total frozen chunks minted (test/stats visibility).
   std::uint64_t chunks_minted() const {
@@ -309,17 +298,11 @@ class DePaEngine {
   std::uint64_t chunks_minted_ = 0;
 };
 
-}  // namespace pint::reach
+/// Strands, store segments, trace records and history lanes name the engine
+/// as `reach::Engine` (and its nested Label/Memo).
+using Engine = DePaEngine;
 
-// Relation's definition lives in sp_order.hpp; both backend headers are
-// always compiled together (engine.hpp includes both), so pulling it in here
-// keeps this header self-sufficient without duplicating the type.
-#include "reach/sp_order.hpp"
-
-namespace pint::reach {
-
-inline DePaEngine::Relation DePaEngine::relation_direct(const Label& u,
-                                                        const Label& v) {
+inline Relation DePaEngine::relation_direct(const Label& u, const Label& v) {
   PINT_ASSERT(u.valid() && v.valid());
   if (label_eq(u, v)) return {};  // same label: strictly ordered by neither
 
@@ -387,8 +370,8 @@ inline DePaEngine::Relation DePaEngine::relation_direct(const Label& u,
   return {};  // identical content (same vertex reached via copies)
 }
 
-inline DePaEngine::Relation DePaEngine::relation(const Label& u, const Label& v,
-                                                 Memo* memo) const {
+inline Relation DePaEngine::relation(const Label& u, const Label& v,
+                                     Memo* memo) const {
   if (memo == nullptr) return relation_direct(u, v);
   ++memo->queries;
   if (label_eq(u, v)) return {};

@@ -257,10 +257,6 @@ void StintDetector::on_sync(rt::Worker&, rt::TaskFrame& f, rt::SyncBlock& blk,
   PINT_CHECK_MSG(trivial, "STINT must run on one worker");
   if (blk.det_sync == nullptr) return;  // no spawn since the last sync
   auto* u = static_cast<Strand*>(f.det_strand);
-  // Join maintenance for the reachability engine (no-op for both current
-  // backends; seam contract).  Here rather than on_after_sync because this
-  // detector retires the joining strand record below.
-  reach_.on_join(u->label, static_cast<Strand*>(blk.det_sync)->label);
   process_strand(u);
   f.det_strand = nullptr;
 }

@@ -24,7 +24,7 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
 #include "store/interval_store.hpp"

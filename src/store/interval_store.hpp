@@ -53,7 +53,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
 
@@ -62,7 +62,8 @@ namespace pint::store {
 using addr_t = std::uint64_t;
 
 /// Persistent identity of an interval's accessor. Kept in the store after
-/// the transient strand record is recycled (labels live in the OM arenas).
+/// the transient strand record is recycled (a DePa label is a value; its
+/// frozen path chunks live as long as the engine).
 struct Accessor {
   reach::Engine::Label label;
   std::uint64_t sid = 0;  // strand id, for reporting and self-access checks

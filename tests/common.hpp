@@ -1,8 +1,9 @@
 #pragma once
 
 // Shared test helpers: run a closure under any of the detectors through one
-// interface, and generate random series-parallel programs for the
-// oracle-comparison property tests.
+// interface, generate random series-parallel programs for the
+// oracle-comparison property tests, and grow random fork-join DAGs on the
+// reachability engine next to their ground truth.
 
 #include <cstdint>
 #include <functional>
@@ -14,6 +15,7 @@
 #include "detect/instrument.hpp"
 #include "oracle/oracle_detector.hpp"
 #include "pint/pint_detector.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "stint/stint_detector.hpp"
 #include "support/rng.hpp"
@@ -235,5 +237,86 @@ inline bool oracle_any_race(const PNode& prog, std::size_t pool_bytes) {
   d.run([p, base] { exec_node(*p, base); });
   return d.any_race();
 }
+
+// ---------------------------------------------------------------------------
+// Random fork-join DAG on the reachability engine, with ground truth
+// ---------------------------------------------------------------------------
+
+/// Grows a random fork-join computation on a reach::Engine and records two
+/// engine-independent ground truths for every strand it labels:
+///
+///  * the DAG's edges (spawn -> child, spawn -> continuation, block tails ->
+///    sync node), which closure() turns into the reachability matrix;
+///  * its position in the serial child-first execution.  Strands are numbered
+///    in exactly that order - a child when the recursion enters it, a
+///    continuation after the child returns, a sync node after its block - so
+///    a strand's index IS its serial position.
+///
+/// Blocks hold 1-3 spawns, occasionally 6 (so sibling fans and deep tails
+/// both occur).
+struct SpDagBuilder {
+  reach::Engine e;
+  std::vector<reach::Engine::Label> labels;
+  std::vector<std::pair<int, int>> edges;
+
+  explicit SpDagBuilder(std::uint64_t seed) : rng_(seed) {}
+
+  /// The root strand plus a random body nesting at most max_depth levels.
+  void build(int max_depth) {
+    run_function(add(e.root_label()), 0, max_depth);
+  }
+
+  /// Floyd-Warshall transitive closure: closure()[i][j] <=> i ~> j.
+  std::vector<std::vector<char>> closure() const {
+    const std::size_t n = labels.size();
+    std::vector<std::vector<char>> c(n, std::vector<char>(n, 0));
+    for (auto [u, v] : edges) c[std::size_t(u)][std::size_t(v)] = 1;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!c[i][k]) continue;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (c[k][j]) c[i][j] = 1;
+        }
+      }
+    }
+    return c;
+  }
+
+ private:
+  int add(const reach::Engine::Label& l) {
+    labels.push_back(l);
+    return int(labels.size()) - 1;
+  }
+
+  /// Executes a function whose current strand is `cur`; returns the index
+  /// of its final strand.
+  int run_function(int cur, int depth, int max_depth) {
+    const int blocks = 1 + int(rng_.next_below(2));
+    for (int b = 0; b < blocks; ++b) {
+      const bool force = depth == 0 && b == 0;  // at least one spawn overall
+      if (!force && (depth >= max_depth || rng_.next_below(100) < 30)) continue;
+      const int nspawn =
+          rng_.next_below(100) < 10 ? 6 : 1 + int(rng_.next_below(3));
+      reach::Engine::Label sync;
+      std::vector<int> tails;
+      for (int s = 0; s < nspawn; ++s) {
+        const auto sl = e.on_spawn(labels[std::size_t(cur)], &sync);
+        const int child = add(sl.child);
+        edges.push_back({cur, child});
+        tails.push_back(run_function(child, depth + 1, max_depth));
+        const int cont = add(sl.cont);
+        edges.push_back({cur, cont});
+        cur = cont;
+      }
+      const int j = add(sync);
+      edges.push_back({cur, j});
+      for (int t : tails) edges.push_back({t, j});
+      cur = j;
+    }
+    return cur;
+  }
+
+  Xoshiro256 rng_;
+};
 
 }  // namespace pint::test

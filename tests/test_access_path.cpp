@@ -26,7 +26,6 @@
 
 #include "common.hpp"
 #include "kernels/kernels.hpp"
-#include "reach/engine.hpp"
 
 using namespace pint;
 
@@ -391,7 +390,7 @@ TEST(AccessCursor, SortKernelKeepsAHighCursorHitRate) {
 // The memo cache must not change verdicts: seeded-race kernels under PintSeq
 // exercise writer + both reader lanes with memos on every query (they are
 // always on; this pins the hit-rate counters' sanity instead).
-TEST(MemoCache, CountersAreCoherent) {
+TEST(ReachMemo, CountersAreCoherent) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
   cfg.seeded_race = true;
@@ -406,7 +405,7 @@ TEST(MemoCache, CountersAreCoherent) {
 // runs (STINT's inline phases, phased/pipelined writer + both readers,
 // sharded's per-shard caches), so the BENCH_access hit rates stay
 // comparable across modes.
-TEST(MemoCache, EveryModeCountsQueriesOnAllLanes) {
+TEST(ReachMemo, EveryModeCountsQueriesOnAllLanes) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
   cfg.seeded_race = true;
@@ -419,68 +418,6 @@ TEST(MemoCache, EveryModeCountsQueriesOnAllLanes) {
     EXPECT_LE(out.stats.memo_hits, out.stats.memo_queries)
         << "sys=" << int(sys);
   }
-}
-
-// The bump-tolerant keying contract (DESIGN.md §11): an OM relabel
-// (subtag redistribution or sublist split) invalidates exactly the pairs
-// whose sublists it touched.  A far pair survives frontier churn that
-// relabels other sublists; only a TOP-LEVEL relabel - which rewrites every
-// group tag - may take it down.
-// This pins the SpOrder backend EXPLICITLY (not the selected reach::Engine):
-// sublist-version keying is that backend's own mechanism, and the test must
-// keep certifying it even in a -DPINT_REACH_BACKEND=depa build (where the
-// DePa memo never invalidates at all - see test_reach_backends.cpp).
-TEST(MemoCache, RelabelInvalidatesOnlyTheTouchedSublists) {
-  reach::SpOrderEngine eng;
-  reach::MemoCache memo;
-  reach::Label sync;
-  const auto sl = eng.on_spawn(eng.root_label(), &sync);
-  const reach::Label A = sl.child, B = sl.cont;
-  // Grow both orders well past one sublist so A/B's groups sit far from the
-  // insertion frontier.
-  reach::Label tail = B;
-  for (int i = 0; i < 512; ++i) {
-    reach::Label s;
-    tail = eng.on_spawn(tail, &s).cont;
-  }
-  // A second pair AT the frontier, whose sublists the churn below relabels.
-  reach::Label s2;
-  const auto nl = eng.on_spawn(tail, &s2);
-  const reach::Label C = nl.child, D = nl.cont;
-  (void)eng.relation(A, B, &memo);
-  (void)eng.relation(C, D, &memo);
-  ASSERT_TRUE(memo.cached(A.eng, B.eng));
-  ASSERT_TRUE(memo.cached(C.eng, D.eng));
-  // Dense churn right after D: overflows D's ~64-item sublist, forcing at
-  // least one redistribution/split there.  The near pair must invalidate;
-  // the far pair's four sublists are untouched, so its entry must survive -
-  // the bump tolerance the PR 4 global epoch lacked (any mutation anywhere
-  // wiped the whole cache).
-  for (int i = 0; i < 48; ++i) {
-    reach::Label s;
-    (void)eng.on_spawn(D, &s);
-  }
-  EXPECT_FALSE(memo.cached(C.eng, D.eng))
-      << "a relabel of the touched sublist left a stale entry cached";
-  EXPECT_TRUE(memo.cached(A.eng, B.eng))
-      << "a far-sublist relabel invalidated an untouched pair";
-  // Keep hammering the same spot: the classic OM worst case, re-subdividing
-  // one gap until the top-level tags exhaust and relabel_top rewrites every
-  // group.  No insertion ever lands near A/B, so the first invalidation of
-  // their pair IS the top-level relabel - and it must be observed.
-  bool invalidated = false;
-  for (int i = 0; i < 200000 && !invalidated; ++i) {
-    reach::Label s;
-    (void)eng.on_spawn(D, &s);
-    invalidated = !memo.cached(A.eng, B.eng);
-  }
-  EXPECT_TRUE(invalidated)
-      << "a top-level relabel left a stale pair verdict cached";
-  // And the refill after the relabel serves the same verdict.
-  const reach::Relation r = eng.relation(A, B, &memo);
-  EXPECT_TRUE(r.eng);   // A (child) precedes B (cont) in English order
-  EXPECT_FALSE(r.heb);  // ...and follows it in Hebrew order
-  EXPECT_TRUE(memo.cached(A.eng, B.eng));
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
-// Tests for SP-order reachability: hand-built scenarios plus a property
-// test against a transitive-closure oracle on random series-parallel DAGs.
+// Tests for DePa reachability: hand-built scenarios plus a property test
+// against a transitive-closure oracle on random series-parallel DAGs.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "reach/engine.hpp"
-#include "support/rng.hpp"
+#include "common.hpp"
+#include "reach/depa.hpp"
 
 using namespace pint;
 using reach::Engine;
-using Label = reach::Engine::Label;  // backend-generic: whatever is selected
+using Label = reach::Engine::Label;
 
 TEST(Reach, SpawnMakesChildAndContinuationParallel) {
   Engine e;
@@ -79,78 +76,17 @@ TEST(Reach, SequentialBlocksAreInSeries) {
 // Property test: random SP tree vs transitive-closure oracle.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Builds a random fork-join computation using the engine while recording
-/// every strand and the ground-truth precedence edges; the oracle relation
-/// is the transitive closure over those edges.
-struct SpBuilder {
-  Engine e;
-  std::vector<Label> strands;
-  std::vector<std::pair<int, int>> edges;
-  Xoshiro256 rng;
-
-  explicit SpBuilder(std::uint64_t seed) : rng(seed) {}
-
-  int add(const Label& l) {
-    strands.push_back(l);
-    return int(strands.size()) - 1;
-  }
-
-  /// Simulates executing a function whose current strand is `cur` (index).
-  /// Returns the index of its final strand.
-  int run_function(int cur, int depth) {
-    const int blocks = 1 + int(rng.next_below(2));
-    for (int b = 0; b < blocks; ++b) {
-      const bool force = depth == 0 && b == 0;  // at least one spawn overall
-      if (!force && (depth >= 4 || rng.next_below(100) < 30)) continue;
-      const int nspawn = 1 + int(rng.next_below(3));
-      Label sync;
-      std::vector<int> block_tails;
-      for (int s = 0; s < nspawn; ++s) {
-        auto labels = e.on_spawn(strands[std::size_t(cur)], &sync);
-        const int child = add(labels.child);
-        const int cont = add(labels.cont);
-        edges.push_back({cur, child});
-        edges.push_back({cur, cont});
-        const int child_tail = run_function(child, depth + 1);
-        block_tails.push_back(child_tail);
-        cur = cont;
-      }
-      const int j = add(sync);
-      edges.push_back({cur, j});
-      for (int t : block_tails) edges.push_back({t, j});
-      cur = j;
-    }
-    return cur;
-  }
-};
-
-}  // namespace
-
 TEST(Reach, PropertyMatchesTransitiveClosure) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    SpBuilder b(seed);
-    const int root = b.add(b.e.root_label());
-    b.run_function(root, 0);
-
-    const std::size_t n = b.strands.size();
+    test::SpDagBuilder b(seed);
+    b.build(4);
+    const std::size_t n = b.labels.size();
     ASSERT_GE(n, 2u);
-    // Floyd-Warshall-style closure on a bit matrix.
-    std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
-    for (auto [u, v] : b.edges) reach[std::size_t(u)][std::size_t(v)] = 1;
-    for (std::size_t k = 0; k < n; ++k) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!reach[i][k]) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (reach[k][j]) reach[i][j] = 1;
-        }
-      }
-    }
+    const auto reach = b.closure();
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
-        EXPECT_EQ(b.e.precedes(b.strands[i], b.strands[j]), bool(reach[i][j]))
+        EXPECT_EQ(b.e.precedes(b.labels[i], b.labels[j]), bool(reach[i][j]))
             << "seed=" << seed << " i=" << i << " j=" << j;
       }
     }

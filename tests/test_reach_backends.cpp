@@ -1,28 +1,24 @@
-// Cross-backend certification of the happens-before oracle seam
-// (DESIGN.md §14; ctest label `reachmatrix`).
+// Certification of the happens-before engine (DESIGN.md §14; ctest label
+// `reachmatrix`).
 //
 // Three layers, from the engine surface out to whole detector runs:
 //
-//  1. TYPED engine tests - run the same semantic checks against BOTH
-//     backends (SpOrderEngine and DePaEngine are always compiled, whichever
-//     one `reach::Engine` aliases), including the DePa-specific regimes:
-//     paths long enough to freeze chunks, equal-label lockset splits, and
-//     memo bit-identity against the un-memoized query.
+//  1. ENGINE tests - spawn/sync relations, paths long enough to freeze
+//     chunks, equal-label lockset splits, and memo bit-identity against the
+//     un-memoized query.
 //
-//  2. LOCKSTEP fuzz - drive both engines through the identical random spawn
-//     sequence and require bit-identical Relation verdicts on every ordered
-//     label pair, with a transitive-closure oracle arbitrating.  This is
-//     the in-binary half of the cross-backend bit-identity criterion: it
-//     holds in every build, no matter which backend is selected.
+//  2. ORACLE fuzz - random fork-join DAGs whose every ordered label pair
+//     must get exactly the Relation two engine-independent ground truths
+//     dictate: the transitive closure decides series pairs, the serial
+//     child-first execution order decides both bits of parallel pairs.
 //
 //  3. DETECTOR matrix - the full kernel x detector x history-mode sweep and
-//     the random-program / lock-twin suites run under the SELECTED backend,
-//     with canonical race-report digests.  The ci.sh `backend` lane runs
-//     this binary in a sporder build and a depa build with
-//     PINT_REACH_DIGEST set and diffs the two files byte-for-byte - THAT is
-//     the cross-build "race reports bit-identical" proof.  Every digested
-//     configuration is deterministic (one core worker; history modes only
-//     change who processes the work, never strand identity).
+//     the random-program / lock-twin suites, with canonical race-report
+//     digests.  With PINT_REACH_DIGEST set, every digested configuration
+//     appends one line to that file; diffing the files of two builds proves
+//     their race reports identical.  Every digested configuration is
+//     deterministic (one core worker; history modes only change who
+//     processes the work, never strand identity).
 
 #include <gtest/gtest.h>
 
@@ -38,25 +34,19 @@
 #include "common.hpp"
 #include "detect/report.hpp"
 #include "kernels/kernels.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 
 using namespace pint;
 using test::Det;
 using test::det_name;
 
 // ---------------------------------------------------------------------------
-// 1. Typed engine-surface tests: both backends, always.
+// 1. Engine-surface tests.
 // ---------------------------------------------------------------------------
 
-template <class E>
-class ReachBackend : public ::testing::Test {};
-
-using BothBackends = ::testing::Types<reach::SpOrderEngine, reach::DePaEngine>;
-TYPED_TEST_SUITE(ReachBackend, BothBackends);
-
-TYPED_TEST(ReachBackend, SpawnRelations) {
-  TypeParam e;
-  using L = typename TypeParam::Label;
+TEST(DePaEngine, SpawnRelations) {
+  reach::Engine e;
+  using L = reach::Engine::Label;
   L u = e.root_label();
   L sync;
   const auto s = e.on_spawn(u, &sync);
@@ -69,13 +59,13 @@ TYPED_TEST(ReachBackend, SpawnRelations) {
   EXPECT_FALSE(e.precedes(sync, s.child));
 }
 
-TYPED_TEST(ReachBackend, EqualLabelsOrderedByNeither) {
+TEST(DePaEngine, EqualLabelsOrderedByNeither) {
   // The lock-segmentation contract: a lock event splits a strand into
   // segments with THE SAME label and a fresh sid; such segments must be
   // ordered by neither relation bit, so they can never race with each
   // other and never perturb reader retention.
-  TypeParam e;
-  using L = typename TypeParam::Label;
+  reach::Engine e;
+  using L = reach::Engine::Label;
   L u = e.root_label();
   L sync;
   const auto s = e.on_spawn(u, &sync);
@@ -86,20 +76,19 @@ TYPED_TEST(ReachBackend, EqualLabelsOrderedByNeither) {
   EXPECT_FALSE(e.parallel(s.child, copy));
   EXPECT_FALSE(e.precedes(s.child, copy));
   // Memoized route must agree.
-  typename TypeParam::Memo memo;
+  reach::Engine::Memo memo;
   const auto rm = e.relation(s.child, copy, &memo);
   EXPECT_FALSE(rm.eng);
   EXPECT_FALSE(rm.heb);
 }
 
-TYPED_TEST(ReachBackend, DeepChainCrossesWordBoundaries) {
+TEST(DePaEngine, DeepChainCrossesWordBoundaries) {
   // 200 spawns deep: DePa paths reach ~400 bits (7 words), exercising the
-  // chunk freeze/shared-suffix machinery several times over; SpOrder gets
-  // the same loop as a sublist-growth smoke.  Every prefix strand must
-  // precede every deeper one, and each child stays parallel to every
-  // later continuation's child.
-  TypeParam e;
-  using L = typename TypeParam::Label;
+  // chunk freeze/shared-suffix machinery several times over.  Every prefix
+  // strand must precede every deeper one, and each child stays parallel to
+  // every later continuation's child.
+  reach::Engine e;
+  using L = reach::Engine::Label;
   std::vector<L> chain;   // continuation spine
   std::vector<L> kids;    // one child per level
   std::vector<L> syncs;
@@ -129,11 +118,11 @@ TYPED_TEST(ReachBackend, DeepChainCrossesWordBoundaries) {
   }
 }
 
-TYPED_TEST(ReachBackend, WideFanSharesOneBlock) {
+TEST(DePaEngine, WideFanSharesOneBlock) {
   // 100 spawns in ONE sync block: all children pairwise parallel, in
   // spawn order under left_of, all preceding the single sync node.
-  TypeParam e;
-  using L = typename TypeParam::Label;
+  reach::Engine e;
+  using L = reach::Engine::Label;
   L cur = e.root_label();
   L sync;
   std::vector<L> kids;
@@ -154,11 +143,11 @@ TYPED_TEST(ReachBackend, WideFanSharesOneBlock) {
   EXPECT_TRUE(e.precedes(cur, sync));
 }
 
-TYPED_TEST(ReachBackend, MemoBitIdenticalAndCounted) {
+TEST(DePaEngine, MemoBitIdenticalAndCounted) {
   // The memo may change the cost of a query, never its verdict - and its
   // counters must move (detectors fold them into Stats).
-  TypeParam e;
-  using L = typename TypeParam::Label;
+  reach::Engine e;
+  using L = reach::Engine::Label;
   L cur = e.root_label();
   std::vector<L> all;
   all.push_back(cur);
@@ -170,7 +159,7 @@ TYPED_TEST(ReachBackend, MemoBitIdenticalAndCounted) {
     all.push_back(sync);
     cur = (i % 3 == 0) ? s.child : s.cont;
   }
-  typename TypeParam::Memo memo;
+  reach::Engine::Memo memo;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < all.size(); ++i) {
       for (std::size_t j = 0; j < all.size(); ++j) {
@@ -204,117 +193,60 @@ TEST(DePaEngine, ChunkArenaFreezesLongPaths) {
   EXPECT_FALSE(e.precedes(cur, root));
 }
 
-TEST(DePaEngine, StructuralEpochIsConstant) {
-  reach::DePaEngine e;
-  const std::uint64_t before = e.structural_epoch();
-  auto cur = e.root_label();
-  for (int i = 0; i < 1000; ++i) {
-    reach::DePaEngine::Label sync;
-    cur = e.on_spawn(cur, &sync).cont;
-  }
-  EXPECT_EQ(e.structural_epoch(), before);
-}
-
 // ---------------------------------------------------------------------------
-// 2. Lockstep fuzz: both engines, one spawn sequence, identical verdicts.
+// 2. Oracle fuzz: every ordered pair against closure + serial order.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Grows the same random fork-join computation on both engines while
-/// recording ground-truth edges for a transitive-closure oracle.
-struct DualBuilder {
-  reach::SpOrderEngine sp;
-  reach::DePaEngine dp;
-  std::vector<reach::SpOrderEngine::Label> spl;
-  std::vector<reach::DePaEngine::Label> dpl;
-  std::vector<std::pair<int, int>> edges;
-  Xoshiro256 rng;
-
-  explicit DualBuilder(std::uint64_t seed) : rng(seed) {}
-
-  int add(const reach::SpOrderEngine::Label& a,
-          const reach::DePaEngine::Label& b) {
-    spl.push_back(a);
-    dpl.push_back(b);
-    return int(spl.size()) - 1;
-  }
-
-  int run_function(int cur, int depth, int max_depth) {
-    const int blocks = 1 + int(rng.next_below(2));
-    for (int b = 0; b < blocks; ++b) {
-      const bool force = depth == 0 && b == 0;
-      if (!force && (depth >= max_depth || rng.next_below(100) < 30)) continue;
-      // Occasional WIDE blocks so sibling fans and deep tails both occur.
-      const int nspawn = rng.next_below(100) < 10 ? 6 : 1 + int(rng.next_below(3));
-      reach::SpOrderEngine::Label ssync;
-      reach::DePaEngine::Label dsync;
-      std::vector<int> tails;
-      for (int s = 0; s < nspawn; ++s) {
-        const auto sl = sp.on_spawn(spl[std::size_t(cur)], &ssync);
-        const auto dl = dp.on_spawn(dpl[std::size_t(cur)], &dsync);
-        const int child = add(sl.child, dl.child);
-        const int cont = add(sl.cont, dl.cont);
-        edges.push_back({cur, child});
-        edges.push_back({cur, cont});
-        tails.push_back(run_function(child, depth + 1, max_depth));
-        cur = cont;
-      }
-      const int j = add(ssync, dsync);
-      edges.push_back({cur, j});
-      for (int t : tails) edges.push_back({t, j});
-      cur = j;
-    }
-    return cur;
-  }
-};
-
-}  // namespace
-
-TEST(ReachLockstep, BothBackendsBitIdenticalOnRandomDags) {
+// Both Relation bits, checked against ground truth the engine never sees
+// (test::SpDagBuilder): a pair in series is {1, 1} one way and {0, 0} the
+// other; a parallel pair (or a strand against itself) is decided by the
+// serial child-first order alone - English-first iff it runs first serially,
+// Hebrew-first iff it runs last.  The English bit is what reader retention's
+// left/right tiebreak consumes, so a precedes()-only oracle would miss a
+// flipped tiebreak entirely.  Every pair goes direct, then through one memo
+// twice (fill, then hit).
+TEST(ReachOracle, RelationMatchesClosureAndSerialOrder) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    DualBuilder b(seed);
-    const int root = b.add(b.sp.root_label(), b.dp.root_label());
-    b.run_function(root, 0, seed % 3 == 0 ? 5 : 4);
-
-    const std::size_t n = b.spl.size();
+    test::SpDagBuilder b(seed);
+    b.build(seed % 3 == 0 ? 5 : 4);
+    const std::size_t n = b.labels.size();
     ASSERT_GE(n, 2u);
     ASSERT_LT(n, 4000u) << "generator config drifted; closure would crawl";
-    std::vector<std::vector<char>> closure(n, std::vector<char>(n, 0));
-    for (auto [u, v] : b.edges) closure[std::size_t(u)][std::size_t(v)] = 1;
-    for (std::size_t k = 0; k < n; ++k) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!closure[i][k]) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (closure[k][j]) closure[i][j] = 1;
+    const auto closure = b.closure();
+    reach::Engine::Memo memo;
+    reach::Engine::Memo* const routes[] = {nullptr, &memo, &memo};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        reach::Relation want{i < j, i > j};
+        if (closure[i][j]) want = {true, true};
+        if (closure[j][i]) want = {false, false};
+        for (reach::Engine::Memo* m : routes) {
+          const reach::Relation got =
+              b.e.relation(b.labels[i], b.labels[j], m);
+          ASSERT_EQ(got.eng, want.eng)
+              << "seed=" << seed << " i=" << i << " j=" << j
+              << (m ? " memo" : " direct");
+          ASSERT_EQ(got.heb, want.heb)
+              << "seed=" << seed << " i=" << i << " j=" << j
+              << (m ? " memo" : " direct");
         }
       }
     }
-    reach::SpOrderEngine::Memo smemo;
-    reach::DePaEngine::Memo dmemo;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const auto rs = b.sp.relation(b.spl[i], b.spl[j], &smemo);
-        const auto rd = b.dp.relation(b.dpl[i], b.dpl[j], &dmemo);
-        ASSERT_EQ(rs.eng, rd.eng) << "seed=" << seed << " i=" << i << " j=" << j;
-        ASSERT_EQ(rs.heb, rd.heb) << "seed=" << seed << " i=" << i << " j=" << j;
-        ASSERT_EQ(rs.eng && rs.heb, bool(closure[i][j]))
-            << "oracle disagrees: seed=" << seed << " i=" << i << " j=" << j;
-      }
-    }
+    // The repeat query hits on every pair except i == j (equal labels are
+    // answered before the table).
+    EXPECT_EQ(memo.hits, std::uint64_t(n) * (n - 1)) << "seed=" << seed;
   }
 }
 
 // ---------------------------------------------------------------------------
-// 3. Detector matrix under the selected backend, with canonical digests.
+// 3. Detector matrix, with canonical digests.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// Digest sink: when PINT_REACH_DIGEST names a file, every deterministic
-/// configuration appends one canonical line.  The ci.sh backend lane diffs
-/// the files from the sporder and depa builds.
+/// configuration appends one canonical line; two builds' files diff clean
+/// iff their race reports agree.
 struct Digest {
   static FILE* file() {
     static FILE* f = [] {
@@ -431,9 +363,8 @@ MatrixRun run_mode(Mode m, const std::function<void()>& body) {
 }  // namespace
 
 // All 7 kernels x every detector/history mode: race-free inputs must report
-// ZERO races under the selected backend (false positives are what a broken
-// relation would produce first), verify() must hold, and each cell lands in
-// the digest.
+// ZERO races (false positives are what a broken relation would produce
+// first), verify() must hold, and each cell lands in the digest.
 class ReachMatrixKernels
     : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
 
@@ -446,8 +377,7 @@ TEST_P(ReachMatrixKernels, RaceFreeKernelStaysSilent) {
   const MatrixRun r = run_mode(mode, [&] { k->run(); });
   EXPECT_TRUE(k->verify()) << kernel << " under " << mode_name(mode);
   EXPECT_FALSE(r.any_race)
-      << kernel << " false race under " << mode_name(mode) << " backend "
-      << reach::Engine::kName;
+      << kernel << " false race under " << mode_name(mode);
   EXPECT_EQ(r.distinct, 0u);
   Digest::line(std::string("kernel/") + kernel + "/" + mode_name(mode),
                r.distinct, r.records);
@@ -490,9 +420,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReachMatrixSeeded,
                          ::testing::ValuesIn(all_modes()),
                          [](const auto& info) { return mode_name(info.param); });
 
-// Random-program property fuzz: the selected backend must agree with the
-// oracle on ANY-race for every generated program, in every history mode;
-// racy programs' deterministic report sets join the digest.
+// Random-program property fuzz: every detector must agree with the oracle
+// on ANY-race for every generated program, in every history mode; racy
+// programs' deterministic report sets join the digest.
 TEST(ReachMatrixFuzz, RandomProgramsMatchOracle) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const bool race_free : {true, false}) {
@@ -514,7 +444,7 @@ TEST(ReachMatrixFuzz, RandomProgramsMatchOracle) {
             run_mode(mode, [p, base] { test::exec_node(*p, base); });
         EXPECT_EQ(r.any_race, oracle_race)
             << "seed=" << seed << " race_free=" << race_free << " mode="
-            << mode_name(mode) << " backend=" << reach::Engine::kName;
+            << mode_name(mode);
         char tag[64];
         std::snprintf(tag, sizeof tag, "fuzz/seed%llu/%s/%s",
                       (unsigned long long)seed, race_free ? "clean" : "racy",
@@ -525,11 +455,10 @@ TEST(ReachMatrixFuzz, RandomProgramsMatchOracle) {
   }
 }
 
-// Lock-kernel twins (test_locks.cpp's matrix) re-run under the selected
-// backend: mutex-guarded twins stay silent - equal-label segment splits
-// must remain inert under immutable DePa labels - and unguarded twins keep
-// racing.
-TEST(ReachMatrixLocks, LockTwinsAgreeUnderSelectedBackend) {
+// Lock-kernel twins (test_locks.cpp's matrix) re-run in every history mode:
+// mutex-guarded twins stay silent - equal-label segment splits must remain
+// inert under immutable DePa labels - and unguarded twins keep racing.
+TEST(ReachMatrixLocks, LockTwinsAgree) {
   for (const char* kernel : {"lktwin", "lkcache"}) {
     for (const bool seeded : {false, true}) {
       for (const Mode mode : all_modes()) {
@@ -541,8 +470,7 @@ TEST(ReachMatrixLocks, LockTwinsAgreeUnderSelectedBackend) {
         k->prepare();
         const MatrixRun r = run_mode(mode, [&] { k->run(); });
         EXPECT_EQ(r.any_race, seeded)
-            << kernel << " seeded=" << seeded << " under " << mode_name(mode)
-            << " backend " << reach::Engine::kName;
+            << kernel << " seeded=" << seeded << " under " << mode_name(mode);
         if (r.dropped == 0) {
           Digest::line(std::string("locks/") + kernel +
                            (seeded ? "/unguarded/" : "/guarded/") +

@@ -2,8 +2,8 @@
 // (-DPINT_SAN=thread / address, see scripts/ci.sh) as well as plain builds.
 // They hammer exactly the cross-thread protocols DESIGN.md's
 // "Memory-ordering contracts" section documents: AhQueue publish/reclaim
-// with slot wrap-around, strand pool recycling, OM seqlock queries racing
-// structural mutations, and the full PINT pipeline under a tiny queue.
+// with slot wrap-around, strand pool recycling, and the full PINT pipeline
+// under a tiny queue.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "common.hpp"
 #include "detect/strand.hpp"
 #include "kernels/kernels.hpp"
-#include "om/order_maintenance.hpp"
 #include "pint/ah_queue.hpp"
 #include "pint/sharded_history.hpp"
 
@@ -196,68 +195,6 @@ TEST(AhQueueDeathTest, SecondProducerThreadIsRejected) {
       "single-producer");
 }
 #endif
-
-// ---------------------------------------------------------------------------
-// OM list: lock-free precedes() queries racing structural mutations
-// ---------------------------------------------------------------------------
-
-TEST(OmStress, QueriesRaceSplitsAndRelabels) {
-  om::List list;
-
-  // A known chain: items[i] precedes items[j] iff i < j.  Later concurrent
-  // inserts land *between* existing items and cannot disturb this order.
-  constexpr std::size_t kChain = 200;
-  std::vector<om::Item*> items;
-  items.reserve(kChain);
-  om::Item* x = list.base();
-  for (std::size_t i = 0; i < kChain; ++i) {
-    x = list.insert_after(x);
-    items.push_back(x);
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> fail{false};
-
-  // Two inserters keep splitting groups / relabelling the top level by
-  // always inserting at the same hot spots.
-  std::vector<std::thread> inserters;
-  for (int t = 0; t < 2; ++t) {
-    inserters.emplace_back([&list, &items, t] {
-      Xoshiro256 rng(std::uint64_t(91 + t));
-      for (int i = 0; i < 2000; ++i) {
-        om::Item* at = items[rng.next_below(items.size())];
-        om::Item* fresh = list.insert_after(at);
-        // Chain a few more after the fresh item to stress subtag gaps.
-        list.insert_after(fresh);
-      }
-    });
-  }
-
-  std::vector<std::thread> queriers;
-  for (int t = 0; t < 2; ++t) {
-    queriers.emplace_back([&list, &items, &stop, &fail, t] {
-      Xoshiro256 rng(std::uint64_t(17 + t));
-      std::uint64_t q = 0;
-      while (!stop.load(std::memory_order_acquire) || q < 2000) {
-        const std::size_t i = rng.next_below(kChain);
-        const std::size_t j = rng.next_below(kChain);
-        if (i == j) continue;
-        const bool got = list.precedes(items[i], items[j]);
-        if (got != (i < j)) fail.store(true);
-        ++q;
-      }
-    });
-  }
-
-  for (auto& t : inserters) t.join();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : queriers) t.join();
-
-  EXPECT_FALSE(fail.load());
-  EXPECT_TRUE(list.check_invariants());
-  EXPECT_EQ(list.size(), 1 + kChain + 2 * 2000 * 2);
-  EXPECT_GT(list.structural_mutations(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // for_shard_pieces: boundary regression near the top of the address space
