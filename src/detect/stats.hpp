@@ -43,7 +43,9 @@
 //   prefetches; deep_backoffs the Backoff waits that reached the bounded
 //   sleep tier (process-wide delta attributed to the run).
 //
-//   Computation shape: strands, traces, steals, reachability queries.
+//   Computation shape: strands, traces, steals, reachability queries, and
+//   lock_splits - the segments opened by a lockset change (DESIGN.md §12.3;
+//   a pending split that relabels an empty segment in place does not count).
 //
 //   Pipeline pressure & degradation (robustness layer).  These make
 //   overload and fault handling visible instead of silent: sustained
@@ -68,7 +70,7 @@
   X(finalize_sorted_skips) X(finalize_simd)                                \
   X(bulk_runs) X(bulk_run_intervals) X(batch_drains) X(batch_strands)      \
   X(prefetch_issues) X(deep_backoffs)                                      \
-  X(strands) X(traces) X(steals) X(reach_queries)                          \
+  X(strands) X(lock_splits) X(traces) X(steals) X(reach_queries)           \
   X(stalled_pushes) X(backoff_pauses) X(dropped_strands) X(oom_events)     \
   X(watchdog_trips)                                                        \
   X(core_ns) X(writer_ns) X(lreader_ns) X(rreader_ns) X(total_ns)

@@ -31,10 +31,13 @@ struct Strand {
   /// Task name of the strand's owning task (named spawns); for reports.
   const char* tag = nullptr;
   /// Interned lockset held while this segment's accesses were recorded
-  /// (0 = none).  A lock acquire/release splits the strand into a new
-  /// segment with the SAME label but a fresh sid and lsid, so every history
-  /// record carries the exact lockset of its accesses.
+  /// (0 = none), so every history record carries the exact lockset of its
+  /// accesses.
   lockset_t lsid = 0;
+  /// Lockset the running code holds now.  A lock event only updates it;
+  /// `held != lsid` means a split is pending, and the next access cuts a
+  /// new segment (see settle_lock_split below).
+  lockset_t held = 0;
 
   AccessBuffer reads;
   AccessBuffer writes;
@@ -67,6 +70,7 @@ struct Strand {
     label = {};
     tag = nullptr;
     lsid = 0;
+    held = 0;
     reads.clear();
     writes.clear();
     clears.clear();
@@ -82,5 +86,53 @@ struct Strand {
            !frees.empty();
   }
 };
+
+// ---------------------------------------------------------------------------
+// Lazy lock segmentation (DESIGN.md §12.3), shared by the interval detectors
+// (STINT and PINT) so their segment boundaries cannot drift apart.
+//
+// A lock hook only moves Strand::held.  The segment is cut at the first
+// access recorded under a lockset that differs from its lsid, so a release
+// followed by a re-acquire with nothing recorded in between costs no strand.
+// Invariant: the access cursor is installed over a strand's buffers only
+// while held == lsid; a pending split leaves it uninstalled, which routes
+// the next access to the detector's on_access (the slow route).
+// ---------------------------------------------------------------------------
+
+/// What a lock event asks of the caller's access cursor.
+enum class LockStep : std::uint8_t {
+  kNone,    // cursor state unchanged (no lockset change, or still pending)
+  kResume,  // held is back at lsid: reinstall the cursor over s's buffers
+  kDefer,   // held left lsid: flush the cursor and leave it uninstalled
+};
+
+inline LockStep note_lock_event(Strand& s, addr_t lock, bool acquire) {
+  auto& tbl = LocksetTable::instance();
+  const lockset_t nid =
+      acquire ? tbl.acquire(s.held, lock) : tbl.release(s.held, lock);
+  if (nid == s.held) return LockStep::kNone;  // recursive / unmatched
+  const bool pending = s.held != s.lsid;
+  s.held = nid;
+  if (nid == s.lsid) return LockStep::kResume;
+  return pending ? LockStep::kNone : LockStep::kDefer;
+}
+
+/// First access under a pending split.  A segment with no work takes the
+/// new lockset in place (returns false).  Otherwise returns true: the
+/// caller seals s and continues on a successor opened by open_lock_segment.
+inline bool settle_lock_split(Strand& s) {
+  if (s.has_work()) return true;
+  s.lsid = s.held;
+  return false;
+}
+
+/// The successor segment: same label (equal labels are ordered by neither
+/// order, so sibling segments never race), fresh sid (from alloc), and the
+/// lockset the code holds now.
+inline void open_lock_segment(const Strand& u, Strand& v) {
+  v.label = u.label;
+  v.tag = u.tag;
+  v.lsid = v.held = u.held;
+}
 
 }  // namespace pint::detect

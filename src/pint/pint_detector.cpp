@@ -391,11 +391,30 @@ void PintDetector::cursor_flush(CoreWS& ws) {
 
 void PintDetector::on_access(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lo,
                              detect::addr_t hi, bool is_write) {
-  // Classic route: taken only when the AccessCursor fast path is disabled
-  // (ablation) - with a cursor installed, record_access never reaches here.
+  // Classic route: taken when the AccessCursor fast path is disabled
+  // (ablation), and by the first access after a lock event left a split
+  // pending (the cursor is uninstalled then, DESIGN.md §12.3).
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
+  if (PINT_UNLIKELY(s->held != s->lsid)) {
+    if (detect::settle_lock_split(*s)) {
+      seal_strand(ws, s);
+      Strand* v = alloc_strand(ws);
+      detect::open_lock_segment(*s, *v);
+      f.det_strand = v;
+      trace_push(ws, s);  // in series, same trace: collection order holds
+      ws.lock_splits++;
+      s = v;
+    }
+    detect::cursor_install(&s->reads, &s->writes, opt_.coalesce);
+    if (detect::cursor_installed()) {
+      // Record this access through the cursor, as every later one will be.
+      detail::record_access(reinterpret_cast<const void*>(lo), hi - lo + 1,
+                            is_write);
+      return;
+    }
+  }
   ws.slow_accesses++;
   if (is_write) {
     ws.raw_writes++;
@@ -423,35 +442,18 @@ void PintDetector::on_heap_free(rt::Worker&, rt::TaskFrame& f, void* base,
 
 void PintDetector::on_lock_event(rt::Worker& w, rt::TaskFrame& f,
                                  detect::addr_t lock, bool acquire) {
-  auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(u != nullptr);
-  auto& tbl = detect::LocksetTable::instance();
-  const detect::lockset_t nid =
-      acquire ? tbl.acquire(u->lsid, lock) : tbl.release(u->lsid, lock);
-  if (nid == u->lsid) return;  // recursive re-acquire / unmatched release
-  cursor_flush(ws);
-  if (!u->has_work()) {
-    // Nothing recorded under the old lockset yet: relabel in place instead
-    // of emitting an empty segment (the common acquire-then-touch shape).
-    u->lsid = nid;
-    detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
-    return;
+  switch (detect::note_lock_event(*u, lock, acquire)) {
+    case detect::LockStep::kNone:
+      return;
+    case detect::LockStep::kResume:
+      detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
+      return;
+    case detect::LockStep::kDefer:
+      cursor_flush(*static_cast<CoreWS*>(w.det_worker));
+      return;
   }
-  // Split: seal the old segment and continue on a fresh strand with the
-  // SAME reachability label (no HB edge - same-label segments are ordered
-  // by neither order, so they are never judged parallel) but a new sid and
-  // the new lockset.  u keeps its pred gate / first-of-trace role; v
-  // follows it in series within the same trace, so the DAG-conforming
-  // collection order is unchanged.
-  seal_strand(ws, u);
-  Strand* v = alloc_strand(ws);
-  v->label = u->label;
-  v->tag = u->tag;
-  v->lsid = nid;
-  f.det_strand = v;
-  trace_push(ws, u);
-  detect::cursor_install(&v->reads, &v->writes, opt_.coalesce);
 }
 
 void PintDetector::on_lock_acquire(rt::Worker& w, rt::TaskFrame& f,
@@ -512,8 +514,9 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   t->tag = parent.task_name;
   // Lockset rule (same as every detector): the continuation still holds the
   // parent's locks; the child may run on a worker that does not, so it
-  // starts empty (as does the sync node).
-  t->lsid = u->lsid;
+  // starts empty (as does the sync node).  `held`, not u's lsid: a split
+  // pending at the spawn must not leak the old lockset past it.
+  t->lsid = t->held = u->held;
   t->pred.store(1, std::memory_order_relaxed);  // Algorithm 1, line 8
   u->collect_child = t;  // "u is a spawn node" case of Algorithm 2
 
@@ -1223,6 +1226,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.fastpath_hits.fetch_add(ws->fast_hits);
     stats_.cursor_spills.fetch_add(ws->cursor_spills);
     stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
+    stats_.lock_splits.fetch_add(ws->lock_splits);
     stats_.tail_probe_hits.fetch_add(ws->tail_hits);
     stats_.tail_probe_misses.fetch_add(ws->tail_misses);
     stats_.finalize_sorted_skips.fetch_add(ws->fin_sorted);

@@ -140,6 +140,7 @@ class PintDetector final : public detect::Detector,
     // accesses that took the classic virtual-dispatch route.
     std::uint64_t fast_accesses = 0, fast_hits = 0, slow_accesses = 0;
     std::uint64_t cursor_spills = 0;
+    std::uint64_t lock_splits = 0;  // segments opened by a lockset change
     // AccessBuffer::add tail-probe outcomes and finalize route tallies
     // (DESIGN.md §13), folded from each strand's buffers at seal time.
     std::uint64_t tail_hits = 0, tail_misses = 0;
@@ -176,8 +177,9 @@ class PintDetector final : public detect::Detector,
   /// counters into ws.  Must run before seal_strand() of the cursor's
   /// strand (pending cursor intervals land in the strand's AccessBuffers).
   void cursor_flush(CoreWS& ws);
-  /// Lockset transition: splits the current strand into a new segment with
-  /// the same label and a fresh sid/lsid (see detect/strand.hpp).
+  /// Lockset transition: records the held lockset and suspends or resumes
+  /// the cursor; the split itself waits for the next access (on_access,
+  /// detect/strand.hpp).
   void on_lock_event(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lock,
                      bool acquire);
 

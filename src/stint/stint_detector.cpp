@@ -119,28 +119,16 @@ void StintDetector::on_lock_event(rt::TaskFrame& f, detect::addr_t lock,
                                   bool acquire) {
   auto* u = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(u != nullptr);
-  auto& tbl = detect::LocksetTable::instance();
-  const detect::lockset_t nid =
-      acquire ? tbl.acquire(u->lsid, lock) : tbl.release(u->lsid, lock);
-  if (nid == u->lsid) return;  // recursive acquire / unmatched release
-  cursor_flush();
-  if (!u->has_work()) {
-    // Nothing recorded under the old lockset: relabel the segment in place.
-    u->lsid = nid;
-    detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
-    return;
+  switch (detect::note_lock_event(*u, lock, acquire)) {
+    case detect::LockStep::kNone:
+      return;
+    case detect::LockStep::kResume:
+      detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
+      return;
+    case detect::LockStep::kDefer:
+      cursor_flush();
+      return;
   }
-  // Seal the segment recorded under the old lockset and continue at the
-  // same DAG position: the successor keeps u's label (equal labels are
-  // ordered by neither order, so sibling segments can never race with each
-  // other) under a fresh sid + the new lockset id.
-  Strand* v = alloc_strand();
-  v->label = u->label;
-  v->tag = u->tag;
-  v->lsid = nid;
-  f.det_strand = v;
-  process_strand(u);
-  detect::cursor_install(&v->reads, &v->writes, opt_.coalesce);
 }
 
 void StintDetector::on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
@@ -159,9 +147,30 @@ void StintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
 
 void StintDetector::on_access(rt::Worker&, rt::TaskFrame& f, detect::addr_t lo,
                               detect::addr_t hi, bool is_write) {
-  // Classic route: only taken when the AccessCursor fast path is disabled.
+  // Classic route: taken when the AccessCursor fast path is disabled, and
+  // by the first access after a lock event left a split pending (the cursor
+  // is uninstalled then, DESIGN.md §12.3).
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
+  if (PINT_UNLIKELY(s->held != s->lsid)) {
+    if (detect::settle_lock_split(*s)) {
+      // Seal the segment recorded under the old lockset and continue at the
+      // same DAG position on a same-label successor.
+      Strand* v = alloc_strand();
+      detect::open_lock_segment(*s, *v);
+      f.det_strand = v;
+      process_strand(s);
+      ++lock_splits_;
+      s = v;
+    }
+    detect::cursor_install(&s->reads, &s->writes, opt_.coalesce);
+    if (detect::cursor_installed()) {
+      // Record this access through the cursor, as every later one will be.
+      detail::record_access(reinterpret_cast<const void*>(lo), hi - lo + 1,
+                            is_write);
+      return;
+    }
+  }
   ++slow_accesses_;
   if (is_write) {
     ++raw_writes_;
@@ -226,7 +235,9 @@ void StintDetector::on_spawn(rt::Worker&, rt::TaskFrame& parent,
   // The continuation still holds whatever the parent held at the spawn; the
   // child starts with an empty lockset (it may run on another worker that
   // does NOT hold the parent's mutexes - inheriting would hide real races).
-  t->lsid = u->lsid;
+  // `held`, not u's lsid: a split pending at the spawn must not leak the
+  // old lockset past it.
+  t->lsid = t->held = u->held;
   child.det_strand = g;
   parent.det_cont = t;
   process_strand(u);
@@ -300,6 +311,7 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.fastpath_hits.store(fast_hits_);
   stats_.cursor_spills.store(cursor_spills_);
   stats_.slowpath_accesses.store(slow_accesses_);
+  stats_.lock_splits.store(lock_splits_);
   const std::uint64_t mq = memo_.queries;
   const std::uint64_t mh = memo_.hits;
   stats_.memo_queries.store(mq);

@@ -83,8 +83,9 @@ class StintDetector final : public detect::Detector,
   void process_strand(detect::Strand* s);
   void seal_strand(detect::Strand* s);
   void cursor_flush();
-  /// Lockset change: seal the running segment, continue under the same
-  /// label with the new lockset id (DESIGN.md §12).
+  /// Lockset transition: records the held lockset and suspends or resumes
+  /// the cursor; the split itself waits for the next access (on_access,
+  /// DESIGN.md §12.3).
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
 
   Options opt_;
@@ -109,6 +110,7 @@ class StintDetector final : public detect::Detector,
   std::uint64_t strands_ = 0;
   std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
   std::uint64_t cursor_spills_ = 0;
+  std::uint64_t lock_splits_ = 0;  // segments opened by a lockset change
   std::uint64_t tail_hits_ = 0, tail_misses_ = 0;
   std::uint64_t fin_sorted_ = 0, fin_simd_ = 0;
   StopwatchAccum writer_watch_, reader_watch_;

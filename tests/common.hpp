@@ -62,6 +62,7 @@ inline const std::vector<Det>& all_detectors() {
 struct DetRun {
   bool any_race = false;
   std::uint64_t distinct = 0;
+  detect::Stats::Snapshot stats{};
 };
 
 /// Runs body() under the given detector configuration.
@@ -78,6 +79,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
     case Det::kPintSeq:
@@ -99,6 +101,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
     case Det::kCracer1:
@@ -110,6 +113,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
   }

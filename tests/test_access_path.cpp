@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -242,28 +243,31 @@ RunOut run_config(Sys sys, bool coalesce, bool fast,
   return summarize(det.reporter(), det.stats());
 }
 
-class KernelAccessPath : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(KernelAccessPath, FastPathIsBitIdenticalOnDeterministicDetectors) {
+// Runs the kernel on the fast and the slow route under STINT and phased
+// PINT and demands bit-identical results.  Both routes run on one kernel
+// instance, re-prepared (prepare() is idempotent per instance): a fresh
+// instance could place the working set's heap blocks at different relative
+// offsets (lkcache has several), which rebasing cannot cancel.
+void expect_routes_identical(const std::string& kernel, bool seeded) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
-  cfg.seeded_race = true;  // non-trivial race sets to compare
+  cfg.seeded_race = seeded;
   for (Sys sys : {Sys::kStint, Sys::kPintSeq}) {
-    auto fresh = [&] {
-      auto k = kernels::make_kernel(GetParam(), cfg);
-      k->prepare();
-      return k;
-    };
-    auto kf = fresh();
-    const RunOut fast = run_config(sys, true, true, [&] { kf->run(); });
-    auto ks = fresh();
-    const RunOut slow = run_config(sys, true, false, [&] { ks->run(); });
-    // Each run gets a fresh kernel instance (fresh heap base), so compare
-    // rebased records: every sid, kind, relative offset and interval extent
-    // must match bit-for-bit.
+    auto k = kernels::make_kernel(kernel, cfg);
+    k->prepare();
+    const RunOut fast = run_config(sys, true, true, [&] { k->run(); });
+    k->prepare();
+    const RunOut slow = run_config(sys, true, false, [&] { k->run(); });
+    // prepare() may reallocate, so compare rebased records: every sid,
+    // kind, relative offset and interval extent must match bit-for-bit.
     EXPECT_EQ(fast.rebased, slow.rebased)
         << "fast/slow records diverge, sys=" << int(sys);
     EXPECT_EQ(fast.distinct, slow.distinct);
+    // Same strand boundaries, lock-driven splits included (DESIGN.md
+    // §12.3): the sids above depend on them.
+    EXPECT_EQ(fast.stats.strands, slow.stats.strands) << "sys=" << int(sys);
+    EXPECT_EQ(fast.stats.lock_splits, slow.stats.lock_splits)
+        << "sys=" << int(sys);
     // The route split must be total: everything fast with the cursor on,
     // everything slow with it off, identical raw-access totals either way.
     EXPECT_GT(fast.stats.fastpath_accesses, 0u);
@@ -273,6 +277,12 @@ TEST_P(KernelAccessPath, FastPathIsBitIdenticalOnDeterministicDetectors) {
     EXPECT_EQ(fast.stats.raw_reads + fast.stats.raw_writes,
               slow.stats.raw_reads + slow.stats.raw_writes);
   }
+}
+
+class KernelAccessPath : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KernelAccessPath, FastPathIsBitIdenticalOnDeterministicDetectors) {
+  expect_routes_identical(GetParam(), /*seeded=*/true);  // non-trivial races
 }
 
 TEST_P(KernelAccessPath, CoalesceOnOffReportTheSameRacingPairs) {
@@ -335,6 +345,25 @@ TEST_P(KernelAccessPath, RaceFreeKernelStaysRaceFreeUnderTheCursor) {
 INSTANTIATE_TEST_SUITE_P(All, KernelAccessPath,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
+
+// The lock kernels (not in kernel_names()), guarded and seeded: a pending
+// lock split is settled by the first access, which reaches the detector on
+// the slow route either way, so both routes must cut the same segments.
+class LockKernelAccessPath
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(LockKernelAccessPath, FastPathIsBitIdenticalAcrossLockSplits) {
+  expect_routes_identical(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LockKernels, LockKernelAccessPath,
+    ::testing::Combine(::testing::Values("lkcache", "lktwin"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_seeded" : "_guarded");
+    });
 
 // Random series-parallel programs: denser spawn/sync structure than the
 // kernels, so cursor install/invalidate churns at every boundary shape.

@@ -1,11 +1,14 @@
 // Lockset matrix (DESIGN.md §12): mutex-guarded programs must report ZERO
 // races with lock edges on, their unguarded twins must keep racing, and the
 // verdicts must agree across every detector and history mode.  Also covers
-// the LocksetTable itself and memo bit-identity with lock edges enabled.
+// the LocksetTable itself, memo bit-identity with lock edges enabled, and
+// the lazy segmentation of the interval detectors (§12.3): where a lock
+// event does and does not cut a strand.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -14,6 +17,7 @@
 #include "oracle/oracle_detector.hpp"
 #include "pint/pint_detector.hpp"
 #include "stint/stint_detector.hpp"
+#include "support/spinlock.hpp"
 
 namespace pint::test {
 namespace {
@@ -240,6 +244,107 @@ TEST(LockMemo, PintShardedMemoBitIdenticalWithLockEdges) {
     det.run([&] { k->run(); });
     EXPECT_TRUE(det.reporter().any());
     if (!memo) EXPECT_EQ(det.stats().memo_queries.load(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy segmentation (DESIGN.md §12.3): a lock event only moves the held
+// lockset; the strand is cut at the first access under a different one.
+// ---------------------------------------------------------------------------
+
+// STINT and PINT phased, pipelined and sharded: the interval detectors
+// that segment lazily.
+const Det kLazySplitters[] = {Det::kStint, Det::kPintSeq, Det::kPint2,
+                              Det::kPintShard3};
+
+TEST(LockSegments, BackToBackCriticalSectionsCostNoSplit) {
+  constexpr int kSections = 64;
+  for (Det d : kLazySplitters) {
+    Spinlock mu;
+    std::uint64_t words[2] = {0, 0};
+    auto sections = [&] {
+      for (int i = 0; i < kSections; ++i) {
+        InstrumentedLockGuard<Spinlock> g(mu);
+        istore(words[0], words[0] + 1);
+      }
+    };
+    // The first access relabels the empty root segment in place; every
+    // later release/re-acquire pair returns to that lockset before the next
+    // access, so no section cuts a strand.
+    const DetRun guarded = run_under(d, sections);
+    EXPECT_EQ(guarded.stats.lock_splits, 0u) << det_name(d);
+    EXPECT_EQ(guarded.stats.slowpath_accesses, 0u) << det_name(d);
+    // One unguarded access after the last release is the first access under
+    // a new lockset in a segment with work: exactly one split.
+    const DetRun tail = run_under(d, [&] {
+      sections();
+      record_write(&words[1], sizeof(words[1]));
+    });
+    EXPECT_EQ(tail.stats.lock_splits, 1u) << det_name(d);
+    EXPECT_EQ(tail.stats.strands, guarded.stats.strands + 1) << det_name(d);
+    EXPECT_EQ(tail.stats.slowpath_accesses, 0u) << det_name(d);
+    EXPECT_EQ(tail.distinct, 0u) << det_name(d);
+  }
+}
+
+TEST(LockSegments, ReturningToTheSegmentLocksetCostsNoSplit) {
+  for (Det d : kLazySplitters) {
+    Spinlock a, b;
+    std::uint64_t words[2] = {0, 0};
+    const DetRun r = run_under(d, [&] {
+      InstrumentedLockGuard<Spinlock> ga(a);
+      istore(words[0], std::uint64_t(1));
+      { InstrumentedLockGuard<Spinlock> gb(b); }  // {A} -> {A,B} -> {A}
+      istore(words[1], std::uint64_t(2));
+    });
+    EXPECT_EQ(r.stats.lock_splits, 0u) << det_name(d);
+    EXPECT_EQ(r.stats.slowpath_accesses, 0u) << det_name(d);
+  }
+}
+
+TEST(LockSegments, ContinuationInheritsTheHeldLocksetNotThePendingOne) {
+  // The root segment records under {mu}, then releases mu and spawns with
+  // the split still pending.  The continuation holds nothing, so its bare
+  // write races with the child's guarded write of the same word; a
+  // continuation that inherited the segment's lsid would claim mu and have
+  // the lockset filter drop the race.  The racing writes are recorded, not
+  // performed, so the test itself stays race-free under TSan.
+  for (Det d : kLazySplitters) {
+    Spinlock mu;
+    std::uint64_t guarded_word = 0, shared = 0;
+    const DetRun r = run_under(d, [&] {
+      {
+        InstrumentedLockGuard<Spinlock> g(mu);
+        istore(guarded_word, std::uint64_t(1));
+      }
+      rt::SpawnScope sc;
+      sc.spawn([&] {
+        InstrumentedLockGuard<Spinlock> g(mu);
+        record_write(&shared, sizeof(shared));
+      });
+      record_write(&shared, sizeof(shared));
+      sc.sync();
+    });
+    EXPECT_GT(r.distinct, 0u) << "continuation race missed under "
+                              << det_name(d);
+  }
+}
+
+TEST(LockSegments, GuardedTwinSplitsAtMostTwicePerTask) {
+  // Eager splitting cut two segments per guarded increment; lazily, a task
+  // splits at most at its first guarded access and at its unguarded `done`
+  // write.
+  for (Det d : kLazySplitters) {
+    kernels::KernelConfig kc;
+    kc.scale = 0.5;
+    auto k = kernels::make_kernel("lktwin", kc);
+    k->prepare();
+    const std::string cfg = k->config_string();  // "tasks=N incs=..."
+    const std::uint64_t tasks = std::stoull(cfg.substr(cfg.find('=') + 1));
+    const DetRun r = run_under(d, [&] { k->run(); });
+    EXPECT_TRUE(k->verify()) << det_name(d);
+    EXPECT_EQ(r.distinct, 0u) << det_name(d);
+    EXPECT_LE(r.stats.lock_splits, 2 * tasks) << det_name(d);
   }
 }
 
