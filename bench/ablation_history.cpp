@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   bench::print_environment_note(
       "Ablation: access-history store (interval treap vs per-granule hashmap)");
-  std::printf("# scale=%.3g; PINT rows use %d core workers + 3 history workers\n\n",
+  std::printf("# scale=%.3g; PINT rows use %d core workers + 2 history workers\n\n",
               scale, workers);
   std::printf("%-6s | %12s %12s %9s | %12s %12s %9s\n", "bench",
               "STINT-treap", "STINT-hash", "hash/treap", "PINT-treap",

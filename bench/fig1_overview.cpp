@@ -3,8 +3,8 @@
 // Left half:  single-core times of baseline, STINT, PINT (one-core phased
 //             mode), and C-RACER, with race-detection overhead factors in
 //             brackets (system / baseline).
-// Right half: multi-worker times of baseline, PINT (N core workers + 3
-//             treap workers), and C-RACER (N workers), with scalability vs
+// Right half: multi-worker times of baseline, PINT (N core workers + 2
+//             history workers), and C-RACER (N workers), with scalability vs
 //             the system's own single-core run in parentheses.
 //
 // Expected shape (paper §IV-A): PINT's overhead is close to STINT's and far
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       args.kernels.empty() ? kernels::kernel_names() : args.kernels;
 
   bench::print_environment_note("Figure 1: running time overview");
-  std::printf("# scale=%.3g, parallel runs use %d workers (+3 treap workers for PINT)\n\n",
+  std::printf("# scale=%.3g, parallel runs use %d workers (+2 history workers for PINT)\n\n",
               scale, par_workers);
 
   std::printf("%-6s | %10s %18s %18s %18s | %12s %16s %16s\n", "bench",

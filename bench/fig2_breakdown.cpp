@@ -2,8 +2,9 @@
 //
 // Left half:  parallelization overhead = PINT one-core time / STINT time,
 //             and the one-core work breakdown across PINT's components
-//             (core, writer treap, right-most reader treap, left-most
-//             reader treap) measured with the phased one-core mode.
+//             (core, writer store, and the one two-sided reader store that
+//             replaces the paper's right-most and left-most reader treaps)
+//             measured with the phased one-core mode.
 // Right half: parallel execution - time until the core component finished
 //             vs total time including the asynchronous history drain.
 //
@@ -29,13 +30,13 @@ int main(int argc, char** argv) {
 
   bench::print_environment_note(
       "Figure 2: parallelization overhead and work breakdown of PINT");
-  std::printf("# scale=%.3g; parallel column uses %d core workers + 3 treap workers\n\n",
+  std::printf("# scale=%.3g; parallel column uses %d core workers + 2 "
+              "history workers\n\n",
               scale, par_workers);
 
-  std::printf("%-6s | %9s | %9s %9s %9s %9s | %9s %9s\n", "bench", "par.ovh",
-              "core(s)", "writer(s)", "rreader(s)", "lreader(s)", "parcore(s)",
-              "partotal(s)");
-  std::printf("-------+-----------+------------------------------------------"
+  std::printf("%-6s | %9s | %9s %9s %9s | %9s %9s\n", "bench", "par.ovh",
+              "core(s)", "writer(s)", "reader(s)", "parcore(s)", "partotal(s)");
+  std::printf("-------+-----------+--------------------------------"
               "+---------------------\n");
 
   for (const auto& name : kernels) {
@@ -56,18 +57,19 @@ int main(int argc, char** argv) {
     s.workers = par_workers;
     const auto pn = bench::run_spec(s);
 
-    std::printf("%-6s | %8.2fx | %9.3f %9.3f %9.3f %9.3f | %9.3f %9.3f\n",
+    // lreader_ns is the reader lane (PintDetector::run).
+    std::printf("%-6s | %8.2fx | %9.3f %9.3f %9.3f | %9.3f %9.3f\n",
                 name.c_str(), p1.seconds / stint.seconds,
                 double(p1.stats.core_ns) * 1e-9,
                 double(p1.stats.writer_ns) * 1e-9,
-                double(p1.stats.rreader_ns) * 1e-9,
                 double(p1.stats.lreader_ns) * 1e-9,
                 double(pn.stats.core_ns) * 1e-9,
                 double(pn.stats.total_ns) * 1e-9);
   }
   std::printf(
       "\n# par.ovh = PINT-1-core / STINT (paper: 1.03x-1.41x).\n"
-      "# core/writer/rreader/lreader: one-core phased work breakdown.\n"
+      "# core/writer/reader: one-core phased work breakdown (one two-sided\n"
+      "# reader store in place of the paper's rreader and lreader treaps).\n"
       "# parcore vs partotal: little gap => asynchronous history keeps up.\n");
   return 0;
 }

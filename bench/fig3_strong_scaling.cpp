@@ -1,13 +1,13 @@
 // Reproduces Figure 3: strong scaling of PINT.
 //
-// Fixed input, varying number of core workers (plus the three treap
+// Fixed input, varying number of core workers (plus the two history
 // workers). For each cell we print total time, and when the history drain
 // dominates (total noticeably above core), the core-component time in
 // parentheses - exactly the annotation style of the paper's table.
 //
 // NOTE: on a single-CPU host added workers cannot reduce wall time; the
 // harness still exercises the real multi-worker code paths (steals, traces,
-// asynchronous treap workers), and the meaningful signals are (a) the
+// asynchronous history workers), and the meaningful signals are (a) the
 // core-vs-total gap and (b) how little total time GROWS as workers are
 // added - oversubscription magnifies any shared-structure stall, so a flat
 // row here is the single-core shadow of real strong scaling.

@@ -231,7 +231,7 @@ void print_environment_note(const char* figure) {
   std::printf(
       "# Host: %u hardware thread(s). The paper used 2x20-core Xeon Gold "
       "6148;\n"
-      "# here core workers plus PINT's 3 treap workers can outnumber the\n"
+      "# here core workers plus PINT's 2 history workers can outnumber the\n"
       "# host's threads and timeslice, so parallel speedups stay far below\n"
       "# the paper's and the meaningful comparisons are the single-core\n"
       "# work/overhead ratios (see DESIGN.md, substitutions).\n",

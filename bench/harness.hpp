@@ -27,12 +27,12 @@ struct RunSpec {
   System system = System::kBaseline;
   double scale = 1.0;
   /// Workers executing the computation. For PINT these are core workers
-  /// (the three treap workers come on top, as in the paper's "P-3" setup).
+  /// (the two history workers come on top: P-2 here, the paper's P-3).
   int workers = 1;
   bool coalesce = true;
   /// Access-history store (treap vs per-granule hashmap ablation).
   detect::HistoryKind history = detect::HistoryKind::kTreap;
-  /// PINT only: >0 replaces the 3 role-workers with N address shards.
+  /// PINT only: >0 replaces the 2 role-workers with N address shards.
   int history_shards = 0;
   std::uint64_t seed = 12345;
   /// Repetitions; the minimum time is reported (paper uses the mean of 5;

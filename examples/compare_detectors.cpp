@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     const double s = double(det.stats().total_ns.load()) * 1e-9;
     const auto st = det.stats().snapshot();
     std::printf(
-        "%-10s %8.3fs  [%5.1fx]  races=%llu (%d core + 3 treap workers, "
+        "%-10s %8.3fs  [%5.1fx]  races=%llu (%d core + 2 history workers, "
         "%.0fx coalescing)\n",
         det.name(), s, s / base_s,
         (unsigned long long)det.reporter().distinct_races(), workers,

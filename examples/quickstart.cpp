@@ -42,7 +42,7 @@ void sum_range(const std::vector<long>& v, std::size_t lo, std::size_t hi,
 
 long run_detected(const std::vector<long>& v, bool shared_acc, bool* racy) {
   pint::pintd::PintDetector::Options opt;
-  opt.core_workers = 2;  // plus the three treap workers
+  opt.core_workers = 2;  // plus the two history workers
   pint::pintd::PintDetector det(opt);
   long total = 0;
   det.run([&] { sum_range(v, 0, v.size(), &total, shared_acc); });

@@ -18,8 +18,8 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     committed row;
   * any store row marked "enforced" in the committed snapshot has a fresh
     per-record speedup below the committed "speedup_bar", or any row
-    carrying "bytes_per_segment" (the fft-strided footprint) exceeds the
-    committed "footprint_bar";
+    carrying "bytes_per_segment" (the fft-strided footprints) exceeds its
+    own committed "footprint_bar", or the table's when it has none;
   * the strong-scaling efficiency at max workers (BENCH_fig3.json, emitted
     by fig3_strong_scaling --json) regressed by more than
     --scaling-tolerance (default 10%) on the kernel geomean against the
@@ -112,10 +112,11 @@ def gate_treap(baseline, fresh):
                 print(f"ok   {line}")
         if gated_footprint:
             cur = fr.get("bytes_per_segment", float("inf"))
+            bar_b = row.get("footprint_bar", footprint_bar)
             line = (f"store {name}: fresh {cur:.1f} B/segment "
                     f"(committed {row['bytes_per_segment']:.1f}, "
-                    f"bar {footprint_bar:.1f})")
-            if cur > footprint_bar:
+                    f"bar {bar_b:.1f})")
+            if cur > bar_b:
                 failures.append(f"FAIL {line}")
             else:
                 print(f"ok   {line}")

@@ -2,15 +2,15 @@
 
 // Per-granule hashmap access history - the conventional design the paper
 // contrasts with the interval treap, packaged with the SAME role semantics
-// so it can stand in for one of PINT's three treaps (or STINT's two).
+// and payloads so it can stand in for any of PINT's or STINT's stores.
 //
-// One map instance plays exactly one role: last-writer, left-most reader,
-// right-most reader, or serial reader. Like the treaps it is strictly
+// One map instance plays exactly one role: last-writer, serial reader, or
+// (ReaderGranuleMap) PINT's two-sided reader. Like the stores it is strictly
 // sequential - a single owner thread - so PINT's pipeline is unchanged and
 // benchmarking "treap vs hashmap under an identical asynchronous pipeline"
 // isolates the access-history data structure itself (ablation_history).
 //
-// Storage: open-addressing table from 8-byte granule to the accessor record,
+// Storage: open-addressing table from 8-byte granule to the payload,
 // growing by rehash at 70% load. Interval operations iterate the granules of
 // the range, which is precisely the per-location cost profile the paper's
 // interval coalescing is designed to avoid.
@@ -24,21 +24,23 @@
 
 namespace pint::detect {
 
-class GranuleMap {
+template <class P>
+class BasicGranuleMap {
  public:
+  using Payload = P;
   static constexpr std::uint64_t kGranuleBytes = 8;
 
   /// Minimum slot count: capacities below it (notably 0, whose mask would
   /// underflow to all-ones over an empty table) are rounded up to it.
   static constexpr std::size_t kMinCapacity = 16;
 
-  explicit GranuleMap(std::size_t capacity_pow2 = 1 << 12)
+  explicit BasicGranuleMap(std::size_t capacity_pow2 = 1 << 12)
       : mask_(normalized(capacity_pow2) - 1), slots_(mask_ + 1) {
     const std::size_t cap = mask_ + 1;
     PINT_CHECK_MSG((cap & (cap - 1)) == 0, "capacity must be a power of 2");
   }
 
-  /// cb(granule_lo, granule_hi, accessor) for every granule of [lo, hi]
+  /// cb(granule_lo, granule_hi, payload) for every granule of [lo, hi]
   /// with a recorded accessor. Bounds reported at granule granularity.
   template <class F>
   void query(store::addr_t lo, store::addr_t hi, F&& cb) const {
@@ -57,8 +59,8 @@ class GranuleMap {
 
   /// Last-writer semantics: report previous owners, then overwrite.
   template <class F>
-  void insert_writer(store::addr_t lo, store::addr_t hi,
-                     const store::Accessor& a, F&& cb) {
+  void insert_writer(store::addr_t lo, store::addr_t hi, const P& a,
+                     F&& cb) {
     for (std::uint64_t g = lo / kGranuleBytes; g <= hi / kGranuleBytes; ++g) {
       Slot* s = find_or_insert(g);
       if (s->occupied) {
@@ -69,16 +71,15 @@ class GranuleMap {
     }
   }
 
-  /// Reader semantics: per granule, resolve(prev, a) true => a wins.
+  /// Reader semantics: per granule, resolve(prev, a) returns the payload
+  /// that replaces prev; an empty granule takes `a`.
   template <class R>
-  void insert_reader(store::addr_t lo, store::addr_t hi,
-                     const store::Accessor& a, R&& resolve) {
+  void insert_reader(store::addr_t lo, store::addr_t hi, const P& a,
+                     R&& resolve) {
     for (std::uint64_t g = lo / kGranuleBytes; g <= hi / kGranuleBytes; ++g) {
       Slot* s = find_or_insert(g);
-      if (!s->occupied || resolve(s->who, a)) {
-        s->who = a;
-        s->occupied = true;
-      }
+      s->who = s->occupied ? resolve(s->who, a) : a;
+      s->occupied = true;
     }
   }
 
@@ -95,13 +96,12 @@ class GranuleMap {
   }
 
   template <class Iv, class F>
-  void insert_writer_run(const Iv* iv, std::size_t k, const store::Accessor& a,
-                         F&& cb) {
+  void insert_writer_run(const Iv* iv, std::size_t k, const P& a, F&& cb) {
     for (std::size_t j = 0; j < k; ++j) insert_writer(iv[j].lo, iv[j].hi, a, cb);
   }
 
   template <class Iv, class R>
-  void insert_reader_run(const Iv* iv, std::size_t k, const store::Accessor& a,
+  void insert_reader_run(const Iv* iv, std::size_t k, const P& a,
                          R&& resolve) {
     for (std::size_t j = 0; j < k; ++j) {
       insert_reader(iv[j].lo, iv[j].hi, a, resolve);
@@ -141,7 +141,7 @@ class GranuleMap {
   struct Slot {
     std::uint64_t key = 0;  // granule + 1; 0 = never used
     bool occupied = false;  // false with key != 0 = tombstone
-    store::Accessor who;
+    P who;
   };
 
   static std::size_t hash(std::uint64_t g) {
@@ -160,7 +160,8 @@ class GranuleMap {
     }
   }
   Slot* find_mutable(std::uint64_t g) {
-    return const_cast<Slot*>(static_cast<const GranuleMap*>(this)->find(g));
+    return const_cast<Slot*>(
+        static_cast<const BasicGranuleMap*>(this)->find(g));
   }
 
   Slot* find_or_insert(std::uint64_t g) {
@@ -209,5 +210,8 @@ class GranuleMap {
   std::uint64_t min_key_ = ~std::uint64_t(0);  // observed granule bounds
   std::uint64_t max_key_ = 0;
 };
+
+using GranuleMap = BasicGranuleMap<store::Accessor>;
+using ReaderGranuleMap = BasicGranuleMap<store::ReaderPair>;
 
 }  // namespace pint::detect

@@ -2,11 +2,13 @@
 
 // Shared access-history processing: how one strand record is applied to a
 // writer / reader interval store (the paper's treaps; DESIGN.md §15).  Used
-// by all three of PINT's treap workers and by STINT's synchronous
-// processing - the semantics are identical, only *when* and *on which
-// thread* they run differs (paper §III-A).
+// by PINT's two history workers and by STINT's synchronous processing - the
+// semantics are identical, only *when* and *on which thread* they run
+// differs (paper §III-A).
 
 #include <atomic>
+#include <tuple>
+#include <type_traits>
 
 #include "detect/granule_map.hpp"
 #include "detect/lockset.hpp"
@@ -47,13 +49,6 @@ inline void note_bulk_run(Stats& stats, std::size_t k) {
   stats.bulk_run_intervals.fetch_add(k, std::memory_order_relaxed);
 }
 
-/// Which reader the reader treap retains for each interval.
-enum class ReaderSide {
-  kLeftMost,   // parallel detection: first in English order
-  kRightMost,  // parallel detection: last in English order
-  kSerial,     // serial detection (STINT): replace only when in series
-};
-
 inline store::Accessor accessor_of(const Strand& s) {
   return {s.label, s.sid, s.tag, s.lsid};
 }
@@ -82,32 +77,73 @@ inline auto make_conflict_cb(store::Accessor me, bool prev_write,
   };
 }
 
-/// Reader-retention rule shared by reader inserts: the new reader wins when
-/// it is in series after the stored one, or is the side's extreme among
-/// parallel readers (stored readers are never DAG-successors of `me` thanks
-/// to DAG-conforming processing).  One Relation answers series-ness AND the
-/// left/right tiebreak (left_of(me, prev) is the negated English bit), so
-/// the memo pays off even on the resolver path.
-inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
-                                 Stats& stats, ReaderSide side,
+/// Write check against the two-sided reader store: each slot is checked on
+/// its own, and once when both slots hold the same strand.
+inline auto make_reader_conflict_cb(store::Accessor me, reach::Engine& reach,
+                                    RaceReporter& rep, Stats& stats,
+                                    reach::Engine::Memo* memo = nullptr) {
+  return [check = make_conflict_cb(me, false, true, reach, rep, stats, memo)](
+             addr_t lo, addr_t hi, const store::ReaderPair& prev) {
+    check(lo, hi, prev.left);
+    if (prev.right.sid != prev.left.sid) check(lo, hi, prev.right);
+  };
+}
+
+/// Serial (STINT) reader retention, the Feng-Leiserson rule: the new reader
+/// wins only when it is in series after the stored one.
+inline auto make_serial_resolver(store::Accessor me, reach::Engine& reach,
+                                 Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
-  return [me, &reach, &stats, side, memo](const store::Accessor& prev,
-                                          const store::Accessor& cur) {
-    (void)cur;
-    if (prev.sid == me.sid) return false;
+  return [me, &reach, &stats, memo](const store::Accessor& prev,
+                                    const store::Accessor&) {
+    if (prev.sid == me.sid) return prev;
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
     const reach::Relation r = reach.relation(prev.label, me.label, memo);
-    if (r.eng && r.heb) return true;  // prev ~> me
-    switch (side) {
-      case ReaderSide::kLeftMost:
-        return !r.eng;  // left_of(me, prev): me first in English order
-      case ReaderSide::kRightMost:
-        return r.eng;  // left_of(prev, me)
-      case ReaderSide::kSerial:
-        return false;  // Feng-Leiserson rule: keep the old parallel reader
-    }
-    return false;
+    return r.eng && r.heb ? me : prev;  // prev ~> me
   };
+}
+
+/// Two-sided reader retention: each slot follows its own reader treap's
+/// rule.  The new reader wins a slot when it is in series after the slot's
+/// reader, or lies further left (left slot) / right (right slot) in English
+/// order (stored readers never succeed `me`: processing is DAG-conforming).
+/// One Relation answers both (left_of(me, prev) is the negated English bit),
+/// so slots holding one strand cost one query.
+inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
+                                 Stats& stats,
+                                 reach::Engine::Memo* memo = nullptr) {
+  return [me, &reach, &stats, memo](const store::ReaderPair& prev,
+                                    const store::ReaderPair&) {
+    auto relation = [&](const store::Accessor& a) {
+      stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
+      return reach.relation(a.label, me.label, memo);
+    };
+    store::ReaderPair out = prev;
+    reach::Relation r{};
+    if (prev.left.sid != me.sid) {
+      r = relation(prev.left);
+      if (!r.eng || r.heb) out.left = me;  // prev ~> me, or me left of prev
+    }
+    if (prev.right.sid != me.sid) {
+      if (prev.right.sid != prev.left.sid) r = relation(prev.right);
+      if (r.eng) out.right = me;  // prev ~> me, or prev left of me
+    }
+    return out;
+  };
+}
+
+/// Hands a record list to run(intervals, k): as one sorted run when bulk
+/// apply is on and the list is canonical, else one interval at a time.
+template <class Run>
+inline void for_each_run(const AccessBuffer& buf, Stats& stats, Run&& run) {
+  const auto& items = buf.items();
+  if (items.empty()) return;
+  if (bulk_apply() && buf.canonical()) {
+    note_bulk_run(stats, items.size());
+    run(items.data(), items.size());
+  } else {
+    for (const Interval& iv : items) run(&iv, 1);
+  }
 }
 
 /// Reads checked against the last-writer history, then writes checked
@@ -121,65 +157,48 @@ inline void process_writer_treap(History& t, const Strand& s,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
   const store::Accessor me = accessor_of(s);
-  const bool bulk = bulk_apply();
-  const auto& reads = s.reads.items();
-  if (bulk && s.reads.canonical() && !reads.empty()) {
-    note_bulk_run(stats, reads.size());
-    t.query_run(reads.data(), reads.size(),
-                make_conflict_cb(me, true, false, reach, rep, stats, memo));
-  } else {
-    for (const Interval& r : reads) {
-      t.query(r.lo, r.hi,
-              make_conflict_cb(me, true, false, reach, rep, stats, memo));
-    }
-  }
-  const auto& writes = s.writes.items();
-  if (bulk && s.writes.canonical() && !writes.empty()) {
-    note_bulk_run(stats, writes.size());
-    t.insert_writer_run(
-        writes.data(), writes.size(), me,
-        make_conflict_cb(me, true, true, reach, rep, stats, memo));
-  } else {
-    for (const Interval& w : writes) {
-      t.insert_writer(
-          w.lo, w.hi, me,
-          make_conflict_cb(me, true, true, reach, rep, stats, memo));
-    }
-  }
+  const auto on_read = make_conflict_cb(me, true, false, reach, rep, stats,
+                                        memo);
+  for_each_run(s.reads, stats, [&](const Interval* iv, std::size_t k) {
+    t.query_run(iv, k, on_read);
+  });
+  const auto on_write = make_conflict_cb(me, true, true, reach, rep, stats,
+                                         memo);
+  for_each_run(s.writes, stats, [&](const Interval* iv, std::size_t k) {
+    t.insert_writer_run(iv, k, me, on_write);
+  });
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
   for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);
 }
 
-/// Writes checked against the reader history, then reads inserted with the
-/// side's retention rule, then clears applied.
+/// Writes checked against the reader history, then reads inserted with its
+/// retention rule, then clears applied.  The store's payload picks the rule:
+/// a ReaderPair store keeps both extremes (PINT), a one-sided store keeps
+/// the serial reader (STINT).
 template <class History>
 inline void process_reader_treap(History& t, const Strand& s,
                                  reach::Engine& reach, RaceReporter& rep,
-                                 Stats& stats, ReaderSide side,
+                                 Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
   const store::Accessor me = accessor_of(s);
-  const bool bulk = bulk_apply();
-  const auto& writes = s.writes.items();
-  if (bulk && s.writes.canonical() && !writes.empty()) {
-    note_bulk_run(stats, writes.size());
-    t.query_run(writes.data(), writes.size(),
-                make_conflict_cb(me, false, true, reach, rep, stats, memo));
-  } else {
-    for (const Interval& w : writes) {
-      t.query(w.lo, w.hi,
-              make_conflict_cb(me, false, true, reach, rep, stats, memo));
+  const auto [check, fresh, resolve] = [&] {
+    if constexpr (std::is_same_v<typename History::Payload,
+                                 store::ReaderPair>) {
+      return std::tuple{make_reader_conflict_cb(me, reach, rep, stats, memo),
+                        store::ReaderPair{me, me},
+                        make_reader_resolver(me, reach, stats, memo)};
+    } else {
+      return std::tuple{
+          make_conflict_cb(me, false, true, reach, rep, stats, memo), me,
+          make_serial_resolver(me, reach, stats, memo)};
     }
-  }
-  const auto resolve = make_reader_resolver(me, reach, stats, side, memo);
-  const auto& reads = s.reads.items();
-  if (bulk && s.reads.canonical() && !reads.empty()) {
-    note_bulk_run(stats, reads.size());
-    t.insert_reader_run(reads.data(), reads.size(), me, resolve);
-  } else {
-    for (const Interval& r : reads) {
-      t.insert_reader(r.lo, r.hi, me, resolve);
-    }
-  }
+  }();
+  for_each_run(s.writes, stats, [&](const Interval* iv, std::size_t k) {
+    t.query_run(iv, k, check);
+  });
+  for_each_run(s.reads, stats, [&](const Interval* iv, std::size_t k) {
+    t.insert_reader_run(iv, k, fresh, resolve);
+  });
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
   for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);
 }

@@ -2,7 +2,8 @@
 
 // Counters and component timings collected during a detection run.  The
 // work-breakdown fields (core/writer/lreader/rreader) feed the Fig. 2
-// harness directly.
+// harness directly (PINT's one reader lane reports as lreader_ns; sharded
+// mode: busiest shard in lreader_ns, the shard total in rreader_ns).
 //
 // Every counter is declared once, in PINT_STATS_COUNTERS below: the table
 // generates the atomics, clear(), Snapshot and snapshot(), and exporters

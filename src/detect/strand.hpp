@@ -8,7 +8,7 @@
 // heap frees, the retired fiber whose stack must not be reused early).
 //
 // Only the *label* is persistent: treaps copy {label, sid} into their nodes,
-// so the Strand object itself is recycled once all three treap workers have
+// so the Strand object itself is recycled once every history worker has
 // processed it (the paper's fetch-and-add consumer counter).
 
 #include <atomic>
@@ -56,7 +56,7 @@ struct Strand {
   Strand* collect_child = nullptr;
 
   // --- recycling ---
-  /// Remaining treap workers that have not yet processed this strand.
+  /// Remaining history workers that have not yet processed this strand.
   std::atomic<std::int32_t> consumers{0};
   /// Finished task frame whose fiber stack is retired by this (return-node)
   /// strand; the writer returns it to the scheduler pool when it processes

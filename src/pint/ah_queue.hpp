@@ -2,13 +2,13 @@
 
 // The access-history queue (paper §III-D).
 //
-// A single producer - the writer treap worker - inserts collected strands in
-// DAG-conforming order; all three treap workers consume the same sequence
-// through private cursors, which is what guarantees every treap observes one
+// A single producer - the writer history worker - inserts collected strands in
+// DAG-conforming order; every history worker consumes the same sequence
+// through private cursors, which is what guarantees every store observes one
 // global access-history order (Lemma 4).
 //
 // Slot recycling follows the paper: each strand carries a consumer counter
-// initialised to the number of treap workers; each worker decrements it
+// initialised to the number of history workers; each worker decrements it
 // after processing, and the producer reclaims slots (recycling the strand
 // and releasing its retired fiber already happened at processing time) once
 // the counter hits zero.

@@ -16,7 +16,6 @@
 
 namespace pint::pintd {
 
-using detect::ReaderSide;
 using detect::Strand;
 
 namespace {
@@ -112,14 +111,21 @@ PintDetector::PintDetector(const Options& opt)
     ws_.push_back(std::move(ws));
   }
   seq_history_ = !opt_.parallel_history;
+  // Only the memos this mode reads (each a 1 MiB zero-fill): the writer's,
+  // shared by the phased reader phase, and the pipelined reader's.
+  if (opt_.tuning.memo && shards_.empty()) {
+    memo_writer_ = std::make_unique<reach::Engine::Memo>();
+    if (opt_.parallel_history) {
+      memo_reader_ = std::make_unique<reach::Engine::Memo>();
+    }
+  }
 
-  // One monitored lane per queue consumer (2 readers, or N shards).
-  const int nlanes = shards_.empty() ? 2 : int(shards_.size());
+  // One monitored lane per queue consumer (the reader, or N shards).
+  const int nlanes = shards_.empty() ? 1 : int(shards_.size());
   for (int i = 0; i < nlanes; ++i) {
     auto lane = std::make_unique<ConsumerLane>();
     if (shards_.empty()) {
-      std::snprintf(lane->name, sizeof(lane->name), "%s",
-                    i == 0 ? "lreader" : "rreader");
+      std::snprintf(lane->name, sizeof(lane->name), "reader");
     } else {
       std::snprintf(lane->name, sizeof(lane->name), "shard%d", i);
     }
@@ -650,7 +656,7 @@ void PintDetector::collect(Strand* s) {
   // between the two on the writer track.
   PINT_TSPAN("collect.strand");
   const std::int32_t nconsumers =
-      shards_.empty() ? 3 : std::int32_t(shards_.size());
+      shards_.empty() ? 2 : std::int32_t(shards_.size());
   s->consumers.store(nconsumers, std::memory_order_release);
   bool published = true;
   Backoff bo;
@@ -722,14 +728,14 @@ void PintDetector::process_writer(Strand* s) {
     PINT_TSPAN("writer.strand");
     if (!shards_.empty()) {
       // Sharded mode: the collector does no history work itself; shards own
-      // all three stores. Deferred resources are still released here (the
+      // both stores. Deferred resources are still released here (the
       // queue-order argument of paper SIII-F is unchanged).
     } else if (opt_.history == detect::HistoryKind::kTreap) {
       detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_,
-                                   opt_.tuning.memo ? &memo_writer_ : nullptr);
+                                   memo_writer_.get());
     } else {
       detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_,
-                                   opt_.tuning.memo ? &memo_writer_ : nullptr);
+                                   memo_writer_.get());
     }
     // Deferred frees become real here: any later reuse of this memory is by
     // a strand collected after s, so each treap erases the range before
@@ -878,38 +884,31 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
   stats_.prefetch_issues.fetch_add(prefetches, std::memory_order_relaxed);
 }
 
-void PintDetector::reader_loop(ReaderSide side) {
-  const bool left = side == ReaderSide::kLeftMost;
-  telem::set_thread_role(left ? "lreader" : "rreader");
-  const char* span_name = left ? "lreader.strand" : "rreader.strand";
-  store::IntervalStore& t = left ? lreader_treap_ : rreader_treap_;
-  detect::GranuleMap& m = left ? lreader_map_ : rreader_map_;
+void PintDetector::reader_loop() {
+  telem::set_thread_role("reader");
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
-  StopwatchAccum& watch = left ? lreader_watch_ : rreader_watch_;
-  ConsumerLane& lane = *lanes_[left ? 0 : 1];
-  // Phased one-core mode runs all three lanes on this one thread, so they
-  // can share the writer lane's memo: a strand pair already judged while
-  // walking the writer treap (strands that both wrote and read a region
-  // appear in all three stores) is served from cache here too.  Pipelined
-  // mode keeps one single-threaded cache per lane.
+  // Phased one-core mode runs both lanes on this one thread, so they share
+  // the writer lane's memo: a strand pair already judged while walking the
+  // writer store (strands that both wrote and read a region appear in both
+  // stores) is served from cache here too.  Pipelined mode keeps one
+  // single-threaded cache per lane.
   reach::Engine::Memo* memo =
-      !opt_.tuning.memo
-          ? nullptr
-          : (seq_history_ ? &memo_writer_
-                          : (left ? &memo_lreader_ : &memo_rreader_));
+      seq_history_ ? memo_writer_.get() : memo_reader_.get();
   const bool pw = phase_watch_;
-  consume_loop(lane, [&](Strand* s) {
-    if (!pw) watch.start();
+  consume_loop(*lanes_[0], [&](Strand* s) {
+    if (!pw) reader_watch_.start();
     {
       // Nested inside the watch (see process_writer): span sum ~= *_ns.
-      telem::ScopedSpan span(span_name);
+      PINT_TSPAN("reader.strand");
       if (use_treap) {
-        detect::process_reader_treap(t, *s, reach_, rep_, stats_, side, memo);
+        detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_,
+                                     memo);
       } else {
-        detect::process_reader_treap(m, *s, reach_, rep_, stats_, side, memo);
+        detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_,
+                                     memo);
       }
     }
-    if (!pw) watch.stop();
+    if (!pw) reader_watch_.stop();
   });
 }
 
@@ -957,13 +956,10 @@ void PintDetector::finish_history_sequential() {
     }
     return;
   }
-  // Phase 2 & 3: the two reader treaps over the same global order.
-  if (pw) lreader_watch_.start();
-  reader_loop(ReaderSide::kLeftMost);
-  if (pw) lreader_watch_.stop();
-  if (pw) rreader_watch_.start();
-  reader_loop(ReaderSide::kRightMost);
-  if (pw) rreader_watch_.stop();
+  // Phase 2: the two-sided reader store over the same global order.
+  if (pw) reader_watch_.start();
+  reader_loop();
+  if (pw) reader_watch_.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -991,7 +987,7 @@ bool PintDetector::spawn_history_threads(std::thread* writer,
   // rolled over to sequential-history mode with no shared state poisoned.
   gate_.store(0, std::memory_order_release);
   try {
-    history->reserve(shards_.empty() ? 2 : shards_.size());
+    history->reserve(lanes_.size());  // one thread per consumer lane
     if (PINT_FAILPOINT("history.spawn")) {
       throw std::system_error(
           std::make_error_code(std::errc::resource_unavailable_try_again),
@@ -1000,30 +996,20 @@ bool PintDetector::spawn_history_threads(std::thread* writer,
     *writer = std::thread([this] {
       if (wait_gate(gate_)) writer_loop();
     });
-    if (shards_.empty()) {
-      for (int i = 0; i < 2; ++i) {
-        if (PINT_FAILPOINT("history.spawn")) {
-          throw std::system_error(
-              std::make_error_code(std::errc::resource_unavailable_try_again),
-              "injected history.spawn failure");
-        }
-        const ReaderSide side =
-            i == 0 ? ReaderSide::kLeftMost : ReaderSide::kRightMost;
-        history->emplace_back([this, side] {
-          if (wait_gate(gate_)) reader_loop(side);
-        });
+    for (int k = 0; k < int(lanes_.size()); ++k) {
+      if (PINT_FAILPOINT("history.spawn")) {
+        throw std::system_error(
+            std::make_error_code(std::errc::resource_unavailable_try_again),
+            "injected history.spawn failure");
       }
-    } else {
-      for (int k = 0; k < int(shards_.size()); ++k) {
-        if (PINT_FAILPOINT("history.spawn")) {
-          throw std::system_error(
-              std::make_error_code(std::errc::resource_unavailable_try_again),
-              "injected history.spawn failure");
+      history->emplace_back([this, k] {
+        if (!wait_gate(gate_)) return;
+        if (shards_.empty()) {
+          reader_loop();
+        } else {
+          shard_loop(k);
         }
-        history->emplace_back([this, k] {
-          if (wait_gate(gate_)) shard_loop(k);
-        });
-      }
+      });
     }
   } catch (const std::exception& e) {
     // std::system_error from std::thread, or bad_alloc growing *history -
@@ -1202,8 +1188,8 @@ RunResult PintDetector::run(std::function<void()> fn) {
   sampler.stop();
   stats_.writer_ns.store(writer_watch_.total_ns());
   if (shards_.empty()) {
-    stats_.lreader_ns.store(lreader_watch_.total_ns());
-    stats_.rreader_ns.store(rreader_watch_.total_ns());
+    // One reader lane: it is lreader_ns, and rreader_ns stays 0.
+    stats_.lreader_ns.store(reader_watch_.total_ns());
   } else {
     // Sharded mode: lreader_ns = busiest shard, rreader_ns = total shard work.
     std::uint64_t mx = 0, sum = 0;
@@ -1239,10 +1225,12 @@ RunResult PintDetector::run(std::function<void()> fn) {
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
   // Memo-cache totals: all history threads are joined (quiescence), so the
   // plain per-cache counters are safe to sum here.
-  std::uint64_t mq = memo_writer_.queries + memo_lreader_.queries +
-                     memo_rreader_.queries;
-  std::uint64_t mh =
-      memo_writer_.hits + memo_lreader_.hits + memo_rreader_.hits;
+  std::uint64_t mq = 0, mh = 0;
+  for (const auto* m : {memo_writer_.get(), memo_reader_.get()}) {
+    if (m == nullptr) continue;
+    mq += m->queries;
+    mh += m->hits;
+  }
   for (const auto& sh : shards_) {
     mq += sh->memo.queries;
     mh += sh->memo.hits;

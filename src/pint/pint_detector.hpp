@@ -8,17 +8,18 @@
 //    (in the paper's WSP-Order role), coalesce each strand's accesses into
 //    intervals, and deposit finished strands into per-worker trace FIFOs
 //    (Algorithm 1).
-//  * ACCESS-HISTORY COMPONENT: three treap workers run asynchronously.  The
-//    WRITER treap worker collects ready strands from the traces in a
+//  * ACCESS-HISTORY COMPONENT: two history workers run asynchronously.  The
+//    WRITER worker collects ready strands from the traces in a
 //    DAG-conforming order (Algorithm 2 + collection rules), appends them to
-//    the shared access-history queue, maintains the last-writer treap,
+//    the shared access-history queue, maintains the last-writer store,
 //    performs deferred heap frees, and releases retired fiber stacks.  The
-//    two READER treap workers follow the queue with private cursors and
-//    maintain the left-most / right-most reader treaps.
+//    READER worker follows the queue with a private cursor and maintains
+//    one two-sided store holding both the left-most and the right-most
+//    reader of every segment (the paper's two reader treaps; DESIGN.md §3).
 //
 // One-core mode (`parallel_history = false`) reproduces the paper's
 // single-core PINT measurement: the core component runs to completion first
-// and the three treap phases run afterwards on the calling thread, which
+// and the two history phases run afterwards on the calling thread, which
 // makes the Fig. 2 work breakdown directly measurable.
 
 #include <atomic>
@@ -55,14 +56,14 @@ class PintDetector final : public detect::Detector,
                            public rt::SchedulerHooks {
  public:
   struct Options : detect::CommonOptions {
-    /// Workers executing the program (the paper's "P - 3 core workers").
+    /// Workers executing the program (P - 2 here, the paper's P - 3).
     int core_workers = 1;
-    /// True: three concurrent treap workers (the real PINT). False: phased
+    /// True: two concurrent history workers (the real PINT). False: phased
     /// one-core execution used for the overhead measurements.
     bool parallel_history = true;
-    /// 0 = the paper's three role-workers (writer/lreader/rreader).
+    /// 0 = the two role-workers (writer, two-sided reader).
     /// N > 0 = the §VI extension: N address-sharded history workers, each
-    /// owning all three stores for its stripes (requires kTreap).
+    /// owning both stores for its stripes (requires kTreap).
     int history_shards = 0;
     std::size_t queue_capacity = std::size_t(1) << 16;
     /// Sequential one-core mode buffers the whole run in the ring and grows
@@ -191,7 +192,7 @@ class PintDetector final : public detect::Detector,
 
   // access-history component
   void writer_loop();
-  void reader_loop(detect::ReaderSide side);
+  void reader_loop();
   void shard_loop(int shard);
   /// Collects ready strands from one worker's traces (bounded batch).
   /// Returns true if progress was made; sets *drained when nothing can ever
@@ -216,17 +217,15 @@ class PintDetector final : public detect::Detector,
   detect::Stats stats_;
   AhQueue queue_;
   store::IntervalStore writer_treap_;
-  store::IntervalStore lreader_treap_;
-  store::IntervalStore rreader_treap_;
+  store::ReaderStore reader_treap_;
   detect::GranuleMap writer_map_;
-  detect::GranuleMap lreader_map_;
-  detect::GranuleMap rreader_map_;
+  detect::ReaderGranuleMap reader_map_;
   // Per-history-worker precedes() memo caches: each is touched only by the
-  // one thread that owns the matching store (sharded mode keeps its own
-  // cache inside each HistoryShard).
-  reach::Engine::Memo memo_writer_;
-  reach::Engine::Memo memo_lreader_;
-  reach::Engine::Memo memo_rreader_;
+  // one thread that owns the matching store.  Allocated only for the modes
+  // that read them (see the constructor); sharded mode keeps its own cache
+  // inside each HistoryShard.
+  std::unique_ptr<reach::Engine::Memo> memo_writer_;
+  std::unique_ptr<reach::Engine::Memo> memo_reader_;
   std::vector<std::unique_ptr<HistoryShard>> shards_;
 
   std::vector<std::unique_ptr<CoreWS>> ws_;
@@ -261,7 +260,7 @@ class PintDetector final : public detect::Detector,
   /// rolled back and rerun sequentially.
   std::atomic<int> gate_{0};
   /// Monitored heartbeats: writer progress, collector backoff liveness,
-  /// one lane per queue consumer (2 readers or N shards).
+  /// one lane per queue consumer (the reader or N shards).
   Heartbeat hb_writer_;
   Heartbeat hb_backoff_;
   std::vector<std::unique_ptr<ConsumerLane>> lanes_;
@@ -289,7 +288,7 @@ class PintDetector final : public detect::Detector,
   std::atomic<std::int64_t> chunks_outstanding_{0};
   std::atomic<std::int64_t> strands_outstanding_{0};
 
-  StopwatchAccum writer_watch_, lreader_watch_, rreader_watch_;
+  StopwatchAccum writer_watch_, reader_watch_;
   std::vector<reach::Engine::Label> collection_log_;  // writer-thread only
 };
 

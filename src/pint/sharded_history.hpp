@@ -4,9 +4,9 @@
 // §VI future-work direction: "parallelize the treap accesses since they are
 // increasingly more likely to become the bottleneck".
 //
-// Instead of one worker per ROLE (writer / left-most / right-most), N
-// history workers each own all three stores for a disjoint ADDRESS STRIPE
-// set (64 KiB stripes, round-robin).  Every worker consumes the same
+// Instead of one worker per ROLE (writer / two-sided reader), N history
+// workers each own both stores for a disjoint ADDRESS STRIPE set (64 KiB
+// stripes, round-robin).  Every worker consumes the same
 // access-history queue in the same DAG-conforming order and applies only
 // the pieces of each interval that fall into its stripes.
 //
@@ -57,138 +57,104 @@ inline void for_shard_pieces(detect::addr_t lo, detect::addr_t hi, int shard,
   }
 }
 
-/// One history shard: the full three-store summary for its stripes.
+/// One history shard: the full writer + reader summary for its stripes.
 struct HistoryShard {
   store::IntervalStore writer;
-  store::IntervalStore lreader;
-  store::IntervalStore rreader;
+  store::ReaderStore reader;
   StopwatchAccum watch;
   // precedes() memo - touched only by this shard's worker thread, like the
   // stores above.  Counters summed into Stats at run end (quiescence).
   reach::Engine::Memo memo;
 
   /// Applies one strand record to this shard (reads checked then inserted,
-  /// writes checked against all three stores then inserted, clears/frees
-  /// erased) - the same order as the three dedicated workers use, restricted
-  /// to this shard's stripes.
+  /// writes checked against both stores then inserted, clears/frees erased)
+  /// - the same order as the two dedicated workers use, restricted to this
+  /// shard's stripes.
   ///
   /// Bulk path (DESIGN.md §10): a canonical record list's shard pieces -
   /// sorted pieces of sorted disjoint intervals - form one sorted disjoint
   /// run, so each store takes ONE *_run call per phase instead of one
   /// operation per piece.  The race-report SET is unchanged (queries don't
   /// mutate and the per-store event sequences are identical); only the
-  /// interleaving of the three stores' reports within a strand moves.
+  /// interleaving of the two stores' reports within a strand moves.
   void process(const detect::Strand& s, int shard, int nshards,
                reach::Engine& reach, detect::RaceReporter& rep,
                detect::Stats& stats, bool use_memo = true) {
-    using detect::ReaderSide;
+    using detect::Interval;
     const store::Accessor me = detect::accessor_of(s);
-    const bool bulk = detect::bulk_apply();
     reach::Engine::Memo* const mm = use_memo ? &memo : nullptr;
-
-    if (bulk && s.reads.canonical()) {
-      gather_pieces(s.reads.items(), shard, nshards);
-      if (!run_buf_.empty()) {
-        detect::note_bulk_run(stats, run_buf_.size());
-        writer.query_run(run_buf_.data(), run_buf_.size(),
-                         detect::make_conflict_cb(me, true, false, reach, rep,
-                                                  stats, mm));
-      }
-    } else {
-      for (const detect::Interval& r : s.reads.items()) {
-        for_shard_pieces(r.lo, r.hi, shard, nshards, [&](auto lo, auto hi) {
-          writer.query(lo, hi, detect::make_conflict_cb(me, true, false, reach,
-                                                        rep, stats, mm));
-        });
-      }
-    }
-    if (bulk && s.writes.canonical()) {
-      gather_pieces(s.writes.items(), shard, nshards);
-      if (!run_buf_.empty()) {
-        detect::note_bulk_run(stats, run_buf_.size() * 3);
-        lreader.query_run(run_buf_.data(), run_buf_.size(),
-                          detect::make_conflict_cb(me, false, true, reach, rep,
-                                                   stats, mm));
-        rreader.query_run(run_buf_.data(), run_buf_.size(),
-                          detect::make_conflict_cb(me, false, true, reach, rep,
-                                                   stats, mm));
-        writer.insert_writer_run(run_buf_.data(), run_buf_.size(), me,
-                                 detect::make_conflict_cb(me, true, true, reach,
-                                                          rep, stats, mm));
-      }
-    } else {
-      for (const detect::Interval& w : s.writes.items()) {
-        for_shard_pieces(w.lo, w.hi, shard, nshards, [&](auto lo, auto hi) {
-          lreader.query(lo, hi, detect::make_conflict_cb(me, false, true, reach,
-                                                         rep, stats, mm));
-          rreader.query(lo, hi, detect::make_conflict_cb(me, false, true, reach,
-                                                         rep, stats, mm));
-          writer.insert_writer(lo, hi, me,
-                               detect::make_conflict_cb(me, true, true, reach,
-                                                        rep, stats, mm));
-        });
-      }
-    }
-    const auto lresolve = detect::make_reader_resolver(
-        me, reach, stats, ReaderSide::kLeftMost, mm);
-    const auto rresolve = detect::make_reader_resolver(
-        me, reach, stats, ReaderSide::kRightMost, mm);
-    if (bulk && s.reads.canonical()) {
-      gather_pieces(s.reads.items(), shard, nshards);
-      if (!run_buf_.empty()) {
-        detect::note_bulk_run(stats, run_buf_.size() * 2);
-        lreader.insert_reader_run(run_buf_.data(), run_buf_.size(), me,
-                                  lresolve);
-        rreader.insert_reader_run(run_buf_.data(), run_buf_.size(), me,
-                                  rresolve);
-      }
-    } else {
-      for (const detect::Interval& r : s.reads.items()) {
-        for_shard_pieces(r.lo, r.hi, shard, nshards, [&](auto lo, auto hi) {
-          lreader.insert_reader(lo, hi, me, lresolve);
-          rreader.insert_reader(lo, hi, me, rresolve);
-        });
-      }
-    }
+    const auto on_read =
+        detect::make_conflict_cb(me, true, false, reach, rep, stats, mm);
+    for_each_piece_run(s.reads, shard, nshards, stats, 1,
+                       [&](const Interval* iv, std::size_t k) {
+                         writer.query_run(iv, k, on_read);
+                       });
+    const auto on_write_reader =
+        detect::make_reader_conflict_cb(me, reach, rep, stats, mm);
+    const auto on_write =
+        detect::make_conflict_cb(me, true, true, reach, rep, stats, mm);
+    for_each_piece_run(s.writes, shard, nshards, stats, 2,
+                       [&](const Interval* iv, std::size_t k) {
+                         reader.query_run(iv, k, on_write_reader);
+                         writer.insert_writer_run(iv, k, me, on_write);
+                       });
+    const store::ReaderPair fresh{me, me};
+    const auto resolve = detect::make_reader_resolver(me, reach, stats, mm);
+    for_each_piece_run(s.reads, shard, nshards, stats, 1,
+                       [&](const Interval* iv, std::size_t k) {
+                         reader.insert_reader_run(iv, k, fresh, resolve);
+                       });
     // One interval's shard pieces are always a sorted disjoint run, so the
     // clears/frees (arbitrary-order lists) erase one run per interval.
-    for (const detect::Interval& c : s.clears) erase_pieces(c.lo, c.hi, shard, nshards, bulk);
-    for (const detect::HeapFree& f : s.frees) erase_pieces(f.lo, f.hi, shard, nshards, bulk);
+    auto erase = [&](const Interval* iv, std::size_t k) {
+      writer.erase_run(iv, k);
+      reader.erase_run(iv, k);
+    };
+    for (const Interval& c : s.clears) {
+      gather_pieces(&c, 1, shard, nshards);
+      apply_pieces(detect::bulk_apply(), erase);
+    }
+    for (const detect::HeapFree& f : s.frees) {
+      const Interval freed{f.lo, f.hi};
+      gather_pieces(&freed, 1, shard, nshards);
+      apply_pieces(detect::bulk_apply(), erase);
+    }
   }
 
  private:
-  /// Collects this shard's pieces of every interval in the (canonical) list
-  /// into run_buf_.  Piece order within an interval is ascending and the
-  /// intervals are sorted and disjoint, so the concatenation is one sorted
-  /// disjoint run.
-  template <class List>
-  void gather_pieces(const List& items, int shard, int nshards) {
+  /// Collects this shard's pieces of iv[0, n) into run_buf_.  Piece order
+  /// within an interval is ascending, so for a canonical (sorted, disjoint)
+  /// list the concatenation is one sorted disjoint run.
+  void gather_pieces(const detect::Interval* iv, std::size_t n, int shard,
+                     int nshards) {
     run_buf_.clear();
-    for (const auto& it : items) {
-      for_shard_pieces(it.lo, it.hi, shard, nshards, [&](auto lo, auto hi) {
-        run_buf_.push_back({lo, hi});
-      });
+    for (std::size_t j = 0; j < n; ++j) {
+      for_shard_pieces(iv[j].lo, iv[j].hi, shard, nshards,
+                       [&](auto lo, auto hi) { run_buf_.push_back({lo, hi}); });
     }
   }
 
-  void erase_pieces(detect::addr_t lo, detect::addr_t hi, int shard,
-                    int nshards, bool bulk) {
-    if (bulk) {
-      run_buf_.clear();
-      for_shard_pieces(lo, hi, shard, nshards, [&](auto plo, auto phi) {
-        run_buf_.push_back({plo, phi});
-      });
-      if (run_buf_.empty()) return;
-      writer.erase_run(run_buf_.data(), run_buf_.size());
-      lreader.erase_run(run_buf_.data(), run_buf_.size());
-      rreader.erase_run(run_buf_.data(), run_buf_.size());
+  /// Hands run_buf_ to run(pieces, k): whole, or one piece at a time.
+  template <class Run>
+  void apply_pieces(bool as_run, Run&& run) {
+    if (as_run) {
+      run(run_buf_.data(), run_buf_.size());
     } else {
-      for_shard_pieces(lo, hi, shard, nshards, [&](auto plo, auto phi) {
-        writer.erase_range(plo, phi);
-        lreader.erase_range(plo, phi);
-        rreader.erase_range(plo, phi);
-      });
+      for (const detect::Interval& p : run_buf_) run(&p, 1);
     }
+  }
+
+  /// This shard's pieces of a record list, as one run per `stores` store
+  /// when bulk apply is on and the list is canonical, else piece by piece.
+  template <class Run>
+  void for_each_piece_run(const detect::AccessBuffer& buf, int shard,
+                          int nshards, detect::Stats& stats,
+                          std::size_t stores, Run&& run) {
+    gather_pieces(buf.items().data(), buf.items().size(), shard, nshards);
+    if (run_buf_.empty()) return;
+    const bool as_run = detect::bulk_apply() && buf.canonical();
+    if (as_run) detect::note_bulk_run(stats, run_buf_.size() * stores);
+    apply_pieces(as_run, run);
   }
 
   std::vector<detect::Interval> run_buf_;  // shard-worker private scratch

@@ -29,7 +29,7 @@
 //   int main() {
 //     std::vector<long> v(1);
 //     pint::DetectorSpec spec;             // defaults: PINT, 1 core worker
-//     spec.workers = 4;                    // + 3 treap workers
+//     spec.workers = 4;                    // + 2 history workers
 //     auto det = pint::make_detector(spec);
 //     det->run([&] { work(v); });
 //     return det->reporter().any() ? 1 : 0;

@@ -103,10 +103,10 @@ void StintDetector::process_strand(Strand* s) {
     PINT_TSPAN("stint.reader");
     if (opt_.history == detect::HistoryKind::kTreap) {
       detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_,
-                                   detect::ReaderSide::kSerial, memo);
+                                   memo);
     } else {
       detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_,
-                                   detect::ReaderSide::kSerial, memo);
+                                   memo);
     }
   }
   reader_watch_.stop();

@@ -4,20 +4,21 @@
 // (DESIGN.md §15).
 //
 // Stores disjoint, inclusive byte intervals [lo, hi], each owned by one
-// accessor (a strand's reachability label + id).  This is the structure the
-// paper calls the interval treap; the segment-level behaviour is the
-// treap's, only the layout differs (DESIGN.md §3).  Three mutation flavors
-// match the three roles a store plays in PINT:
+// payload: an accessor (a strand's reachability label + id), or PINT's
+// (left-most, right-most) reader pair.  This is the structure the paper
+// calls the interval treap; the segment-level behaviour is the treap's,
+// only the layout differs (DESIGN.md §3).  Three mutation flavors match the
+// roles a store plays:
 //
 //  * insert_writer  - "last writer" semantics: every overlapped segment is
 //    reported to a callback (race check), then the new accessor replaces the
 //    overlap exactly; partially-overlapped old intervals are truncated, e.g.
 //    {[1,4]:u, [6,10]:v} + write [3,7]:w  =>  {[1,2]:u, [3,7]:w, [8,10]:v}.
 //  * insert_reader  - "relevant reader" semantics: each overlapped segment
-//    keeps either the previous or the new accessor, decided by a resolver
+//    takes the payload a resolver picks from the previous and the new one
 //    (series => new; parallel => left/right-most by English order); gaps
-//    inside [lo, hi] always take the new accessor, and adjacent pieces of
-//    the SAME call with the same winner coalesce.
+//    inside [lo, hi] always take the new payload, and adjacent pieces of
+//    the SAME call with the same owners in every slot coalesce.
 //  * erase_range    - clears [lo, hi] (stack-frame clearing at spawned
 //    function return, and freed heap ranges; paper §III-F).
 //
@@ -71,15 +72,31 @@ struct Accessor {
   std::uint32_t lsid = 0;     // interned lockset held during the accesses
 };
 
-class IntervalStore {
+/// Two-sided reader payload: the left-most and the right-most reader of a
+/// segment, the per-byte contents of the paper's two reader treaps.
+struct ReaderPair {
+  Accessor left, right;
+};
+
+/// Coalescing identity: every slot holds the same strand.
+inline bool same_owner(const Accessor& a, const Accessor& b) {
+  return a.sid == b.sid;
+}
+inline bool same_owner(const ReaderPair& a, const ReaderPair& b) {
+  return a.left.sid == b.left.sid && a.right.sid == b.right.sid;
+}
+
+template <class P>
+class BasicIntervalStore {
  public:
+  using Payload = P;
   static constexpr std::uint32_t kLeaf = 16;  // segments per leaf
 
-  IntervalStore() = default;
-  IntervalStore(const IntervalStore&) = delete;
-  IntervalStore& operator=(const IntervalStore&) = delete;
+  BasicIntervalStore() = default;
+  BasicIntervalStore(const BasicIntervalStore&) = delete;
+  BasicIntervalStore& operator=(const BasicIntervalStore&) = delete;
 
-  /// Invokes cb(seg_lo, seg_hi, accessor) for every stored segment
+  /// Invokes cb(seg_lo, seg_hi, payload) for every stored segment
   /// overlapping [lo, hi], trimmed to it, in address order. Non-mutating.
   template <class F>
   void query(addr_t lo, addr_t hi, F&& cb) const {
@@ -87,19 +104,19 @@ class IntervalStore {
     query_run(&one, 1, cb);
   }
 
-  /// Last-writer insert: cb(seg_lo, seg_hi, prev_accessor) per overlap, then
+  /// Last-writer insert: cb(seg_lo, seg_hi, prev_payload) per overlap, then
   /// [lo, hi] is owned by `a`.
   template <class F>
-  void insert_writer(addr_t lo, addr_t hi, const Accessor& a, F&& cb) {
+  void insert_writer(addr_t lo, addr_t hi, const P& a, F&& cb) {
     const Span one{lo, hi};
     apply_run<Op::kWrite>(&one, 1, a, cb);
   }
 
-  /// Reader insert: for each overlapped segment, `resolve(prev, a)` returns
-  /// true if the NEW accessor wins the segment; gaps take the new accessor.
-  /// Adjacent result pieces with the same winner are coalesced.
+  /// Reader insert: each overlapped segment takes `resolve(prev, a)`, the
+  /// payload that replaces `prev`; gaps take `a`.  Adjacent result pieces
+  /// with the same owners are coalesced.
   template <class R>
-  void insert_reader(addr_t lo, addr_t hi, const Accessor& a, R&& resolve) {
+  void insert_reader(addr_t lo, addr_t hi, const P& a, R&& resolve) {
     const Span one{lo, hi};
     apply_run<Op::kRead>(&one, 1, a, resolve);
   }
@@ -113,7 +130,7 @@ class IntervalStore {
   // --- Sorted-run apply (DESIGN.md §10) ------------------------------------
   //
   // Each *_run operation takes a run of k intervals - sorted by lo, pairwise
-  // non-overlapping (adjacency allowed), all owned by one accessor, exactly
+  // non-overlapping (adjacency allowed), all owned by one payload, exactly
   // the shape of a finalized strand record list - and applies it through
   // the leaf finger.  Callbacks, resolver calls and the resulting segments
   // are those of the per-interval loop; reader coalescing never crosses an
@@ -132,21 +149,20 @@ class IntervalStore {
   }
 
   template <class Iv, class F>
-  void insert_writer_run(const Iv* iv, std::size_t k, const Accessor& a,
-                         F&& cb) {
+  void insert_writer_run(const Iv* iv, std::size_t k, const P& a, F&& cb) {
     apply_run<Op::kWrite>(iv, k, a, cb);
   }
 
   template <class Iv, class R>
-  void insert_reader_run(const Iv* iv, std::size_t k, const Accessor& a,
+  void insert_reader_run(const Iv* iv, std::size_t k, const P& a,
                          R&& resolve) {
     apply_run<Op::kRead>(iv, k, a, resolve);
   }
 
   template <class Iv>
   void erase_run(const Iv* iv, std::size_t k) {
-    auto no_events = [](addr_t, addr_t, const Accessor&) {};
-    apply_run<Op::kErase>(iv, k, Accessor{}, no_events);
+    auto no_events = [](addr_t, addr_t, const P&) {};
+    apply_run<Op::kErase>(iv, k, P{}, no_events);
   }
 
   bool empty() const {
@@ -154,7 +170,7 @@ class IntervalStore {
   }
   std::size_t size() const {
     std::size_t n = 0;
-    for_each([&](addr_t, addr_t, const Accessor&) { ++n; });
+    for_each([&](addr_t, addr_t, const P&) { ++n; });
     return n;
   }
 
@@ -164,7 +180,7 @@ class IntervalStore {
     return leaves_.live() * sizeof(Leaf) + inners_.live() * sizeof(Inner);
   }
 
-  /// In-order traversal of all stored intervals: cb(lo, hi, accessor).
+  /// In-order traversal of all stored intervals: cb(lo, hi, payload).
   template <class F>
   void for_each(F&& cb) const {
     if (root_ != nullptr) for_each_node(root_, 0, cb);
@@ -191,12 +207,12 @@ class IntervalStore {
   };
   struct Seg {
     addr_t lo, hi;
-    Accessor who;
+    P who;
   };
   struct Leaf {
     addr_t lo[kLeaf];
     addr_t hi[kLeaf];
-    Accessor who[kLeaf];
+    P who[kLeaf];
     std::uint32_t n = 0;
   };
   struct Inner {
@@ -204,7 +220,7 @@ class IntervalStore {
     void* child[kFan];
     std::uint32_t n = 0;  // children
   };
-  static_assert(std::is_trivially_copyable_v<Accessor>);
+  static_assert(std::is_trivially_copyable_v<P>);
 
   /// Root-to-leaf path: path[d] is the internal node at depth d and the
   /// index of the child taken there.
@@ -377,7 +393,7 @@ class IntervalStore {
   // --- Carve ----------------------------------------------------------------
 
   template <Op op, class Iv, class F>
-  void apply_run(const Iv* iv, std::size_t k, const Accessor& a, F& f) {
+  void apply_run(const Iv* iv, std::size_t k, const P& a, F& f) {
     if (k == 0) return;
     if (root_ == nullptr) {
       if (op == Op::kErase) return;
@@ -401,7 +417,7 @@ class IntervalStore {
   /// Applies one interval at the cursor's leaf.  Returns whether the cursor
   /// is still valid (false after any change to the tree's shape).
   template <Op op, class F>
-  bool carve(Cursor* c, addr_t lo, addr_t hi, const Accessor& a, F& f) {
+  bool carve(Cursor* c, addr_t lo, addr_t hi, const P& a, F& f) {
     Leaf* L = c->leaf;
     const std::uint32_t i = first_ending_at_or_after(L, lo);
     std::uint32_t j = i;
@@ -470,24 +486,24 @@ class IntervalStore {
 
   /// Winner cover of [lo, hi] from the gathered overlaps (the treap's
   /// reader rule): gaps take `a`, overlapped parts go through `resolve`,
-  /// adjacent same-winner pieces of this call coalesce.
+  /// adjacent same-owner pieces of this call coalesce.
   template <class R>
-  void reader_cover(addr_t lo, addr_t hi, const Accessor& a, R& resolve) {
+  void reader_cover(addr_t lo, addr_t hi, const P& a, R& resolve) {
     const std::size_t floor = pieces_.size();  // never merge into the left rem
     addr_t cursor = lo;
     for (const Seg& s : gather_) {
       const addr_t plo = s.lo > lo ? s.lo : lo;
       const addr_t phi = s.hi < hi ? s.hi : hi;
       if (plo > cursor) push_piece(floor, cursor, plo - 1, a);
-      push_piece(floor, plo, phi, resolve(s.who, a) ? a : s.who);
+      push_piece(floor, plo, phi, resolve(s.who, a));
       if (phi == hi) return;  // covered to hi (also avoids the hi+1 wrap)
       cursor = phi + 1;
     }
     push_piece(floor, cursor, hi, a);
   }
 
-  void push_piece(std::size_t floor, addr_t lo, addr_t hi, const Accessor& w) {
-    if (pieces_.size() > floor && pieces_.back().who.sid == w.sid &&
+  void push_piece(std::size_t floor, addr_t lo, addr_t hi, const P& w) {
+    if (pieces_.size() > floor && same_owner(pieces_.back().who, w) &&
         pieces_.back().hi + 1 == lo) {
       pieces_.back().hi = hi;  // coalesce same-winner neighbours
     } else {
@@ -512,7 +528,7 @@ class IntervalStore {
     if (count == 0 || dst == src) return;
     std::memmove(&L->lo[dst], &L->lo[src], count * sizeof(addr_t));
     std::memmove(&L->hi[dst], &L->hi[src], count * sizeof(addr_t));
-    std::memmove(&L->who[dst], &L->who[src], count * sizeof(Accessor));
+    std::memmove(&L->who[dst], &L->who[src], count * sizeof(P));
   }
   static void drop_front(Leaf* L, std::uint32_t m) {
     shift(L, 0, m, L->n - m);
@@ -568,11 +584,11 @@ class IntervalStore {
   }
 
   bool shift_to_sibling(const Cursor& c, std::size_t total) {
-    Inner* P = c.path[height_ - 1].node;
+    Inner* U = c.path[height_ - 1].node;
     const std::uint32_t idx = c.path[height_ - 1].idx;
     Leaf* L = c.leaf;
-    if (idx + 1 < P->n) {
-      Leaf* R = as_leaf(P->child[idx + 1]);
+    if (idx + 1 < U->n) {
+      Leaf* R = as_leaf(U->child[idx + 1]);
       if (total + R->n <= 2 * kLeaf) {
         const std::size_t keep = (total + R->n + 1) / 2;
         const std::uint32_t moved = std::uint32_t(total - keep);
@@ -581,12 +597,12 @@ class IntervalStore {
         R->n += moved;
         put_all(L, 0, stage_.data(), keep);
         L->n = std::uint32_t(keep);
-        P->key[idx] = R->lo[0];
+        U->key[idx] = R->lo[0];
         return true;
       }
     }
     if (idx > 0) {
-      Leaf* S = as_leaf(P->child[idx - 1]);
+      Leaf* S = as_leaf(U->child[idx - 1]);
       if (total + S->n <= 2 * kLeaf) {
         const std::size_t keep = (total + S->n) / 2;
         const std::size_t moved = total - keep;
@@ -594,7 +610,7 @@ class IntervalStore {
         S->n += std::uint32_t(moved);
         put_all(L, 0, stage_.data() + moved, keep);
         L->n = std::uint32_t(keep);
-        P->key[idx - 1] = L->lo[0];
+        U->key[idx - 1] = L->lo[0];
         return true;
       }
     }
@@ -606,23 +622,23 @@ class IntervalStore {
   /// survives (it does when the right sibling folds into L).
   bool merge_small(Cursor* c) {
     constexpr std::uint32_t kFoldMax = kLeaf - kLeaf / 4;
-    Inner* P = c->path[height_ - 1].node;
+    Inner* U = c->path[height_ - 1].node;
     const std::uint32_t idx = c->path[height_ - 1].idx;
     Leaf* L = c->leaf;
-    if (idx + 1 < P->n) {
-      Leaf* R = as_leaf(P->child[idx + 1]);
+    if (idx + 1 < U->n) {
+      Leaf* R = as_leaf(U->child[idx + 1]);
       if (L->n + R->n <= kFoldMax) {
         append(L, R);
-        remove_child(P, idx + 1);
+        remove_child(U, idx + 1);
         leaves_.give(R);
         return true;
       }
     }
     if (idx > 0) {
-      Leaf* S = as_leaf(P->child[idx - 1]);
+      Leaf* S = as_leaf(U->child[idx - 1]);
       if (S->n + L->n <= kFoldMax) {
         append(S, L);
-        remove_child(P, idx);
+        remove_child(U, idx);
         leaves_.give(L);
         return false;
       }
@@ -633,7 +649,7 @@ class IntervalStore {
   static void append(Leaf* dst, const Leaf* src) {
     std::memcpy(&dst->lo[dst->n], src->lo, src->n * sizeof(addr_t));
     std::memcpy(&dst->hi[dst->n], src->hi, src->n * sizeof(addr_t));
-    std::memcpy(&dst->who[dst->n], src->who, src->n * sizeof(Accessor));
+    std::memcpy(&dst->who[dst->n], src->who, src->n * sizeof(P));
     dst->n += src->n;
   }
 
@@ -801,5 +817,10 @@ class IntervalStore {
   std::vector<Seg> pieces_;  // their replacement
   std::vector<Seg> stage_;   // overflow staging
 };
+
+/// One-sided store: the last writer, or STINT's serial reader.
+using IntervalStore = BasicIntervalStore<Accessor>;
+/// Two-sided store: PINT's left-most + right-most reader history.
+using ReaderStore = BasicIntervalStore<ReaderPair>;
 
 }  // namespace pint::store

@@ -11,9 +11,9 @@
 //     events are overwritten - per-name accumulator totals survive the wrap,
 //     so aggregate span times stay exact even when the raw stream does not.
 //   * Tracks: each thread names its track with set_thread_role() ("core0",
-//     "writer", "lreader", ...).  A thread may change roles mid-run (the
-//     phased one-core PINT mode runs core, writer, and both reader phases on
-//     the calling thread); the exported trace splits such a thread into one
+//     "writer", "reader", ...).  A thread may change roles mid-run (the
+//     phased one-core PINT mode runs core, writer, and reader phases on the
+//     calling thread); the exported trace splits such a thread into one
 //     track per role, which is what makes the Fig. 2 breakdown visible as
 //     consecutive track segments.
 //   * A `Sampler` runs a caller-supplied probe on its own thread at a fixed

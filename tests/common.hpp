@@ -26,7 +26,7 @@ enum class Det {
   kStint,
   kStintMap,  // STINT with the per-granule hashmap history (ablation)
   kPintSeq,   // one-core phased PINT
-  kPint1,     // PINT, 1 core worker + 3 treap workers
+  kPint1,     // PINT, 1 core worker + 2 history workers
   kPint2,
   kPint4,
   kPintMap,   // PINT pipeline over the hashmap history (ablation)

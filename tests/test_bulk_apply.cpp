@@ -54,8 +54,9 @@ std::vector<Seg> contents(const store::IntervalStore& t) {
 }
 
 /// Deterministic winner rule shared by both twins of every reader test.
-bool resolve_by_sid(const store::Accessor& prev, const store::Accessor& a) {
-  return ((prev.sid * 31 + a.sid) & 1) == 0;
+store::Accessor resolve_by_sid(const store::Accessor& prev,
+                               const store::Accessor& a) {
+  return ((prev.sid * 31 + a.sid) & 1) == 0 ? a : prev;
 }
 
 /// A sorted, pairwise-disjoint run (adjacency allowed) - the finalized
@@ -282,13 +283,13 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
 TEST(TreapRunApi, PerRecordReaderInsertAtMaxAddrDoesNotWrap) {
   store::IntervalStore t;
   t.insert_reader(kMaxAddr - 7, kMaxAddr, acc(1),
-                  [](const auto&, const auto&) { return true; });
+                  [](const auto&, const auto& a) { return a; });
   std::vector<Seg> want = {{kMaxAddr - 7, kMaxAddr, 1}};
   EXPECT_EQ(contents(t), want);
   // Now with existing coverage ending exactly at kMaxAddr (the loop-exit
   // case rather than the tail case).
   t.insert_reader(kMaxAddr - 15, kMaxAddr, acc(2),
-                  [](const auto&, const auto&) { return false; });
+                  [](const auto& p, const auto&) { return p; });
   want = {{kMaxAddr - 15, kMaxAddr - 8, 2}, {kMaxAddr - 7, kMaxAddr, 1}};
   EXPECT_EQ(contents(t), want);
   EXPECT_TRUE(t.check_invariants());
@@ -302,10 +303,10 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   store::IntervalStore per, bulk;
   for (const Iv& iv : run) {
     per.insert_reader(iv.lo, iv.hi, acc(1),
-                      [](const auto&, const auto&) { return true; });
+                      [](const auto&, const auto& a) { return a; });
   }
   bulk.insert_reader_run(run, 3, acc(1),
-                         [](const auto&, const auto&) { return true; });
+                         [](const auto&, const auto& a) { return a; });
   EXPECT_EQ(per.size(), 3u);
   EXPECT_EQ(contents(per), contents(bulk));
   // Within one interval coalescing still applies: fragmented prior coverage
@@ -315,7 +316,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   frag.insert_writer(230, 249, acc(3), [](auto, auto, const auto&) {});
   const Iv one[] = {{200, 259}};
   frag.insert_reader_run(one, 1, acc(4),
-                         [](const auto&, const auto&) { return true; });
+                         [](const auto&, const auto& a) { return a; });
   EXPECT_EQ(contents(frag), (std::vector<Seg>{{200, 259, 4}}));
 }
 

@@ -325,6 +325,26 @@ TEST_F(FailPointTest, SpawnFailureFallsBackToSequentialHistory) {
   EXPECT_NE(cap.text().find("falling back"), std::string::npos);
 }
 
+TEST_F(FailPointTest, ReaderSpawnFailureRollsBackTheSpawnedWriter) {
+  // Hit 1 guards the writer thread, hit 2 the one reader thread: failing the
+  // reader leaves a spawned writer that the rollback must release and join.
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  CaptureErrors cap;
+  ASSERT_TRUE(fail::configure("history.spawn=every:2"));
+  PintDetector::Options o;
+  o.core_workers = 2;
+  o.parallel_history = true;
+  std::vector<unsigned char> pool(64, 0);
+  bool any = false;
+  const RunResult r = run_pint(o, [&] { racy_tree(4, pool.data()); }, &any);
+  EXPECT_EQ(r.status, RunStatus::kOk);
+  EXPECT_TRUE(r.degraded_sequential_history);
+  EXPECT_TRUE(any);
+  EXPECT_EQ(fail::hit_count("history.spawn"), 2u);
+  EXPECT_EQ(fail::fire_count("history.spawn"), 1u);
+  EXPECT_NE(cap.text().find("falling back"), std::string::npos);
+}
+
 TEST_F(FailPointTest, QueueFullStormKeepsDetectionExact) {
   if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
   PintDetector::Options o;

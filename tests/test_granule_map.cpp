@@ -59,15 +59,15 @@ TEST(GranuleMap, SubGranuleAccessesAlias) {
 TEST(GranuleMap, ReaderResolveControlsWinner) {
   GranuleMap m;
   m.insert_reader(0, G - 1, acc(1),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   m.insert_reader(0, G - 1, acc(2),
-                  [](const Accessor&, const Accessor&) { return false; });
+                  [](const Accessor& p, const Accessor&) { return p; });
   std::uint64_t got = 0;
   m.query(0, G - 1,
           [&](std::uint64_t, std::uint64_t, const Accessor& a) { got = a.sid; });
   EXPECT_EQ(got, 1u);
   m.insert_reader(0, G - 1, acc(3),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   m.query(0, G - 1,
           [&](std::uint64_t, std::uint64_t, const Accessor& a) { got = a.sid; });
   EXPECT_EQ(got, 3u);

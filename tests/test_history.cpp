@@ -13,7 +13,6 @@
 #include "store/interval_store.hpp"
 
 using namespace pint;
-using detect::ReaderSide;
 using detect::Strand;
 
 namespace {
@@ -56,25 +55,43 @@ void add_write(Strand* s, std::uint64_t lo, std::uint64_t hi) {
 
 }  // namespace
 
-template <class Store>
+/// The two stores of one history kind: last writer and two-sided reader.
+struct TreapStores {
+  using Writer = store::IntervalStore;
+  using Reader = store::ReaderStore;
+};
+struct MapStores {
+  using Writer = detect::GranuleMap;
+  using Reader = detect::ReaderGranuleMap;
+};
+
+template <class Stores>
 class HistoryStore : public ::testing::Test {
  public:
-  Store writer_store;
-  Store lreader_store;
-  Store rreader_store;
+  typename Stores::Writer writer_store;
+  typename Stores::Reader reader_store;
   HistoryFixture fx;
 
   void process(Strand* s) {
     detect::process_writer_treap(writer_store, *s, fx.reach, fx.rep, fx.stats);
-    detect::process_reader_treap(lreader_store, *s, fx.reach, fx.rep, fx.stats,
-                                 ReaderSide::kLeftMost);
-    detect::process_reader_treap(rreader_store, *s, fx.reach, fx.rep, fx.stats,
-                                 ReaderSide::kRightMost);
+    detect::process_reader_treap(reader_store, *s, fx.reach, fx.rep, fx.stats);
+  }
+
+  /// The one distinct race reported so far must be `prev` read vs `cur`
+  /// write: it names which retained reader caught it.
+  void expect_only_race(const Strand* prev, const Strand* cur) {
+    ASSERT_EQ(fx.rep.distinct_races(), 1u);
+    const auto recs = fx.rep.records();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].prev_sid, prev->sid);
+    EXPECT_FALSE(recs[0].prev_write);
+    EXPECT_EQ(recs[0].cur_sid, cur->sid);
+    EXPECT_TRUE(recs[0].cur_write);
   }
 };
 
-using Stores = ::testing::Types<store::IntervalStore, detect::GranuleMap>;
-TYPED_TEST_SUITE(HistoryStore, Stores);
+using StoreKinds = ::testing::Types<TreapStores, MapStores>;
+TYPED_TEST_SUITE(HistoryStore, StoreKinds);
 
 TYPED_TEST(HistoryStore, ParallelWriteWriteRaces) {
   auto& fx = this->fx;
@@ -174,6 +191,88 @@ TYPED_TEST(HistoryStore, LeftmostRightmostCatchMiddleWriter) {
   EXPECT_TRUE(fx.rep.any());
 }
 
+TYPED_TEST(HistoryStore, OnlyRightmostReaderIsParallelToWriter) {
+  // Inside P = b.child: spawn A, sync, then W writes.  B = b.cont reads in
+  // parallel with all of P.  A is left of B, so the left slot keeps A and
+  // the right slot takes B; A precedes W, so only the right slot races.
+  auto& fx = this->fx;
+  Strand* u = fx.root();
+  auto b = fx.spawn_from(u);
+  auto p = fx.spawn_from(b.child);
+  Strand* a = p.child;
+  Strand* w = p.sync;
+  Strand* r = b.cont;
+  add_read(a, 0, 7);
+  add_read(r, 0, 7);
+  add_write(w, 0, 7);
+  this->process(a);
+  this->process(r);
+  this->process(w);
+  this->expect_only_race(r, w);
+}
+
+TYPED_TEST(HistoryStore, OnlyLeftmostReaderIsParallelToWriter) {
+  // The mirror: B = b.child reads; inside b.cont spawn A, sync, then W
+  // writes.  B is left of A, so the left slot keeps B and the right slot
+  // takes A; A precedes W, so only the left slot races.
+  auto& fx = this->fx;
+  Strand* u = fx.root();
+  auto b = fx.spawn_from(u);
+  auto c = fx.spawn_from(b.cont);
+  Strand* l = b.child;
+  Strand* a = c.child;
+  Strand* w = c.sync;
+  add_read(l, 0, 7);
+  add_read(a, 0, 7);
+  add_write(w, 0, 7);
+  this->process(l);
+  this->process(a);
+  this->process(w);
+  this->expect_only_race(l, w);
+}
+
+TYPED_TEST(HistoryStore, ReaderBetweenTheExtremesLeavesBothSlots) {
+  // Inside X = b.child: spawn A, then the continuation B reads, sync, W
+  // writes; C = b.cont reads.  English order A < B < C.  B arrives after A
+  // and C and is neither slot's extreme, so the pair stays (A, C): each
+  // slot is judged by its own relation to B.  W follows A and B but not C,
+  // so only the right slot's C races.
+  auto& fx = this->fx;
+  Strand* u = fx.root();
+  auto b = fx.spawn_from(u);
+  auto x = fx.spawn_from(b.child);
+  Strand* a = x.child;
+  Strand* mid = x.cont;
+  Strand* w = x.sync;
+  Strand* c = b.cont;
+  add_read(a, 0, 7);
+  add_read(c, 0, 7);
+  add_read(mid, 0, 7);
+  add_write(w, 0, 7);
+  this->process(a);
+  this->process(c);
+  this->process(mid);
+  this->process(w);
+  this->expect_only_race(c, w);
+}
+
+TYPED_TEST(HistoryStore, OneReaderStrandCostsOneReachQuery) {
+  // A segment whose two slots hold the same strand is checked once.
+  auto& fx = this->fx;
+  Strand* u = fx.root();
+  auto b = fx.spawn_from(u);
+  add_read(b.child, 0, 7);
+  add_write(b.cont, 0, 7);
+  this->process(b.child);
+  detect::process_writer_treap(this->writer_store, *b.cont, fx.reach, fx.rep,
+                               fx.stats);
+  const std::uint64_t before = fx.stats.reach_queries.load();
+  detect::process_reader_treap(this->reader_store, *b.cont, fx.reach, fx.rep,
+                               fx.stats);
+  EXPECT_EQ(fx.stats.reach_queries.load() - before, 1u);
+  this->expect_only_race(b.child, b.cont);
+}
+
 TYPED_TEST(HistoryStore, SerialReaderAfterParallelSetReplaces) {
   auto& fx = this->fx;
   Strand* u = fx.root();
@@ -214,12 +313,13 @@ TEST(ShardedHistory, PieceDecompositionCoversExactly) {
 }
 
 TEST(ShardedHistory, MatchesRoleWorkersOnScriptedStrands) {
-  // Apply the same strand sequence to (a) the classic three stores and
-  // (b) 3 shards; both must reach the same any-race verdict on a spread of
+  // Apply the same strand sequence to (a) the two role stores and (b) 3
+  // shards; both must reach the same any-race verdict on a spread of
   // scripted conflict patterns.
   for (int variant = 0; variant < 6; ++variant) {
     HistoryFixture fx_a, fx_b;
-    store::IntervalStore w, l, r;
+    store::IntervalStore w;
+    store::ReaderStore r;
     pintd::HistoryShard s0, s1, s2;
     pintd::HistoryShard* shards[3] = {&s0, &s1, &s2};
 
@@ -262,10 +362,7 @@ TEST(ShardedHistory, MatchesRoleWorkersOnScriptedStrands) {
 
     drive(fx_a, [&](HistoryFixture& fx, Strand* s) {
       detect::process_writer_treap(w, *s, fx.reach, fx.rep, fx.stats);
-      detect::process_reader_treap(l, *s, fx.reach, fx.rep, fx.stats,
-                                   ReaderSide::kLeftMost);
-      detect::process_reader_treap(r, *s, fx.reach, fx.rep, fx.stats,
-                                   ReaderSide::kRightMost);
+      detect::process_reader_treap(r, *s, fx.reach, fx.rep, fx.stats);
     });
     drive(fx_b, [&](HistoryFixture& fx, Strand* s) {
       for (int k = 0; k < 3; ++k) {

@@ -284,7 +284,7 @@ TEST(Telemetry, ChromeTraceIsValidWithBalancedSpans) {
   // the phased run produced all four pipeline role tracks.
   std::vector<std::string> roles;
   for (const auto& [tid, nm] : track_names) roles.push_back(nm);
-  for (const char* want : {"core0", "writer", "lreader", "rreader", "sampler"}) {
+  for (const char* want : {"core0", "writer", "reader", "sampler"}) {
     bool found = false;
     for (const auto& r : roles) found = found || r == want;
     EXPECT_TRUE(found) << "missing track " << want;
@@ -295,8 +295,7 @@ TEST(Telemetry, SpanTotalsAgreeWithStatsBreakdown) {
   const detect::Stats::Snapshot s = traced_pintseq_run();
   const struct { const char* span; std::uint64_t stat_ns; } rows[] = {
       {"writer.strand", s.writer_ns},
-      {"lreader.strand", s.lreader_ns},
-      {"rreader.strand", s.rreader_ns},
+      {"reader.strand", s.lreader_ns},  // the one reader lane
   };
   for (const auto& row : rows) {
     const std::uint64_t sp = span_total(row.span);

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -13,6 +14,8 @@
 using namespace pint;
 using store::Accessor;
 using store::IntervalStore;
+using store::ReaderPair;
+using store::ReaderStore;
 
 namespace {
 
@@ -20,10 +23,14 @@ constexpr std::uint64_t kMaxAddr = ~std::uint64_t(0);
 constexpr std::uint64_t B = IntervalStore::kLeaf;
 
 Accessor acc(std::uint64_t sid) { return {{}, sid}; }
+ReaderPair pair_of(std::uint64_t l, std::uint64_t r) {
+  return {acc(l), acc(r)};
+}
 auto noop = [](auto, auto, const auto&) {};
 
 struct Seg {
   std::uint64_t lo, hi, sid;
+  std::uint64_t rsid = 0;  // right slot; 0 in a one-sided store
   bool operator==(const Seg&) const = default;
 };
 
@@ -34,6 +41,42 @@ std::vector<Seg> contents(const IntervalStore& t) {
   });
   return out;
 }
+std::vector<Seg> contents(const ReaderStore& t) {
+  std::vector<Seg> out;
+  t.for_each([&](std::uint64_t lo, std::uint64_t hi, const ReaderPair& p) {
+    out.push_back({lo, hi, p.left.sid, p.right.sid});
+  });
+  return out;
+}
+
+/// Event key of a segment's slots: the owner's sid one-sided, both sids
+/// packed for a reader pair.
+std::uint64_t slot_key(std::uint64_t sid, std::uint64_t rsid) {
+  return rsid == 0 ? sid : (sid << 32 | rsid);
+}
+std::uint64_t slot_key(const ReaderPair& p) {
+  return slot_key(p.left.sid, p.right.sid);
+}
+
+/// Synthetic reachability over sids for the two retention rules: a fixed
+/// series relation plus an English rank.  The left slot takes a reader in
+/// series after it or left of it, the right slot one in series after it or
+/// right of it - the rules of the paper's left-most and right-most reader
+/// treaps.
+bool in_series(std::uint64_t prev, std::uint64_t a) {
+  return (prev * 31 + a) % 5 == 0;
+}
+std::uint64_t english_rank(std::uint64_t sid) {
+  return (sid * 2654435761u) % 1000003;
+}
+bool left_wins(std::uint64_t prev, std::uint64_t a) {
+  return prev != a &&
+         (in_series(prev, a) || english_rank(a) < english_rank(prev));
+}
+bool right_wins(std::uint64_t prev, std::uint64_t a) {
+  return prev != a &&
+         (in_series(prev, a) || english_rank(a) > english_rank(prev));
+}
 
 struct Iv {
   std::uint64_t lo, hi;
@@ -42,48 +85,44 @@ struct Iv {
 // Event log entry: op tag + three op-dependent fields.
 using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
 
-/// Reference model: one (segment id, owner) per byte.  A stored segment is a
-/// maximal run of bytes sharing a segment id, so the model states the
-/// store's segment-level contract directly - which overlaps a write reports,
-/// which segments a reader insert resolves and how its pieces coalesce -
-/// without any tree.
+/// Reference model: one (segment id, slots) per byte, where the slots are
+/// one owner (a one-sided store; rsid 0) or a (left, right) reader pair (a
+/// two-sided store).  A stored segment is a maximal run of bytes sharing a
+/// segment id, so the model states the store's segment-level contract
+/// directly - which overlaps a write reports, which segments a reader insert
+/// resolves and how its pieces coalesce - without any tree.
 class ByteModel {
  public:
-  /// Last-writer insert; logs ('w', lo, hi, prev sid) per overlapped segment.
+  /// Last-writer insert of the slots (sid, rsid); logs ('w', lo, hi,
+  /// slot_key) per overlapped segment.
   void write(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid,
-             std::vector<Ev>* ev) {
+             std::vector<Ev>* ev, std::uint64_t rsid = 0) {
     for (const Seg& s : overlaps(lo, hi)) {
-      ev->push_back({'w', s.lo, s.hi, s.sid});
+      ev->push_back({'w', s.lo, s.hi, slot_key(s.sid, s.rsid)});
     }
-    assign(lo, hi, sid);
+    assign(lo, hi, {sid, rsid});
   }
-  /// Reader insert: one resolve per overlapped segment in address order,
-  /// gaps to the new reader, same-owner neighbours of this call coalesced.
+  /// One-sided reader insert: one resolve per overlapped segment in address
+  /// order, gaps to the new reader, same-owner neighbours of this call
+  /// coalesced.
   template <class R>
   void read(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid,
             R&& resolve) {
-    std::vector<Seg> pieces;
-    auto push = [&](std::uint64_t a, std::uint64_t b, std::uint64_t w) {
-      if (!pieces.empty() && pieces.back().sid == w &&
-          pieces.back().hi + 1 == a) {
-        pieces.back().hi = b;
-      } else {
-        pieces.push_back({a, b, w});
-      }
-    };
-    std::uint64_t cur = lo;
-    bool done = false;
-    for (const Seg& s : overlaps(lo, hi)) {
-      if (s.lo > cur) push(cur, s.lo - 1, sid);
-      push(s.lo, s.hi, resolve(acc(s.sid), acc(sid)) ? sid : s.sid);
-      if (s.hi == hi) {
-        done = true;
-        break;
-      }
-      cur = s.hi + 1;
-    }
-    if (!done) push(cur, hi, sid);
-    for (const Seg& p : pieces) assign(p.lo, p.hi, p.sid);
+    cover(lo, hi, {sid, 0}, [&](const Seg& s) {
+      return Slots{resolve(acc(s.sid), acc(sid)).sid, 0};
+    });
+  }
+  /// Two-sided reader insert: per overlapped segment the left slot follows
+  /// left_wins and the right slot right_wins, each on its own (logged as
+  /// ('r', slot_key, sid, 0)); gaps take (sid, sid), and neighbours of this
+  /// call coalesce only when both slots match.
+  void read_pair(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid,
+                 std::vector<Ev>* ev) {
+    cover(lo, hi, {sid, sid}, [&](const Seg& s) {
+      ev->push_back({'r', slot_key(s.sid, s.rsid), sid, 0});
+      return Slots{left_wins(s.sid, sid) ? sid : s.sid,
+                   right_wins(s.rsid, sid) ? sid : s.rsid};
+    });
   }
   void erase(std::uint64_t lo, std::uint64_t hi) {
     owner_.erase(owner_.lower_bound(lo),
@@ -91,12 +130,12 @@ class ByteModel {
   }
   void query(std::uint64_t lo, std::uint64_t hi, std::vector<Ev>* ev) const {
     for (const Seg& s : overlaps(lo, hi)) {
-      ev->push_back({'q', s.lo, s.hi, s.sid});
+      ev->push_back({'q', s.lo, s.hi, slot_key(s.sid, s.rsid)});
     }
   }
   std::uint64_t at(std::uint64_t b) const {
     auto it = owner_.find(b);
-    return it == owner_.end() ? 0 : it->second.sid;
+    return it == owner_.end() ? 0 : it->second.slots.sid;
   }
   /// Maximal same-id runs: the segment set the store must hold.
   std::vector<Seg> segments() const {
@@ -104,15 +143,47 @@ class ByteModel {
   }
 
  private:
+  struct Slots {
+    std::uint64_t sid, rsid;
+  };
   struct Cell {
-    std::uint64_t id, sid;
+    std::uint64_t id;
+    Slots slots;
   };
   using Map = std::map<std::uint64_t, Cell>;
 
-  void assign(std::uint64_t lo, std::uint64_t hi, std::uint64_t sid) {
+  /// Reader-insert core: overlapped segments take pick(segment) in address
+  /// order, gaps take `fresh`, equal-slot neighbours of this call coalesce.
+  template <class Pick>
+  void cover(std::uint64_t lo, std::uint64_t hi, Slots fresh, Pick&& pick) {
+    std::vector<Seg> pieces;
+    auto push = [&](std::uint64_t a, std::uint64_t b, Slots w) {
+      if (!pieces.empty() && pieces.back().sid == w.sid &&
+          pieces.back().rsid == w.rsid && pieces.back().hi + 1 == a) {
+        pieces.back().hi = b;
+      } else {
+        pieces.push_back({a, b, w.sid, w.rsid});
+      }
+    };
+    std::uint64_t cur = lo;
+    bool done = false;
+    for (const Seg& s : overlaps(lo, hi)) {
+      if (s.lo > cur) push(cur, s.lo - 1, fresh);
+      push(s.lo, s.hi, pick(s));
+      if (s.hi == hi) {
+        done = true;
+        break;
+      }
+      cur = s.hi + 1;
+    }
+    if (!done) push(cur, hi, fresh);
+    for (const Seg& p : pieces) assign(p.lo, p.hi, {p.sid, p.rsid});
+  }
+
+  void assign(std::uint64_t lo, std::uint64_t hi, Slots slots) {
     const std::uint64_t id = next_id_++;
     for (auto b = lo;; ++b) {
-      owner_[b] = {id, sid};
+      owner_[b] = {id, slots};
       if (b == hi) break;
     }
   }
@@ -130,7 +201,8 @@ class ByteModel {
           out.back().hi + 1 == it->first) {
         out.back().hi = it->first;
       } else {
-        out.push_back({it->first, it->first, it->second.sid});
+        out.push_back({it->first, it->first, it->second.slots.sid,
+                       it->second.slots.rsid});
         id = it->second.id;
       }
     }
@@ -141,8 +213,8 @@ class ByteModel {
   std::uint64_t next_id_ = 1;
 };
 
-bool resolve_by_sid(const Accessor& prev, const Accessor& a) {
-  return ((prev.sid * 31 + a.sid) & 1) == 0;
+Accessor resolve_by_sid(const Accessor& prev, const Accessor& a) {
+  return ((prev.sid * 31 + a.sid) & 1) == 0 ? a : prev;
 }
 
 std::uint64_t store_at(const IntervalStore& t, std::uint64_t b) {
@@ -250,12 +322,12 @@ TEST(IntervalStore, EraseAllLeavesEmpty) {
 
 TEST(IntervalStore, ReaderInsertSeriesReplaces) {
   IntervalStore t;
-  t.insert_reader(0, 50, acc(1), [](const Accessor&, const Accessor&) {
-    return true;  // unconditionally take new (no prior anyway)
+  t.insert_reader(0, 50, acc(1), [](const Accessor&, const Accessor& a) {
+    return a;  // unconditionally take new (no prior anyway)
   });
   // New reader wins every overlap (simulates prev ~> cur).
   t.insert_reader(10, 20, acc(2),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   EXPECT_EQ(contents(t),
             (std::vector<Seg>{{0, 9, 1}, {10, 20, 2}, {21, 50, 1}}));
 }
@@ -263,10 +335,10 @@ TEST(IntervalStore, ReaderInsertSeriesReplaces) {
 TEST(IntervalStore, ReaderInsertKeepLosesGaps) {
   IntervalStore t;
   t.insert_reader(10, 20, acc(1),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   // Old reader kept on overlap; the new one still fills uncovered gaps.
   t.insert_reader(0, 30, acc(2),
-                  [](const Accessor&, const Accessor&) { return false; });
+                  [](const Accessor& p, const Accessor&) { return p; });
   EXPECT_EQ(contents(t),
             (std::vector<Seg>{{0, 9, 2}, {10, 20, 1}, {21, 30, 2}}));
 }
@@ -274,12 +346,12 @@ TEST(IntervalStore, ReaderInsertKeepLosesGaps) {
 TEST(IntervalStore, ReaderInsertCoalescesSameWinner) {
   IntervalStore t;
   t.insert_reader(10, 14, acc(1),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   t.insert_reader(15, 19, acc(1),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   // Covering insert where the NEW accessor always wins merges to one segment.
   t.insert_reader(5, 25, acc(1),
-                  [](const Accessor&, const Accessor&) { return true; });
+                  [](const Accessor&, const Accessor& a) { return a; });
   EXPECT_EQ(contents(t), (std::vector<Seg>{{5, 25, 1}}));
 }
 
@@ -616,8 +688,8 @@ TEST(IntervalStore, PropertyNoOverlapInvariantUnderChurn) {
       t.insert_writer(lo, hi, acc(op + 1), noop);
     } else {
       t.insert_reader(lo, hi, acc(op + 1),
-                      [&](const Accessor&, const Accessor&) {
-                        return rng.next_below(2) == 0;
+                      [&](const Accessor& p, const Accessor& a) {
+                        return rng.next_below(2) == 0 ? a : p;
                       });
     }
     if (op % 2000 == 0) {
@@ -643,7 +715,7 @@ TEST(IntervalStore, FftStridedRunsMatchPerIntervalTwin) {
   auto resolve_into = [](std::vector<Ev>* ev) {
     return [ev](const Accessor& p, const Accessor& a) {
       ev->push_back({'r', p.sid, a.sid, 0});
-      return (p.sid + a.sid) % 3 != 0;
+      return (p.sid + a.sid) % 3 != 0 ? a : p;
     };
   };
   for (std::uint64_t stage = 0; stage < 3; ++stage) {
@@ -675,4 +747,243 @@ TEST(IntervalStore, FftStridedRunsMatchPerIntervalTwin) {
   run.query_run(probe.data(), probe.size(),
                 [&](auto, auto, const auto&) { ++hits; });
   EXPECT_EQ(hits, kRuns * kPerRun);
+}
+
+// ---------------------------------------------------------------------------
+// Two-sided reader store
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Per-byte slots of a store: (left sid, right sid) for a reader pair, the
+/// owner's sid for a one-sided store.
+std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> pair_bytes(
+    const ReaderStore& t) {
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> out;
+  t.for_each([&](std::uint64_t lo, std::uint64_t hi, const ReaderPair& p) {
+    for (auto b = lo;; ++b) {
+      out[b] = {p.left.sid, p.right.sid};
+      if (b == hi) break;
+    }
+  });
+  return out;
+}
+std::map<std::uint64_t, std::uint64_t> owner_bytes(const IntervalStore& t) {
+  std::map<std::uint64_t, std::uint64_t> out;
+  t.for_each([&](std::uint64_t lo, std::uint64_t hi, const Accessor& a) {
+    for (auto b = lo;; ++b) {
+      out[b] = a.sid;
+      if (b == hi) break;
+    }
+  });
+  return out;
+}
+
+/// The same run mirrored to the top of the address space, still sorted:
+/// an interval starting at 0 becomes one ending at kMaxAddr.
+std::vector<Iv> at_top(const std::vector<Iv>& r) {
+  std::vector<Iv> out;
+  for (auto it = r.rbegin(); it != r.rend(); ++it) {
+    out.push_back({kMaxAddr - it->hi, kMaxAddr - it->lo});
+  }
+  return out;
+}
+
+/// The paper's reader treaps, one rule each, as one-sided stores.
+struct OneSidedTwins {
+  IntervalStore left, right;
+
+  void read(const std::vector<Iv>& r, std::uint64_t sid) {
+    for (const Iv& iv : r) {
+      left.insert_reader(iv.lo, iv.hi, acc(sid),
+                         [](const Accessor& p, const Accessor& a) {
+                           return left_wins(p.sid, a.sid) ? a : p;
+                         });
+      right.insert_reader(iv.lo, iv.hi, acc(sid),
+                          [](const Accessor& p, const Accessor& a) {
+                            return right_wins(p.sid, a.sid) ? a : p;
+                          });
+    }
+  }
+  void write(const std::vector<Iv>& r, std::uint64_t l, std::uint64_t rs) {
+    for (const Iv& iv : r) {
+      left.insert_writer(iv.lo, iv.hi, acc(l), noop);
+      right.insert_writer(iv.lo, iv.hi, acc(rs), noop);
+    }
+  }
+  void erase(const std::vector<Iv>& r) {
+    for (const Iv& iv : r) {
+      left.erase_range(iv.lo, iv.hi);
+      right.erase_range(iv.lo, iv.hi);
+    }
+  }
+  /// Per byte, the pair the two-sided store must hold.
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> bytes()
+      const {
+    const auto l = owner_bytes(left), r = owner_bytes(right);
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> out;
+    for (const auto& [b, sid] : l) {
+      const auto it = r.find(b);
+      out[b] = {sid, it == r.end() ? 0 : it->second};
+    }
+    for (const auto& [b, sid] : r) {
+      if (l.find(b) == l.end()) out[b] = {0, sid};
+    }
+    return out;
+  }
+};
+
+/// One random op (single or run form) on the two-sided store, the two-slot
+/// model and the one-sided twins.  Writes store a pair with distinct slots
+/// so that later reads resolve the two sides from different owners.
+void random_pair_op(Xoshiro256& rng, ReaderStore& t, ByteModel& m,
+                    OneSidedTwins& twins, const std::vector<Iv>& r,
+                    std::uint64_t sid, std::vector<Ev>* ev_t,
+                    std::vector<Ev>* ev_m) {
+  auto log_t = [ev_t](char tag) {
+    return [ev_t, tag](auto lo, auto hi, const ReaderPair& p) {
+      ev_t->push_back({tag, lo, hi, slot_key(p)});
+    };
+  };
+  auto resolve_t = [ev_t](const ReaderPair& p, const ReaderPair& a) {
+    ev_t->push_back({'r', slot_key(p), a.left.sid, 0});
+    ReaderPair out = p;
+    if (left_wins(p.left.sid, a.left.sid)) out.left = a.left;
+    if (right_wins(p.right.sid, a.right.sid)) out.right = a.right;
+    return out;
+  };
+  const bool run = r.size() > 1 || rng.next_below(2) == 0;
+  switch (rng.next_below(5)) {
+    case 0: {
+      const std::uint64_t rs = sid + 1 + rng.next_below(3);
+      if (run) {
+        t.insert_writer_run(r.data(), r.size(), pair_of(sid, rs), log_t('w'));
+      } else {
+        t.insert_writer(r[0].lo, r[0].hi, pair_of(sid, rs), log_t('w'));
+      }
+      for (const Iv& iv : r) m.write(iv.lo, iv.hi, sid, ev_m, rs);
+      twins.write(r, sid, rs);
+      break;
+    }
+    case 1:
+    case 2:
+      if (run) {
+        t.insert_reader_run(r.data(), r.size(), pair_of(sid, sid), resolve_t);
+      } else {
+        t.insert_reader(r[0].lo, r[0].hi, pair_of(sid, sid), resolve_t);
+      }
+      for (const Iv& iv : r) m.read_pair(iv.lo, iv.hi, sid, ev_m);
+      twins.read(r, sid);
+      break;
+    case 3:
+      if (run) {
+        t.query_run(r.data(), r.size(), log_t('q'));
+      } else {
+        t.query(r[0].lo, r[0].hi, log_t('q'));
+      }
+      for (const Iv& iv : r) m.query(iv.lo, iv.hi, ev_m);
+      break;
+    case 4:
+      if (run) {
+        t.erase_run(r.data(), r.size());
+      } else {
+        t.erase_range(r[0].lo, r[0].hi);
+      }
+      for (const Iv& iv : r) m.erase(iv.lo, iv.hi);
+      twins.erase(r);
+      break;
+  }
+}
+
+/// Drives `steps` random two-sided ops, a quarter of them at the top of the
+/// address space, checking events after every op and the segments and the
+/// per-byte pairs every `every` ops.
+void pair_differential(std::uint64_t seed, int steps, int every,
+                       std::vector<Iv> (*next_run)(Xoshiro256&)) {
+  Xoshiro256 rng(seed);
+  ReaderStore t;
+  ByteModel m;
+  OneSidedTwins twins;
+  std::vector<Ev> ev_t, ev_m;
+  for (int step = 0; step < steps; ++step) {
+    auto r = next_run(rng);
+    if (rng.next_below(4) == 0) r = at_top(r);
+    random_pair_op(rng, t, m, twins, r, 2 + std::uint64_t(step) % 89, &ev_t,
+                   &ev_m);
+    ASSERT_EQ(ev_t, ev_m) << "seed=" << seed << " step=" << step;
+    if (step % every == 0 || step + 1 == steps) {
+      ASSERT_TRUE(t.check_invariants()) << "seed=" << seed << " @" << step;
+      ASSERT_EQ(contents(t), m.segments()) << "seed=" << seed << " @" << step;
+      ASSERT_EQ(pair_bytes(t), twins.bytes())
+          << "seed=" << seed << " @" << step;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ReaderStore, ReaderInsertKeepsBothExtremes) {
+  // Three readers over one range: each slot keeps its own extreme, and a
+  // piece coalesces with its neighbour only when both slots agree.
+  ReaderStore t;
+  auto resolve = [](const ReaderPair& p, const ReaderPair& a) {
+    ReaderPair out = p;
+    if (a.left.sid < p.left.sid) out.left = a.left;     // smaller = left
+    if (a.right.sid > p.right.sid) out.right = a.right;  // larger = right
+    return out;
+  };
+  t.insert_reader(10, 19, pair_of(5, 5), resolve);
+  t.insert_reader(0, 14, pair_of(3, 3), resolve);
+  t.insert_reader(12, 29, pair_of(7, 7), resolve);
+  EXPECT_EQ(contents(t), (std::vector<Seg>{{0, 9, 3, 3},
+                                           {10, 11, 3, 5},
+                                           {12, 14, 3, 7},
+                                           {15, 19, 5, 7},
+                                           {20, 29, 7, 7}}));
+  EXPECT_TRUE(t.check_invariants());
+}
+
+TEST(ReaderStoreDifferential, EveryOpMatchesTheTwoSlotModel) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    pair_differential(seed, 2000, 100, [](Xoshiro256& rng) {
+      const std::uint64_t span = 1 << 14;
+      return rng.next_below(3) == 0 ? make_run(rng, span, 24, 6, 40)
+                                    : make_run(rng, span, 6, 48, 3);
+    });
+  }
+}
+
+TEST(ReaderStoreDifferential, WideCarvesMatchTheTwoSlotModel) {
+  // Carves spanning many leaves, and erases unlinking them.
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    pair_differential(seed, 500, 50, [](Xoshiro256& rng) {
+      return rng.next_below(4) == 0 ? make_run(rng, 1 << 13, 2, 1500, 400)
+                                    : make_run(rng, 1 << 13, 40, 3, 12);
+    });
+  }
+}
+
+TEST(ReaderStore, FootprintStaysUnderTwoTreapNodes) {
+  // A two-sided segment holds what two one-sided segments held in the
+  // paper's two reader treaps, so its bar is two 88-byte treap nodes less
+  // a margin; the one-sided bar above stays as it is.
+  constexpr double kTwoSidedBar = 160.0;
+  ReaderStore ascending, scattered;
+  const std::uint64_t n = 64 * B;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ascending.insert_writer(i * 10, i * 10 + 3, pair_of(i + 1, i + 2), noop);
+  }
+  Xoshiro256 rng(5);
+  std::vector<std::uint64_t> order(n);
+  for (std::uint64_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (std::uint64_t i : order) {
+    scattered.insert_writer(i * 10, i * 10 + 3, pair_of(i + 1, i + 2), noop);
+  }
+  for (const ReaderStore* t : {&ascending, &scattered}) {
+    ASSERT_EQ(t->size(), n);
+    EXPECT_LT(double(t->node_bytes()) / double(t->size()), kTwoSidedBar);
+  }
 }
