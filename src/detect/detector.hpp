@@ -37,8 +37,9 @@ class Detector {
   /// The current strand acquired / released the mutex at address `lock`
   /// (the __pint_lock_* hooks; recorded AFTER the real acquire and BEFORE
   /// the real release, so the recorded critical section nests inside the
-  /// real one).  Lock-aware detectors split the strand into a new segment
-  /// carrying the updated lockset; the default ignores lock events.
+  /// real one).  Lock-aware detectors record the strand's later accesses
+  /// under the updated lockset (a sub-record in STINT and PINT, a new
+  /// segment in C-RACER and the oracle); the default ignores lock events.
   virtual void on_lock_acquire(rt::Worker& /*worker*/,
                                rt::TaskFrame& /*frame*/, addr_t /*lock*/) {}
   virtual void on_lock_release(rt::Worker& /*worker*/,

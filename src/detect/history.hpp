@@ -7,8 +7,8 @@
 // differs (paper §III-A).
 
 #include <atomic>
-#include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "detect/granule_map.hpp"
 #include "detect/lockset.hpp"
@@ -49,8 +49,10 @@ inline void note_bulk_run(Stats& stats, std::size_t k) {
   stats.bulk_run_intervals.fetch_add(k, std::memory_order_relaxed);
 }
 
-inline store::Accessor accessor_of(const Strand& s) {
-  return {s.label, s.sid, s.tag, s.lsid};
+/// One sub-record's accessor: the strand's identity, the sub-record's
+/// lockset.
+inline store::Accessor accessor_of(const Strand& s, const LockRecord& r) {
+  return {s.label, s.sid, s.tag, r.lsid};
 }
 
 // HistoryKind (treap vs granule-map store) lives in detect/types.hpp so the
@@ -58,7 +60,7 @@ inline store::Accessor accessor_of(const Strand& s) {
 
 /// Overlap callback shared by every checking path: report a race when a
 /// prior accessor of the overlapped segment is parallel to `me` and the two
-/// segments held no common lock (epoch×lockset filtering, DESIGN.md §12).
+/// records held no common lock (epoch×lockset filtering, DESIGN.md §12).
 /// `me` is captured by value; engine/reporter/stats by reference.  `memo`
 /// (optional) is the calling history worker's private precedes() cache.
 inline auto make_conflict_cb(store::Accessor me, bool prev_write,
@@ -78,16 +80,24 @@ inline auto make_conflict_cb(store::Accessor me, bool prev_write,
 }
 
 /// Write check against the two-sided reader store: each slot is checked on
-/// its own, and once when both slots hold the same strand.
+/// its own, and once when both slots hold the same sub-record.
 inline auto make_reader_conflict_cb(store::Accessor me, reach::Engine& reach,
                                     RaceReporter& rep, Stats& stats,
                                     reach::Engine::Memo* memo = nullptr) {
   return [check = make_conflict_cb(me, false, true, reach, rep, stats, memo)](
              addr_t lo, addr_t hi, const store::ReaderPair& prev) {
     check(lo, hi, prev.left);
-    if (prev.right.sid != prev.left.sid) check(lo, hi, prev.right);
+    if (prev.right.sid != prev.left.sid || prev.right.lsid != prev.left.lsid) {
+      check(lo, hi, prev.right);
+    }
   };
 }
+
+// A strand's sub-records are applied one after another, each as its own
+// accessor (same sid, its own lsid), in non-increasing lockset size.  So a
+// stored reader with me's sid is an earlier sub-record of the same strand,
+// under a lockset at least as large: the resolvers below let the incoming
+// one, the weaker, take its place without a reachability query.
 
 /// Serial (STINT) reader retention, the Feng-Leiserson rule: the new reader
 /// wins only when it is in series after the stored one.
@@ -96,7 +106,7 @@ inline auto make_serial_resolver(store::Accessor me, reach::Engine& reach,
                                  reach::Engine::Memo* memo = nullptr) {
   return [me, &reach, &stats, memo](const store::Accessor& prev,
                                     const store::Accessor&) {
-    if (prev.sid == me.sid) return prev;
+    if (prev.sid == me.sid) return me;  // same strand: the weaker lockset
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
     const reach::Relation r = reach.relation(prev.label, me.label, memo);
     return r.eng && r.heb ? me : prev;  // prev ~> me
@@ -108,7 +118,10 @@ inline auto make_serial_resolver(store::Accessor me, reach::Engine& reach,
 /// reader, or lies further left (left slot) / right (right slot) in English
 /// order (stored readers never succeed `me`: processing is DAG-conforming).
 /// One Relation answers both (left_of(me, prev) is the negated English bit),
-/// so slots holding one strand cost one query.
+/// so slots holding one strand cost one query.  A slot holding another
+/// sub-record of me's strand takes me, with no query; when both do, the
+/// right slot takes the left one's record instead, so the pair keeps the
+/// strand's two last-applied (least-guarded) sub-records.
 inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
@@ -120,11 +133,16 @@ inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
     };
     store::ReaderPair out = prev;
     reach::Relation r{};
-    if (prev.left.sid != me.sid) {
+    if (prev.left.sid == me.sid) {
+      out.left = me;
+    } else {
       r = relation(prev.left);
       if (!r.eng || r.heb) out.left = me;  // prev ~> me, or me left of prev
     }
-    if (prev.right.sid != me.sid) {
+    if (prev.right.sid == me.sid) {
+      // Both slots holding me's strand keep its last two sub-records.
+      out.right = prev.left.sid == me.sid ? prev.left : me;
+    } else {
       if (prev.right.sid != prev.left.sid) r = relation(prev.right);
       if (r.eng) out.right = me;  // prev ~> me, or prev left of me
     }
@@ -148,24 +166,29 @@ inline void for_each_run(const AccessBuffer& buf, Stats& stats, Run&& run) {
 
 /// Reads checked against the last-writer history, then writes checked
 /// against and inserted into it (query-before-insert, per Theorem 5's
-/// proof), then clears applied. Works with any store exposing the
-/// query/insert_writer/insert_reader/erase_range interface of
-/// store::IntervalStore.
+/// proof), then clears applied.  Each pass walks the strand's sub-records
+/// in apply order, so the last writer kept is the least-guarded one.
+/// Works with any store exposing the query/insert_writer/insert_reader/
+/// erase_range interface of store::IntervalStore.
 template <class History>
 inline void process_writer_treap(History& t, const Strand& s,
                                  reach::Engine& reach, RaceReporter& rep,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
-  const store::Accessor me = accessor_of(s);
-  const auto on_read = make_conflict_cb(me, true, false, reach, rep, stats,
-                                        memo);
-  for_each_run(s.reads, stats, [&](const Interval* iv, std::size_t k) {
-    t.query_run(iv, k, on_read);
+  s.for_each_record([&](const LockRecord& r) {
+    const auto on_read = make_conflict_cb(accessor_of(s, r), true, false,
+                                          reach, rep, stats, memo);
+    for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
+      t.query_run(iv, k, on_read);
+    });
   });
-  const auto on_write = make_conflict_cb(me, true, true, reach, rep, stats,
-                                         memo);
-  for_each_run(s.writes, stats, [&](const Interval* iv, std::size_t k) {
-    t.insert_writer_run(iv, k, me, on_write);
+  s.for_each_record([&](const LockRecord& r) {
+    const store::Accessor me = accessor_of(s, r);
+    const auto on_write = make_conflict_cb(me, true, true, reach, rep, stats,
+                                           memo);
+    for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
+      t.insert_writer_run(iv, k, me, on_write);
+    });
   });
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
   for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);
@@ -180,24 +203,34 @@ inline void process_reader_treap(History& t, const Strand& s,
                                  reach::Engine& reach, RaceReporter& rep,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
-  const store::Accessor me = accessor_of(s);
-  const auto [check, fresh, resolve] = [&] {
-    if constexpr (std::is_same_v<typename History::Payload,
-                                 store::ReaderPair>) {
-      return std::tuple{make_reader_conflict_cb(me, reach, rep, stats, memo),
-                        store::ReaderPair{me, me},
-                        make_reader_resolver(me, reach, stats, memo)};
-    } else {
-      return std::tuple{
-          make_conflict_cb(me, false, true, reach, rep, stats, memo), me,
-          make_serial_resolver(me, reach, stats, memo)};
-    }
-  }();
-  for_each_run(s.writes, stats, [&](const Interval* iv, std::size_t k) {
-    t.query_run(iv, k, check);
+  constexpr bool kTwoSided =
+      std::is_same_v<typename History::Payload, store::ReaderPair>;
+  s.for_each_record([&](const LockRecord& r) {
+    const store::Accessor me = accessor_of(s, r);
+    const auto check = [&] {
+      if constexpr (kTwoSided) {
+        return make_reader_conflict_cb(me, reach, rep, stats, memo);
+      } else {
+        return make_conflict_cb(me, false, true, reach, rep, stats, memo);
+      }
+    }();
+    for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
+      t.query_run(iv, k, check);
+    });
   });
-  for_each_run(s.reads, stats, [&](const Interval* iv, std::size_t k) {
-    t.insert_reader_run(iv, k, fresh, resolve);
+  s.for_each_record([&](const LockRecord& r) {
+    const store::Accessor me = accessor_of(s, r);
+    const auto [fresh, resolve] = [&] {
+      if constexpr (kTwoSided) {
+        return std::pair{store::ReaderPair{me, me},
+                         make_reader_resolver(me, reach, stats, memo)};
+      } else {
+        return std::pair{me, make_serial_resolver(me, reach, stats, memo)};
+      }
+    }();
+    for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
+      t.insert_reader_run(iv, k, fresh, resolve);
+    });
   });
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
   for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);

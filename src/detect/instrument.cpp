@@ -287,7 +287,8 @@ namespace {
 
 // Shared slow route of the lock hooks: same dispatch as record_access_slow
 // (lock events are control events - there is no cursor fast path to take,
-// and detectors suspend and resume the cursor themselves, DESIGN.md §12.3).
+// and detectors move the cursor to the new lockset's sub-record themselves,
+// DESIGN.md §12.3).
 PINT_NOINLINE void lock_event(const void* mutex, bool acquire) {
   detect::Detector* d = g_active.load(std::memory_order_relaxed);
   if (d == nullptr || mutex == nullptr) return;

@@ -2,13 +2,14 @@
 
 // Interned locksets for epoch×lockset race filtering (DESIGN.md §12).
 //
-// Each strand segment carries a compact `lockset_t` id naming the exact set
-// of mutexes held while its accesses were recorded (0 = no locks, the
-// overwhelmingly common case).  History records inherit the id through
-// `store::Accessor` / the shadow cells, and the conflict paths suppress a
-// report when both sides' segments share a lock - two parallel accesses
-// guarded by a common mutex are not a race (PWR-style lockset reasoning,
-// layered over the interval machinery instead of replacing it).
+// Each lock sub-record of a strand (a strand segment in C-RACER and the
+// oracle) carries a compact `lockset_t` id naming the exact set of mutexes
+// held while its accesses were recorded (0 = no locks, the overwhelmingly
+// common case).  History records inherit the id through `store::Accessor` /
+// the shadow cells, and the conflict paths suppress a report when both
+// sides' records share a lock - two parallel accesses guarded by a common
+// mutex are not a race (PWR-style lockset reasoning, layered over the
+// interval machinery instead of replacing it).
 //
 // Ids are interned process-wide in a LocksetTable: acquire/release are rare
 // control events, so the transitions run under one spinlock; the id -> set
@@ -47,7 +48,10 @@ class LocksetTable {
   /// already provide.
   bool intersects(lockset_t a, lockset_t b) const;
 
-  /// The sorted lock addresses of an interned id (test/debug use).
+  /// The sorted lock addresses of an interned id.  Lock-free, like
+  /// intersects(), with the same requirement that `id` reached this thread
+  /// via a happens-before edge.  seal_strand() calls it on the thread that
+  /// ran the strand, which obtained every id from acquire()/release().
   const std::vector<addr_t>& locks(lockset_t id) const;
 
   /// Number of interned sets, counting the implicit empty set as id 0.
@@ -59,7 +63,7 @@ class LocksetTable {
   Impl* impl_;
 };
 
-/// The conflict-path filter: true iff both segments held a common lock.
+/// The conflict-path filter: true iff both records held a common lock.
 /// First two compares are the no-locks fast path - `a` and `b` are 0 for
 /// every record of a lock-free program.
 inline bool locksets_share(lockset_t a, lockset_t b) {

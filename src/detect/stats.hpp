@@ -45,8 +45,9 @@
 //   sleep tier (process-wide delta attributed to the run).
 //
 //   Computation shape: strands, traces, steals, reachability queries, and
-//   lock_splits - the segments opened by a lockset change (DESIGN.md §12.3;
-//   a pending split that relabels an empty segment in place does not count).
+//   lock_splits - the non-empty lock sub-records beyond each strand's first
+//   (STINT and PINT, DESIGN.md §12.3): a strand that recorded under k
+//   locksets counts k - 1.
 //
 //   Pipeline pressure & degradation (robustness layer).  These make
 //   overload and fault handling visible instead of silent: sustained

@@ -2,10 +2,11 @@
 
 // The transient strand record.
 //
-// A Strand accumulates one strand's coalesced accesses plus the ordering
-// bookkeeping of the paper's Algorithms 1-2 (pred counter, child pointer)
-// and the deferred-resource lists of §III-F (stack-clear ranges, deferred
-// heap frees, the retired fiber whose stack must not be reused early).
+// A Strand accumulates one strand's coalesced accesses, in one sub-record
+// per lockset they were recorded under, plus the ordering bookkeeping of
+// the paper's Algorithms 1-2 (pred counter, child pointer) and the
+// deferred-resource lists of §III-F (stack-clear ranges, deferred heap
+// frees, the retired fiber whose stack must not be reused early).
 //
 // Only the *label* is persistent: treaps copy {label, sid} into their nodes,
 // so the Strand object itself is recycled once every history worker has
@@ -13,8 +14,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "detect/instrument.hpp"
 #include "detect/lockset.hpp"
 #include "detect/types.hpp"
 #include "reach/depa.hpp"
@@ -25,22 +28,33 @@ struct TaskFrame;
 
 namespace pint::detect {
 
+/// The accesses one strand recorded under one lockset (DESIGN.md §12.3):
+/// every access lands in the sub-record of the lockset held when it ran.
+struct LockRecord {
+  lockset_t lsid = 0;
+  AccessBuffer reads;
+  AccessBuffer writes;
+
+  bool empty() const { return reads.empty() && writes.empty(); }
+};
+
 struct Strand {
   std::uint64_t sid = 0;
   reach::Engine::Label label;
   /// Task name of the strand's owning task (named spawns); for reports.
   const char* tag = nullptr;
-  /// Interned lockset held while this segment's accesses were recorded
-  /// (0 = none), so every history record carries the exact lockset of its
-  /// accesses.
-  lockset_t lsid = 0;
-  /// Lockset the running code holds now.  A lock event only updates it;
-  /// `held != lsid` means a split is pending, and the next access cuts a
-  /// new segment (see settle_lock_split below).
-  lockset_t held = 0;
 
-  AccessBuffer reads;
-  AccessBuffer writes;
+  /// One sub-record per lockset the strand recorded under, in creation
+  /// order until seal_strand() puts them in apply order (see record()).
+  /// Only the first nrecs are live; the slots past them stay for the next
+  /// use of this object, so a lock event allocates no sub-record, only
+  /// interval storage.  The first, the only one a lock-free strand uses,
+  /// sits among the hot fields.
+  LockRecord first;
+  std::uint32_t nrecs = 1;
+  /// The sub-record taking accesses now: its lsid is the held lockset.
+  std::uint32_t cur = 0;
+
   std::vector<Interval> clears;  // stack ranges to erase from each treap
   std::vector<HeapFree> frees;   // deferred heap frees (writer performs them)
 
@@ -65,14 +79,32 @@ struct Strand {
   std::uint32_t owner_worker = 0;
   Strand* pool_next = nullptr;
 
+  // The second sub-record and the rest: only lock-bearing strands reach
+  // them, so they sit behind every field a lock-free strand touches.  The
+  // second is inline because a first allocation of `more` mid-run slows
+  // the next detector's construction (DESIGN.md §12.3).
+  LockRecord second;
+  std::vector<LockRecord> more;
+
   void reset(std::uint64_t id) {
     sid = id;
     label = {};
     tag = nullptr;
-    lsid = 0;
-    held = 0;
-    reads.clear();
-    writes.clear();
+    // The first sub-record keeps the largest buffers for the next strand,
+    // whatever locks it takes; the others free theirs, so an object later
+    // reused by a lock-free strand pins no sub-record storage.
+    for (std::uint32_t i = 1; i < nrecs; ++i) {
+      LockRecord& r = record(i);
+      keep_larger(first.reads, r.reads);
+      keep_larger(first.writes, r.writes);
+      r.reads = AccessBuffer{};
+      r.writes = AccessBuffer{};
+    }
+    first.reads.clear();
+    first.writes.clear();
+    first.lsid = 0;
+    nrecs = 1;
+    cur = 0;
     clears.clear();
     frees.clear();
     pred.store(0, std::memory_order_relaxed);
@@ -81,58 +113,121 @@ struct Strand {
     retired_frame = nullptr;
   }
 
+  LockRecord& record(std::uint32_t i) {
+    return i == 0 ? first : i == 1 ? second : more[i - 2];
+  }
+  const LockRecord& record(std::uint32_t i) const {
+    return i == 0 ? first : i == 1 ? second : more[i - 2];
+  }
+  LockRecord& active() { return record(cur); }
+  /// The lockset the running code holds (valid until seal_strand()).
+  lockset_t held() const { return record(cur).lsid; }
+
+  /// f(r) for every live sub-record, in order.
+  template <class F>
+  void for_each_record(F&& f) const {
+    for (std::uint32_t i = 0; i < nrecs; ++i) f(record(i));
+  }
+
+  /// Makes the sub-record of lockset `id` the active one, creating it on
+  /// first use.  Invalidates pointers into `more`: flush the access cursor
+  /// first.
+  void enter(lockset_t id) {
+    for (std::uint32_t i = 0; i < nrecs; ++i) {
+      if (record(i).lsid == id) {
+        cur = i;
+        return;
+      }
+    }
+    if (nrecs >= 2 + more.size()) more.emplace_back();
+    record(nrecs).lsid = id;
+    cur = nrecs++;
+  }
+
   bool has_work() const {
-    return !reads.empty() || !writes.empty() || !clears.empty() ||
-           !frees.empty();
+    for (std::uint32_t i = 0; i < nrecs; ++i) {
+      if (!record(i).empty()) return true;
+    }
+    return !clears.empty() || !frees.empty();
+  }
+
+ private:
+  static void keep_larger(AccessBuffer& keep, AccessBuffer& other) {
+    if (other.items().capacity() > keep.items().capacity()) {
+      std::swap(keep, other);
+    }
   }
 };
 
 // ---------------------------------------------------------------------------
-// Lazy lock segmentation (DESIGN.md §12.3), shared by the interval detectors
-// (STINT and PINT) so their segment boundaries cannot drift apart.
-//
-// A lock hook only moves Strand::held.  The segment is cut at the first
-// access recorded under a lockset that differs from its lsid, so a release
-// followed by a re-acquire with nothing recorded in between costs no strand.
-// Invariant: the access cursor is installed over a strand's buffers only
-// while held == lsid; a pending split leaves it uninstalled, which routes
-// the next access to the detector's on_access (the slow route).
+// Lock sub-records (DESIGN.md §12.3), shared by the interval detectors
+// (STINT and PINT) so their recording cannot drift apart.
 // ---------------------------------------------------------------------------
 
-/// What a lock event asks of the caller's access cursor.
-enum class LockStep : std::uint8_t {
-  kNone,    // cursor state unchanged (no lockset change, or still pending)
-  kResume,  // held is back at lsid: reinstall the cursor over s's buffers
-  kDefer,   // held left lsid: flush the cursor and leave it uninstalled
+/// The access cursor records into the strand's active sub-record.
+inline void install_cursor(Strand& s, bool coalesce) {
+  cursor_install(&s.active().reads, &s.active().writes, coalesce);
+}
+
+/// Lock hook: when the event changes the held lockset, runs flush_cursor()
+/// (the cursor points into the strand's sub-records), moves the strand to
+/// the sub-record of the new lockset and returns true; the caller then
+/// reinstalls the cursor.  Recursive acquires and unmatched releases
+/// return false.
+template <class Flush>
+inline bool note_lock_event(Strand& s, addr_t lock, bool acquire,
+                            Flush&& flush_cursor) {
+  auto& tbl = LocksetTable::instance();
+  const lockset_t held = s.held();
+  const lockset_t nid =
+      acquire ? tbl.acquire(held, lock) : tbl.release(held, lock);
+  if (nid == held) return false;
+  flush_cursor();
+  s.enter(nid);
+  return true;
+}
+
+/// Seal-time tallies of one detector's strands, folded into Stats at run
+/// end.
+struct SealTally {
+  std::uint64_t read_intervals = 0, write_intervals = 0;
+  std::uint64_t tail_hits = 0, tail_misses = 0;
+  std::uint64_t fin_sorted = 0, fin_simd = 0;
+  /// Non-empty sub-records beyond each strand's first.
+  std::uint64_t lock_splits = 0;
 };
 
-inline LockStep note_lock_event(Strand& s, addr_t lock, bool acquire) {
+/// Ends a strand's recording (its cursor already flushed): finalizes every
+/// sub-record and puts them in apply order - non-increasing lockset size,
+/// ties in creation order - so the unguarded sub-record is applied last.
+inline void seal_strand(Strand& s, bool coalesce, SealTally& t) {
+  std::uint64_t nonempty = 0;
+  for (std::uint32_t i = 0; i < s.nrecs; ++i) {
+    LockRecord& r = s.record(i);
+    r.reads.finalize(coalesce);
+    r.writes.finalize(coalesce);
+    t.read_intervals += r.reads.items().size();
+    t.write_intervals += r.writes.items().size();
+    t.tail_hits += r.reads.tail_hits() + r.writes.tail_hits();
+    t.tail_misses += r.reads.tail_misses() + r.writes.tail_misses();
+    t.fin_sorted += (r.reads.fin_path() == FinalizePath::kSorted) +
+                    (r.writes.fin_path() == FinalizePath::kSorted);
+    t.fin_simd += (r.reads.fin_path() == FinalizePath::kSimd) +
+                  (r.writes.fin_path() == FinalizePath::kSimd);
+    nonempty += !r.empty();
+  }
+  if (nonempty > 1) t.lock_splits += nonempty - 1;
+  if (s.nrecs == 1) return;
+  // Stable insertion sort: a strand holds a handful of sub-records at most.
   auto& tbl = LocksetTable::instance();
-  const lockset_t nid =
-      acquire ? tbl.acquire(s.held, lock) : tbl.release(s.held, lock);
-  if (nid == s.held) return LockStep::kNone;  // recursive / unmatched
-  const bool pending = s.held != s.lsid;
-  s.held = nid;
-  if (nid == s.lsid) return LockStep::kResume;
-  return pending ? LockStep::kNone : LockStep::kDefer;
-}
-
-/// First access under a pending split.  A segment with no work takes the
-/// new lockset in place (returns false).  Otherwise returns true: the
-/// caller seals s and continues on a successor opened by open_lock_segment.
-inline bool settle_lock_split(Strand& s) {
-  if (s.has_work()) return true;
-  s.lsid = s.held;
-  return false;
-}
-
-/// The successor segment: same label (equal labels are ordered by neither
-/// order, so sibling segments never race), fresh sid (from alloc), and the
-/// lockset the code holds now.
-inline void open_lock_segment(const Strand& u, Strand& v) {
-  v.label = u.label;
-  v.tag = u.tag;
-  v.lsid = v.held = u.held;
+  auto size = [&](std::uint32_t i) {
+    return tbl.locks(s.record(i).lsid).size();
+  };
+  for (std::uint32_t i = 1; i < s.nrecs; ++i) {
+    for (std::uint32_t j = i; j > 0 && size(j - 1) < size(j); --j) {
+      std::swap(s.record(j - 1), s.record(j));
+    }
+  }
 }
 
 }  // namespace pint::detect

@@ -38,9 +38,9 @@ constexpr std::uint64_t kConsumeBatch = 32;
 inline void prefetch_strand_records(const Strand* s) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(static_cast<const void*>(s), 0, 3);
-  const auto& reads = s->reads.items();
+  const auto& reads = s->first.reads.items();
   if (!reads.empty()) __builtin_prefetch(reads.data(), 0, 2);
-  const auto& writes = s->writes.items();
+  const auto& writes = s->first.writes.items();
   if (!writes.empty()) __builtin_prefetch(writes.data(), 0, 2);
 #else
   (void)s;
@@ -370,16 +370,7 @@ void PintDetector::start_new_trace(CoreWS& ws) {
 
 void PintDetector::seal_strand(CoreWS& ws, Strand* s) {
   PINT_TCOUNT("core.seal");
-  s->reads.finalize(opt_.coalesce);
-  s->writes.finalize(opt_.coalesce);
-  ws.read_intervals += s->reads.items().size();
-  ws.write_intervals += s->writes.items().size();
-  ws.tail_hits += s->reads.tail_hits() + s->writes.tail_hits();
-  ws.tail_misses += s->reads.tail_misses() + s->writes.tail_misses();
-  ws.fin_sorted += (s->reads.fin_path() == detect::FinalizePath::kSorted) +
-                   (s->writes.fin_path() == detect::FinalizePath::kSorted);
-  ws.fin_simd += (s->reads.fin_path() == detect::FinalizePath::kSimd) +
-                 (s->writes.fin_path() == detect::FinalizePath::kSimd);
+  detect::seal_strand(*s, opt_.coalesce, ws.seal);
 }
 
 void PintDetector::cursor_flush(CoreWS& ws) {
@@ -397,45 +388,18 @@ void PintDetector::cursor_flush(CoreWS& ws) {
 
 void PintDetector::on_access(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lo,
                              detect::addr_t hi, bool is_write) {
-  // Classic route: taken when the AccessCursor fast path is disabled
-  // (ablation), and by the first access after a lock event left a split
-  // pending (the cursor is uninstalled then, DESIGN.md §12.3).
+  // Classic route: taken only when the AccessCursor fast path is disabled.
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
-  if (PINT_UNLIKELY(s->held != s->lsid)) {
-    if (detect::settle_lock_split(*s)) {
-      seal_strand(ws, s);
-      Strand* v = alloc_strand(ws);
-      detect::open_lock_segment(*s, *v);
-      f.det_strand = v;
-      trace_push(ws, s);  // in series, same trace: collection order holds
-      ws.lock_splits++;
-      s = v;
-    }
-    detect::cursor_install(&s->reads, &s->writes, opt_.coalesce);
-    if (detect::cursor_installed()) {
-      // Record this access through the cursor, as every later one will be.
-      detail::record_access(reinterpret_cast<const void*>(lo), hi - lo + 1,
-                            is_write);
-      return;
-    }
-  }
   ws.slow_accesses++;
-  if (is_write) {
-    ws.raw_writes++;
-    if (opt_.coalesce) {
-      s->writes.add(lo, hi);
-    } else {
-      s->writes.add_raw(lo, hi);
-    }
+  detect::AccessBuffer& buf =
+      is_write ? s->active().writes : s->active().reads;
+  (is_write ? ws.raw_writes : ws.raw_reads)++;
+  if (opt_.coalesce) {
+    buf.add(lo, hi);
   } else {
-    ws.raw_reads++;
-    if (opt_.coalesce) {
-      s->reads.add(lo, hi);
-    } else {
-      s->reads.add_raw(lo, hi);
-    }
+    buf.add_raw(lo, hi);
   }
 }
 
@@ -450,15 +414,9 @@ void PintDetector::on_lock_event(rt::Worker& w, rt::TaskFrame& f,
                                  detect::addr_t lock, bool acquire) {
   auto* u = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(u != nullptr);
-  switch (detect::note_lock_event(*u, lock, acquire)) {
-    case detect::LockStep::kNone:
-      return;
-    case detect::LockStep::kResume:
-      detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
-      return;
-    case detect::LockStep::kDefer:
-      cursor_flush(*static_cast<CoreWS*>(w.det_worker));
-      return;
+  auto& ws = *static_cast<CoreWS*>(w.det_worker);
+  if (detect::note_lock_event(*u, lock, acquire, [&] { cursor_flush(ws); })) {
+    detect::install_cursor(*u, opt_.coalesce);
   }
 }
 
@@ -484,7 +442,7 @@ void PintDetector::on_root_start(rt::Worker& w, rt::TaskFrame& f) {
   r->label = reach_.root_label();
   r->tag = f.task_name;
   f.det_strand = r;
-  detect::cursor_install(&r->reads, &r->writes, opt_.coalesce);
+  detect::install_cursor(*r, opt_.coalesce);
 }
 
 void PintDetector::on_root_end(rt::Worker& w, rt::TaskFrame& f) {
@@ -500,6 +458,11 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
                             rt::SyncBlock& blk, rt::TaskFrame& child) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(parent.det_strand);
+  // Lockset rule (same as every detector): the continuation still holds the
+  // parent's locks; the child may run on a worker that does not, so it
+  // starts empty (as does the sync node).  Read before the seal reorders
+  // u's sub-records.
+  const detect::lockset_t held = u->held();
   cursor_flush(ws);
   seal_strand(ws, u);
 
@@ -518,11 +481,7 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   Strand* t = alloc_strand(ws);  // continuation strand
   t->label = labels.cont;
   t->tag = parent.task_name;
-  // Lockset rule (same as every detector): the continuation still holds the
-  // parent's locks; the child may run on a worker that does not, so it
-  // starts empty (as does the sync node).  `held`, not u's lsid: a split
-  // pending at the spawn must not leak the old lockset past it.
-  t->lsid = t->held = u->held;
+  t->active().lsid = held;
   t->pred.store(1, std::memory_order_relaxed);  // Algorithm 1, line 8
   u->collect_child = t;  // "u is a spawn node" case of Algorithm 2
 
@@ -530,7 +489,7 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   parent.det_cont = t;
   trace_push(ws, u);  // Algorithm 1, line 11
   // The spawned child runs next on this worker (continuation stealing).
-  detect::cursor_install(&g->reads, &g->writes, opt_.coalesce);
+  detect::install_cursor(*g, opt_.coalesce);
 }
 
 void PintDetector::on_spawn_return(rt::Worker& w, rt::TaskFrame& child,
@@ -568,7 +527,7 @@ void PintDetector::on_continuation(rt::Worker& w, rt::TaskFrame& parent,
   // The continuation strand runs next on this worker - on the thief after a
   // steal, on the original worker otherwise (its child-cursor was flushed
   // at on_spawn_return).
-  detect::cursor_install(&t->reads, &t->writes, opt_.coalesce);
+  detect::install_cursor(*t, opt_.coalesce);
 }
 
 void PintDetector::on_sync(rt::Worker& w, rt::TaskFrame& f, rt::SyncBlock& blk,
@@ -602,7 +561,7 @@ void PintDetector::on_after_sync(rt::Worker& w, rt::TaskFrame& f,
   blk.det_sync = nullptr;
   // A non-trivial sync may resume on a different worker thread than the one
   // that parked at on_sync - install on whichever thread runs j next.
-  detect::cursor_install(&j->reads, &j->writes, opt_.coalesce);
+  detect::install_cursor(*j, opt_.coalesce);
 }
 
 bool PintDetector::on_task_retire(rt::Worker& w, rt::TaskFrame& f) {
@@ -1204,19 +1163,19 @@ RunResult PintDetector::run(std::function<void()> fn) {
   for (auto& ws : ws_) {
     stats_.raw_reads.fetch_add(ws->raw_reads);
     stats_.raw_writes.fetch_add(ws->raw_writes);
-    stats_.read_intervals.fetch_add(ws->read_intervals);
-    stats_.write_intervals.fetch_add(ws->write_intervals);
+    stats_.read_intervals.fetch_add(ws->seal.read_intervals);
+    stats_.write_intervals.fetch_add(ws->seal.write_intervals);
     stats_.strands.fetch_add(ws->strands);
     stats_.traces.fetch_add(ws->traces);
     stats_.fastpath_accesses.fetch_add(ws->fast_accesses);
     stats_.fastpath_hits.fetch_add(ws->fast_hits);
     stats_.cursor_spills.fetch_add(ws->cursor_spills);
     stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
-    stats_.lock_splits.fetch_add(ws->lock_splits);
-    stats_.tail_probe_hits.fetch_add(ws->tail_hits);
-    stats_.tail_probe_misses.fetch_add(ws->tail_misses);
-    stats_.finalize_sorted_skips.fetch_add(ws->fin_sorted);
-    stats_.finalize_simd.fetch_add(ws->fin_simd);
+    stats_.lock_splits.fetch_add(ws->seal.lock_splits);
+    stats_.tail_probe_hits.fetch_add(ws->seal.tail_hits);
+    stats_.tail_probe_misses.fetch_add(ws->seal.tail_misses);
+    stats_.finalize_sorted_skips.fetch_add(ws->seal.fin_sorted);
+    stats_.finalize_simd.fetch_add(ws->seal.fin_simd);
   }
   // Arena counters are process-wide monotonic; attribute this run's delta
   // (same pattern as deep_backoffs below).

@@ -134,18 +134,15 @@ class PintDetector final : public detect::Detector,
     Trace* cur = nullptr;
     std::uint64_t next_sid = 0;
     std::uint64_t raw_reads = 0, raw_writes = 0;
-    std::uint64_t read_intervals = 0, write_intervals = 0;
     std::uint64_t strands = 0, traces = 0;
     // AccessCursor effectiveness (DESIGN.md §9): raw accesses recorded via
     // the thread-local cursor, the subset its inline caches absorbed, and
     // accesses that took the classic virtual-dispatch route.
     std::uint64_t fast_accesses = 0, fast_hits = 0, slow_accesses = 0;
     std::uint64_t cursor_spills = 0;
-    std::uint64_t lock_splits = 0;  // segments opened by a lockset change
-    // AccessBuffer::add tail-probe outcomes and finalize route tallies
-    // (DESIGN.md §13), folded from each strand's buffers at seal time.
-    std::uint64_t tail_hits = 0, tail_misses = 0;
-    std::uint64_t fin_sorted = 0, fin_simd = 0;
+    // Intervals, lock sub-records, AccessBuffer::add tail-probe outcomes and
+    // finalize route tallies (DESIGN.md §13), folded at seal time.
+    detect::SealTally seal;
     // consumer side (owned by the writer treap worker)
     Trace* ccur = nullptr;
     // Strand pool: owner pops, writer treap worker returns.  Same
@@ -178,9 +175,8 @@ class PintDetector final : public detect::Detector,
   /// counters into ws.  Must run before seal_strand() of the cursor's
   /// strand (pending cursor intervals land in the strand's AccessBuffers).
   void cursor_flush(CoreWS& ws);
-  /// Lockset transition: records the held lockset and suspends or resumes
-  /// the cursor; the split itself waits for the next access (on_access,
-  /// detect/strand.hpp).
+  /// Lockset transition: moves the strand's cursor to the sub-record of
+  /// the new held lockset (detect/strand.hpp).
   void on_lock_event(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lock,
                      bool acquire);
 

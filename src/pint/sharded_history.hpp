@@ -68,8 +68,9 @@ struct HistoryShard {
 
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against both stores then inserted, clears/frees erased)
-  /// - the same order as the two dedicated workers use, restricted to this
-  /// shard's stripes.
+  /// - the same order as the two dedicated workers use, each pass over the
+  /// strand's sub-records in apply order, restricted to this shard's
+  /// stripes.
   ///
   /// Bulk path (DESIGN.md §10): a canonical record list's shard pieces -
   /// sorted pieces of sorted disjoint intervals - form one sorted disjoint
@@ -81,29 +82,37 @@ struct HistoryShard {
                reach::Engine& reach, detect::RaceReporter& rep,
                detect::Stats& stats, bool use_memo = true) {
     using detect::Interval;
-    const store::Accessor me = detect::accessor_of(s);
+    using detect::LockRecord;
     reach::Engine::Memo* const mm = use_memo ? &memo : nullptr;
-    const auto on_read =
-        detect::make_conflict_cb(me, true, false, reach, rep, stats, mm);
-    for_each_piece_run(s.reads, shard, nshards, stats, 1,
-                       [&](const Interval* iv, std::size_t k) {
-                         writer.query_run(iv, k, on_read);
-                       });
-    const auto on_write_reader =
-        detect::make_reader_conflict_cb(me, reach, rep, stats, mm);
-    const auto on_write =
-        detect::make_conflict_cb(me, true, true, reach, rep, stats, mm);
-    for_each_piece_run(s.writes, shard, nshards, stats, 2,
-                       [&](const Interval* iv, std::size_t k) {
-                         reader.query_run(iv, k, on_write_reader);
-                         writer.insert_writer_run(iv, k, me, on_write);
-                       });
-    const store::ReaderPair fresh{me, me};
-    const auto resolve = detect::make_reader_resolver(me, reach, stats, mm);
-    for_each_piece_run(s.reads, shard, nshards, stats, 1,
-                       [&](const Interval* iv, std::size_t k) {
-                         reader.insert_reader_run(iv, k, fresh, resolve);
-                       });
+    s.for_each_record([&](const LockRecord& r) {
+      const auto on_read = detect::make_conflict_cb(
+          detect::accessor_of(s, r), true, false, reach, rep, stats, mm);
+      for_each_piece_run(r.reads, shard, nshards, stats, 1,
+                         [&](const Interval* iv, std::size_t k) {
+                           writer.query_run(iv, k, on_read);
+                         });
+    });
+    s.for_each_record([&](const LockRecord& r) {
+      const store::Accessor me = detect::accessor_of(s, r);
+      const auto on_write_reader =
+          detect::make_reader_conflict_cb(me, reach, rep, stats, mm);
+      const auto on_write =
+          detect::make_conflict_cb(me, true, true, reach, rep, stats, mm);
+      for_each_piece_run(r.writes, shard, nshards, stats, 2,
+                         [&](const Interval* iv, std::size_t k) {
+                           reader.query_run(iv, k, on_write_reader);
+                           writer.insert_writer_run(iv, k, me, on_write);
+                         });
+    });
+    s.for_each_record([&](const LockRecord& r) {
+      const store::Accessor me = detect::accessor_of(s, r);
+      const store::ReaderPair fresh{me, me};
+      const auto resolve = detect::make_reader_resolver(me, reach, stats, mm);
+      for_each_piece_run(r.reads, shard, nshards, stats, 1,
+                         [&](const Interval* iv, std::size_t k) {
+                           reader.insert_reader_run(iv, k, fresh, resolve);
+                         });
+    });
     // One interval's shard pieces are always a sorted disjoint run, so the
     // clears/frees (arbitrary-order lists) erase one run per interval.
     auto erase = [&](const Interval* iv, std::size_t k) {

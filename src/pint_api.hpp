@@ -37,8 +37,8 @@
 //
 // Mutex-guarded programs: wrap acquire/release in PINT_LOCK_ACQUIRE /
 // PINT_LOCK_RELEASE (or use detect-aware guards like InstrumentedLockGuard);
-// two parallel accesses whose segments held a common lock are then filtered
-// out of the race set (DESIGN.md §12).
+// two parallel accesses that held a common lock are then filtered out of the
+// race set (DESIGN.md §12).
 
 #include <functional>
 #include <memory>

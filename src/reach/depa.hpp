@@ -25,7 +25,8 @@
 //                       precedes its sync node)
 //     Child vs Cont ->  parallel, Child side is English-left
 //     proper prefix ->  the prefix precedes the extension (series)
-//     equal labels  ->  ordered by NEITHER (same-label lockset segments)
+//     equal labels  ->  ordered by NEITHER (C-RACER's and the oracle's
+//                       same-label lockset segments)
 //
 // Symbols are appended at the tail word of the label; when a word fills it
 // is frozen into an immutable, reverse-linked PathChunk drawn from the

@@ -48,19 +48,6 @@ void StintDetector::recycle_strand(Strand* s) {
   free_list_ = s;
 }
 
-void StintDetector::seal_strand(Strand* s) {
-  s->reads.finalize(opt_.coalesce);
-  s->writes.finalize(opt_.coalesce);
-  read_intervals_ += s->reads.items().size();
-  write_intervals_ += s->writes.items().size();
-  tail_hits_ += s->reads.tail_hits() + s->writes.tail_hits();
-  tail_misses_ += s->reads.tail_misses() + s->writes.tail_misses();
-  fin_sorted_ += (s->reads.fin_path() == detect::FinalizePath::kSorted) +
-                 (s->writes.fin_path() == detect::FinalizePath::kSorted);
-  fin_simd_ += (s->reads.fin_path() == detect::FinalizePath::kSimd) +
-               (s->writes.fin_path() == detect::FinalizePath::kSimd);
-}
-
 void StintDetector::cursor_flush() {
   const detect::CursorFlush fl = detect::cursor_invalidate();
   raw_reads_ += fl.raw_reads;
@@ -72,7 +59,7 @@ void StintDetector::cursor_flush() {
 
 void StintDetector::process_strand(Strand* s) {
   cursor_flush();  // pending cursor intervals land in s before the seal
-  seal_strand(s);
+  detect::seal_strand(*s, opt_.coalesce, seal_);
   // Empty-strand skip (DESIGN.md §13): no accesses, clears or frees means
   // the history phases would be no-ops - skip their stopwatch reads and
   // spans entirely.
@@ -119,15 +106,8 @@ void StintDetector::on_lock_event(rt::TaskFrame& f, detect::addr_t lock,
                                   bool acquire) {
   auto* u = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(u != nullptr);
-  switch (detect::note_lock_event(*u, lock, acquire)) {
-    case detect::LockStep::kNone:
-      return;
-    case detect::LockStep::kResume:
-      detect::cursor_install(&u->reads, &u->writes, opt_.coalesce);
-      return;
-    case detect::LockStep::kDefer:
-      cursor_flush();
-      return;
+  if (detect::note_lock_event(*u, lock, acquire, [&] { cursor_flush(); })) {
+    detect::install_cursor(*u, opt_.coalesce);
   }
 }
 
@@ -147,45 +127,17 @@ void StintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
 
 void StintDetector::on_access(rt::Worker&, rt::TaskFrame& f, detect::addr_t lo,
                               detect::addr_t hi, bool is_write) {
-  // Classic route: taken when the AccessCursor fast path is disabled, and
-  // by the first access after a lock event left a split pending (the cursor
-  // is uninstalled then, DESIGN.md §12.3).
+  // Classic route: taken only when the AccessCursor fast path is disabled.
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
-  if (PINT_UNLIKELY(s->held != s->lsid)) {
-    if (detect::settle_lock_split(*s)) {
-      // Seal the segment recorded under the old lockset and continue at the
-      // same DAG position on a same-label successor.
-      Strand* v = alloc_strand();
-      detect::open_lock_segment(*s, *v);
-      f.det_strand = v;
-      process_strand(s);
-      ++lock_splits_;
-      s = v;
-    }
-    detect::cursor_install(&s->reads, &s->writes, opt_.coalesce);
-    if (detect::cursor_installed()) {
-      // Record this access through the cursor, as every later one will be.
-      detail::record_access(reinterpret_cast<const void*>(lo), hi - lo + 1,
-                            is_write);
-      return;
-    }
-  }
   ++slow_accesses_;
-  if (is_write) {
-    ++raw_writes_;
-    if (opt_.coalesce) {
-      s->writes.add(lo, hi);
-    } else {
-      s->writes.add_raw(lo, hi);
-    }
+  detect::AccessBuffer& buf =
+      is_write ? s->active().writes : s->active().reads;
+  ++(is_write ? raw_writes_ : raw_reads_);
+  if (opt_.coalesce) {
+    buf.add(lo, hi);
   } else {
-    ++raw_reads_;
-    if (opt_.coalesce) {
-      s->reads.add(lo, hi);
-    } else {
-      s->reads.add_raw(lo, hi);
-    }
+    buf.add_raw(lo, hi);
   }
 }
 
@@ -206,7 +158,7 @@ void StintDetector::on_root_start(rt::Worker&, rt::TaskFrame& f) {
   r->label = reach_.root_label();
   r->tag = f.task_name;
   f.det_strand = r;
-  detect::cursor_install(&r->reads, &r->writes, opt_.coalesce);
+  detect::install_cursor(*r, opt_.coalesce);
 }
 
 void StintDetector::on_root_end(rt::Worker&, rt::TaskFrame& f) {
@@ -235,14 +187,12 @@ void StintDetector::on_spawn(rt::Worker&, rt::TaskFrame& parent,
   // The continuation still holds whatever the parent held at the spawn; the
   // child starts with an empty lockset (it may run on another worker that
   // does NOT hold the parent's mutexes - inheriting would hide real races).
-  // `held`, not u's lsid: a split pending at the spawn must not leak the
-  // old lockset past it.
-  t->lsid = t->held = u->held;
+  t->active().lsid = u->held();
   child.det_strand = g;
   parent.det_cont = t;
   process_strand(u);
   // The spawned child runs next (serial elision order).
-  detect::cursor_install(&g->reads, &g->writes, opt_.coalesce);
+  detect::install_cursor(*g, opt_.coalesce);
 }
 
 void StintDetector::on_spawn_return(rt::Worker&, rt::TaskFrame& child,
@@ -260,7 +210,7 @@ void StintDetector::on_continuation(rt::Worker&, rt::TaskFrame& parent,
   auto* t = static_cast<Strand*>(parent.det_cont);
   parent.det_strand = t;
   parent.det_cont = nullptr;
-  detect::cursor_install(&t->reads, &t->writes, opt_.coalesce);
+  detect::install_cursor(*t, opt_.coalesce);
 }
 
 void StintDetector::on_sync(rt::Worker&, rt::TaskFrame& f, rt::SyncBlock& blk,
@@ -278,7 +228,7 @@ void StintDetector::on_after_sync(rt::Worker&, rt::TaskFrame& f,
   if (j == nullptr) return;  // cursor of the continuing strand stays live
   f.det_strand = j;
   blk.det_sync = nullptr;
-  detect::cursor_install(&j->reads, &j->writes, opt_.coalesce);
+  detect::install_cursor(*j, opt_.coalesce);
 }
 
 // --- run ----------------------------------------------------------------
@@ -304,30 +254,30 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
 
   stats_.raw_reads.store(raw_reads_);
   stats_.raw_writes.store(raw_writes_);
-  stats_.read_intervals.store(read_intervals_);
-  stats_.write_intervals.store(write_intervals_);
+  stats_.read_intervals.store(seal_.read_intervals);
+  stats_.write_intervals.store(seal_.write_intervals);
   stats_.strands.store(strands_);
   stats_.fastpath_accesses.store(fast_accesses_);
   stats_.fastpath_hits.store(fast_hits_);
   stats_.cursor_spills.store(cursor_spills_);
   stats_.slowpath_accesses.store(slow_accesses_);
-  stats_.lock_splits.store(lock_splits_);
+  stats_.lock_splits.store(seal_.lock_splits);
   const std::uint64_t mq = memo_.queries;
   const std::uint64_t mh = memo_.hits;
   stats_.memo_queries.store(mq);
   stats_.memo_hits.store(mh);
-  stats_.tail_probe_hits.store(tail_hits_);
-  stats_.tail_probe_misses.store(tail_misses_);
-  stats_.finalize_sorted_skips.store(fin_sorted_);
-  stats_.finalize_simd.store(fin_simd_);
+  stats_.tail_probe_hits.store(seal_.tail_hits);
+  stats_.tail_probe_misses.store(seal_.tail_misses);
+  stats_.finalize_sorted_skips.store(seal_.fin_sorted);
+  stats_.finalize_simd.store(seal_.fin_simd);
   // Arena counters are process-wide monotonic; attribute this run's delta.
   const support::ArenaCounters arena1 = support::arena_counters();
   stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
   stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
-  telem::count("access.tail.hits", tail_hits_);
-  telem::count("access.tail.misses", tail_misses_);
-  telem::count("access.finalize.sorted", fin_sorted_);
-  telem::count("access.finalize.simd", fin_simd_);
+  telem::count("access.tail.hits", seal_.tail_hits);
+  telem::count("access.tail.misses", seal_.tail_misses);
+  telem::count("access.finalize.sorted", seal_.fin_sorted);
+  telem::count("access.finalize.simd", seal_.fin_simd);
   telem::count("access.fastpath.total", fast_accesses_);
   telem::count("access.fastpath.hits", fast_hits_);
   telem::count("access.fastpath.spills", cursor_spills_);

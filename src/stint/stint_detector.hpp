@@ -81,11 +81,9 @@ class StintDetector final : public detect::Detector,
   /// recycle the record.  Drains the execution thread's AccessCursor first
   /// (process_strand is only ever called on the current strand).
   void process_strand(detect::Strand* s);
-  void seal_strand(detect::Strand* s);
   void cursor_flush();
-  /// Lockset transition: records the held lockset and suspends or resumes
-  /// the cursor; the split itself waits for the next access (on_access,
-  /// DESIGN.md §12.3).
+  /// Lockset transition: moves the strand's cursor to the sub-record of
+  /// the new held lockset (DESIGN.md §12.3).
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
 
   Options opt_;
@@ -106,13 +104,10 @@ class StintDetector final : public detect::Detector,
   std::vector<detect::Strand*> owned_;
   std::uint64_t next_sid_ = 0;
   std::uint64_t raw_reads_ = 0, raw_writes_ = 0;
-  std::uint64_t read_intervals_ = 0, write_intervals_ = 0;
   std::uint64_t strands_ = 0;
   std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
   std::uint64_t cursor_spills_ = 0;
-  std::uint64_t lock_splits_ = 0;  // segments opened by a lockset change
-  std::uint64_t tail_hits_ = 0, tail_misses_ = 0;
-  std::uint64_t fin_sorted_ = 0, fin_simd_ = 0;
+  detect::SealTally seal_;
   StopwatchAccum writer_watch_, reader_watch_;
   bool used_ = false;
 };

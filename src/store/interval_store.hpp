@@ -78,12 +78,15 @@ struct ReaderPair {
   Accessor left, right;
 };
 
-/// Coalescing identity: every slot holds the same strand.
+/// Coalescing identity: every slot holds the same strand record.  The
+/// lockset counts: one strand's lock sub-records share its sid, and a
+/// two-sided pair can hold two of them, so merging by sid alone would
+/// spread one record's lockset over its neighbour's bytes.
 inline bool same_owner(const Accessor& a, const Accessor& b) {
-  return a.sid == b.sid;
+  return a.sid == b.sid && a.lsid == b.lsid;
 }
 inline bool same_owner(const ReaderPair& a, const ReaderPair& b) {
-  return a.left.sid == b.left.sid && a.right.sid == b.right.sid;
+  return same_owner(a.left, b.left) && same_owner(a.right, b.right);
 }
 
 template <class P>

@@ -128,6 +128,8 @@ struct Action {
   std::uint32_t offset;
   std::uint16_t len;
   bool write;
+  /// Locks held around the access: bit i = program_lock(i).  0 = unguarded.
+  std::uint8_t locks = 0;
 };
 
 struct PNode {
@@ -143,7 +145,22 @@ struct ProgramConfig {
   int max_actions = 4;
   std::uint32_t pool_bytes = 256;  // small pool => overlaps are likely
   bool race_free = false;          // partition the pool per node instead
+  /// Lock-bearing programs: with locks = N in 1..8, three actions in four run
+  /// inside a critical section over a random non-empty subset of N locks,
+  /// so one strand mixes unguarded, single-lock and nested (multi-lock)
+  /// locksets.  Their accesses are 8-byte aligned, the granule detectors'
+  /// resolution, so that a program the byte-exact oracle calls race-free
+  /// is race-free at every detector's resolution.  0 draws nothing extra
+  /// from the RNG, so lock-free programs stay exactly what they were.
+  int locks = 0;
 };
+
+/// The address of lock i of a generated program (its identity for the lock
+/// hooks; the programs only record accesses, so nothing is really locked).
+inline const void* program_lock(int i) {
+  static std::uint64_t locks[8];
+  return &locks[i];
+}
 
 class ProgramGen {
  public:
@@ -180,7 +197,16 @@ class ProgramGen {
       } else {
         off = std::uint32_t(rng_.next_below(cfg_.pool_bytes - 16));
       }
-      out.push_back({off, len, rng_.next_below(2) == 0});
+      if (cfg_.locks > 0) {
+        off &= ~std::uint32_t(7);
+        len = std::uint16_t((len + 7) & ~7);
+      }
+      Action a{off, len, rng_.next_below(2) == 0};
+      if (cfg_.locks > 0 && rng_.next_below(100) < 75) {
+        a.locks = std::uint8_t(
+            1 + rng_.next_below((std::uint64_t(1) << cfg_.locks) - 1));
+      }
+      out.push_back(a);
     }
     slab_ = 0;  // a fresh slab per strand segment in race-free mode
   }
@@ -197,15 +223,25 @@ inline std::size_t program_pool_bytes(const ProgramConfig& cfg) {
   return cfg.race_free ? std::size_t(1) << 20 : cfg.pool_bytes;
 }
 
+/// One action: its critical section (locks taken in ascending order, so
+/// multi-lock sections nest) around the recorded access.
+inline void exec_action(const Action& a, unsigned char* base) {
+  for (int i = 0; i < 8; ++i) {
+    if ((a.locks >> i) & 1) lock_acquire(program_lock(i));
+  }
+  if (a.write) {
+    record_write(base + a.offset, a.len);
+  } else {
+    record_read(base + a.offset, a.len);
+  }
+  for (int i = 7; i >= 0; --i) {
+    if ((a.locks >> i) & 1) lock_release(program_lock(i));
+  }
+}
+
 inline void exec_node(const PNode& n, unsigned char* base) {
   auto do_actions = [&](const std::vector<Action>& as) {
-    for (const Action& a : as) {
-      if (a.write) {
-        record_write(base + a.offset, a.len);
-      } else {
-        record_read(base + a.offset, a.len);
-      }
-    }
+    for (const Action& a : as) exec_action(a, base);
   };
   do_actions(n.pre);
   if (!n.children.empty()) {
@@ -219,12 +255,7 @@ inline void exec_node(const PNode& n, unsigned char* base) {
       // A slice of mid actions lands on this continuation strand.
       for (std::size_t k = 0; k < mid_per_child && mid_idx < n.mid.size();
            ++k, ++mid_idx) {
-        const Action& a = n.mid[mid_idx];
-        if (a.write) {
-          record_write(base + a.offset, a.len);
-        } else {
-          record_read(base + a.offset, a.len);
-        }
+        exec_action(n.mid[mid_idx], base);
       }
     }
     sc.sync();

@@ -346,9 +346,9 @@ INSTANTIATE_TEST_SUITE_P(All, KernelAccessPath,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
 
-// The lock kernels (not in kernel_names()), guarded and seeded: a pending
-// lock split is settled by the first access, which reaches the detector on
-// the slow route either way, so both routes must cut the same segments.
+// The lock kernels (not in kernel_names()), guarded and seeded: a lock event
+// moves the fast route's cursor and the slow route's appends to the same
+// sub-record, so both routes must fill the same sub-records.
 class LockKernelAccessPath
     : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 

@@ -47,10 +47,10 @@ struct HistoryFixture {
 };
 
 void add_read(Strand* s, std::uint64_t lo, std::uint64_t hi) {
-  s->reads.add(lo, hi);
+  s->active().reads.add(lo, hi);
 }
 void add_write(Strand* s, std::uint64_t lo, std::uint64_t hi) {
-  s->writes.add(lo, hi);
+  s->active().writes.add(lo, hi);
 }
 
 }  // namespace
