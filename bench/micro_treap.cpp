@@ -14,12 +14,11 @@
 //  * fft_strided: fft's reader-lane traffic (2048 runs of 128 eight-byte
 //    intervals, 16 KiB stride, bit-reversed offsets), the workload that
 //    motivated the B+-tree.  It reports ns per interval for a steady-state
-//    pass and the store's bytes per segment, and the process exits non-zero
-//    if the footprint exceeds kFootprintBar (the treap's 88-byte node);
+//    pass and the store's bytes per segment (nodes and accessor table), and
+//    the process exits non-zero if the footprint exceeds kFootprintBar;
 //  * fft_strided_two_sided: the same traffic on PINT's two-sided reader
-//    store, whose segments carry a (left, right) reader pair.  Its
-//    footprint bar is kTwoSidedFootprintBar, under the two treap nodes the
-//    paper's two reader treaps spent on the same bytes.
+//    store, whose segments carry a (left, right) pair of reader handles.
+//    Its footprint bar is kTwoSidedFootprintBar.
 
 #include <benchmark/benchmark.h>
 
@@ -43,11 +42,12 @@ store::Accessor acc(std::uint64_t sid) { return {{}, sid}; }
 
 /// A store's payload owned by strand `sid` (both slots, two-sided).
 template <class Store>
-typename Store::Payload owner(std::uint64_t sid) {
+typename Store::Payload owner(Store& t, std::uint64_t sid) {
+  const store::Handle h = t.intern(acc(sid));
   if constexpr (std::is_same_v<typename Store::Payload, store::ReaderPair>) {
-    return {acc(sid), acc(sid)};
+    return {h, h};
   } else {
-    return acc(sid);
+    return h;
   }
 }
 
@@ -66,7 +66,8 @@ void BM_StoreInsertDisjoint(benchmark::State& state) {
       state.ResumeTiming();
     }
     const std::uint64_t lo = i * 64;
-    t->insert_writer(lo, lo + 63, acc(i), [](auto, auto, const auto&) {});
+    t->insert_writer(lo, lo + 63, t->intern(acc(i)),
+                     [](auto, auto, const auto&) {});
     ++i;
     ++total;
   }
@@ -82,7 +83,8 @@ void BM_StoreInsertOverlapping(benchmark::State& state) {
   for (auto _ : state) {
     const std::uint64_t lo = rng.next_below(span);
     const std::uint64_t len = 1 + rng.next_below(512);
-    t.insert_writer(lo, lo + len, acc(i), [](auto, auto, const auto&) {});
+    t.insert_writer(lo, lo + len, t.intern(acc(i)),
+                    [](auto, auto, const auto&) {});
     ++i;
   }
   state.SetItemsProcessed(std::int64_t(i));
@@ -93,7 +95,8 @@ void BM_StoreQuery(benchmark::State& state) {
   store::IntervalStore t;
   const std::uint64_t n = std::uint64_t(state.range(0));
   for (std::uint64_t i = 0; i < n; ++i) {
-    t.insert_writer(i * 64, i * 64 + 63, acc(i), [](auto, auto, const auto&) {});
+    t.insert_writer(i * 64, i * 64 + 63, t.intern(acc(i)),
+                    [](auto, auto, const auto&) {});
   }
   Xoshiro256 rng(9);
   std::uint64_t hits = 0;
@@ -113,7 +116,8 @@ void BM_StoreEraseRange(benchmark::State& state) {
     // Keep the tree populated: insert 4, erase a larger random range.
     for (int k = 0; k < 4; ++k, ++i) {
       const std::uint64_t lo = rng.next_below(1 << 20);
-      t.insert_writer(lo, lo + 127, acc(i), [](auto, auto, const auto&) {});
+      t.insert_writer(lo, lo + 127, t.intern(acc(i)),
+                      [](auto, auto, const auto&) {});
     }
     const std::uint64_t lo = rng.next_below(1 << 20);
     t.erase_range(lo, lo + 1023);
@@ -148,8 +152,12 @@ constexpr std::size_t kRunLen = 64;    // intervals per record (sorted run)
 constexpr std::uint64_t kLen = 64;     // bytes per interval
 constexpr int kReps = 3;               // best-of for each timed pass
 constexpr double kSpeedupBar = 1.2;    // enforced on the dense-run rows
-constexpr double kFootprintBar = 88.0;  // bytes per segment (treap node)
-constexpr double kTwoSidedFootprintBar = 160.0;  // < two treap nodes
+// Bytes per segment, nodes plus accessor table: measured 25.7 (one-sided)
+// and 30.4 (two-sided) with 4-byte handles, bars at about +25%.  Both sit
+// far under the treap's 88-byte node and the two nodes the paper's two
+// reader treaps spent on the same bytes.
+constexpr double kFootprintBar = 32.0;
+constexpr double kTwoSidedFootprintBar = 38.0;
 
 /// Layout of one pass: run r holds kRunLen intervals of kLen bytes spaced
 /// `gap` bytes apart (gap 0 = adjacent, the coalesced-record shape).
@@ -197,7 +205,7 @@ std::size_t count(const Runs& runs) {
 template <class Store>
 void populate(Store& t, const Runs& runs) {
   for (const auto& run : runs) {
-    t.insert_writer_run(run.data(), run.size(), owner<Store>(1),
+    t.insert_writer_run(run.data(), run.size(), owner(t, 1),
                         [](auto, auto, const auto&) {});
   }
 }
@@ -241,21 +249,23 @@ bool bulk_matches_per_record(const Runs& runs) {
   populate(a, runs);
   populate(b, runs);
   std::vector<std::uint64_t> ca, cb;
-  auto log = [](std::vector<std::uint64_t>& v) {
-    return [&v](auto lo, auto hi, const auto& w) {
+  auto log = [](const store::IntervalStore& t, std::vector<std::uint64_t>& v) {
+    return [&t, &v](auto lo, auto hi, store::Handle w) {
       v.push_back(lo);
       v.push_back(hi);
-      v.push_back(w.sid);
+      v.push_back(t.table()[w].sid);
     };
   };
   for (const auto& run : runs) {
-    for (const Iv& iv : run) a.insert_writer(iv.lo, iv.hi, acc(2), log(ca));
-    b.insert_writer_run(run.data(), run.size(), acc(2), log(cb));
+    for (const Iv& iv : run) {
+      a.insert_writer(iv.lo, iv.hi, a.intern(acc(2)), log(a, ca));
+    }
+    b.insert_writer_run(run.data(), run.size(), b.intern(acc(2)), log(b, cb));
   }
   if (ca != cb) return false;
   std::vector<std::uint64_t> fa, fb;
-  a.for_each(log(fa));
-  b.for_each(log(fb));
+  a.for_each(log(a, fa));
+  b.for_each(log(b, fb));
   return fa == fb && a.check_invariants() && b.check_invariants();
 }
 
@@ -266,7 +276,7 @@ Row bench_writer(const char* name, std::uint64_t gap) {
                                              std::uint64_t* s) {
     for (const auto& run : runs) {
       for (const Iv& iv : run) {
-        t.insert_writer(iv.lo, iv.hi, acc(2),
+        t.insert_writer(iv.lo, iv.hi, t.intern(acc(2)),
                         [&](auto lo, auto, const auto&) { *s += lo; });
       }
     }
@@ -274,7 +284,7 @@ Row bench_writer(const char* name, std::uint64_t gap) {
   const double bulk = time_pass(runs, [&](store::IntervalStore& t,
                                           std::uint64_t* s) {
     for (const auto& run : runs) {
-      t.insert_writer_run(run.data(), run.size(), acc(2),
+      t.insert_writer_run(run.data(), run.size(), t.intern(acc(2)),
                           [&](auto lo, auto, const auto&) { *s += lo; });
     }
   }, &sink);
@@ -282,42 +292,44 @@ Row bench_writer(const char* name, std::uint64_t gap) {
   return {name, per_rec, bulk, true};
 }
 
-auto resolve_odd = [](const store::Accessor& prev, const store::Accessor& a) {
-  return (prev.sid & 1) != 0 ? a : prev;  // deterministic winner rule
-};
-
-/// The two-sided form: the left slot follows resolve_odd, the right slot
-/// its opposite, so every resolve splits the pair.
-auto resolve_odd_pair = [](const store::ReaderPair& prev,
-                           const store::ReaderPair& a) {
-  store::ReaderPair out = prev;
-  if ((prev.left.sid & 1) != 0) out.left = a.left;
-  if ((prev.right.sid & 1) == 0) out.right = a.right;
-  return out;
-};
+/// Deterministic winner rule on t's handles: the new reader takes a slot
+/// whose sid is odd.  The two-sided form gives the right slot the opposite
+/// rule, so every resolve splits the pair.
+template <class Store>
+auto resolve_odd(const Store& t) {
+  const auto odd = [&t](store::Handle h) {
+    return (t.table()[h].sid & 1) != 0;
+  };
+  if constexpr (std::is_same_v<Store, store::ReaderStore>) {
+    return [odd](const store::ReaderPair& prev, const store::ReaderPair& a) {
+      store::ReaderPair out = prev;
+      if (odd(prev.left)) out.left = a.left;
+      if (!odd(prev.right)) out.right = a.right;
+      return out;
+    };
+  } else {
+    return [odd](store::Handle prev, store::Handle a) {
+      return odd(prev) ? a : prev;
+    };
+  }
+}
 
 template <class Store = store::IntervalStore>
 Row bench_reader(const char* name, const Runs& runs, bool enforced) {
-  const auto resolve = [] {
-    if constexpr (std::is_same_v<Store, store::ReaderStore>) {
-      return resolve_odd_pair;
-    } else {
-      return resolve_odd;
-    }
-  }();
   std::uint64_t sink = 0;
   const double per_rec = time_pass<Store>(runs, [&](Store& t,
                                                     std::uint64_t* s) {
     for (const auto& run : runs) {
       for (const Iv& iv : run) {
-        t.insert_reader(iv.lo, iv.hi, owner<Store>(2), resolve);
+        t.insert_reader(iv.lo, iv.hi, owner(t, 2), resolve_odd(t));
       }
     }
     *s += t.size();
   }, &sink);
   const double bulk = time_pass<Store>(runs, [&](Store& t, std::uint64_t* s) {
     for (const auto& run : runs) {
-      t.insert_reader_run(run.data(), run.size(), owner<Store>(2), resolve);
+      t.insert_reader_run(run.data(), run.size(), owner(t, 2),
+                          resolve_odd(t));
     }
     *s += t.size();
   }, &sink);
@@ -352,7 +364,7 @@ Row bench_fft(const char* name, double footprint_bar) {
   Row row = bench_reader<Store>(name, runs, false);
   Store t;
   for (const auto& run : runs) {
-    t.insert_reader_run(run.data(), run.size(), owner<Store>(2),
+    t.insert_reader_run(run.data(), run.size(), owner(t, 2),
                         [](const auto& prev, const auto&) { return prev; });
   }
   row.bytes_per_segment = double(t.node_bytes()) / double(t.size());

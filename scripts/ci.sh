@@ -14,7 +14,7 @@
 #                            # fast-path bar or with a dead memo cache),
 #                            # emits BENCH_access.json; micro_treap
 #                            # --bulk-json (fails below the 1.2x run-finger
-#                            # bar or above the 88 B/segment footprint
+#                            # bar or above the 32 B/segment footprint
 #                            # bar), emits BENCH_treap.json; micro_reach
 #                            # (DePa spawn/query throughput under
 #                            # concurrent spawns), emits BENCH_reach.json;

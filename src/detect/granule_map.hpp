@@ -5,10 +5,12 @@
 // and payloads so it can stand in for any of PINT's or STINT's stores.
 //
 // One map instance plays exactly one role: last-writer, serial reader, or
-// (ReaderGranuleMap) PINT's two-sided reader. Like the stores it is strictly
-// sequential - a single owner thread - so PINT's pipeline is unchanged and
-// benchmarking "treap vs hashmap under an identical asynchronous pipeline"
-// isolates the access-history data structure itself (ablation_history).
+// (ReaderGranuleMap) PINT's two-sided reader.  Payloads are accessor
+// handles into the map's own store::AccessorTable, as in the stores. Like
+// the stores it is strictly sequential - a single owner thread - so PINT's
+// pipeline is unchanged and benchmarking "treap vs hashmap under an
+// identical asynchronous pipeline" isolates the access-history data
+// structure itself (ablation_history).
 //
 // Storage: open-addressing table from 8-byte granule to the payload,
 // growing by rehash at 70% load. Interval operations iterate the granules of
@@ -29,6 +31,7 @@ class BasicGranuleMap {
  public:
   using Payload = P;
   static constexpr std::uint64_t kGranuleBytes = 8;
+  static constexpr std::size_t kSlots = sizeof(P) / sizeof(store::Handle);
 
   /// Minimum slot count: capacities below it (notably 0, whose mask would
   /// underflow to all-ones over an empty table) are rounded up to it.
@@ -39,6 +42,16 @@ class BasicGranuleMap {
     const std::size_t cap = mask_ + 1;
     PINT_CHECK_MSG((cap & (cap - 1)) == 0, "capacity must be a power of 2");
   }
+
+  /// The handle of `a` in this map's table (store::AccessorTable::intern).
+  store::Handle intern(const store::Accessor& a) {
+    return table_.intern(a, live_ * kSlots, [this](auto&& fn) {
+      for (Slot& s : slots_) {
+        if (s.occupied) store::for_each_handle(s.who, fn);
+      }
+    });
+  }
+  const store::AccessorTable& table() const { return table_; }
 
   /// cb(granule_lo, granule_hi, payload) for every granule of [lo, hi]
   /// with a recorded accessor. Bounds reported at granule granularity.
@@ -209,9 +222,10 @@ class BasicGranuleMap {
   std::size_t live_ = 0;    // occupied slots
   std::uint64_t min_key_ = ~std::uint64_t(0);  // observed granule bounds
   std::uint64_t max_key_ = 0;
+  store::AccessorTable table_;
 };
 
-using GranuleMap = BasicGranuleMap<store::Accessor>;
+using GranuleMap = BasicGranuleMap<store::Handle>;
 using ReaderGranuleMap = BasicGranuleMap<store::ReaderPair>;
 
 }  // namespace pint::detect

@@ -57,18 +57,25 @@ inline store::Accessor accessor_of(const Strand& s, const LockRecord& r) {
 
 // HistoryKind (treap vs granule-map store) lives in detect/types.hpp so the
 // ablation knob is nameable without this header's treap dependency.
+//
+// Stores hold handles (DESIGN.md §15.2).  The callbacks and resolvers below
+// read the stored accessors from the store's table `tab`; a resolver also
+// takes me's handle in that table, since it returns handles.
 
 /// Overlap callback shared by every checking path: report a race when a
 /// prior accessor of the overlapped segment is parallel to `me` and the two
 /// records held no common lock (epoch×lockset filtering, DESIGN.md §12).
-/// `me` is captured by value; engine/reporter/stats by reference.  `memo`
-/// (optional) is the calling history worker's private precedes() cache.
-inline auto make_conflict_cb(store::Accessor me, bool prev_write,
+/// `me` is captured by value; table/engine/reporter/stats by reference.
+/// `memo` (optional) is the calling history worker's private precedes()
+/// cache.
+inline auto make_conflict_cb(const store::AccessorTable& tab,
+                             store::Accessor me, bool prev_write,
                              bool cur_write, reach::Engine& reach,
                              RaceReporter& rep, Stats& stats,
                              reach::Engine::Memo* memo = nullptr) {
-  return [me, prev_write, cur_write, &reach, &rep, &stats, memo](
-             addr_t lo, addr_t hi, const store::Accessor& prev) {
+  return [&tab, me, prev_write, cur_write, &reach, &rep, &stats, memo](
+             addr_t lo, addr_t hi, store::Handle h) {
+    const store::Accessor& prev = tab[h];
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
     if (locksets_share(prev.lsid, me.lsid)) return;  // common mutex held
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
@@ -81,15 +88,15 @@ inline auto make_conflict_cb(store::Accessor me, bool prev_write,
 
 /// Write check against the two-sided reader store: each slot is checked on
 /// its own, and once when both slots hold the same sub-record.
-inline auto make_reader_conflict_cb(store::Accessor me, reach::Engine& reach,
+inline auto make_reader_conflict_cb(const store::AccessorTable& tab,
+                                    store::Accessor me, reach::Engine& reach,
                                     RaceReporter& rep, Stats& stats,
                                     reach::Engine::Memo* memo = nullptr) {
-  return [check = make_conflict_cb(me, false, true, reach, rep, stats, memo)](
-             addr_t lo, addr_t hi, const store::ReaderPair& prev) {
+  return [check = make_conflict_cb(tab, me, false, true, reach, rep, stats,
+                                   memo)](addr_t lo, addr_t hi,
+                                          const store::ReaderPair& prev) {
     check(lo, hi, prev.left);
-    if (prev.right.sid != prev.left.sid || prev.right.lsid != prev.left.lsid) {
-      check(lo, hi, prev.right);
-    }
+    if (prev.right != prev.left) check(lo, hi, prev.right);
   };
 }
 
@@ -101,14 +108,16 @@ inline auto make_reader_conflict_cb(store::Accessor me, reach::Engine& reach,
 
 /// Serial (STINT) reader retention, the Feng-Leiserson rule: the new reader
 /// wins only when it is in series after the stored one.
-inline auto make_serial_resolver(store::Accessor me, reach::Engine& reach,
+inline auto make_serial_resolver(const store::AccessorTable& tab,
+                                 store::Handle me, reach::Engine& reach,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
-  return [me, &reach, &stats, memo](const store::Accessor& prev,
-                                    const store::Accessor&) {
-    if (prev.sid == me.sid) return me;  // same strand: the weaker lockset
+  return [&tab, me, &reach, &stats, memo](store::Handle prev, store::Handle) {
+    const store::Accessor& p = tab[prev];
+    const store::Accessor& m = tab[me];
+    if (p.sid == m.sid) return me;  // same strand: the weaker lockset
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    const reach::Relation r = reach.relation(prev.label, me.label, memo);
+    const reach::Relation r = reach.relation(p.label, m.label, memo);
     return r.eng && r.heb ? me : prev;  // prev ~> me
   };
 }
@@ -122,28 +131,32 @@ inline auto make_serial_resolver(store::Accessor me, reach::Engine& reach,
 /// sub-record of me's strand takes me, with no query; when both do, the
 /// right slot takes the left one's record instead, so the pair keeps the
 /// strand's two last-applied (least-guarded) sub-records.
-inline auto make_reader_resolver(store::Accessor me, reach::Engine& reach,
+inline auto make_reader_resolver(const store::AccessorTable& tab,
+                                 store::Handle me, reach::Engine& reach,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
-  return [me, &reach, &stats, memo](const store::ReaderPair& prev,
-                                    const store::ReaderPair&) {
+  return [&tab, me, &reach, &stats, memo](const store::ReaderPair& prev,
+                                          const store::ReaderPair&) {
+    const store::Accessor& m = tab[me];
     auto relation = [&](const store::Accessor& a) {
       stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-      return reach.relation(a.label, me.label, memo);
+      return reach.relation(a.label, m.label, memo);
     };
+    const store::Accessor& left = tab[prev.left];
     store::ReaderPair out = prev;
     reach::Relation r{};
-    if (prev.left.sid == me.sid) {
+    if (left.sid == m.sid) {
       out.left = me;
     } else {
-      r = relation(prev.left);
+      r = relation(left);
       if (!r.eng || r.heb) out.left = me;  // prev ~> me, or me left of prev
     }
-    if (prev.right.sid == me.sid) {
+    const store::Accessor& right = tab[prev.right];
+    if (right.sid == m.sid) {
       // Both slots holding me's strand keep its last two sub-records.
-      out.right = prev.left.sid == me.sid ? prev.left : me;
+      out.right = left.sid == m.sid ? prev.left : me;
     } else {
-      if (prev.right.sid != prev.left.sid) r = relation(prev.right);
+      if (right.sid != left.sid) r = relation(right);
       if (r.eng) out.right = me;  // prev ~> me, or prev left of me
     }
     return out;
@@ -176,18 +189,20 @@ inline void process_writer_treap(History& t, const Strand& s,
                                  Stats& stats,
                                  reach::Engine::Memo* memo = nullptr) {
   s.for_each_record([&](const LockRecord& r) {
-    const auto on_read = make_conflict_cb(accessor_of(s, r), true, false,
-                                          reach, rep, stats, memo);
+    const auto on_read = make_conflict_cb(t.table(), accessor_of(s, r), true,
+                                          false, reach, rep, stats, memo);
     for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
       t.query_run(iv, k, on_read);
     });
   });
   s.for_each_record([&](const LockRecord& r) {
+    if (r.writes.items().empty()) return;
     const store::Accessor me = accessor_of(s, r);
-    const auto on_write = make_conflict_cb(me, true, true, reach, rep, stats,
-                                           memo);
+    const store::Handle h = t.intern(me);
+    const auto on_write = make_conflict_cb(t.table(), me, true, true, reach,
+                                           rep, stats, memo);
     for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
-      t.insert_writer_run(iv, k, me, on_write);
+      t.insert_writer_run(iv, k, h, on_write);
     });
   });
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
@@ -209,9 +224,11 @@ inline void process_reader_treap(History& t, const Strand& s,
     const store::Accessor me = accessor_of(s, r);
     const auto check = [&] {
       if constexpr (kTwoSided) {
-        return make_reader_conflict_cb(me, reach, rep, stats, memo);
+        return make_reader_conflict_cb(t.table(), me, reach, rep, stats,
+                                       memo);
       } else {
-        return make_conflict_cb(me, false, true, reach, rep, stats, memo);
+        return make_conflict_cb(t.table(), me, false, true, reach, rep, stats,
+                                memo);
       }
     }();
     for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
@@ -219,13 +236,16 @@ inline void process_reader_treap(History& t, const Strand& s,
     });
   });
   s.for_each_record([&](const LockRecord& r) {
-    const store::Accessor me = accessor_of(s, r);
+    if (r.reads.items().empty()) return;
+    const store::Handle me = t.intern(accessor_of(s, r));
     const auto [fresh, resolve] = [&] {
       if constexpr (kTwoSided) {
         return std::pair{store::ReaderPair{me, me},
-                         make_reader_resolver(me, reach, stats, memo)};
+                         make_reader_resolver(t.table(), me, reach, stats,
+                                              memo)};
       } else {
-        return std::pair{me, make_serial_resolver(me, reach, stats, memo)};
+        return std::pair{me, make_serial_resolver(t.table(), me, reach, stats,
+                                                  memo)};
       }
     }();
     for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {

@@ -5,11 +5,12 @@
 // Each lock sub-record of a strand (a strand segment in C-RACER and the
 // oracle) carries a compact `lockset_t` id naming the exact set of mutexes
 // held while its accesses were recorded (0 = no locks, the overwhelmingly
-// common case).  History records inherit the id through `store::Accessor` /
-// the shadow cells, and the conflict paths suppress a report when both
-// sides' records share a lock - two parallel accesses guarded by a common
-// mutex are not a race (PWR-style lockset reasoning, layered over the
-// interval machinery instead of replacing it).
+// common case).  History records inherit the id through the
+// `store::Accessor` that each store's accessor table keeps per (sid, lsid),
+// or through the shadow cells, and the conflict paths suppress a report
+// when both sides' records share a lock - two parallel accesses guarded by
+// a common mutex are not a race (PWR-style lockset reasoning, layered over
+// the interval machinery instead of replacing it).
 //
 // Ids are interned process-wide in a LocksetTable: acquire/release are rare
 // control events, so the transitions run under one spinlock; the id -> set

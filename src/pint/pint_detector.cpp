@@ -103,7 +103,7 @@ PintDetector::PintDetector(const Options& opt)
       opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
       "sharded history supports the treap store only");
   for (int k = 0; k < opt_.history_shards; ++k) {
-    shards_.push_back(std::make_unique<HistoryShard>());
+    shards_.push_back(std::make_unique<HistoryShard>(opt_.tuning.memo));
   }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();
@@ -885,7 +885,7 @@ void PintDetector::shard_loop(int shard) {
     if (!pw) hs.watch.start();
     {
       PINT_TSPAN("shard.strand");
-      hs.process(*s, shard, n, reach_, rep_, stats_, opt_.tuning.memo);
+      hs.process(*s, shard, n, reach_, rep_, stats_);
     }
     if (!pw) hs.watch.stop();
   });
@@ -1191,8 +1191,9 @@ RunResult PintDetector::run(std::function<void()> fn) {
     mh += m->hits;
   }
   for (const auto& sh : shards_) {
-    mq += sh->memo.queries;
-    mh += sh->memo.hits;
+    if (sh->memo == nullptr) continue;
+    mq += sh->memo->queries;
+    mh += sh->memo->hits;
   }
   stats_.memo_queries.fetch_add(mq);
   stats_.memo_hits.fetch_add(mh);

@@ -19,6 +19,7 @@
 // it spans (still ~8000x coarser than per-granule work).
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "detect/history.hpp"
@@ -62,15 +63,21 @@ struct HistoryShard {
   store::IntervalStore writer;
   store::ReaderStore reader;
   StopwatchAccum watch;
-  // precedes() memo - touched only by this shard's worker thread, like the
-  // stores above.  Counters summed into Stats at run end (quiescence).
-  reach::Engine::Memo memo;
+  // precedes() memo (null with tuning.memo off) - touched only by this
+  // shard's worker thread, like the stores above.  Counters summed into
+  // Stats at run end (quiescence).
+  std::unique_ptr<reach::Engine::Memo> memo;
+
+  explicit HistoryShard(bool use_memo = true) {
+    if (use_memo) memo = std::make_unique<reach::Engine::Memo>();
+  }
 
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against both stores then inserted, clears/frees erased)
   /// - the same order as the two dedicated workers use, each pass over the
   /// strand's sub-records in apply order, restricted to this shard's
-  /// stripes.
+  /// stripes.  A sub-record is interned into a store at its first piece run
+  /// there; its later runs reuse that entry (AccessorTable::intern).
   ///
   /// Bulk path (DESIGN.md §10): a canonical record list's shard pieces -
   /// sorted pieces of sorted disjoint intervals - form one sorted disjoint
@@ -80,13 +87,14 @@ struct HistoryShard {
   /// interleaving of the two stores' reports within a strand moves.
   void process(const detect::Strand& s, int shard, int nshards,
                reach::Engine& reach, detect::RaceReporter& rep,
-               detect::Stats& stats, bool use_memo = true) {
+               detect::Stats& stats) {
     using detect::Interval;
     using detect::LockRecord;
-    reach::Engine::Memo* const mm = use_memo ? &memo : nullptr;
+    reach::Engine::Memo* const mm = memo.get();
     s.for_each_record([&](const LockRecord& r) {
-      const auto on_read = detect::make_conflict_cb(
-          detect::accessor_of(s, r), true, false, reach, rep, stats, mm);
+      const auto on_read =
+          detect::make_conflict_cb(writer.table(), detect::accessor_of(s, r),
+                                   true, false, reach, rep, stats, mm);
       for_each_piece_run(r.reads, shard, nshards, stats, 1,
                          [&](const Interval* iv, std::size_t k) {
                            writer.query_run(iv, k, on_read);
@@ -94,23 +102,27 @@ struct HistoryShard {
     });
     s.for_each_record([&](const LockRecord& r) {
       const store::Accessor me = detect::accessor_of(s, r);
-      const auto on_write_reader =
-          detect::make_reader_conflict_cb(me, reach, rep, stats, mm);
-      const auto on_write =
-          detect::make_conflict_cb(me, true, true, reach, rep, stats, mm);
+      const auto on_write_reader = detect::make_reader_conflict_cb(
+          reader.table(), me, reach, rep, stats, mm);
+      const auto on_write = detect::make_conflict_cb(writer.table(), me, true,
+                                                     true, reach, rep, stats,
+                                                     mm);
       for_each_piece_run(r.writes, shard, nshards, stats, 2,
                          [&](const Interval* iv, std::size_t k) {
                            reader.query_run(iv, k, on_write_reader);
-                           writer.insert_writer_run(iv, k, me, on_write);
+                           writer.insert_writer_run(iv, k, writer.intern(me),
+                                                    on_write);
                          });
     });
     s.for_each_record([&](const LockRecord& r) {
       const store::Accessor me = detect::accessor_of(s, r);
-      const store::ReaderPair fresh{me, me};
-      const auto resolve = detect::make_reader_resolver(me, reach, stats, mm);
       for_each_piece_run(r.reads, shard, nshards, stats, 1,
                          [&](const Interval* iv, std::size_t k) {
-                           reader.insert_reader_run(iv, k, fresh, resolve);
+                           const store::Handle h = reader.intern(me);
+                           reader.insert_reader_run(
+                               iv, k, store::ReaderPair{h, h},
+                               detect::make_reader_resolver(
+                                   reader.table(), h, reach, stats, mm));
                          });
     });
     // One interval's shard pieces are always a sorted disjoint run, so the

@@ -14,6 +14,7 @@ using detect::Strand;
 StintDetector::StintDetector(const Options& opt)
     : opt_(opt) {
   rep_.set_verbose(opt_.verbose_races);
+  if (opt_.tuning.memo) memo_ = std::make_unique<reach::Engine::Memo>();
 }
 
 StintDetector::~StintDetector() {
@@ -68,7 +69,7 @@ void StintDetector::process_strand(Strand* s) {
     recycle_strand(s);
     return;
   }
-  reach::Engine::Memo* memo = opt_.tuning.memo ? &memo_ : nullptr;
+  reach::Engine::Memo* const memo = memo_.get();
   // STINT's history runs inline on the execution thread; the two spans make
   // its writer/reader phases comparable with PINT's asynchronous tracks.
   writer_watch_.start();
@@ -262,8 +263,8 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.cursor_spills.store(cursor_spills_);
   stats_.slowpath_accesses.store(slow_accesses_);
   stats_.lock_splits.store(seal_.lock_splits);
-  const std::uint64_t mq = memo_.queries;
-  const std::uint64_t mh = memo_.hits;
+  const std::uint64_t mq = memo_ ? memo_->queries : 0;
+  const std::uint64_t mh = memo_ ? memo_->hits : 0;
   stats_.memo_queries.store(mq);
   stats_.memo_hits.store(mh);
   stats_.tail_probe_hits.store(seal_.tail_hits);

@@ -4,9 +4,10 @@
 // (DESIGN.md §15).
 //
 // Stores disjoint, inclusive byte intervals [lo, hi], each owned by one
-// payload: an accessor (a strand's reachability label + id), or PINT's
-// (left-most, right-most) reader pair.  This is the structure the paper
-// calls the interval treap; the segment-level behaviour is the treap's,
+// payload: a 4-byte handle of an accessor (a strand's reachability label +
+// id), or PINT's (left-most, right-most) pair of reader handles; handles
+// index the store's own AccessorTable (below).  This is the structure the
+// paper calls the interval treap; the segment-level behaviour is the treap's,
 // only the layout differs (DESIGN.md §3).  Three mutation flavors match the
 // roles a store plays:
 //
@@ -21,6 +22,11 @@
 //    the SAME call with the same owners in every slot coalesce.
 //  * erase_range    - clears [lo, hi] (stack-frame clearing at spawned
 //    function return, and freed heap ranges; paper §III-F).
+//
+// Callers intern an accessor once (intern) and pass its handle as the
+// payload; callbacks and resolvers see handles and read the accessors from
+// table().  An accessor is interned once per (sid, lsid), so "same owner"
+// is plain handle equality.
 //
 // Layout.  Leaves hold up to kLeaf segments, sorted, as three parallel
 // arrays (lo[], hi[], who[]): the in-leaf search reads only hi[].  Internal
@@ -62,9 +68,9 @@ namespace pint::store {
 
 using addr_t = std::uint64_t;
 
-/// Persistent identity of an interval's accessor. Kept in the store after
-/// the transient strand record is recycled (a DePa label is a value; its
-/// frozen path chunks live as long as the engine).
+/// Persistent identity of an interval's accessor. Kept in the store's
+/// accessor table after the transient strand record is recycled (a DePa
+/// label is a value; its frozen path chunks live as long as the engine).
 struct Accessor {
   reach::Engine::Label label;
   std::uint64_t sid = 0;  // strand id, for reporting and self-access checks
@@ -72,32 +78,99 @@ struct Accessor {
   std::uint32_t lsid = 0;     // interned lockset held during the accesses
 };
 
+/// A store's reference to an accessor: an index into its AccessorTable.
+using Handle = std::uint32_t;
+
 /// Two-sided reader payload: the left-most and the right-most reader of a
-/// segment, the per-byte contents of the paper's two reader treaps.
+/// segment, the per-byte contents of the paper's two reader treaps.  Two
+/// pairs have the same owners exactly when their handles are equal.
 struct ReaderPair {
-  Accessor left, right;
+  Handle left, right;
+  bool operator==(const ReaderPair&) const = default;
 };
 
-/// Coalescing identity: every slot holds the same strand record.  The
-/// lockset counts: one strand's lock sub-records share its sid, and a
-/// two-sided pair can hold two of them, so merging by sid alone would
-/// spread one record's lockset over its neighbour's bytes.
-inline bool same_owner(const Accessor& a, const Accessor& b) {
-  return a.sid == b.sid && a.lsid == b.lsid;
+/// Calls f(h) on each handle slot of a payload.
+template <class F>
+void for_each_handle(Handle& h, F&& f) {
+  f(h);
 }
-inline bool same_owner(const ReaderPair& a, const ReaderPair& b) {
-  return same_owner(a.left, b.left) && same_owner(a.right, b.right);
+template <class F>
+void for_each_handle(ReaderPair& p, F&& f) {
+  f(p.left);
+  f(p.right);
 }
+
+/// The accessors a store's handles refer to (DESIGN.md §15.2): an
+/// append-only vector owned by one store, so as single-threaded as it.
+/// intern() hands out one handle per (sid, lsid): the history layer interns
+/// each strand sub-record just before its insert runs and never again, and
+/// a repeat of the last entry's (sid, lsid) reuses that entry.
+///
+/// Bounded memory: the table must not outgrow its store, e.g. when many
+/// strands rewrite one counter.  When an intern would append to a table
+/// holding more than twice the store's live handle slots plus kFloor
+/// entries, the store's live handles are first remapped into a fresh table
+/// in one walk.  That is O(1) amortized per intern and keeps the table
+/// O(segments).
+class AccessorTable {
+ public:
+  static constexpr std::size_t kFloor = 4096;
+
+  const Accessor& operator[](Handle h) const { return entries_[h]; }
+  std::size_t size() const { return entries_.size(); }
+  std::size_t bytes() const { return entries_.capacity() * sizeof(Accessor); }
+
+  /// Handle for `a`.  `live` is the number of handle slots the store holds;
+  /// walk(fn) must call fn(Handle&) on each of them.
+  template <class Walk>
+  Handle intern(const Accessor& a, std::size_t live, Walk&& walk) {
+    if (!entries_.empty() && entries_.back().sid == a.sid &&
+        entries_.back().lsid == a.lsid) {
+      return Handle(entries_.size() - 1);
+    }
+    if (entries_.size() > 2 * live + kFloor) compact(walk);
+    PINT_CHECK(entries_.size() < std::size_t(~Handle(0)));
+    entries_.push_back(a);
+    return Handle(entries_.size() - 1);
+  }
+
+ private:
+  template <class Walk>
+  void compact(Walk& walk) {
+    constexpr Handle kUnmapped = ~Handle(0);
+    std::vector<Handle> to(entries_.size(), kUnmapped);
+    std::vector<Accessor> kept;
+    walk([&](Handle& h) {
+      if (to[h] == kUnmapped) {
+        to[h] = Handle(kept.size());
+        kept.push_back(entries_[h]);
+      }
+      h = to[h];
+    });
+    entries_.swap(kept);
+  }
+
+  std::vector<Accessor> entries_;
+};
 
 template <class P>
 class BasicIntervalStore {
  public:
   using Payload = P;
   static constexpr std::uint32_t kLeaf = 16;  // segments per leaf
+  static constexpr std::size_t kSlots = sizeof(P) / sizeof(Handle);
 
   BasicIntervalStore() = default;
   BasicIntervalStore(const BasicIntervalStore&) = delete;
   BasicIntervalStore& operator=(const BasicIntervalStore&) = delete;
+
+  /// The handle of `a` in this store's table (AccessorTable::intern).
+  Handle intern(const Accessor& a) {
+    return table_.intern(a, segs_ * kSlots, [this](auto&& fn) {
+      if (root_ != nullptr) remap_node(root_, 0, fn);
+    });
+  }
+  const AccessorTable& table() const { return table_; }
 
   /// Invokes cb(seg_lo, seg_hi, payload) for every stored segment
   /// overlapping [lo, hi], trimmed to it, in address order. Non-mutating.
@@ -171,16 +244,14 @@ class BasicIntervalStore {
   bool empty() const {
     return root_ == nullptr || (height_ == 0 && as_leaf(root_)->n == 0);
   }
-  std::size_t size() const {
-    std::size_t n = 0;
-    for_each([&](addr_t, addr_t, const P&) { ++n; });
-    return n;
-  }
+  std::size_t size() const { return segs_; }
 
-  /// Bytes held by live nodes (leaves + internal nodes), for footprint
-  /// accounting: node_bytes() / size() is the per-segment cost.
+  /// Bytes held by live nodes (leaves + internal nodes) and the accessor
+  /// table, for footprint accounting: node_bytes() / size() is the
+  /// per-segment cost.
   std::size_t node_bytes() const {
-    return leaves_.live() * sizeof(Leaf) + inners_.live() * sizeof(Inner);
+    return leaves_.live() * sizeof(Leaf) + inners_.live() * sizeof(Inner) +
+           table_.bytes();
   }
 
   /// In-order traversal of all stored intervals: cb(lo, hi, payload).
@@ -191,12 +262,13 @@ class BasicIntervalStore {
 
   /// Verifies the B+-tree invariants: uniform leaf depth, node occupancy
   /// (no empty node except an empty root leaf), strictly increasing
-  /// separators, every segment inside its separator bounds, and globally
-  /// sorted, non-empty, pairwise disjoint segments.
+  /// separators, every segment inside its separator bounds, globally
+  /// sorted, non-empty, pairwise disjoint segments, the segment count, and
+  /// every handle inside the table.
   bool check_invariants() const {
-    if (root_ == nullptr) return height_ == 0;
+    if (root_ == nullptr) return height_ == 0 && segs_ == 0;
     Bounds b;
-    return check_node(root_, 0, b);
+    return check_node(root_, 0, b) && b.count == segs_;
   }
 
  private:
@@ -224,6 +296,7 @@ class BasicIntervalStore {
     std::uint32_t n = 0;  // children
   };
   static_assert(std::is_trivially_copyable_v<P>);
+  static_assert(kSlots * sizeof(Handle) == sizeof(P));
 
   /// Root-to-leaf path: path[d] is the internal node at depth d and the
   /// index of the child taken there.
@@ -469,6 +542,8 @@ class BasicIntervalStore {
     if (!gather_.empty() && gather_.back().hi > hi) {
       pieces_.push_back({hi + 1, gather_.back().hi, gather_.back().who});
     }
+    segs_ += pieces_.size();
+    segs_ -= gather_.size();
 
     if (spill) {
       // Unlink the fully covered leaves (always the one right after L),
@@ -506,7 +581,7 @@ class BasicIntervalStore {
   }
 
   void push_piece(std::size_t floor, addr_t lo, addr_t hi, const P& w) {
-    if (pieces_.size() > floor && same_owner(pieces_.back().who, w) &&
+    if (pieces_.size() > floor && pieces_.back().who == w &&
         pieces_.back().hi + 1 == lo) {
       pieces_.back().hi = hi;  // coalesce same-winner neighbours
     } else {
@@ -775,11 +850,26 @@ class BasicIntervalStore {
     }
   }
 
+  /// Remaps every handle slot under `node` through fn (table compaction).
+  template <class F>
+  void remap_node(void* node, int depth, F& fn) {
+    if (depth == height_) {
+      Leaf* L = as_leaf(node);
+      for (std::uint32_t k = 0; k < L->n; ++k) for_each_handle(L->who[k], fn);
+      return;
+    }
+    Inner* in = as_inner(node);
+    for (std::uint32_t k = 0; k < in->n; ++k) {
+      remap_node(in->child[k], depth + 1, fn);
+    }
+  }
+
   struct Bounds {
     bool has_lb = false, has_ub = false;
     addr_t lb = 0, ub = 0;
     bool first = true;
     addr_t prev_hi = 0;
+    std::size_t count = 0;
   };
 
   bool check_node(const void* node, int depth, Bounds& b) const {
@@ -791,8 +881,13 @@ class BasicIntervalStore {
         if (!b.first && L->lo[k] <= b.prev_hi) return false;
         if (b.has_lb && L->lo[k] < b.lb) return false;
         if (b.has_ub && L->hi[k] >= b.ub) return false;
+        P who = L->who[k];
+        bool known = true;
+        for_each_handle(who, [&](Handle h) { known &= h < table_.size(); });
+        if (!known) return false;
         b.first = false;
         b.prev_hi = L->hi[k];
+        ++b.count;
       }
       return true;
     }
@@ -814,6 +909,8 @@ class BasicIntervalStore {
 
   void* root_ = nullptr;  // Leaf when height_ == 0, else Inner
   int height_ = 0;        // internal levels above the leaves
+  std::size_t segs_ = 0;  // stored segments
+  AccessorTable table_;
   Pool<Leaf> leaves_;
   Pool<Inner> inners_;
   std::vector<Seg> gather_;  // overlapped segments of the current carve
@@ -822,7 +919,7 @@ class BasicIntervalStore {
 };
 
 /// One-sided store: the last writer, or STINT's serial reader.
-using IntervalStore = BasicIntervalStore<Accessor>;
+using IntervalStore = BasicIntervalStore<Handle>;
 /// Two-sided store: PINT's left-most + right-most reader history.
 using ReaderStore = BasicIntervalStore<ReaderPair>;
 

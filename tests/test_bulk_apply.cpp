@@ -26,6 +26,7 @@
 #include "detect/granule_map.hpp"
 #include "detect/history.hpp"
 #include "kernels/kernels.hpp"
+#include "pint/sharded_history.hpp"
 #include "store/interval_store.hpp"
 
 using namespace pint;
@@ -45,19 +46,43 @@ using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
 // Stored interval: (lo, hi, sid).
 using Seg = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
+template <class Store>
+std::uint64_t sid_of(const Store& t, store::Handle h) {
+  return t.table()[h].sid;
+}
+
 std::vector<Seg> contents(const store::IntervalStore& t) {
   std::vector<Seg> out;
-  t.for_each([&](auto lo, auto hi, const auto& w) {
-    out.push_back({lo, hi, w.sid});
+  t.for_each([&](auto lo, auto hi, store::Handle w) {
+    out.push_back({lo, hi, sid_of(t, w)});
   });
   return out;
 }
 
 /// Deterministic winner rule shared by both twins of every reader test.
-store::Accessor resolve_by_sid(const store::Accessor& prev,
-                               const store::Accessor& a) {
-  return ((prev.sid * 31 + a.sid) & 1) == 0 ? a : prev;
+bool new_wins(std::uint64_t prev_sid, std::uint64_t sid) {
+  return ((prev_sid * 31 + sid) & 1) == 0;
 }
+
+/// Callback logging (tag, lo, hi, sid) of t's segments into ev.
+template <class Store>
+auto log_to(const Store& t, std::vector<Ev>& ev, char tag) {
+  return [&t, &ev, tag](auto lo, auto hi, store::Handle w) {
+    ev.push_back({tag, lo, hi, sid_of(t, w)});
+  };
+}
+/// Resolver applying new_wins to t's handles, logging each call into ev.
+template <class Store>
+auto resolve_logged(const Store& t, std::vector<Ev>& ev) {
+  return [&t, &ev](store::Handle p, store::Handle a) {
+    ev.push_back({'r', sid_of(t, p), sid_of(t, a), 0});
+    return new_wins(sid_of(t, p), sid_of(t, a)) ? a : p;
+  };
+}
+/// The new reader always wins; prev always keeps.
+auto take_new = [](store::Handle, store::Handle a) { return a; };
+auto keep_prev = [](store::Handle p, store::Handle) { return p; };
+auto no_events = [](auto, auto, store::Handle) {};
 
 /// A sorted, pairwise-disjoint run (adjacency allowed) - the finalized
 /// strand-record shape the run API is specified for.
@@ -73,6 +98,41 @@ std::vector<Iv> random_run(Xoshiro256& rng, std::uint64_t span) {
   return run;
 }
 
+/// One op of strand `sid` on the per-interval twin and the run twin.  The
+/// per-interval twin interns the accessor once per interval, the run twin
+/// once per run: the table's reuse of its last entry must make the two
+/// tables equal.
+template <class Store>
+void twin_op(int kind, const std::vector<Iv>& r, std::uint64_t sid, Store& per,
+             Store& run, std::vector<Ev>& ev_per, std::vector<Ev>& ev_run) {
+  switch (kind) {
+    case 0:  // writer insert
+      for (const Iv& iv : r) {
+        per.insert_writer(iv.lo, iv.hi, per.intern(acc(sid)),
+                          log_to(per, ev_per, 'w'));
+      }
+      run.insert_writer_run(r.data(), r.size(), run.intern(acc(sid)),
+                            log_to(run, ev_run, 'w'));
+      break;
+    case 1:  // reader insert
+      for (const Iv& iv : r) {
+        per.insert_reader(iv.lo, iv.hi, per.intern(acc(sid)),
+                          resolve_logged(per, ev_per));
+      }
+      run.insert_reader_run(r.data(), r.size(), run.intern(acc(sid)),
+                            resolve_logged(run, ev_run));
+      break;
+    case 2:  // query
+      for (const Iv& iv : r) per.query(iv.lo, iv.hi, log_to(per, ev_per, 'q'));
+      run.query_run(r.data(), r.size(), log_to(run, ev_run, 'q'));
+      break;
+    case 3:  // erase
+      for (const Iv& iv : r) per.erase_range(iv.lo, iv.hi);
+      run.erase_run(r.data(), r.size());
+      break;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Treap-level equivalence
 // ---------------------------------------------------------------------------
@@ -82,48 +142,13 @@ TEST(TreapRunApi, RandomizedRunsMatchPerRecordExactly) {
     Xoshiro256 rng(seed);
     store::IntervalStore per, run;
     std::vector<Ev> ev_per, ev_run;
-    auto log_to = [](std::vector<Ev>& ev, char tag) {
-      return [&ev, tag](auto lo, auto hi, const auto& w) {
-        ev.push_back({tag, lo, hi, w.sid});
-      };
-    };
     for (int step = 0; step < 200; ++step) {
       const auto r = random_run(rng, 1 << 14);
       const std::uint64_t sid = 2 + std::uint64_t(step);
-      switch (rng.next_below(4)) {
-        case 0:  // writer insert
-          for (const Iv& iv : r) {
-            per.insert_writer(iv.lo, iv.hi, acc(sid), log_to(ev_per, 'w'));
-          }
-          run.insert_writer_run(r.data(), r.size(), acc(sid),
-                                log_to(ev_run, 'w'));
-          break;
-        case 1:  // reader insert
-          for (const Iv& iv : r) {
-            per.insert_reader(iv.lo, iv.hi, acc(sid), [&](const auto& p,
-                                                          const auto& a) {
-              ev_per.push_back({'r', p.sid, a.sid, 0});
-              return resolve_by_sid(p, a);
-            });
-          }
-          run.insert_reader_run(r.data(), r.size(), acc(sid),
-                                [&](const auto& p, const auto& a) {
-                                  ev_run.push_back({'r', p.sid, a.sid, 0});
-                                  return resolve_by_sid(p, a);
-                                });
-          break;
-        case 2:  // query
-          for (const Iv& iv : r) {
-            per.query(iv.lo, iv.hi, log_to(ev_per, 'q'));
-          }
-          run.query_run(r.data(), r.size(), log_to(ev_run, 'q'));
-          break;
-        case 3:  // erase
-          for (const Iv& iv : r) per.erase_range(iv.lo, iv.hi);
-          run.erase_run(r.data(), r.size());
-          break;
-      }
+      twin_op(int(rng.next_below(4)), r, sid, per, run, ev_per, ev_run);
       ASSERT_EQ(ev_per, ev_run) << "seed=" << seed << " step=" << step;
+      ASSERT_EQ(per.table().size(), run.table().size())
+          << "seed=" << seed << " step=" << step;
       if (step % 25 == 0) {
         ASSERT_EQ(contents(per), contents(run))
             << "seed=" << seed << " step=" << step;
@@ -147,11 +172,6 @@ TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
     Xoshiro256 rng(seed);
     store::IntervalStore per, run;
     std::vector<Ev> ev_per, ev_run;
-    auto log_to = [](std::vector<Ev>& ev, char tag) {
-      return [&ev, tag](auto lo, auto hi, const auto& w) {
-        ev.push_back({tag, lo, hi, w.sid});
-      };
-    };
     auto strided_run = [&]() {
       const std::size_t k = 2 + rng.next_below(31);
       std::vector<Iv> r;
@@ -167,38 +187,10 @@ TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
       const bool sparse = rng.next_below(2) == 0;
       const auto r = sparse ? strided_run() : random_run(rng, 1 << 15);
       const std::uint64_t sid = 2 + std::uint64_t(step);
-      switch (rng.next_below(4)) {
-        case 0:
-          for (const Iv& iv : r) {
-            per.insert_writer(iv.lo, iv.hi, acc(sid), log_to(ev_per, 'w'));
-          }
-          run.insert_writer_run(r.data(), r.size(), acc(sid),
-                                log_to(ev_run, 'w'));
-          break;
-        case 1:
-          for (const Iv& iv : r) {
-            per.insert_reader(iv.lo, iv.hi, acc(sid),
-                              [&](const auto& p, const auto& a) {
-                                ev_per.push_back({'r', p.sid, a.sid, 0});
-                                return resolve_by_sid(p, a);
-                              });
-          }
-          run.insert_reader_run(r.data(), r.size(), acc(sid),
-                                [&](const auto& p, const auto& a) {
-                                  ev_run.push_back({'r', p.sid, a.sid, 0});
-                                  return resolve_by_sid(p, a);
-                                });
-          break;
-        case 2:
-          for (const Iv& iv : r) per.query(iv.lo, iv.hi, log_to(ev_per, 'q'));
-          run.query_run(r.data(), r.size(), log_to(ev_run, 'q'));
-          break;
-        case 3:
-          for (const Iv& iv : r) per.erase_range(iv.lo, iv.hi);
-          run.erase_run(r.data(), r.size());
-          break;
-      }
+      twin_op(int(rng.next_below(4)), r, sid, per, run, ev_per, ev_run);
       ASSERT_EQ(ev_per, ev_run) << "seed=" << seed << " step=" << step;
+      ASSERT_EQ(per.table().size(), run.table().size())
+          << "seed=" << seed << " step=" << step;
       if (step % 25 == 0) {
         ASSERT_EQ(contents(per), contents(run))
             << "seed=" << seed << " step=" << step;
@@ -213,12 +205,10 @@ TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
 
 TEST(TreapRunApi, SegmentSpanningSeveralRunIntervalsIsTrimmedPerInterval) {
   store::IntervalStore t;
-  t.insert_writer(0, 999, acc(1), [](auto, auto, const auto&) {});
+  t.insert_writer(0, 999, t.intern(acc(1)), no_events);
   const Iv run[] = {{100, 199}, {300, 399}, {500, 599}};
   std::vector<Ev> ev;
-  t.insert_writer_run(run, 3, acc(2), [&](auto lo, auto hi, const auto& w) {
-    ev.push_back({'w', lo, hi, w.sid});
-  });
+  t.insert_writer_run(run, 3, t.intern(acc(2)), log_to(t, ev, 'w'));
   // One stored segment overlapping three run intervals fires once per
   // interval, trimmed to it, in address order.
   const std::vector<Ev> want = {
@@ -240,39 +230,29 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
   for (const bool reader : {false, true}) {
     store::IntervalStore per, bulk;
     for (store::IntervalStore* t : {&per, &bulk}) {
-      t->insert_writer(kMaxAddr - 350, kMaxAddr - 250, acc(1),
-                       [](auto, auto, const auto&) {});
-      t->insert_writer(kMaxAddr - 50, kMaxAddr, acc(1),
-                       [](auto, auto, const auto&) {});
+      t->insert_writer(kMaxAddr - 350, kMaxAddr - 250, t->intern(acc(1)),
+                       no_events);
+      t->insert_writer(kMaxAddr - 50, kMaxAddr, t->intern(acc(1)), no_events);
     }
     std::vector<Ev> ev_per, ev_run;
     if (reader) {
       for (const Iv& iv : run) {
-        per.insert_reader(iv.lo, iv.hi, acc(2), [&](const auto& p,
-                                                    const auto& a) {
-          ev_per.push_back({'r', p.sid, a.sid, 0});
-          return resolve_by_sid(p, a);
-        });
+        per.insert_reader(iv.lo, iv.hi, per.intern(acc(2)),
+                          resolve_logged(per, ev_per));
       }
-      bulk.insert_reader_run(run, 2, acc(2), [&](const auto& p,
-                                                 const auto& a) {
-        ev_run.push_back({'r', p.sid, a.sid, 0});
-        return resolve_by_sid(p, a);
-      });
+      bulk.insert_reader_run(run, 2, bulk.intern(acc(2)),
+                             resolve_logged(bulk, ev_run));
     } else {
       for (const Iv& iv : run) {
-        per.insert_writer(iv.lo, iv.hi, acc(2),
-                          [&](auto lo, auto hi, const auto& w) {
-                            ev_per.push_back({'w', lo, hi, w.sid});
-                          });
+        per.insert_writer(iv.lo, iv.hi, per.intern(acc(2)),
+                          log_to(per, ev_per, 'w'));
       }
-      bulk.insert_writer_run(run, 2, acc(2),
-                             [&](auto lo, auto hi, const auto& w) {
-                               ev_run.push_back({'w', lo, hi, w.sid});
-                             });
+      bulk.insert_writer_run(run, 2, bulk.intern(acc(2)),
+                             log_to(bulk, ev_run, 'w'));
     }
     EXPECT_EQ(ev_per, ev_run) << "reader=" << reader;
     EXPECT_EQ(contents(per), contents(bulk)) << "reader=" << reader;
+    EXPECT_EQ(per.table().size(), bulk.table().size()) << "reader=" << reader;
     EXPECT_TRUE(bulk.check_invariants());
   }
 }
@@ -282,14 +262,12 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
 // cursor past kMaxAddr and emit a bogus [0, kMaxAddr] piece.
 TEST(TreapRunApi, PerRecordReaderInsertAtMaxAddrDoesNotWrap) {
   store::IntervalStore t;
-  t.insert_reader(kMaxAddr - 7, kMaxAddr, acc(1),
-                  [](const auto&, const auto& a) { return a; });
+  t.insert_reader(kMaxAddr - 7, kMaxAddr, t.intern(acc(1)), take_new);
   std::vector<Seg> want = {{kMaxAddr - 7, kMaxAddr, 1}};
   EXPECT_EQ(contents(t), want);
   // Now with existing coverage ending exactly at kMaxAddr (the loop-exit
   // case rather than the tail case).
-  t.insert_reader(kMaxAddr - 15, kMaxAddr, acc(2),
-                  [](const auto& p, const auto&) { return p; });
+  t.insert_reader(kMaxAddr - 15, kMaxAddr, t.intern(acc(2)), keep_prev);
   want = {{kMaxAddr - 15, kMaxAddr - 8, 2}, {kMaxAddr - 7, kMaxAddr, 1}};
   EXPECT_EQ(contents(t), want);
   EXPECT_TRUE(t.check_invariants());
@@ -302,27 +280,24 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   const Iv run[] = {{0, 63}, {64, 127}, {128, 191}};
   store::IntervalStore per, bulk;
   for (const Iv& iv : run) {
-    per.insert_reader(iv.lo, iv.hi, acc(1),
-                      [](const auto&, const auto& a) { return a; });
+    per.insert_reader(iv.lo, iv.hi, per.intern(acc(1)), take_new);
   }
-  bulk.insert_reader_run(run, 3, acc(1),
-                         [](const auto&, const auto& a) { return a; });
+  bulk.insert_reader_run(run, 3, bulk.intern(acc(1)), take_new);
   EXPECT_EQ(per.size(), 3u);
   EXPECT_EQ(contents(per), contents(bulk));
   // Within one interval coalescing still applies: fragmented prior coverage
   // resolved to one winner collapses to one node either way.
   store::IntervalStore frag;
-  frag.insert_writer(200, 219, acc(2), [](auto, auto, const auto&) {});
-  frag.insert_writer(230, 249, acc(3), [](auto, auto, const auto&) {});
+  frag.insert_writer(200, 219, frag.intern(acc(2)), no_events);
+  frag.insert_writer(230, 249, frag.intern(acc(3)), no_events);
   const Iv one[] = {{200, 259}};
-  frag.insert_reader_run(one, 1, acc(4),
-                         [](const auto&, const auto& a) { return a; });
+  frag.insert_reader_run(one, 1, frag.intern(acc(4)), take_new);
   EXPECT_EQ(contents(frag), (std::vector<Seg>{{200, 259, 4}}));
 }
 
 TEST(TreapRunApi, EraseRunPreservesGapCoverage) {
   store::IntervalStore t;
-  t.insert_writer(0, 999, acc(1), [](auto, auto, const auto&) {});
+  t.insert_writer(0, 999, t.intern(acc(1)), no_events);
   const Iv run[] = {{0, 99}, {200, 299}, {900, 999}};
   t.erase_run(run, 3);
   const std::vector<Seg> want = {{100, 199, 1}, {300, 899, 1}};
@@ -337,43 +312,10 @@ TEST(GranuleMapRunShims, MatchPerIntervalLoops) {
   for (int step = 0; step < 60; ++step) {
     const auto r = random_run(rng, 1 << 12);
     const std::uint64_t sid = 2 + std::uint64_t(step);
-    switch (rng.next_below(4)) {
-      case 0:
-        for (const Iv& iv : r) {
-          per.insert_writer(iv.lo, iv.hi, acc(sid),
-                            [&](auto lo, auto hi, const auto& w) {
-                              ev_per.push_back({'w', lo, hi, w.sid});
-                            });
-        }
-        bulk.insert_writer_run(r.data(), r.size(), acc(sid),
-                               [&](auto lo, auto hi, const auto& w) {
-                                 ev_run.push_back({'w', lo, hi, w.sid});
-                               });
-        break;
-      case 1:
-        for (const Iv& iv : r) {
-          per.insert_reader(iv.lo, iv.hi, acc(sid), resolve_by_sid);
-        }
-        bulk.insert_reader_run(r.data(), r.size(), acc(sid), resolve_by_sid);
-        break;
-      case 2:
-        for (const Iv& iv : r) {
-          per.query(iv.lo, iv.hi, [&](auto lo, auto hi, const auto& w) {
-            ev_per.push_back({'q', lo, hi, w.sid});
-          });
-        }
-        bulk.query_run(r.data(), r.size(),
-                       [&](auto lo, auto hi, const auto& w) {
-                         ev_run.push_back({'q', lo, hi, w.sid});
-                       });
-        break;
-      case 3:
-        for (const Iv& iv : r) per.erase_range(iv.lo, iv.hi);
-        bulk.erase_run(r.data(), r.size());
-        break;
-    }
+    twin_op(int(rng.next_below(4)), r, sid, per, bulk, ev_per, ev_run);
     ASSERT_EQ(ev_per, ev_run) << "step=" << step;
     ASSERT_EQ(per.size(), bulk.size()) << "step=" << step;
+    ASSERT_EQ(per.table().size(), bulk.table().size()) << "step=" << step;
   }
 }
 
@@ -386,6 +328,83 @@ struct BulkGuard {
   bool saved = detect::bulk_apply();
   ~BulkGuard() { detect::set_bulk_apply(saved); }
 };
+
+// History-layer twin: one strand sequence applied to the role stores and
+// to two shards, bulk on and off.  With bulk off a sub-record is handed to
+// its stores one interval (a shard: one piece) at a time, and the shards
+// intern it per call; the reuse of the last table entry must leave the
+// same tables as the run path, one entry per sub-record and store.
+struct HistoryTables {
+  std::vector<std::size_t> sizes;  // writer, reader, then each shard's two
+  std::uint64_t distinct = 0, queries = 0;
+};
+
+HistoryTables apply_history(bool bulk, std::uint64_t nstrands) {
+  BulkGuard g;
+  detect::set_bulk_apply(bulk);
+  reach::Engine reach;
+  detect::RaceReporter rep;
+  detect::Stats stats;
+  store::IntervalStore writer;
+  store::ReaderStore reader;
+  pintd::HistoryShard shards[2];
+  detect::SealTally tally;
+  const detect::lockset_t guarded =
+      detect::LocksetTable::instance().acquire(0, 0x1000);
+  Xoshiro256 rng(3);
+  reach::Engine::Label cont = reach.root_label();
+  std::vector<std::unique_ptr<detect::Strand>> strands;
+  for (std::uint64_t i = 1; i <= nstrands; ++i) {
+    reach::Engine::Label sync;
+    const reach::Engine::SpawnLabels l = reach.on_spawn(cont, &sync);
+    cont = l.cont;
+    auto s = std::make_unique<detect::Strand>();
+    s->reset(i);
+    s->label = l.child;
+    for (const detect::lockset_t lsid : {detect::lockset_t(0), guarded}) {
+      s->enter(lsid);
+      // Short intervals over four 64 KiB stripes: many per sub-record, and
+      // each shard sees several pieces of most lists.
+      for (int k = 0; k < 12; ++k) {
+        const std::uint64_t lo = rng.next_below(4 * pintd::kShardStripeBytes);
+        const std::uint64_t hi = lo + rng.next_below(64);
+        if (rng.next_below(2) == 0) {
+          s->active().reads.add(lo, hi);
+        } else {
+          s->active().writes.add(lo, hi);
+        }
+      }
+    }
+    detect::seal_strand(*s, true, tally);
+    detect::process_writer_treap(writer, *s, reach, rep, stats);
+    detect::process_reader_treap(reader, *s, reach, rep, stats);
+    for (int k = 0; k < 2; ++k) shards[k].process(*s, k, 2, reach, rep, stats);
+    strands.push_back(std::move(s));
+  }
+  HistoryTables out;
+  out.sizes = {writer.table().size(), reader.table().size()};
+  for (const pintd::HistoryShard& sh : shards) {
+    out.sizes.push_back(sh.writer.table().size());
+    out.sizes.push_back(sh.reader.table().size());
+  }
+  out.distinct = rep.distinct_races();
+  out.queries = stats.reach_queries.load();
+  return out;
+}
+
+TEST(HistoryBulkApply, BulkOnAndOffEndWithEqualTables) {
+  constexpr std::uint64_t kStrands = 300;
+  const HistoryTables on = apply_history(true, kStrands);
+  const HistoryTables off = apply_history(false, kStrands);
+  EXPECT_EQ(on.sizes, off.sizes);
+  EXPECT_EQ(on.distinct, off.distinct);
+  EXPECT_EQ(on.queries, off.queries);
+  EXPECT_GT(on.distinct, 0u);
+  for (const std::size_t n : on.sizes) {
+    EXPECT_GT(n, kStrands);      // both sub-records of most strands
+    EXPECT_LE(n, 2 * kStrands);  // never more than one per sub-record
+  }
+}
 
 // Full record: (prev_sid, cur_sid, prev_write, cur_write, lo, hi).
 using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
