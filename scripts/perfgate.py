@@ -16,6 +16,10 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     (default 10%; looser than the geomean bar because a single kernel's
     ratio is noisier than the geomean on a shared host) against its
     committed row;
+  * any kernel's fresh "cursor_spills" exceeds its committed row.  Unlike
+    the overheads this is an exact count (the kernels and the cursor are
+    deterministic on one core), so it is gated with no tolerance: a cursor
+    change that spills more must re-commit the snapshot;
   * any store row marked "enforced" in the committed snapshot has a fresh
     per-record speedup below the committed "speedup_bar", or any row
     carrying "bytes_per_segment" (the fft-strided footprints) exceeds its
@@ -86,6 +90,14 @@ def gate_access(baseline, fresh, tolerance, kernel_tolerance):
                 f"FAIL {kline} exceeds 1 + {kernel_tolerance:.2f}")
         else:
             print(f"ok   {kline}")
+        if "cursor_spills" in row:
+            sline = (f"access {row['name']}: committed "
+                     f"{row['cursor_spills']} cursor spills vs fresh "
+                     f"{fr.get('cursor_spills')}")
+            if fr.get("cursor_spills", float("inf")) > row["cursor_spills"]:
+                failures.append(f"FAIL {sline}")
+            else:
+                print(f"ok   {sline}")
     return failures
 
 

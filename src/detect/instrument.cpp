@@ -43,9 +43,13 @@ static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 // entirely in cursor storage: one open interval extended in the common case,
 // plus a small pending ring standing in for AccessBuffer::kTails streams.
 // Only when all of those miss does an interval spill into the strand's
-// AccessBuffer.  Any intermediate merge policy yields the same final
-// interval set: AccessBuffer::finalize() sort-merges to the minimal disjoint
-// cover when the strand is sealed.
+// AccessBuffer: the least-recently-used ring slot goes (a ring hit stamps
+// its slot with the lane's raw count), so the hot streams of a GEMM leaf
+// outlive its cycling rows, and a spill whose start matches an interval
+// spilled earlier extends that interval in place (spill_at below).  Any
+// intermediate merge policy yields the same final interval set:
+// AccessBuffer::finalize() sort-merges to the minimal disjoint cover when
+// the strand is sealed.
 
 // The per-access hit path is a single extension predicate against the open
 // interval, so the cursor is laid out around it: the open intervals and raw
@@ -67,6 +71,7 @@ static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 struct alignas(64) AccessCursor {
   // kPend + the open interval = AccessBuffer::kTails interleaved streams.
   static constexpr unsigned kPend = detect::AccessBuffer::kTails - 1;
+  static constexpr unsigned kSpillBits = 6;  // 64 index slots per lane
 
   // --- hot line: open interval + raw counters, indexed by `write` ---
   detect::addr_t lo[2] = {1, 1};
@@ -77,9 +82,19 @@ struct alignas(64) AccessCursor {
   std::uint64_t spilled = 0;  // per-access buffer touches; hits = raw - spilled
   detect::AccessBuffer* out[2] = {nullptr, nullptr};
   detect::Interval pend[2][kPend] = {};
+  std::uint64_t used[2][kPend] = {};  // raw[lane] at the slot's last hit
   unsigned npend[2] = {0, 0};
   bool coalesce = true;
   bool installed = false;
+  // Same-start spill index, hashed on the interval's start: where in out[]
+  // an interval with that start was spilled.  Never reset: merge_at checks
+  // the start, so a stale or out-of-range position just misses.
+  std::uint32_t spill_at[2][1u << kSpillBits] = {};
+
+  // Multiplicative hash of the 8-byte word an interval starts at.
+  static unsigned spill_slot(detect::addr_t lo) {
+    return unsigned(((lo >> 3) * 0x9E3779B97F4A7C15ull) >> (64 - kSpillBits));
+  }
 
   void set_open_empty(int lane) {
     lo[lane] = ~detect::addr_t(0);
@@ -110,11 +125,23 @@ void flush_lane(AccessCursor& c, int lane) {
   c.out[lane] = nullptr;
 }
 
+// Hands a ring victim to the strand buffer: extend the interval spilled
+// earlier with the same start when the index still points at one (a row
+// re-streamed from its start, [lo,h] u [lo,h'] = [lo,max(h,h')]), else
+// add() it and remember where it went.
+void spill(AccessCursor& c, int lane, detect::Interval iv) {
+  detect::AccessBuffer& out = *c.out[lane];
+  std::uint32_t& at = c.spill_at[lane][AccessCursor::spill_slot(iv.lo)];
+  if (out.merge_at(at, iv.lo, iv.hi)) return;
+  out.add(iv.lo, iv.hi);
+  at = static_cast<std::uint32_t>(out.raw_count() - 1);
+}
+
 // The cursor miss path: uninstalled dispatch and the ablation mode first
 // (both were folded into the hit predicate via the never-match sentinel),
-// then demote the open interval into the pending ring (spilling the oldest
-// pending entry when the ring is full) and open a fresh interval for this
-// access.
+// then demote the open interval into the pending ring (spilling the
+// least-recently-used pending entry when the ring is full) and open a fresh
+// interval for this access.
 PINT_NOINLINE void cursor_record_miss(AccessCursor& c, detect::addr_t lo,
                                       detect::addr_t hi, bool write) {
   if (PINT_UNLIKELY(!c.installed)) {
@@ -132,15 +159,19 @@ PINT_NOINLINE void cursor_record_miss(AccessCursor& c, detect::addr_t lo,
   // paying an out-of-line call for each absorbed bounce dominated
   // chol/mmul), so reaching here means a genuinely new interval.
   if (!c.open_empty(write)) {
-    if (c.npend[write] == AccessCursor::kPend) {
-      c.out[write]->add(c.pend[write][0].lo, c.pend[write][0].hi);
-      ++c.spilled;
-      for (unsigned i = 1; i < c.npend[write]; ++i) {
-        c.pend[write][i - 1] = c.pend[write][i];
+    unsigned slot = c.npend[write];
+    if (slot == AccessCursor::kPend) {
+      slot = 0;
+      for (unsigned i = 1; i < AccessCursor::kPend; ++i) {
+        if (c.used[write][i] < c.used[write][slot]) slot = i;
       }
-      --c.npend[write];
+      spill(c, write, c.pend[write][slot]);
+      ++c.spilled;
+    } else {
+      ++c.npend[write];
     }
-    c.pend[write][c.npend[write]++] = {c.lo[write], c.hi[write]};
+    c.pend[write][slot] = {c.lo[write], c.hi[write]};
+    c.used[write][slot] = c.raw[write];
   }
   c.lo[write] = lo;
   c.hi[write] = hi;
@@ -189,6 +220,10 @@ inline void record_lane(const void* p, std::size_t bytes) {
     detect::Interval& b = c.pend[kLane][i];
     if (lo >= b.lo && lo <= b.hi + 1) {
       if (hi > b.hi) b.hi = hi;
+      // LRU stamp, the ring hit's one extra store.  Re-read raw (relaxed,
+      // single-threaded) so the open-interval path keeps its in-memory
+      // increment instead of holding the count in a register for this.
+      c.used[kLane][i] = __atomic_load_n(&c.raw[kLane], __ATOMIC_RELAXED);
       return;
     }
   }

@@ -17,15 +17,21 @@
 //   the subset absorbed in cursor storage (open interval + pending ring - no
 //   per-access AccessBuffer touch; the bounded end-of-strand drain is the
 //   hand-off, not a miss); cursor_spills the complement (ring overflow /
-//   ablation add_raw events); slowpath_accesses those that took the classic
+//   ablation add_raw events; a spill merged in place still counts, it
+//   touched the buffer); slowpath_accesses those that took the classic
 //   detector-load + virtual-dispatch route.  memo_queries/memo_hits are the
 //   history lanes' reachability-memo totals (cached DePa pair verdicts).
 //
 //   AccessBuffer::add tail-probe fast path (DESIGN.md §13).  Every add()
 //   probes the last kTails stored intervals for a stream to extend before
 //   appending: tail_probe_hits counts absorbed adds, tail_probe_misses the
-//   appends.  Only spill/slow-route adds reach add() at all, so these
-//   counters expose exactly the traffic the cursor could not absorb.
+//   appends.  A cursor spill merged into its same-start interval
+//   (AccessBuffer::merge_at, DESIGN.md §9.1) counts as an absorbed add, so
+//   hits + misses = the intervals that reached a strand buffer.  Three
+//   sources feed them: cursor spills, slow-route accesses, and the cursor
+//   flush at each strand end and each lock event (open interval + pending
+//   ring).  The flush is where most of racy-seq's hits come from, so these
+//   are not the cursor's misses; cursor_spills is.
 //
 //   Allocation-free hot path (DESIGN.md §13).  arena_reuses / arena_fresh
 //   are the per-run delta of the process-wide recycler counters (objects +

@@ -102,6 +102,16 @@ class AccessBuffer {
     items_.push_back({lo, hi});
   }
 
+  /// Extends item `i` to cover [lo, hi] when it starts exactly at `lo`
+  /// (the cursor's same-start spill merge); false, touching nothing, when
+  /// `i` is out of range or starts elsewhere.  Counts as an absorbed add.
+  bool merge_at(std::size_t i, addr_t lo, addr_t hi) {
+    if (i >= items_.size() || items_[i].lo != lo) return false;
+    if (hi > items_[i].hi) items_[i].hi = hi;
+    ++tail_hits_;
+    return true;
+  }
+
   /// Sort-merge all buffered intervals in place. After this, items() is a
   /// minimal sorted set of disjoint intervals. When `coalesce` is false the
   /// buffer is left exactly as recorded (ablation mode: every access becomes

@@ -1,9 +1,12 @@
 #pragma once
 
 // Shared helpers for the dense linear-algebra kernels: a row-major matrix
-// with instrumented row-segment access helpers.  Instrumentation granularity
-// is one contiguous row segment per record - the same granularity a
-// compile-time coalescing pass produces for these loops.
+// with instrumented access helpers.  touch_read/touch_write record any
+// contiguous run, but gemm_base, chol's leaves and the strassen loops call
+// them once per element, the way compiler-inserted hooks would; the runtime
+// coalescer (DESIGN.md §9.1) merges each stream into one interval.  A
+// per-row-segment front end, the granularity a compile-time coalescing pass
+// produces, is ROADMAP item 5.
 
 #include <cmath>
 #include <cstddef>

@@ -116,6 +116,78 @@ TEST(AccessCursor, OverflowSpillsToTheBufferWithoutLosingBytes) {
   EXPECT_EQ(bytes, kStreams * 64u);
 }
 
+// gemm_base's read shape for one C row: a(k) and the C row are re-read at
+// every k while the B rows cycle.  The pending ring evicts its
+// least-recently-used slot, so only B rows ever spill: each B row opening
+// from the third on spills the row two before it (a FIFO ring spilled the
+// A and C streams too).
+TEST(AccessCursor, HotStreamsSurviveCyclingRows) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  detect::AccessBuffer reads, writes;
+  detect::cursor_install(&reads, &writes, true);
+  constexpr std::size_t kRows = 16, kCols = 16, kPasses = 8;
+  constexpr std::size_t kStride = 128;  // doubles: 1 KiB, 128 B used + gap
+  std::vector<double> arena((kRows + 2) * kStride);
+  const double* a = arena.data() + kRows * kStride;
+  const double* c = a + kStride;
+  for (std::size_t p = 0; p < kPasses; ++p) {
+    for (std::size_t k = 0; k < kRows; ++k) {
+      detail::record_access(&a[k], sizeof(double), false);
+      const double* b = arena.data() + k * kStride;
+      for (std::size_t j = 0; j < kCols; ++j) {
+        detail::record_access(&b[j], sizeof(double), false);
+        detail::record_access(&c[j], sizeof(double), false);
+      }
+    }
+  }
+  const detect::CursorFlush fl = detect::cursor_invalidate();
+  EXPECT_EQ(fl.raw_reads, kPasses * kRows * (1 + 2 * kCols));
+  EXPECT_EQ(fl.spills, kPasses * kRows - 2);
+  EXPECT_EQ(fl.hits, fl.raw_reads - fl.spills);
+  reads.finalize(true);
+  ASSERT_EQ(reads.items().size(), kRows + 2);
+  std::uint64_t bytes = 0;
+  for (const auto& iv : reads.items()) bytes += iv.hi - iv.lo + 1;
+  EXPECT_EQ(bytes, (kRows + 2) * kCols * sizeof(double));
+}
+
+// Streams re-read from their start every round spill with the same start
+// each time; the cursor extends the interval spilled earlier in place
+// instead of appending a duplicate, so the buffer holds one interval per
+// stream plus at most the end-of-strand drain.  The 1 KiB stride keeps the
+// streams' starts in distinct slots of the cursor's spill index for any
+// arena base.
+TEST(AccessCursor, RepeatedSpillsMergeInPlace) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  detect::AccessBuffer reads, writes;
+  detect::cursor_install(&reads, &writes, true);
+  constexpr std::size_t kStreams = 12, kLen = 16, kRounds = 10;
+  constexpr std::size_t kStride = 128;  // doubles: 1 KiB, 128 B used + gap
+  std::vector<double> arena(kStreams * kStride);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      for (std::size_t j = 0; j < kLen; ++j) {
+        detail::record_access(arena.data() + s * kStride + j, sizeof(double),
+                              false);
+      }
+    }
+  }
+  const detect::CursorFlush fl = detect::cursor_invalidate();
+  // Every opening past the fourth spills (12 streams cycle through 4
+  // slots), but the spills land on kStreams buffer intervals.
+  EXPECT_EQ(fl.spills, kRounds * kStreams - detect::AccessBuffer::kTails);
+  EXPECT_LE(reads.raw_count(), kStreams + detect::AccessBuffer::kTails);
+  EXPECT_EQ(reads.tail_hits() + reads.tail_misses(),
+            fl.spills + detect::AccessBuffer::kTails);
+  reads.finalize(true);
+  ASSERT_EQ(reads.items().size(), kStreams);
+  for (const auto& iv : reads.items()) {
+    EXPECT_EQ(iv.hi - iv.lo + 1, kLen * sizeof(double));
+  }
+}
+
 TEST(AccessCursor, CoalesceOffRecordsEveryAccessRaw) {
   FastPathGuard g;
   detect::set_access_fast_path(true);

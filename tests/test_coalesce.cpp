@@ -57,6 +57,22 @@ TEST(Coalesce, TooManyStreamsFallBackToFinalize) {
   EXPECT_EQ(b.items().size(), kStreams);
 }
 
+TEST(Coalesce, MergeAtExtendsOnlyAnExactStart) {
+  AccessBuffer b;
+  b.add(0, 7);
+  b.add(100, 107);
+  EXPECT_TRUE(b.merge_at(0, 0, 31));     // same start: extended in place
+  EXPECT_TRUE(b.merge_at(1, 100, 103));  // already covered: unchanged
+  EXPECT_FALSE(b.merge_at(1, 104, 111));  // overlaps, but starts elsewhere
+  EXPECT_FALSE(b.merge_at(2, 100, 111));  // out of range
+  ASSERT_EQ(b.items().size(), 2u);
+  EXPECT_EQ(b.items()[0], (Interval{0, 31}));
+  EXPECT_EQ(b.items()[1], (Interval{100, 107}));
+  // A merge is an absorbed add; the misses are the two appends.
+  EXPECT_EQ(b.tail_hits(), 2u);
+  EXPECT_EQ(b.tail_misses(), 2u);
+}
+
 TEST(Coalesce, FinalizeSortsAndMerges) {
   AccessBuffer b;
   b.add(100, 109);
