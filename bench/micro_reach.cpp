@@ -19,9 +19,7 @@
 //     swaps its current strand with a random peer through a shared board,
 //     re-creating work-stealing's migrating insertion points);
 //   * the other half are QUERIERS: each draws random pairs from a sliding
-//     window over the last 4k published labels and calls precedes() with NO
-//     memo - the raw engine is the thing under test (a memo hit would only
-//     measure the cache).
+//     window over the last 4k published labels and calls precedes().
 //
 // Labels are published once into a pre-sized slot array (write the label,
 // then release-store the ready flag; queriers acquire-load before reading),
@@ -242,7 +240,7 @@ CellResult run_cell(Sched sched, int threads, std::uint64_t capacity,
             slots[b].ready.load(std::memory_order_acquire) == 0) {
           continue;
         }
-        sink += eng.precedes(slots[a].label, slots[b].label, nullptr) ? 1 : 0;
+        sink += eng.precedes(slots[a].label, slots[b].label) ? 1 : 0;
         ++done;
       }
       queries_done[std::size_t(q)] = done + (sink & 1);  // keep sink alive

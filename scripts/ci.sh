@@ -11,8 +11,8 @@
 #                            # validation, then a -DPINT_TELEMETRY=OFF build
 #                            # proving the zero-cost path still compiles
 #   scripts/ci.sh perf       # perf smoke: micro_access (fails below the 3x
-#                            # fast-path bar or with a dead memo cache),
-#                            # emits BENCH_access.json; micro_treap
+#                            # fast-path bar or the 0.5 sort cursor-hit
+#                            # bar), emits BENCH_access.json; micro_treap
 #                            # --bulk-json (fails below the 1.2x run-finger
 #                            # bar or above the 32 B/segment footprint
 #                            # bar), emits BENCH_treap.json; micro_reach
@@ -24,10 +24,6 @@
 #   scripts/ci.sh locks      # lockset matrix suite (ctest -L locks):
 #                            # guarded/unguarded twin kernels through every
 #                            # detector, in the plain AND the TSan builds
-#   scripts/ci.sh simd       # hot-path knob suite (ctest -L simd): arena /
-#                            # SIMD-finalize bit-identity, in the
-#                            # portable build AND a -DPINT_MARCH_NATIVE=ON
-#                            # build (native vs scalar-fallback codegen)
 #   scripts/ci.sh perfgate   # perf-regression gate: re-runs both micro
 #                            # benches and fails on a >10% geomean
 #                            # regression vs the committed BENCH_*.json, or
@@ -50,7 +46,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 LANES=("$@")
 if [ ${#LANES[@]} -eq 0 ]; then
-  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd perfgate
+  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks perfgate
          bench)
 fi
 
@@ -99,20 +95,6 @@ run_lane() {
       (cd build-tsan && ctest --output-on-failure -L locks)
       return
       ;;
-    simd)
-      # The vectorized finalize must be bit-identical to the scalar merge
-      # under BOTH codegen flavors: the portable default build (runtime AVX2
-      # dispatch only) and a -march=native build (the compiler may also
-      # auto-vectorize the scalar twin - the knob matrix still has to agree).
-      echo "=== lane: simd (build dirs: build, build-native) ==="
-      build_dir build ""
-      (cd build && ctest --output-on-failure -L simd)
-      cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPINT_MARCH_NATIVE=ON
-      cmake --build build-native -j "$JOBS"
-      (cd build-native && ctest --output-on-failure -L simd)
-      return
-      ;;
     telemetry)
       echo "=== lane: telemetry (build dirs: build, build-notelem) ==="
       build_dir build ""
@@ -142,9 +124,10 @@ run_lane() {
       echo "=== lane: perf (build dir: build) ==="
       build_dir build ""
       # micro_access enforces the access-path acceptance bars itself: exits
-      # non-zero if the cursor fast path is under 3x the slow route or no
-      # kernel shows memo-cache hits.  The JSON it emits is the committed
-      # BENCH_access.json (ns/access, hit rates, geo-mean overhead).
+      # non-zero if the cursor fast path is under 3x the slow route or sort's
+      # cursor hit rate is at or under 0.5.  The JSON it emits is the
+      # committed BENCH_access.json (ns/access, hit rates, geo-mean
+      # overhead).
       ./build/bench/micro_access --json BENCH_access.json
       python3 -m json.tool BENCH_access.json > /dev/null
       echo "validated BENCH_access.json"
@@ -155,7 +138,7 @@ run_lane() {
       ./build/bench/micro_treap --bulk-json BENCH_treap.json
       python3 -m json.tool BENCH_treap.json > /dev/null
       echo "validated BENCH_treap.json"
-      # micro_reach times DePa's unmemoized precedes() and on_spawn while
+      # micro_reach times DePa's precedes() and on_spawn while
       # builder threads keep spawning (against a pre-grown 2M-strand
       # engine).  The JSON it emits is the committed BENCH_reach.json.
       ./build/bench/micro_reach --json BENCH_reach.json

@@ -33,8 +33,8 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     committed snapshot's scale and kernel list so the comparison is
     apples-to-apples.
 
-The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5, heat
-memo rate > 0.5, enforced store rows >= bar on their own fresh numbers)
+The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5,
+enforced store rows >= bar on their own fresh numbers)
 already make the benches themselves exit non-zero; this script adds only
 the against-the-committed-baseline comparison.
 

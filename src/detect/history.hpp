@@ -66,20 +66,17 @@ inline store::Accessor accessor_of(const Strand& s, const LockRecord& r) {
 /// prior accessor of the overlapped segment is parallel to `me` and the two
 /// records held no common lock (epoch×lockset filtering, DESIGN.md §12).
 /// `me` is captured by value; table/engine/reporter/stats by reference.
-/// `memo` (optional) is the calling history worker's private precedes()
-/// cache.
 inline auto make_conflict_cb(const store::AccessorTable& tab,
                              store::Accessor me, bool prev_write,
                              bool cur_write, reach::Engine& reach,
-                             RaceReporter& rep, Stats& stats,
-                             reach::Engine::Memo* memo = nullptr) {
-  return [&tab, me, prev_write, cur_write, &reach, &rep, &stats, memo](
+                             RaceReporter& rep, Stats& stats) {
+  return [&tab, me, prev_write, cur_write, &reach, &rep, &stats](
              addr_t lo, addr_t hi, store::Handle h) {
     const store::Accessor& prev = tab[h];
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
     if (locksets_share(prev.lsid, me.lsid)) return;  // common mutex held
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    if (reach.parallel(prev.label, me.label, memo)) {
+    if (reach.parallel(prev.label, me.label)) {
       rep.report(prev.sid, prev_write, me.sid, cur_write, lo, hi, prev.tag,
                  me.tag);
     }
@@ -90,11 +87,9 @@ inline auto make_conflict_cb(const store::AccessorTable& tab,
 /// its own, and once when both slots hold the same sub-record.
 inline auto make_reader_conflict_cb(const store::AccessorTable& tab,
                                     store::Accessor me, reach::Engine& reach,
-                                    RaceReporter& rep, Stats& stats,
-                                    reach::Engine::Memo* memo = nullptr) {
-  return [check = make_conflict_cb(tab, me, false, true, reach, rep, stats,
-                                   memo)](addr_t lo, addr_t hi,
-                                          const store::ReaderPair& prev) {
+                                    RaceReporter& rep, Stats& stats) {
+  return [check = make_conflict_cb(tab, me, false, true, reach, rep, stats)](
+             addr_t lo, addr_t hi, const store::ReaderPair& prev) {
     check(lo, hi, prev.left);
     if (prev.right != prev.left) check(lo, hi, prev.right);
   };
@@ -110,14 +105,13 @@ inline auto make_reader_conflict_cb(const store::AccessorTable& tab,
 /// wins only when it is in series after the stored one.
 inline auto make_serial_resolver(const store::AccessorTable& tab,
                                  store::Handle me, reach::Engine& reach,
-                                 Stats& stats,
-                                 reach::Engine::Memo* memo = nullptr) {
-  return [&tab, me, &reach, &stats, memo](store::Handle prev, store::Handle) {
+                                 Stats& stats) {
+  return [&tab, me, &reach, &stats](store::Handle prev, store::Handle) {
     const store::Accessor& p = tab[prev];
     const store::Accessor& m = tab[me];
     if (p.sid == m.sid) return me;  // same strand: the weaker lockset
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    const reach::Relation r = reach.relation(p.label, m.label, memo);
+    const reach::Relation r = reach.relation(p.label, m.label);
     return r.eng && r.heb ? me : prev;  // prev ~> me
   };
 }
@@ -133,14 +127,13 @@ inline auto make_serial_resolver(const store::AccessorTable& tab,
 /// strand's two last-applied (least-guarded) sub-records.
 inline auto make_reader_resolver(const store::AccessorTable& tab,
                                  store::Handle me, reach::Engine& reach,
-                                 Stats& stats,
-                                 reach::Engine::Memo* memo = nullptr) {
-  return [&tab, me, &reach, &stats, memo](const store::ReaderPair& prev,
-                                          const store::ReaderPair&) {
+                                 Stats& stats) {
+  return [&tab, me, &reach, &stats](const store::ReaderPair& prev,
+                                    const store::ReaderPair&) {
     const store::Accessor& m = tab[me];
     auto relation = [&](const store::Accessor& a) {
       stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-      return reach.relation(a.label, m.label, memo);
+      return reach.relation(a.label, m.label);
     };
     const store::Accessor& left = tab[prev.left];
     store::ReaderPair out = prev;
@@ -186,11 +179,10 @@ inline void for_each_run(const AccessBuffer& buf, Stats& stats, Run&& run) {
 template <class History>
 inline void process_writer_treap(History& t, const Strand& s,
                                  reach::Engine& reach, RaceReporter& rep,
-                                 Stats& stats,
-                                 reach::Engine::Memo* memo = nullptr) {
+                                 Stats& stats) {
   s.for_each_record([&](const LockRecord& r) {
     const auto on_read = make_conflict_cb(t.table(), accessor_of(s, r), true,
-                                          false, reach, rep, stats, memo);
+                                          false, reach, rep, stats);
     for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
       t.query_run(iv, k, on_read);
     });
@@ -200,7 +192,7 @@ inline void process_writer_treap(History& t, const Strand& s,
     const store::Accessor me = accessor_of(s, r);
     const store::Handle h = t.intern(me);
     const auto on_write = make_conflict_cb(t.table(), me, true, true, reach,
-                                           rep, stats, memo);
+                                           rep, stats);
     for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
       t.insert_writer_run(iv, k, h, on_write);
     });
@@ -216,19 +208,16 @@ inline void process_writer_treap(History& t, const Strand& s,
 template <class History>
 inline void process_reader_treap(History& t, const Strand& s,
                                  reach::Engine& reach, RaceReporter& rep,
-                                 Stats& stats,
-                                 reach::Engine::Memo* memo = nullptr) {
+                                 Stats& stats) {
   constexpr bool kTwoSided =
       std::is_same_v<typename History::Payload, store::ReaderPair>;
   s.for_each_record([&](const LockRecord& r) {
     const store::Accessor me = accessor_of(s, r);
     const auto check = [&] {
       if constexpr (kTwoSided) {
-        return make_reader_conflict_cb(t.table(), me, reach, rep, stats,
-                                       memo);
+        return make_reader_conflict_cb(t.table(), me, reach, rep, stats);
       } else {
-        return make_conflict_cb(t.table(), me, false, true, reach, rep, stats,
-                                memo);
+        return make_conflict_cb(t.table(), me, false, true, reach, rep, stats);
       }
     }();
     for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
@@ -241,11 +230,9 @@ inline void process_reader_treap(History& t, const Strand& s,
     const auto [fresh, resolve] = [&] {
       if constexpr (kTwoSided) {
         return std::pair{store::ReaderPair{me, me},
-                         make_reader_resolver(t.table(), me, reach, stats,
-                                              memo)};
+                         make_reader_resolver(t.table(), me, reach, stats)};
       } else {
-        return std::pair{me, make_serial_resolver(t.table(), me, reach, stats,
-                                                  memo)};
+        return std::pair{me, make_serial_resolver(t.table(), me, reach, stats)};
       }
     }();
     for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {

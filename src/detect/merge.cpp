@@ -3,35 +3,19 @@
 // AccessBuffer::finalize backend (DESIGN.md §13): turn the recorded interval
 // list into the canonical minimal sorted disjoint set.
 //
-// Three routes, all producing the identical bytes (the canonical set is
-// unique, so the route is unobservable in results - only in Stats):
+// Two routes, producing the identical bytes (the canonical set is unique,
+// so the route is unobservable in results - only in Stats):
 //
 //  * already-sorted scan: one branchless-friendly pass detects sortedness;
 //    streaming kernels record monotonically increasing spill streams, so
 //    they skip the sort entirely and go straight to the merge loop.
-//  * radix + SIMD: a stable LSD radix sort on (lo - min_lo) - stability is
-//    irrelevant to the output (equal-lo intervals merge commutatively) but
-//    makes the pass count data-dependent and comparison-free - then an
-//    AVX2 pass computes the merge break mask (lo[i] > hi[i-1] + 1, with the
-//    same uint64 wrap semantics as the scalar loop) plus a hi-monotonicity
-//    check that guards the mask's validity.  Runtime-dispatched on
-//    __builtin_cpu_supports("avx2"); nested intervals (non-monotone hi)
-//    fall back to the scalar merge of the already-sorted data.
-//  * scalar: std::sort + the seed merge loop (knob off, tiny inputs,
-//    non-x86, or fallback).
+//  * scalar: std::sort + the same merge loop.
 
 #include <algorithm>
-#include <cstring>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace pint::detect {
 
 namespace {
-
-constexpr std::size_t kSimdMin = 32;  // below this, std::sort wins anyway
 
 bool sorted_by_lo(const Interval* a, std::size_t n) {
   // Accumulate instead of early-exit: the loop auto-vectorizes and the
@@ -41,12 +25,14 @@ bool sorted_by_lo(const Interval* a, std::size_t n) {
   return ok;
 }
 
-/// The seed merge loop, verbatim semantics (including the hi+1 wrap at the
-/// address-space top).  Input must be sorted by lo; returns the new size.
-std::size_t merge_sorted_scalar(Interval* a, std::size_t n) {
+/// Merges overlapping or adjacent neighbours.  Input must be sorted by lo;
+/// returns the new size.  Adjacency is tested as lo == hi + 1 after the
+/// overlap test, so an interval ending at the top address (where hi + 1
+/// wraps to 0) still absorbs everything after it.
+std::size_t merge_sorted(Interval* a, std::size_t n) {
   std::size_t out = 0;
   for (std::size_t i = 1; i < n; ++i) {
-    if (a[i].lo <= a[out].hi + 1) {
+    if (a[i].lo <= a[out].hi || a[i].lo == a[out].hi + 1) {
       a[out].hi = std::max(a[out].hi, a[i].hi);
     } else {
       a[++out] = a[i];
@@ -55,140 +41,19 @@ std::size_t merge_sorted_scalar(Interval* a, std::size_t n) {
   return out + 1;
 }
 
-/// Stable LSD radix sort by (lo - base); byte digits, pass count bounded by
-/// the actual key range.  Scratch is thread-local so the steady state
-/// allocates nothing.
-void radix_sort_by_lo(std::vector<Interval>& items) {
-  const std::size_t n = items.size();
-  static thread_local std::vector<Interval> scratch;
-  if (scratch.size() < n) scratch.resize(n);
-
-  addr_t min_lo = items[0].lo, max_lo = items[0].lo;
-  for (std::size_t i = 1; i < n; ++i) {
-    min_lo = std::min(min_lo, items[i].lo);
-    max_lo = std::max(max_lo, items[i].lo);
-  }
-  const addr_t range = max_lo - min_lo;
-
-  Interval* src = items.data();
-  Interval* dst = scratch.data();
-  // shift < 64 guard: a full-width key range would otherwise ask for
-  // `range >> 64`, which is undefined (and on x86 evaluates as >> 0,
-  // turning the pass loop infinite).
-  for (unsigned shift = 0; shift < 64 && (shift == 0 || (range >> shift) != 0);
-       shift += 8) {
-    std::size_t count[256] = {};
-    for (std::size_t i = 0; i < n; ++i)
-      ++count[((src[i].lo - min_lo) >> shift) & 0xff];
-    std::size_t pos = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-      const std::size_t c = count[b];
-      count[b] = pos;
-      pos += c;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      dst[count[((src[i].lo - min_lo) >> shift) & 0xff]++] = src[i];
-    std::swap(src, dst);
-  }
-  if (src != items.data())
-    std::memcpy(items.data(), src, n * sizeof(Interval));
-}
-
-#if defined(__x86_64__)
-
-bool have_avx2() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-}
-
-/// AVX2 merge of sorted intervals: vector pass fills brk[i] = 1 iff interval
-/// i starts a new output interval, while checking that hi is non-decreasing
-/// (which makes hi[i-1] the running maximum, so the mask is exact).
-/// Returns false when hi is non-monotone (nested intervals) - caller runs
-/// the scalar merge instead.
-__attribute__((target("avx2"))) bool merge_sorted_avx2(Interval* a,
-                                                       std::size_t n,
-                                                       std::size_t* out_n) {
-  static thread_local std::vector<unsigned char> brk;
-  if (brk.size() < n) brk.resize(n);
-  brk[0] = 1;
-
-  // SoA shadows of lo[1..] and hi[0..] + 1, sign-biased for the signed
-  // 64-bit compare (AVX2 has no unsigned epi64 compare).
-  static thread_local std::vector<std::uint64_t> lo_sh, hip_sh;
-  if (lo_sh.size() < n) {
-    lo_sh.resize(n);
-    hip_sh.resize(n);
-  }
-  const std::uint64_t bias = 0x8000000000000000ull;
-  bool mono = true;
-  for (std::size_t i = 1; i < n; ++i) {
-    lo_sh[i] = a[i].lo ^ bias;
-    hip_sh[i] = (a[i - 1].hi + 1) ^ bias;  // wraps exactly like the scalar
-    mono &= a[i].hi >= a[i - 1].hi;
-  }
-  if (!mono) return false;
-
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lo_sh.data() + i));
-    const __m256i hp = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hip_sh.data() + i));
-    const __m256i gt = _mm256_cmpgt_epi64(lo, hp);  // break iff lo > hi+1
-    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(gt));
-    brk[i + 0] = static_cast<unsigned char>(mask & 1);
-    brk[i + 1] = static_cast<unsigned char>((mask >> 1) & 1);
-    brk[i + 2] = static_cast<unsigned char>((mask >> 2) & 1);
-    brk[i + 3] = static_cast<unsigned char>((mask >> 3) & 1);
-  }
-  for (; i < n; ++i) brk[i] = a[i].lo > a[i - 1].hi + 1 ? 1 : 0;
-
-  // Collapse runs: with hi monotone, each output interval is
-  // {lo of run head, hi of run tail}.
-  std::size_t out = 0;
-  std::size_t head = 0;
-  for (std::size_t j = 1; j < n; ++j) {
-    if (brk[j]) {
-      a[out++] = {a[head].lo, a[j - 1].hi};
-      head = j;
-    }
-  }
-  a[out++] = {a[head].lo, a[n - 1].hi};
-  *out_n = out;
-  return true;
-}
-
-#else
-
-bool have_avx2() { return false; }
-bool merge_sorted_avx2(Interval*, std::size_t, std::size_t*) { return false; }
-
-#endif  // __x86_64__
-
 }  // namespace
 
 FinalizePath finalize_intervals(std::vector<Interval>& items) {
   const std::size_t n = items.size();
   PINT_ASSERT(n >= 2);
-  if (sorted_by_lo(items.data(), n)) {
-    items.resize(merge_sorted_scalar(items.data(), n));
-    return FinalizePath::kSorted;
+  FinalizePath path = FinalizePath::kSorted;
+  if (!sorted_by_lo(items.data(), n)) {
+    std::sort(items.begin(), items.end(),
+              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+    path = FinalizePath::kScalar;
   }
-  if (simd_merge() && n >= kSimdMin && have_avx2()) {
-    radix_sort_by_lo(items);
-    std::size_t m = 0;
-    if (merge_sorted_avx2(items.data(), n, &m)) {
-      items.resize(m);
-      return FinalizePath::kSimd;
-    }
-    items.resize(merge_sorted_scalar(items.data(), n));
-    return FinalizePath::kScalar;
-  }
-  std::sort(items.begin(), items.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  items.resize(merge_sorted_scalar(items.data(), n));
-  return FinalizePath::kScalar;
+  items.resize(merge_sorted(items.data(), n));
+  return path;
 }
 
 }  // namespace pint::detect

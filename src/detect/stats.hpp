@@ -6,9 +6,10 @@
 // mode: busiest shard in lreader_ns, the shard total in rreader_ns).
 //
 // Every counter is declared once, in PINT_STATS_COUNTERS below: the table
-// generates the atomics, clear(), Snapshot and snapshot(), and exporters
-// (the bench harness's --stats-json section) expand it too, so a counter
-// added here reaches every view.  Each entry is X(name); the groups:
+// generates the atomics, clear(), Snapshot, snapshot() and the telemetry
+// export (export_telemetry: each counter under its own name), and the bench
+// harness's --stats-json section expands it too, so a counter added here
+// reaches every view.  Each entry is X(name); the groups:
 //
 //   Access volume: raw accesses and the intervals they coalesced into.
 //
@@ -19,8 +20,11 @@
 //   hand-off, not a miss); cursor_spills the complement (ring overflow /
 //   ablation add_raw events; a spill merged in place still counts, it
 //   touched the buffer); slowpath_accesses those that took the classic
-//   detector-load + virtual-dispatch route.  memo_queries/memo_hits are the
-//   history lanes' reachability-memo totals (cached DePa pair verdicts).
+//   detector-load + virtual-dispatch route.  memo_queries/memo_hits always
+//   read 0: the DePa pair-verdict memo they counted is deleted (a cache
+//   probe cost more than the label compare it saved, DESIGN.md §9.2), and
+//   the repo benchmark (benchmark/pintbench.cpp) still reads both fields
+//   for its reach.memo_hit_rate key.  They go with that key.
 //
 //   AccessBuffer::add tail-probe fast path (DESIGN.md §13).  Every add()
 //   probes the last kTails stored intervals for a stream to extend before
@@ -39,8 +43,7 @@
 //   detectors blur the attribution, same caveat as deep_backoffs).
 //   empty_strand_skips counts strands collected with no recorded work that
 //   skipped queue publication entirely.  finalize_sorted_skips counts
-//   AccessBuffer seals whose items were already sorted (no sort at all);
-//   finalize_simd those that took the vectorized merge.
+//   AccessBuffer seals whose items were already sorted (no sort at all).
 //
 //   Bulk-run apply + batched lane consumption (DESIGN.md §10).  bulk_runs
 //   counts *_run calls issued to a history store, bulk_run_intervals the
@@ -75,7 +78,7 @@
   X(slowpath_accesses) X(memo_queries) X(memo_hits)                        \
   X(tail_probe_hits) X(tail_probe_misses)                                  \
   X(arena_reuses) X(arena_fresh) X(empty_strand_skips)                     \
-  X(finalize_sorted_skips) X(finalize_simd)                                \
+  X(finalize_sorted_skips)                                                 \
   X(bulk_runs) X(bulk_run_intervals) X(batch_drains) X(batch_strands)      \
   X(prefetch_issues) X(deep_backoffs)                                      \
   X(strands) X(lock_splits) X(traces) X(steals) X(reach_queries)           \
@@ -120,10 +123,6 @@ struct Stats {
                  ? 0.0
                  : double(fastpath_hits) / double(fastpath_accesses);
     }
-    double memo_hit_rate() const {
-      return memo_queries == 0 ? 0.0
-                               : double(memo_hits) / double(memo_queries);
-    }
     double avg_run_len() const {
       return bulk_runs == 0 ? 0.0
                             : double(bulk_run_intervals) / double(bulk_runs);
@@ -140,6 +139,10 @@ struct Stats {
 #undef PINT_STATS_LOAD
     return s;
   }
+
+  /// Adds every counter to the calling thread's telemetry totals under its
+  /// field name (telem::count).  Quiescence only, like snapshot().
+  void export_telemetry() const;
 };
 
 }  // namespace pint::detect

@@ -192,7 +192,7 @@ inline bool note_lock_event(Strand& s, addr_t lock, bool acquire,
 struct SealTally {
   std::uint64_t read_intervals = 0, write_intervals = 0;
   std::uint64_t tail_hits = 0, tail_misses = 0;
-  std::uint64_t fin_sorted = 0, fin_simd = 0;
+  std::uint64_t fin_sorted = 0;
   /// Non-empty sub-records beyond each strand's first.
   std::uint64_t lock_splits = 0;
 };
@@ -212,8 +212,6 @@ inline void seal_strand(Strand& s, bool coalesce, SealTally& t) {
     t.tail_misses += r.reads.tail_misses() + r.writes.tail_misses();
     t.fin_sorted += (r.reads.fin_path() == FinalizePath::kSorted) +
                     (r.writes.fin_path() == FinalizePath::kSorted);
-    t.fin_simd += (r.reads.fin_path() == FinalizePath::kSimd) +
-                  (r.writes.fin_path() == FinalizePath::kSimd);
     nonempty += !r.empty();
   }
   if (nonempty > 1) t.lock_splits += nonempty - 1;

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "detect/history.hpp"
-#include "detect/types.hpp"
 #include "support/arena.hpp"
 
 namespace pint::detect {
@@ -40,7 +39,6 @@ Tuning Tuning::current() {
   t.bulk_apply = detect::bulk_apply();
   t.access_fast_path = detect::access_fast_path();
   t.arena = support::arena_recycle();
-  t.simd = detect::simd_merge();
   return t;
 }
 
@@ -61,10 +59,8 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     bool ok = false;
     if (key == "bulk") ok = parse_bool(val, &base.bulk_apply);
     else if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
-    else if (key == "memo") ok = parse_bool(val, &base.memo);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
     else if (key == "arena") ok = parse_bool(val, &base.arena);
-    else if (key == "simd") ok = parse_bool(val, &base.simd);
     if (!ok) warn_once(item);
   }
   return base;
@@ -81,7 +77,6 @@ void Tuning::apply_globals() const {
   set_bulk_apply(bulk_apply);
   set_access_fast_path(access_fast_path);
   support::set_arena_recycle(arena);
-  set_simd_merge(simd);
 }
 
 }  // namespace pint::detect

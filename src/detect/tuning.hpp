@@ -2,9 +2,9 @@
 
 // One struct for every cross-cutting detector knob (DESIGN.md §12.5).
 //
-// The bulk-apply, access-fast-path, arena and SIMD toggles are process
-// globals (the fast path lives next to the thread-local cursor machinery);
-// the memo and lock-edge toggles are per-detector.  Tuning gathers all of them so
+// The bulk-apply, access-fast-path and arena toggles are process globals
+// (the fast path lives next to the thread-local cursor machinery); the
+// lock-edge toggle is per-detector.  Tuning gathers all of them so
 // callers set knobs in ONE place - `options.tuning.bulk_apply = false` -
 // instead of hunting for per-subsystem setters, and so the environment
 // override (PINT_TUNING=...) is parsed in one place instead of three.
@@ -25,9 +25,6 @@ struct Tuning {
   bool bulk_apply = true;
   /// Thread-local AccessCursor fast path (DESIGN.md §9).  Global knob.
   bool access_fast_path = true;
-  /// Per-lane relation() memo caches (DESIGN.md §11.2).  Per-detector: off
-  /// means the detector passes null memos, the bit-identity ablation.
-  bool memo = true;
   /// Lock-aware detection (DESIGN.md §12): handle the lock hooks and filter
   /// conflicts whose segments share a mutex.  Per-detector: off ignores
   /// lock events entirely (records keep lsid 0, the pre-lock behavior).
@@ -37,23 +34,20 @@ struct Tuning {
   /// wholesale.  Global knob; changes allocation provenance only, never
   /// stored bytes - results are bit-identical either way.
   bool arena = true;
-  /// SIMD/branchless AccessBuffer::finalize (DESIGN.md §13): sortedness
-  /// detector + radix bucketing + AVX2 merge mask, runtime-dispatched with
-  /// a bit-identical scalar fallback.  Global knob.
-  bool simd = true;
 
   /// Snapshot of the live global knobs + per-detector defaults.
   static Tuning current();
 
   /// current() overlaid with the PINT_TUNING environment variable, e.g.
-  ///   PINT_TUNING=bulk=off,fastpath=on,memo=on,locks=off,arena=off,simd=off
-  /// Unknown keys/values warn once on stderr and are ignored.
+  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off,arena=off
+  /// Unknown keys/values warn once on stderr and are ignored, as are the
+  /// removed knobs' keys (cursor=, memo=, simd=).
   static Tuning from_env();
 
-  /// Overlay a spec string ("bulk=off,memo=on,...") onto `base`.
+  /// Overlay a spec string ("bulk=off,locks=on,...") onto `base`.
   static Tuning parse(const char* spec, Tuning base);
 
-  /// Push the global knobs (bulk_apply / access_fast_path / arena / simd)
+  /// Push the global knobs (bulk_apply / access_fast_path / arena)
   /// into their process globals.  Call only at quiescence.
   void apply_globals() const;
 

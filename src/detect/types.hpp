@@ -4,7 +4,6 @@
 // access coalescer, and deferred-free records.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -37,32 +36,15 @@ struct HeapFree {
   addr_t hi = 0;
 };
 
-/// Global knob for the vectorized finalize path (DESIGN.md §13; pushed by
-/// Tuning::apply_globals, same pattern as the bulk-apply knob).  Off routes
-/// every finalize through std::sort + the scalar merge loop; results are
-/// bit-identical either way because the canonical minimal disjoint set is
-/// unique.
-inline std::atomic<bool>& simd_merge_knob() {
-  static std::atomic<bool> on{true};
-  return on;
-}
-inline void set_simd_merge(bool on) {
-  simd_merge_knob().store(on, std::memory_order_relaxed);
-}
-inline bool simd_merge() {
-  return simd_merge_knob().load(std::memory_order_relaxed);
-}
-
 /// Which code path finalize() took for a buffer (seal-time accounting).
 enum class FinalizePath : std::uint8_t {
   kNone,    ///< nothing to do (<=1 interval or coalesce off)
   kSorted,  ///< already-sorted input: merge scan only, no sort
-  kScalar,  ///< std::sort + scalar merge (knob off / tiny / fallback)
-  kSimd,    ///< radix bucketing + vectorized merge mask
+  kScalar,  ///< std::sort + scalar merge
 };
 
 /// Sort-merge `items` into the canonical minimal sorted disjoint set.
-/// Implemented in detect/merge.cpp (runtime-dispatched SIMD + scalar).
+/// Implemented in detect/merge.cpp.
 FinalizePath finalize_intervals(std::vector<Interval>& items);
 
 /// Runtime access coalescer (the STINT mechanism PINT reuses): an access
@@ -116,9 +98,8 @@ class AccessBuffer {
   /// minimal sorted set of disjoint intervals. When `coalesce` is false the
   /// buffer is left exactly as recorded (ablation mode: every access becomes
   /// its own access-history operation, modulo the tail fast path).
-  /// Dispatches to detect/merge.cpp: already-sorted scan, radix + SIMD
-  /// merge, or the scalar sort-merge - all producing the identical unique
-  /// canonical set (fin_path() says which ran).
+  /// Dispatches to detect/merge.cpp: an already-sorted input skips the sort
+  /// (fin_path() says which ran).
   void finalize(bool coalesce = true) {
     canonical_ = coalesce || items_.size() <= 1;
     fin_path_ = FinalizePath::kNone;

@@ -103,7 +103,7 @@ PintDetector::PintDetector(const Options& opt)
       opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
       "sharded history supports the treap store only");
   for (int k = 0; k < opt_.history_shards; ++k) {
-    shards_.push_back(std::make_unique<HistoryShard>(opt_.tuning.memo));
+    shards_.push_back(std::make_unique<HistoryShard>());
   }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();
@@ -111,14 +111,6 @@ PintDetector::PintDetector(const Options& opt)
     ws_.push_back(std::move(ws));
   }
   seq_history_ = !opt_.parallel_history;
-  // Only the memos this mode reads (each a 1 MiB zero-fill): the writer's,
-  // shared by the phased reader phase, and the pipelined reader's.
-  if (opt_.tuning.memo && shards_.empty()) {
-    memo_writer_ = std::make_unique<reach::Engine::Memo>();
-    if (opt_.parallel_history) {
-      memo_reader_ = std::make_unique<reach::Engine::Memo>();
-    }
-  }
 
   // One monitored lane per queue consumer (the reader, or N shards).
   const int nlanes = shards_.empty() ? 1 : int(shards_.size());
@@ -690,11 +682,9 @@ void PintDetector::process_writer(Strand* s) {
       // both stores. Deferred resources are still released here (the
       // queue-order argument of paper SIII-F is unchanged).
     } else if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_,
-                                   memo_writer_.get());
+      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
     } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_,
-                                   memo_writer_.get());
+      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
     }
     // Deferred frees become real here: any later reuse of this memory is by
     // a strand collected after s, so each treap erases the range before
@@ -846,13 +836,6 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
 void PintDetector::reader_loop() {
   telem::set_thread_role("reader");
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
-  // Phased one-core mode runs both lanes on this one thread, so they share
-  // the writer lane's memo: a strand pair already judged while walking the
-  // writer store (strands that both wrote and read a region appear in both
-  // stores) is served from cache here too.  Pipelined mode keeps one
-  // single-threaded cache per lane.
-  reach::Engine::Memo* memo =
-      seq_history_ ? memo_writer_.get() : memo_reader_.get();
   const bool pw = phase_watch_;
   consume_loop(*lanes_[0], [&](Strand* s) {
     if (!pw) reader_watch_.start();
@@ -860,11 +843,9 @@ void PintDetector::reader_loop() {
       // Nested inside the watch (see process_writer): span sum ~= *_ns.
       PINT_TSPAN("reader.strand");
       if (use_treap) {
-        detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_,
-                                     memo);
+        detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
       } else {
-        detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_,
-                                     memo);
+        detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
       }
     }
     if (!pw) reader_watch_.stop();
@@ -1027,7 +1008,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
   PINT_CHECK_MSG(!used_, "PintDetector instances are single-use");
   used_ = true;
   // Tuning snapshot -> process globals (access fast path, bulk apply,
-  // arena, SIMD); the per-detector knobs are read from opt_.tuning directly.
+  // arena); the per-detector knobs are read from opt_.tuning directly.
   opt_.tuning.apply_globals();
   RunResult result;
 
@@ -1175,66 +1156,15 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.tail_probe_hits.fetch_add(ws->seal.tail_hits);
     stats_.tail_probe_misses.fetch_add(ws->seal.tail_misses);
     stats_.finalize_sorted_skips.fetch_add(ws->seal.fin_sorted);
-    stats_.finalize_simd.fetch_add(ws->seal.fin_simd);
   }
   // Arena counters are process-wide monotonic; attribute this run's delta
   // (same pattern as deep_backoffs below).
   const support::ArenaCounters arena_now = support::arena_counters();
   stats_.arena_reuses.fetch_add(arena_now.reuses - arena_at_start.reuses);
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
-  // Memo-cache totals: all history threads are joined (quiescence), so the
-  // plain per-cache counters are safe to sum here.
-  std::uint64_t mq = 0, mh = 0;
-  for (const auto* m : {memo_writer_.get(), memo_reader_.get()}) {
-    if (m == nullptr) continue;
-    mq += m->queries;
-    mh += m->hits;
-  }
-  for (const auto& sh : shards_) {
-    if (sh->memo == nullptr) continue;
-    mq += sh->memo->queries;
-    mh += sh->memo->hits;
-  }
-  stats_.memo_queries.fetch_add(mq);
-  stats_.memo_hits.fetch_add(mh);
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);
-  telem::count("history.bulk.runs",
-               stats_.bulk_runs.load(std::memory_order_relaxed));
-  telem::count("history.bulk.intervals",
-               stats_.bulk_run_intervals.load(std::memory_order_relaxed));
-  telem::count("queue.batch.drains",
-               stats_.batch_drains.load(std::memory_order_relaxed));
-  telem::count("queue.batch.strands",
-               stats_.batch_strands.load(std::memory_order_relaxed));
-  telem::count("queue.prefetch.issues",
-               stats_.prefetch_issues.load(std::memory_order_relaxed));
-  telem::count("backoff.deep.entries",
-               stats_.deep_backoffs.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.total",
-               stats_.fastpath_accesses.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.hits",
-               stats_.fastpath_hits.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.spills",
-               stats_.cursor_spills.load(std::memory_order_relaxed));
-  telem::count("access.slowpath.total",
-               stats_.slowpath_accesses.load(std::memory_order_relaxed));
-  telem::count("reach.memo.queries", mq);
-  telem::count("reach.memo.hits", mh);
-  telem::count("access.tail.hits",
-               stats_.tail_probe_hits.load(std::memory_order_relaxed));
-  telem::count("access.tail.misses",
-               stats_.tail_probe_misses.load(std::memory_order_relaxed));
-  telem::count("access.finalize.sorted",
-               stats_.finalize_sorted_skips.load(std::memory_order_relaxed));
-  telem::count("access.finalize.simd",
-               stats_.finalize_simd.load(std::memory_order_relaxed));
-  telem::count("collect.empty.skips",
-               stats_.empty_strand_skips.load(std::memory_order_relaxed));
-  telem::count("arena.reuses",
-               stats_.arena_reuses.load(std::memory_order_relaxed));
-  telem::count("arena.fresh",
-               stats_.arena_fresh.load(std::memory_order_relaxed));
+  stats_.export_telemetry();
 
   detect::set_active_detector(nullptr);
   sched_ = nullptr;

@@ -216,12 +216,6 @@ class PintDetector final : public detect::Detector,
   store::ReaderStore reader_treap_;
   detect::GranuleMap writer_map_;
   detect::ReaderGranuleMap reader_map_;
-  // Per-history-worker precedes() memo caches: each is touched only by the
-  // one thread that owns the matching store.  Allocated only for the modes
-  // that read them (see the constructor); sharded mode keeps its own cache
-  // inside each HistoryShard.
-  std::unique_ptr<reach::Engine::Memo> memo_writer_;
-  std::unique_ptr<reach::Engine::Memo> memo_reader_;
   std::vector<std::unique_ptr<HistoryShard>> shards_;
 
   std::vector<std::unique_ptr<CoreWS>> ws_;

@@ -19,7 +19,6 @@
 // it spans (still ~8000x coarser than per-granule work).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "detect/history.hpp"
@@ -63,14 +62,6 @@ struct HistoryShard {
   store::IntervalStore writer;
   store::ReaderStore reader;
   StopwatchAccum watch;
-  // precedes() memo (null with tuning.memo off) - touched only by this
-  // shard's worker thread, like the stores above.  Counters summed into
-  // Stats at run end (quiescence).
-  std::unique_ptr<reach::Engine::Memo> memo;
-
-  explicit HistoryShard(bool use_memo = true) {
-    if (use_memo) memo = std::make_unique<reach::Engine::Memo>();
-  }
 
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against both stores then inserted, clears/frees erased)
@@ -90,11 +81,10 @@ struct HistoryShard {
                detect::Stats& stats) {
     using detect::Interval;
     using detect::LockRecord;
-    reach::Engine::Memo* const mm = memo.get();
     s.for_each_record([&](const LockRecord& r) {
       const auto on_read =
           detect::make_conflict_cb(writer.table(), detect::accessor_of(s, r),
-                                   true, false, reach, rep, stats, mm);
+                                   true, false, reach, rep, stats);
       for_each_piece_run(r.reads, shard, nshards, stats, 1,
                          [&](const Interval* iv, std::size_t k) {
                            writer.query_run(iv, k, on_read);
@@ -103,10 +93,9 @@ struct HistoryShard {
     s.for_each_record([&](const LockRecord& r) {
       const store::Accessor me = detect::accessor_of(s, r);
       const auto on_write_reader = detect::make_reader_conflict_cb(
-          reader.table(), me, reach, rep, stats, mm);
+          reader.table(), me, reach, rep, stats);
       const auto on_write = detect::make_conflict_cb(writer.table(), me, true,
-                                                     true, reach, rep, stats,
-                                                     mm);
+                                                     true, reach, rep, stats);
       for_each_piece_run(r.writes, shard, nshards, stats, 2,
                          [&](const Interval* iv, std::size_t k) {
                            reader.query_run(iv, k, on_write_reader);
@@ -122,7 +111,7 @@ struct HistoryShard {
                            reader.insert_reader_run(
                                iv, k, store::ReaderPair{h, h},
                                detect::make_reader_resolver(
-                                   reader.table(), h, reach, stats, mm));
+                                   reader.table(), h, reach, stats));
                          });
     });
     // One interval's shard pieces are always a sorted disjoint run, so the

@@ -14,7 +14,6 @@ using detect::Strand;
 StintDetector::StintDetector(const Options& opt)
     : opt_(opt) {
   rep_.set_verbose(opt_.verbose_races);
-  if (opt_.tuning.memo) memo_ = std::make_unique<reach::Engine::Memo>();
 }
 
 StintDetector::~StintDetector() {
@@ -69,7 +68,6 @@ void StintDetector::process_strand(Strand* s) {
     recycle_strand(s);
     return;
   }
-  reach::Engine::Memo* const memo = memo_.get();
   // STINT's history runs inline on the execution thread; the two spans make
   // its writer/reader phases comparable with PINT's asynchronous tracks.
   writer_watch_.start();
@@ -78,11 +76,9 @@ void StintDetector::process_strand(Strand* s) {
     // (same reasoning as PintDetector::process_writer).
     PINT_TSPAN("stint.writer");
     if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
     } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
     }
   }
   writer_watch_.stop();
@@ -90,11 +86,9 @@ void StintDetector::process_strand(Strand* s) {
   {
     PINT_TSPAN("stint.reader");
     if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
     } else {
-      detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
     }
   }
   reader_watch_.stop();
@@ -263,38 +257,18 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.cursor_spills.store(cursor_spills_);
   stats_.slowpath_accesses.store(slow_accesses_);
   stats_.lock_splits.store(seal_.lock_splits);
-  const std::uint64_t mq = memo_ ? memo_->queries : 0;
-  const std::uint64_t mh = memo_ ? memo_->hits : 0;
-  stats_.memo_queries.store(mq);
-  stats_.memo_hits.store(mh);
   stats_.tail_probe_hits.store(seal_.tail_hits);
   stats_.tail_probe_misses.store(seal_.tail_misses);
   stats_.finalize_sorted_skips.store(seal_.fin_sorted);
-  stats_.finalize_simd.store(seal_.fin_simd);
   // Arena counters are process-wide monotonic; attribute this run's delta.
   const support::ArenaCounters arena1 = support::arena_counters();
   stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
   stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
-  telem::count("access.tail.hits", seal_.tail_hits);
-  telem::count("access.tail.misses", seal_.tail_misses);
-  telem::count("access.finalize.sorted", seal_.fin_sorted);
-  telem::count("access.finalize.simd", seal_.fin_simd);
-  telem::count("access.fastpath.total", fast_accesses_);
-  telem::count("access.fastpath.hits", fast_hits_);
-  telem::count("access.fastpath.spills", cursor_spills_);
-  telem::count("access.slowpath.total", slow_accesses_);
-  telem::count("reach.memo.queries", mq);
-  telem::count("reach.memo.hits", mh);
-  // Bulk-run counters accumulate live in process_strand (fetch_add, never
-  // overwritten here); STINT has no consumer lanes, so only these two.
-  telem::count("history.bulk.runs",
-               stats_.bulk_runs.load(std::memory_order_relaxed));
-  telem::count("history.bulk.intervals",
-               stats_.bulk_run_intervals.load(std::memory_order_relaxed));
   stats_.writer_ns.store(writer_watch_.total_ns());
   stats_.lreader_ns.store(reader_watch_.total_ns());
   stats_.core_ns.store(total.elapsed_ns() - writer_watch_.total_ns() -
                        reader_watch_.total_ns());
+  stats_.export_telemetry();
   return {};
 }
 

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "detect/detector.hpp"
@@ -94,12 +93,6 @@ class StintDetector final : public detect::Detector,
   store::IntervalStore reader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap reader_map_;
-  // precedes() memo (null with tuning.memo off) - everything is
-  // single-threaded here, so one cache is shared by the writer and reader
-  // phases: a strand pair judged while walking the writer treap is served
-  // from cache again in the reader walk (strands that both wrote and read a
-  // region sit in both stores).
-  std::unique_ptr<reach::Engine::Memo> memo_;
 
   detect::Strand* free_list_ = nullptr;
   std::vector<detect::Strand*> owned_;

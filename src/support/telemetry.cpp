@@ -26,8 +26,10 @@ namespace {
 constexpr std::size_t kMinRing = std::size_t(1) << 10;
 constexpr std::size_t kMaxRing = std::size_t(1) << 24;
 constexpr std::size_t kDefaultRing = std::size_t(1) << 16;
-// Distinct span/count names per thread.  The pipeline uses ~a dozen; the
-// table is fixed-size so hot-path lookup is a short pointer scan.
+// Distinct span/count names per thread.  The pipeline's sites use ~a dozen,
+// and the thread that ends a STINT or PINT run adds the Stats table's
+// counters (detect/stats.hpp); 48 holds both.  The table is fixed-size so
+// hot-path lookup is a short pointer scan.
 constexpr int kMaxNames = 48;
 
 struct Event {

@@ -1,16 +1,15 @@
-// Hot-path knob equivalence suite (DESIGN.md §13): the arena recycler and
-// the SIMD finalize are pure mechanism - they must be invisible to
-// detection results.  Checked at two strengths:
+// Hot-path equivalence suite (DESIGN.md §13): the arena recycler is pure
+// mechanism - it must be invisible to detection results - and finalize
+// must produce the canonical interval set.  Checked at two strengths:
 //
-//  * finalize-level: finalize_intervals with the SIMD knob on vs off over
-//    adversarial interval shapes (radix-path sizes, near-zero and
-//    near-kMaxAddr addresses exercising the sign-bias trick, nested /
-//    adjacent / duplicate intervals) - identical canonical output;
+//  * finalize-level: finalize_intervals against a byte model over
+//    adversarial interval shapes (near-zero addresses, addresses that wrap
+//    past kMaxAddr and ranges ending on it, wide spreads, nested / adjacent
+//    / duplicate intervals) - identical canonical output;
 //  * whole-detector: race RECORDS bit-identical on the deterministic
-//    detectors (STINT, phased one-core PINT) for every single-knob flip on
-//    the kernel suite and for the full 2^2 knob cross-product on random
-//    series-parallel programs; pipelined / sharded PINT agree on the
-//    verdict (same caveat as test_access_path.cpp).
+//    detectors (STINT, phased one-core PINT) with the arena on and off, on
+//    the kernel suite and on random series-parallel programs; pipelined /
+//    sharded PINT agree on the verdict (same caveat as test_access_path.cpp).
 
 #include <gtest/gtest.h>
 
@@ -33,43 +32,57 @@ namespace {
 constexpr detect::addr_t kMaxAddr = ~detect::addr_t(0);
 
 // ---------------------------------------------------------------------------
-// finalize_intervals: SIMD vs scalar fuzz
+// finalize_intervals against a byte model
 // ---------------------------------------------------------------------------
 
-// RAII: restore the global SIMD knob flipped by these tests.
-struct SimdGuard {
-  bool saved = detect::simd_merge();
-  ~SimdGuard() { detect::set_simd_merge(saved); }
-};
-
-std::vector<detect::Interval> finalize_with(std::vector<detect::Interval> v,
-                                            bool simd,
-                                            detect::FinalizePath* path) {
-  SimdGuard g;
-  detect::set_simd_merge(simd);
+std::vector<detect::Interval> finalized(std::vector<detect::Interval> v,
+                                        detect::FinalizePath* path = nullptr) {
   const detect::FinalizePath p = detect::finalize_intervals(v);
   if (path != nullptr) *path = p;
   return v;
 }
 
-void check_canonical(const std::vector<detect::Interval>& v) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    ASSERT_LE(v[i].lo, v[i].hi);
-    // Minimal: neighbors neither overlap nor touch (adjacent would have
-    // been merged into one interval).
-    if (i > 0) {
-      ASSERT_GT(v[i].lo, v[i - 1].hi + 1);
-    }
+/// The bytes `v` covers, as maximal runs: exact per byte, but evaluated per
+/// elementary segment (every lo and hi + 1 cuts the address line; a segment
+/// is covered iff some interval holds it).  Ends are 128-bit, so a range
+/// reaching kMaxAddr needs no wrap.  Shares no code with the merge loop.
+std::vector<detect::Interval> byte_model(
+    const std::vector<detect::Interval>& v) {
+  using u128 = unsigned __int128;
+  std::vector<u128> cuts;
+  for (const detect::Interval& iv : v) {
+    cuts.push_back(iv.lo);
+    cuts.push_back(u128(iv.hi) + 1);
   }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  auto at = [&](u128 x) {
+    return std::lower_bound(cuts.begin(), cuts.end(), x) - cuts.begin();
+  };
+  std::vector<int> delta(cuts.size(), 0);
+  for (const detect::Interval& iv : v) {
+    ++delta[at(iv.lo)];
+    --delta[at(u128(iv.hi) + 1)];
+  }
+  std::vector<detect::Interval> out;
+  int depth = 0;
+  bool open = false;
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    depth += delta[k];
+    const bool covered = depth > 0;
+    if (covered && !open) out.push_back({detect::addr_t(cuts[k]), 0});
+    if (covered) out.back().hi = detect::addr_t(cuts[k + 1] - 1);
+    open = covered;
+  }
+  return out;
 }
 
-TEST(SimdFinalize, FuzzMatchesScalarOnAdversarialShapes) {
+TEST(Finalize, FuzzMatchesTheByteModelOnAdversarialShapes) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Xoshiro256 rng(seed);
-    // Size straddles the kSimdMin=32 dispatch bar and goes well past it.
     const std::size_t n = 16 + rng.next_below(2048);
-    // Base region: near zero, near kMaxAddr (sign-bias XOR coverage), or a
-    // huge random offset (wide radix spread).
+    // Base region: near zero, near kMaxAddr (offsets wrap past it), or a
+    // huge random offset (wide spread).
     std::uint64_t base;
     switch (seed % 3) {
       case 0: base = rng.next_below(64); break;
@@ -89,55 +102,64 @@ TEST(SimdFinalize, FuzzMatchesScalarOnAdversarialShapes) {
       if (lo > kMaxAddr - len) len = kMaxAddr - lo;
       v.push_back({lo, lo + len});
     }
+    if (seed % 3 == 1) {
+      // Ranges ending on kMaxAddr, where hi + 1 wraps to 0, each with
+      // ranges inside it that sort after it.
+      for (int i = 0; i < 4; ++i) {
+        const std::uint64_t lo = kMaxAddr - rng.next_below(1 << 10);
+        v.push_back({lo, kMaxAddr});
+        v.push_back({lo + 1, lo + 1});
+        v.push_back({lo, lo});
+      }
+    }
     if (seed % 5 == 0) std::sort(v.begin(), v.end(), [](auto& a, auto& b) {
       return a.lo < b.lo;
     });
     if (seed % 7 == 0) {  // duplicates
       for (std::size_t i = 1; i < v.size(); i += 4) v[i] = v[i - 1];
     }
-    detect::FinalizePath p_on, p_off;
-    const auto simd = finalize_with(v, true, &p_on);
-    const auto scalar = finalize_with(v, false, &p_off);
-    ASSERT_EQ(simd, scalar) << "seed=" << seed << " n=" << n;
-    check_canonical(simd);
-    EXPECT_NE(p_off, detect::FinalizePath::kSimd) << "knob off took SIMD";
+    detect::FinalizePath path;
+    const auto got = finalized(v, &path);
+    ASSERT_EQ(got, byte_model(v)) << "seed=" << seed << " n=" << v.size();
+    const bool sorted = std::is_sorted(
+        v.begin(), v.end(), [](auto& a, auto& b) { return a.lo < b.lo; });
+    EXPECT_EQ(path, sorted ? detect::FinalizePath::kSorted
+                           : detect::FinalizePath::kScalar)
+        << "seed=" << seed;
   }
 }
 
-TEST(SimdFinalize, AdjacentAndContainedIntervalsCollapse) {
+TEST(Finalize, AdjacentAndContainedIntervalsCollapse) {
   // Exact-adjacency chains and full containment are the merge loop's edge
-  // rules; both paths must produce the single collapsed interval.
+  // rules; both must produce the single collapsed interval.
   std::vector<detect::Interval> v;
   for (std::uint64_t i = 0; i < 64; ++i) v.push_back({i * 8, i * 8 + 7});
   for (std::uint64_t i = 0; i < 32; ++i) v.push_back({i * 16 + 2, i * 16 + 4});
-  const auto on = finalize_with(v, true, nullptr);
-  const auto off = finalize_with(v, false, nullptr);
-  EXPECT_EQ(on, off);
-  ASSERT_EQ(on.size(), 1u);
-  EXPECT_EQ(on[0].lo, 0u);
-  EXPECT_EQ(on[0].hi, 64 * 8 - 1);
+  const auto out = finalized(v);
+  EXPECT_EQ(out, byte_model(v));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].lo, 0u);
+  EXPECT_EQ(out[0].hi, 64 * 8 - 1);
 }
 
-TEST(SimdFinalize, MaxAddrEndpointsSurviveBothPaths) {
+TEST(Finalize, MaxAddrEndpointsSurvive) {
   std::vector<detect::Interval> v;
   for (std::uint64_t i = 0; i < 48; ++i) {
     v.push_back({kMaxAddr - 1000 + i * 20, kMaxAddr - 1000 + i * 20 + 9});
   }
   v.push_back({kMaxAddr - 5, kMaxAddr});
-  v.push_back({0, 3});  // forces the full radix spread in one buffer
-  const auto on = finalize_with(v, true, nullptr);
-  const auto off = finalize_with(v, false, nullptr);
-  EXPECT_EQ(on, off);
-  check_canonical(on);
-  EXPECT_EQ(on.back().hi, kMaxAddr);
-  EXPECT_EQ(on.front().lo, 0u);
+  v.push_back({0, 3});  // the full address spread in one buffer
+  const auto out = finalized(v);
+  EXPECT_EQ(out, byte_model(v));
+  EXPECT_EQ(out.back().hi, kMaxAddr);
+  EXPECT_EQ(out.front().lo, 0u);
 }
 
-TEST(SimdFinalize, AlreadySortedInputSkipsTheSort) {
+TEST(Finalize, AlreadySortedInputSkipsTheSort) {
   std::vector<detect::Interval> v;
   for (std::uint64_t i = 0; i < 64; ++i) v.push_back({i * 100, i * 100 + 10});
   detect::FinalizePath p;
-  const auto out = finalize_with(v, true, &p);
+  const auto out = finalized(v, &p);
   EXPECT_EQ(p, detect::FinalizePath::kSorted);
   EXPECT_EQ(out.size(), 64u);  // disjoint: nothing merges
 }
@@ -199,16 +221,11 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
   return out;
 }
 
-struct Knobs {
-  bool arena, simd;
-};
-
-RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
+RunOut run_config(Sys sys, bool arena, const std::function<void()>& body,
                   std::uint64_t seed = 7) {
   TuningGuard g;
   detect::Tuning t = g.saved;
-  t.arena = k.arena;
-  t.simd = k.simd;
+  t.arena = arena;
   if (sys == Sys::kStint) {
     stint::StintDetector::Options o;
     o.seed = seed;
@@ -228,11 +245,9 @@ RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
   return summarize(det.reporter(), det.stats());
 }
 
-const Knobs kDefaults = {true, true};
-
 class KernelHotpathKnobs : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(KernelHotpathKnobs, SingleKnobFlipsAreBitIdentical) {
+TEST_P(KernelHotpathKnobs, ArenaFlipIsBitIdentical) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
   cfg.seeded_race = true;  // non-trivial race sets to compare
@@ -243,25 +258,12 @@ TEST_P(KernelHotpathKnobs, SingleKnobFlipsAreBitIdentical) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
-    const Knobs flips[] = {
-        {false, true},  // arena off
-        {true, false},  // simd off
-    };
-    for (const Knobs& k : flips) {
-      auto kf = fresh();
-      const RunOut out = run_config(sys, k, [&] { kf->run(); });
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "records diverge, sys=" << int(sys) << " arena=" << k.arena
-          << " simd=" << k.simd;
-      EXPECT_EQ(ref.distinct, out.distinct);
-      if (!k.simd) {
-        EXPECT_EQ(out.stats.finalize_simd, 0u) << "simd off still vectorized";
-      }
-      if (!k.arena) {
-        EXPECT_EQ(out.stats.arena_reuses, 0u) << "arena off still recycled";
-      }
-    }
+    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
+    auto kf = fresh();
+    const RunOut out = run_config(sys, false, [&] { kf->run(); });
+    EXPECT_EQ(ref.rebased, out.rebased) << "records diverge, sys=" << int(sys);
+    EXPECT_EQ(ref.distinct, out.distinct);
+    EXPECT_EQ(out.stats.arena_reuses, 0u) << "arena off still recycled";
   }
 }
 
@@ -276,9 +278,9 @@ TEST_P(KernelHotpathKnobs, PipelinedAndShardedAgreeOnTheVerdict) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
+    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
     auto kf = fresh();
-    const RunOut out = run_config(sys, {false, false}, [&] { kf->run(); });
+    const RunOut out = run_config(sys, false, [&] { kf->run(); });
     EXPECT_EQ(ref.distinct, out.distinct) << "sys=" << int(sys);
     if (ref.dropped == 0 && out.dropped == 0) {
       EXPECT_EQ(ref.pairs, out.pairs) << "sys=" << int(sys);
@@ -290,10 +292,10 @@ INSTANTIATE_TEST_SUITE_P(All, KernelHotpathKnobs,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
 
-// The full 2^2 cross-product on random series-parallel programs: cheap
-// enough to run every combination bit-exactly (same pool address every run,
-// so the rebase is the identity).
-TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
+// Both arena settings on random series-parallel programs: cheap enough to
+// compare bit-exactly (same pool address every run, so the rebase is the
+// identity).
+TEST(RandomProgramHotpathKnobs, ArenaOnOffAgreesAndMatchesTheOracle) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     test::ProgramConfig pc;
     auto prog = test::ProgramGen(seed, pc).generate();
@@ -302,21 +304,17 @@ TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    const RunOut ref = run_config(Sys::kStint, kDefaults, body);
-    for (int mask = 0; mask < 4; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
-      const RunOut out = run_config(Sys::kStint, k, body);
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
-      EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
-    }
+    const RunOut ref = run_config(Sys::kStint, true, body);
+    const RunOut out = run_config(Sys::kStint, false, body);
+    EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
+    EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
     EXPECT_EQ(ref.distinct > 0,
               test::oracle_any_race(*p, test::program_pool_bytes(pc)))
         << "seed=" << seed;
   }
 }
 
-TEST(RandomProgramHotpathKnobs, PhasedPintFullCrossProduct) {
+TEST(RandomProgramHotpathKnobs, PhasedPintArenaOnOff) {
   for (std::uint64_t seed = 11; seed <= 16; ++seed) {
     test::ProgramConfig pc;
     auto prog = test::ProgramGen(seed, pc).generate();
@@ -325,13 +323,9 @@ TEST(RandomProgramHotpathKnobs, PhasedPintFullCrossProduct) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    const RunOut ref = run_config(Sys::kPintSeq, kDefaults, body);
-    for (int mask = 0; mask < 4; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
-      const RunOut out = run_config(Sys::kPintSeq, k, body);
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
-    }
+    const RunOut ref = run_config(Sys::kPintSeq, true, body);
+    const RunOut out = run_config(Sys::kPintSeq, false, body);
+    EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
   }
 }
 
@@ -344,7 +338,7 @@ TEST(ArenaKnob, RecyclerActuallyReusesAcrossDetectorInstances) {
   auto body = [&](const char* name) {
     auto k = kernels::make_kernel(name, cfg);
     k->prepare();
-    return run_config(Sys::kStint, kDefaults, [&] { k->run(); });
+    return run_config(Sys::kStint, true, [&] { k->run(); });
   };
   (void)body("sort");  // warm the recycler
   const RunOut second = body("sort");
@@ -354,8 +348,7 @@ TEST(ArenaKnob, RecyclerActuallyReusesAcrossDetectorInstances) {
 
 TEST(TuningKnobs, DefaultsMatchTheDocumentedContract) {
   const detect::Tuning t;
-  EXPECT_TRUE(t.arena);   // recycling on: provenance only, never bytes
-  EXPECT_TRUE(t.simd);    // on: bit-identical scalar fallback exists
+  EXPECT_TRUE(t.arena);  // recycling on: provenance only, never bytes
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Lockset matrix (DESIGN.md §12): mutex-guarded programs must report ZERO
 // races with lock edges on, their unguarded twins must keep racing, and the
 // verdicts must agree across every detector and history mode.  Also covers
-// the LocksetTable itself, memo bit-identity with lock edges enabled, the
-// lock sub-records of the interval detectors (§12.3) and the mixed-lockset
-// shapes they must catch, and lock-bearing random programs against the
-// oracle.
+// the LocksetTable itself, the lock sub-records of the interval detectors
+// (§12.3) and the mixed-lockset shapes they must catch, and lock-bearing
+// random programs against the oracle.
 
 #include <gtest/gtest.h>
 
@@ -188,66 +187,15 @@ TEST(LockAblation, EnvSpecTogglesLockEdges) {
   EXPECT_FALSE(t.lock_edges);
   t = detect::Tuning::parse("locks=on,memo=off", t);
   EXPECT_TRUE(t.lock_edges);
-  EXPECT_FALSE(t.memo);
-  // The removed cursor= key is ignored (warn-once); the other keys apply.
+  // The removed knobs' keys (cursor=, memo=, simd=) are ignored
+  // (warn-once); the other keys apply.
   detect::Tuning want;
-  want.memo = false;
-  EXPECT_EQ(detect::Tuning::parse("cursor=wide,memo=off", detect::Tuning{}),
+  want.lock_edges = false;
+  EXPECT_EQ(detect::Tuning::parse("cursor=wide,memo=off,locks=off,simd=off",
+                                  detect::Tuning{}),
             want);
-}
-
-// ---------------------------------------------------------------------------
-// Memo bit-identity with lock edges on
-// ---------------------------------------------------------------------------
-
-TEST(LockMemo, MemoOnOffBitIdenticalWithLockEdges) {
-  // The memo may change the cost of reachability queries, never a verdict -
-  // including across the lockset strand splits (same-label segments).  The
-  // racy cache has a rich mix of guarded and unguarded pairs.
-  for (bool seeded : {false, true}) {
-    std::uint64_t base_races = ~std::uint64_t(0);
-    for (bool memo : {true, false}) {
-      kernels::KernelConfig kc;
-      kc.scale = 0.5;
-      kc.seeded_race = seeded;
-      auto k = kernels::make_kernel("lkcache", kc);
-      k->prepare();
-      stint::StintDetector::Options o;
-      o.tuning.memo = memo;
-      stint::StintDetector det(o);
-      det.run([&] { k->run(); });
-      const std::uint64_t got = det.reporter().distinct_races();
-      if (base_races == ~std::uint64_t(0)) {
-        base_races = got;
-      } else {
-        EXPECT_EQ(got, base_races)
-            << "memo changed the race set (seeded=" << seeded << ")";
-      }
-      if (!memo) {
-        EXPECT_EQ(det.stats().memo_queries.load(), 0u);
-      }
-    }
-    if (seeded) EXPECT_GT(base_races, 0u);
-    if (!seeded) EXPECT_EQ(base_races, 0u);
-  }
-}
-
-TEST(LockMemo, PintShardedMemoBitIdenticalWithLockEdges) {
-  for (bool memo : {true, false}) {
-    kernels::KernelConfig kc;
-    kc.scale = 0.5;
-    kc.seeded_race = true;
-    auto k = kernels::make_kernel("lktwin", kc);
-    k->prepare();
-    pintd::PintDetector::Options o;
-    o.core_workers = 2;
-    o.history_shards = 3;
-    o.tuning.memo = memo;
-    pintd::PintDetector det(o);
-    det.run([&] { k->run(); });
-    EXPECT_TRUE(det.reporter().any());
-    if (!memo) EXPECT_EQ(det.stats().memo_queries.load(), 0u);
-  }
+  EXPECT_EQ(detect::Tuning::parse("memo=on", detect::Tuning{}),
+            detect::Tuning{});
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
 // Three layers, from the engine surface out to whole detector runs:
 //
 //  1. ENGINE tests - spawn/sync relations, paths long enough to freeze
-//     chunks, equal-label lockset splits, and memo bit-identity against the
-//     un-memoized query.
+//     chunks, and equal-label lockset splits.
 //
 //  2. ORACLE fuzz - random fork-join DAGs whose every ordered label pair
 //     must get exactly the Relation two engine-independent ground truths
@@ -70,16 +69,11 @@ TEST(DePaEngine, EqualLabelsOrderedByNeither) {
   L sync;
   const auto s = e.on_spawn(u, &sync);
   const L copy = s.child;  // the split segment carries a byte-identical label
-  const auto r = e.relation(s.child, copy, nullptr);
+  const auto r = e.relation(s.child, copy);
   EXPECT_FALSE(r.eng);
   EXPECT_FALSE(r.heb);
   EXPECT_FALSE(e.parallel(s.child, copy));
   EXPECT_FALSE(e.precedes(s.child, copy));
-  // Memoized route must agree.
-  reach::Engine::Memo memo;
-  const auto rm = e.relation(s.child, copy, &memo);
-  EXPECT_FALSE(rm.eng);
-  EXPECT_FALSE(rm.heb);
 }
 
 TEST(DePaEngine, DeepChainCrossesWordBoundaries) {
@@ -143,40 +137,6 @@ TEST(DePaEngine, WideFanSharesOneBlock) {
   EXPECT_TRUE(e.precedes(cur, sync));
 }
 
-TEST(DePaEngine, MemoBitIdenticalAndCounted) {
-  // The memo may change the cost of a query, never its verdict - and its
-  // counters must move (detectors fold them into Stats).
-  reach::Engine e;
-  using L = reach::Engine::Label;
-  L cur = e.root_label();
-  std::vector<L> all;
-  all.push_back(cur);
-  for (int i = 0; i < 40; ++i) {
-    L sync;
-    const auto s = e.on_spawn(cur, &sync);
-    all.push_back(s.child);
-    all.push_back(s.cont);
-    all.push_back(sync);
-    cur = (i % 3 == 0) ? s.child : s.cont;
-  }
-  reach::Engine::Memo memo;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      for (std::size_t j = 0; j < all.size(); ++j) {
-        const auto direct = e.relation(all[i], all[j], nullptr);
-        const auto memod = e.relation(all[i], all[j], &memo);
-        ASSERT_EQ(direct.eng, memod.eng) << i << "," << j << " pass " << pass;
-        ASSERT_EQ(direct.heb, memod.heb) << i << "," << j << " pass " << pass;
-      }
-    }
-  }
-  EXPECT_GT(memo.queries, 0u);
-  EXPECT_GT(memo.hits, 0u);  // second pass must hit
-  EXPECT_LE(memo.hits, memo.queries);
-  memo.clear();
-  EXPECT_EQ(memo.queries, 0u);
-}
-
 TEST(DePaEngine, ChunkArenaFreezesLongPaths) {
   reach::DePaEngine e;
   EXPECT_EQ(e.chunks_minted(), 0u);
@@ -203,8 +163,7 @@ TEST(DePaEngine, ChunkArenaFreezesLongPaths) {
 // serial child-first order alone - English-first iff it runs first serially,
 // Hebrew-first iff it runs last.  The English bit is what reader retention's
 // left/right tiebreak consumes, so a precedes()-only oracle would miss a
-// flipped tiebreak entirely.  Every pair goes direct, then through one memo
-// twice (fill, then hit).
+// flipped tiebreak entirely.
 TEST(ReachOracle, RelationMatchesClosureAndSerialOrder) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     test::SpDagBuilder b(seed);
@@ -213,28 +172,18 @@ TEST(ReachOracle, RelationMatchesClosureAndSerialOrder) {
     ASSERT_GE(n, 2u);
     ASSERT_LT(n, 4000u) << "generator config drifted; closure would crawl";
     const auto closure = b.closure();
-    reach::Engine::Memo memo;
-    reach::Engine::Memo* const routes[] = {nullptr, &memo, &memo};
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         reach::Relation want{i < j, i > j};
         if (closure[i][j]) want = {true, true};
         if (closure[j][i]) want = {false, false};
-        for (reach::Engine::Memo* m : routes) {
-          const reach::Relation got =
-              b.e.relation(b.labels[i], b.labels[j], m);
-          ASSERT_EQ(got.eng, want.eng)
-              << "seed=" << seed << " i=" << i << " j=" << j
-              << (m ? " memo" : " direct");
-          ASSERT_EQ(got.heb, want.heb)
-              << "seed=" << seed << " i=" << i << " j=" << j
-              << (m ? " memo" : " direct");
-        }
+        const reach::Relation got = b.e.relation(b.labels[i], b.labels[j]);
+        ASSERT_EQ(got.eng, want.eng)
+            << "seed=" << seed << " i=" << i << " j=" << j;
+        ASSERT_EQ(got.heb, want.heb)
+            << "seed=" << seed << " i=" << i << " j=" << j;
       }
     }
-    // The repeat query hits on every pair except i == j (equal labels are
-    // answered before the table).
-    EXPECT_EQ(memo.hits, std::uint64_t(n) * (n - 1)) << "seed=" << seed;
   }
 }
 

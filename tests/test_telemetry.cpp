@@ -203,6 +203,28 @@ void run_workload() {
   tree(kDepth, buf.data(), 0);
 }
 
+/// Runs STINT (`stint`) or phased one-core PINT with telemetry armed (a no-op
+/// under -DPINT_TELEMETRY=OFF) and returns the detector's stats snapshot.
+detect::Stats::Snapshot traced_interval_run(bool stint) {
+  telem::reset();
+  telem::set_enabled(true);
+  detect::Stats::Snapshot s;
+  if (stint) {
+    stint::StintDetector d(stint::StintDetector::Options{});
+    EXPECT_TRUE(d.run([] { run_workload(); }).ok());
+    s = d.stats().snapshot();
+  } else {
+    pintd::PintDetector::Options o;
+    o.core_workers = 1;
+    o.parallel_history = false;
+    pintd::PintDetector d(o);
+    EXPECT_TRUE(d.run([] { run_workload(); }).ok());
+    s = d.stats().snapshot();
+  }
+  telem::set_enabled(false);
+  return s;
+}
+
 #if PINT_TELEMETRY_ENABLED
 
 /// Runs the phased one-core PINT mode under telemetry and returns the
@@ -350,6 +372,26 @@ TEST(Telemetry, MetricsJsonHasAllSections) {
   EXPECT_EQ(std::uint64_t(strands->num), s.strands);
 }
 
+TEST(Telemetry, EveryStatsCounterIsExportedUnderItsName) {
+  for (const bool stint : {true, false}) {
+    const detect::Stats::Snapshot s = traced_interval_run(stint);
+    std::map<std::string, std::uint64_t> got;
+    for (const telem::Total& t : telem::counter_totals()) got[t.name] = t.total;
+#define PINT_STATS_EXPECT(name)                                         \
+  {                                                                     \
+    const auto it = got.find(#name);                                    \
+    if (it == got.end()) {                                              \
+      ADD_FAILURE() << #name << " missing, stint=" << stint;            \
+    } else {                                                            \
+      EXPECT_EQ(it->second, s.name) << #name << ", stint=" << stint;    \
+    }                                                                   \
+  }
+    PINT_STATS_COUNTERS(PINT_STATS_EXPECT)
+#undef PINT_STATS_EXPECT
+  }
+  telem::reset();
+}
+
 TEST(Telemetry, DisabledRunRecordsNothing) {
   telem::reset();
   // Not enabled: every site must stay silent (this is the default-off state
@@ -386,6 +428,13 @@ TEST(Telemetry, RingWrapKeepsTotalsExact) {
 }
 
 #else  // !PINT_TELEMETRY_ENABLED -------------------------------------------
+
+TEST(TelemetryOff, StatsExportIsInert) {
+  for (const bool stint : {true, false}) {
+    traced_interval_run(stint);
+    EXPECT_TRUE(telem::counter_totals().empty()) << "stint=" << stint;
+  }
+}
 
 TEST(TelemetryOff, EverythingIsInert) {
   telem::set_enabled(true);
