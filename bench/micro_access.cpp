@@ -1,9 +1,11 @@
 // Access hot-path microbenchmark (DESIGN.md §9): ns/access for the
 // thread-local AccessCursor fast path vs the classic record_access_slow
-// route, cursor and tail-probe hit rates plus cursor spills per kernel,
-// and the geo-mean detection overhead over all seven kernels.  The
-// perf-smoke and perfgate CI lanes run this and check the emitted JSON
-// (see scripts/ci.sh, scripts/perfgate.py).
+// route, ns per lock event on the cursor's lock lanes, cursor and
+// tail-probe hit rates plus cursor spills per kernel, and the geo-mean
+// detection overhead over all seven kernels (the two lock kernels get
+// rows of their own, outside the geomean).  The perf-smoke and perfgate
+// CI lanes run this and check the emitted JSON (see scripts/ci.sh,
+// scripts/perfgate.py).
 //
 //   ./micro_access [--json FILE] [--accesses N] [--scale S]
 //
@@ -22,6 +24,7 @@
 #include "bench/harness.hpp"
 #include "detect/instrument.hpp"
 #include "kernels/kernels.hpp"
+#include "pint/pint_detector.hpp"
 #include "stint/stint_detector.hpp"
 #include "support/timer.hpp"
 
@@ -61,6 +64,52 @@ AccessTiming time_access_loop(bool fast, std::uint64_t accesses) {
   if (s.fastpath_accesses > 0) {
     out.hit_rate = double(s.fastpath_hits) / double(s.fastpath_accesses);
   }
+  return out;
+}
+
+struct LockTiming {
+  double section_ns = 0.0;    // acquire, read, write, release
+  double unguarded_ns = 0.0;  // the same read and write, no lock events
+  double per_event_ns = 0.0;  // (section - unguarded) / 2
+};
+
+constexpr int kLockReps = 25;
+
+/// Times `iters` critical sections - lock_acquire, a read and a write of one
+/// word, lock_release - inside one strand of one-core phased PINT, best of
+/// kLockReps, next to the same loop without the lock hooks.  The hooks alone are
+/// called (no real mutex): the loop is single-threaded, and what is timed
+/// is the detector's cost of a lock event, not the lock's.
+LockTiming time_lock_loop(std::uint64_t iters) {
+  pintd::PintDetector::Options opt;
+  opt.core_workers = 1;
+  opt.parallel_history = false;
+  pintd::PintDetector det(opt);
+  int mu = 0;
+  std::uint64_t word = 0;
+  double best_section = 1e300, best_bare = 1e300;
+  det.run([&] {
+    for (int rep = 0; rep < kLockReps; ++rep) {
+      Timer t;
+      for (std::uint64_t i = 0; i < iters; ++i) {
+        lock_acquire(&mu);
+        record_read(&word, sizeof(word));
+        record_write(&word, sizeof(word));
+        lock_release(&mu);
+      }
+      best_section = std::min(best_section, t.elapsed_s());
+      Timer u;
+      for (std::uint64_t i = 0; i < iters; ++i) {
+        record_read(&word, sizeof(word));
+        record_write(&word, sizeof(word));
+      }
+      best_bare = std::min(best_bare, u.elapsed_s());
+    }
+  });
+  LockTiming out;
+  out.section_ns = best_section * 1e9 / double(iters);
+  out.unguarded_ns = best_bare * 1e9 / double(iters);
+  out.per_event_ns = (out.section_ns - out.unguarded_ns) / 2.0;
   return out;
 }
 
@@ -105,24 +154,7 @@ KernelRow run_kernel(const std::string& name, double scale) {
   return row;
 }
 
-bool write_json(const std::string& path, const AccessTiming& fast,
-                const AccessTiming& slow, double speedup,
-                const std::vector<KernelRow>& rows, double geomean,
-                double geomean3) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"ns_per_access\": {\"fast\": %.3f, \"slow\": %.3f, "
-               "\"speedup\": %.2f},\n",
-               fast.ns_per_access, slow.ns_per_access, speedup);
-  std::fprintf(f, "  \"cursor_hit_rate\": %.4f,\n", fast.hit_rate);
-  std::fprintf(f, "  \"geomean_overhead\": %.3f,\n", geomean);
-  // Over {mmul, heat, sort} only - the kernel set older BENCH_access.json
-  // snapshots used - so the perf gate compares like with like across the
-  // switch to the full seven-kernel sweep.
-  std::fprintf(f, "  \"geomean_overhead_3kernel\": %.3f,\n", geomean3);
-  std::fprintf(f, "  \"kernels\": [\n");
+void write_rows(std::FILE* f, const std::vector<KernelRow>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
     std::fprintf(f,
@@ -136,10 +168,42 @@ bool write_json(const std::string& path, const AccessTiming& fast,
                  (unsigned long long)r.cursor_spills,
                  i + 1 < rows.size() ? "," : "");
   }
+}
+
+bool write_json(const std::string& path, const AccessTiming& fast,
+                const AccessTiming& slow, double speedup,
+                const LockTiming& lock, const std::vector<KernelRow>& rows,
+                const std::vector<KernelRow>& lock_rows, double geomean,
+                double geomean3) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(f, "{\n");
+  std::fprintf(f,
+               "  \"ns_per_access\": {\"fast\": %.3f, \"slow\": %.3f, "
+               "\"speedup\": %.2f},\n",
+               fast.ns_per_access, slow.ns_per_access, speedup);
+  std::fprintf(f,
+               "  \"ns_per_lock_event\": {\"per_event\": %.3f, "
+               "\"section\": %.3f, \"unguarded\": %.3f},\n",
+               lock.per_event_ns, lock.section_ns, lock.unguarded_ns);
+  std::fprintf(f, "  \"cursor_hit_rate\": %.4f,\n", fast.hit_rate);
+  std::fprintf(f, "  \"geomean_overhead\": %.3f,\n", geomean);
+  // Over {mmul, heat, sort} only - the kernel set older BENCH_access.json
+  // snapshots used - so the perf gate compares like with like across the
+  // switch to the full seven-kernel sweep.
+  std::fprintf(f, "  \"geomean_overhead_3kernel\": %.3f,\n", geomean3);
+  std::fprintf(f, "  \"kernels\": [\n");
+  write_rows(f, rows);
+  std::fprintf(f, "  ],\n");
+  // The lock kernels, outside both geomeans.
+  std::fprintf(f, "  \"lock_kernels\": [\n");
+  write_rows(f, lock_rows);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return true;
 }
+
+constexpr double kLockScale = 16.0;
 
 }  // namespace
 
@@ -184,6 +248,15 @@ int main(int argc, char** argv) {
               slow.ns_per_access);
   std::printf("%-28s %10.2fx\n", "speedup", speedup);
 
+  const LockTiming lock = time_lock_loop(accesses / 16);
+  std::printf("# %llu critical sections, best of %d reps, one-core PINT\n",
+              (unsigned long long)(accesses / 16), kLockReps);
+  std::printf("%-28s %10.3f ns/section\n", "acquire+read+write+release",
+              lock.section_ns);
+  std::printf("%-28s %10.3f ns/section\n", "read+write, unguarded",
+              lock.unguarded_ns);
+  std::printf("%-28s %10.3f ns/event\n", "lock event", lock.per_event_ns);
+
   // Full seven-kernel sweep (paper table order).  Older snapshots covered
   // only {mmul, heat, sort}; a separate geomean over that subset is kept in
   // the JSON so the perf gate can compare across the switch.
@@ -196,6 +269,12 @@ int main(int argc, char** argv) {
   std::printf("%-8s %10s %10s %9s %9s %12s %10s %9s\n", "kernel", "base_s",
               "pint_s", "setup_s", "overhead", "cursor_hit", "tail_hit",
               "spills");
+  auto print_row = [](const KernelRow& r) {
+    std::printf("%-8s %10.4f %10.4f %9.5f %8.2fx %12.4f %10.4f %9llu\n",
+                r.name.c_str(), r.base_s, r.pint_s, r.setup_s, r.overhead,
+                r.cursor_hit_rate, r.tail_hit_rate,
+                (unsigned long long)r.cursor_spills);
+  };
   for (const auto& name : kernel_set) {
     rows.push_back(run_kernel(name, scale));
     const KernelRow& r = rows.back();
@@ -204,17 +283,26 @@ int main(int argc, char** argv) {
       log_sum3 += std::log(r.overhead);
       ++n3;
     }
-    std::printf("%-8s %10.4f %10.4f %9.5f %8.2fx %12.4f %10.4f %9llu\n",
-                r.name.c_str(), r.base_s, r.pint_s, r.setup_s, r.overhead,
-                r.cursor_hit_rate, r.tail_hit_rate,
-                (unsigned long long)r.cursor_spills);
+    print_row(r);
   }
   const double geomean = std::exp(log_sum / double(rows.size()));
   const double geomean3 = n3 > 0 ? std::exp(log_sum3 / double(n3)) : 0.0;
   std::printf("%-8s %31.2fx  (3-kernel equivalent %.2fx)\n", "geomean",
               geomean, geomean3);
 
-  if (!write_json(json_path, fast, slow, speedup, rows, geomean, geomean3)) {
+  // The guarded lock kernels, at a scale that gives them hundreds of
+  // tasks (both clamp to 8 tasks below scale 0.5).  Outside the geomean,
+  // which keeps its seven-kernel meaning.
+  std::vector<KernelRow> lock_rows;
+  std::printf("\n# lock kernels at scale %.2f (outside the geomean)\n",
+              kLockScale);
+  for (const char* name : {"lkcache", "lktwin"}) {
+    lock_rows.push_back(run_kernel(name, kLockScale));
+    print_row(lock_rows.back());
+  }
+
+  if (!write_json(json_path, fast, slow, speedup, lock, rows, lock_rows,
+                  geomean, geomean3)) {
     std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }

@@ -16,10 +16,18 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     (default 10%; looser than the geomean bar because a single kernel's
     ratio is noisier than the geomean on a shared host) against its
     committed row;
-  * any kernel's fresh "cursor_spills" exceeds its committed row.  Unlike
-    the overheads this is an exact count (the kernels and the cursor are
-    deterministic on one core), so it is gated with no tolerance: a cursor
-    change that spills more must re-commit the snapshot;
+  * any kernel's fresh "cursor_spills" exceeds its committed row, or its
+    fresh "tail_hit_rate" falls below it.  Unlike the overheads these are
+    exact (the kernels and the cursor are deterministic on one core, and
+    the cursor's same-start spill index does not depend on heap
+    placement), so they are gated with no tolerance: a cursor change that
+    spills more or merges less must re-commit the snapshot.  The lock
+    kernels' rows ("lock_kernels", outside both geomeans) are gated the
+    same way;
+  * the cost of a lock event ("ns_per_lock_event" "per_event": a critical
+    section's time above the same accesses unguarded, per event) regressed
+    by more than --kernel-tolerance against the committed snapshot (one
+    best-of timing, as noisy as a single kernel's overhead);
   * any store row marked "enforced" in the committed snapshot has a fresh
     per-record speedup below the committed "speedup_bar", or any row
     carrying "bytes_per_segment" (the fft-strided footprints) exceeds its
@@ -73,6 +81,18 @@ def gate_access(baseline, fresh, tolerance, kernel_tolerance):
         failures.append(f"FAIL {line} exceeds 1 + {tolerance:.2f}")
     else:
         print(f"ok   {line}")
+    if "ns_per_lock_event" in baseline:
+        base_ev = baseline["ns_per_lock_event"]["per_event"]
+        cur_ev = fresh.get("ns_per_lock_event", {}).get("per_event",
+                                                        float("inf"))
+        eratio = cur_ev / base_ev if base_ev > 0 else float("inf")
+        eline = (f"access lock event: committed {base_ev:.3f} ns vs fresh "
+                 f"{cur_ev:.3f} ns -> ratio {eratio:.3f}")
+        if eratio > 1.0 + kernel_tolerance:
+            failures.append(
+                f"FAIL {eline} exceeds 1 + {kernel_tolerance:.2f}")
+        else:
+            print(f"ok   {eline}")
     # Per-kernel floor: the geomean can hide one kernel paying for another.
     fresh_rows = {r["name"]: r for r in fresh.get("kernels", [])}
     for row in baseline.get("kernels", []):
@@ -90,14 +110,39 @@ def gate_access(baseline, fresh, tolerance, kernel_tolerance):
                 f"FAIL {kline} exceeds 1 + {kernel_tolerance:.2f}")
         else:
             print(f"ok   {kline}")
-        if "cursor_spills" in row:
-            sline = (f"access {row['name']}: committed "
-                     f"{row['cursor_spills']} cursor spills vs fresh "
-                     f"{fr.get('cursor_spills')}")
-            if fr.get("cursor_spills", float("inf")) > row["cursor_spills"]:
-                failures.append(f"FAIL {sline}")
-            else:
-                print(f"ok   {sline}")
+        failures += gate_exact(row, fr)
+    fresh_locks = {r["name"]: r for r in fresh.get("lock_kernels", [])}
+    for row in baseline.get("lock_kernels", []):
+        fr = fresh_locks.get(row["name"])
+        if fr is None:
+            failures.append(
+                f"FAIL access lock kernel '{row['name']}' missing from "
+                f"fresh run")
+            continue
+        failures += gate_exact(row, fr)
+    return failures
+
+
+def gate_exact(row, fr):
+    """The deterministic counters of one kernel row: no more cursor spills
+    and no lower tail-probe hit rate than committed."""
+    failures = []
+    if "cursor_spills" in row:
+        sline = (f"access {row['name']}: committed "
+                 f"{row['cursor_spills']} cursor spills vs fresh "
+                 f"{fr.get('cursor_spills')}")
+        if fr.get("cursor_spills", float("inf")) > row["cursor_spills"]:
+            failures.append(f"FAIL {sline}")
+        else:
+            print(f"ok   {sline}")
+    if "tail_hit_rate" in row:
+        tline = (f"access {row['name']}: committed tail hit rate "
+                 f"{row['tail_hit_rate']:.4f} vs fresh "
+                 f"{fr.get('tail_hit_rate', 0.0):.4f}")
+        if fr.get("tail_hit_rate", 0.0) < row["tail_hit_rate"]:
+            failures.append(f"FAIL {tline}")
+        else:
+            print(f"ok   {tline}")
     return failures
 
 

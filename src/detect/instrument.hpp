@@ -85,7 +85,10 @@ void dfree(void* p);
 /// mutex operations.  Call lock_acquire AFTER the real acquire succeeds and
 /// lock_release BEFORE the real release, so the recorded critical section
 /// nests inside the real one; the mutex's address is its identity.  With no
-/// active detector both are the same cheap early-out as record_read.
+/// active detector both are the same cheap early-out as record_read.  A
+/// lock event that repeats a transition into a lockset the running strand
+/// already recorded under switches lanes inside the AccessCursor; the rest
+/// go to the detector.
 void lock_acquire(const void* mutex);
 void lock_release(const void* mutex);
 
@@ -125,28 +128,60 @@ class AccessBuffer;
 /// counts recorded through the cursor since install, how many of them were
 /// absorbed in cursor storage (open interval + pending ring - no per-access
 /// AccessBuffer touch; the bounded end-of-strand drain is the normal
-/// hand-off, not a miss), and the spills (the per-access buffer touches
+/// hand-off, not a miss), the spills (the per-access buffer touches
 /// that did happen: ring overflow, or every access in the coalesce-off
-/// ablation).
+/// ablation), and the strand's final lock lane: the sub-record index the
+/// cursor was recording into, which lock events switched without telling
+/// the detector (kNoRecord when no cursor was installed).
 struct CursorFlush {
+  static constexpr std::uint32_t kNoRecord = ~std::uint32_t(0);
   std::uint64_t raw_reads = 0;
   std::uint64_t raw_writes = 0;
   std::uint64_t hits = 0;
   std::uint64_t spills = 0;
+  std::uint32_t record = kNoRecord;
 };
 
-/// Installs this thread's AccessCursor over the given strand buffers.  Any
-/// previously installed cursor is flushed first (its counts are dropped -
-/// detectors always invalidate before installing, so that path only guards
-/// against misuse).  No-op while the fast path is globally disabled.
-void cursor_install(AccessBuffer* reads, AccessBuffer* writes, bool coalesce);
+/// Installs this thread's AccessCursor over the given strand buffers: the
+/// sub-record `record` of lockset `lsid`, the strand's first lock lane.
+/// Any previously installed cursor is flushed first (its counts are
+/// dropped - detectors always invalidate before installing, so that path
+/// only guards against misuse).  No-op while the fast path is globally
+/// disabled.
+void cursor_install(AccessBuffer* reads, AccessBuffer* writes, bool coalesce,
+                    std::uint32_t lsid = 0, std::uint32_t record = 0);
 
-/// Flushes the cursor's cached intervals into the strand buffers, detaches
-/// it, and returns the counters accumulated since install.  Must run on the
-/// thread that owns the strand (detectors call it from the scheduler hooks
-/// that end the strand, which always run there).  Safe to call with no
-/// cursor installed (returns zeros).
+/// Flushes the cursor's cached intervals - the current lane and every
+/// parked lock lane - into their sub-record buffers, detaches it, and
+/// returns the counters accumulated since install.  Must run on the thread
+/// that owns the strand (detectors call it from the scheduler hooks that
+/// end the strand, which always run there).  Safe to call with no cursor
+/// installed (returns zeros and kNoRecord).
 CursorFlush cursor_invalidate();
+
+/// Lock lanes (DESIGN.md §9.1, §12.3).  The detector route of a lock
+/// event ends here: memoizes the transition `from` --(acquire|release
+/// `lock`)--> `to`, and when `to` differs from `from` parks the current
+/// lanes and switches to sub-record `record` of lockset `to` (reads,
+/// writes), registering it as a lock lane if it is new to the cursor.
+/// Later events repeating a memoized transition into a registered lane are
+/// switched by pint::lock_acquire/lock_release inside the cursor, without
+/// reaching the detector.  The memo is filled even with no cursor
+/// installed; the lane switch needs one.
+void cursor_lock_transition(std::uint32_t from, std::uint64_t lock,
+                            bool acquire, std::uint32_t to,
+                            AccessBuffer* reads, AccessBuffer* writes,
+                            std::uint32_t record);
+
+/// The sub-record index of the installed cursor's current lock lane
+/// (kNoRecord when none is installed): a lock event the cursor switched
+/// itself left the detector's view of the current sub-record stale.
+std::uint32_t cursor_record();
+
+/// Re-points the lock lane of sub-record `record` (if registered) at moved
+/// buffers, after the strand's sub-record storage was reallocated.
+void cursor_rebind(std::uint32_t record, AccessBuffer* reads,
+                   AccessBuffer* writes);
 
 /// Hard reset: drop the cursor without flushing.  Only for thread entry /
 /// defensive use where no strand can be current.

@@ -1,6 +1,7 @@
 #pragma once
 
-// Race reporting: thread-safe, deduplicated by strand pair.
+// Race reporting: thread-safe, deduplicated by strand pair and access
+// kinds.
 //
 // Per the paper's guarantee (Theorem 5), a detector must report *a* race
 // between a pair of strands iff a race exists; the exact set of reported
@@ -11,7 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "detect/types.hpp"
@@ -39,9 +40,8 @@ class RaceReporter {
               bool cur_write, addr_t lo, addr_t hi,
               const char* prev_tag = nullptr, const char* cur_tag = nullptr) {
     raw_reports_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t key = pair_key(prev_sid, cur_sid, prev_write, cur_write);
     LockGuard<Spinlock> g(mu_);
-    if (!dedup_.insert(key).second) return;
+    if (!dedup_.insert(prev_sid, cur_sid, prev_write, cur_write)) return;
     distinct_.fetch_add(1, std::memory_order_relaxed);
     if (records_.size() < max_records_) {
       records_.push_back({prev_sid, cur_sid, prev_write, cur_write, lo, hi,
@@ -92,18 +92,63 @@ class RaceReporter {
   }
 
  private:
-  static std::uint64_t pair_key(std::uint64_t a, std::uint64_t b, bool aw,
-                                bool bw) {
-    // Symmetric in the pair but keeps the kind bits.
-    if (a > b) std::swap(a, b);
-    std::uint64_t h = a * 0x9e3779b97f4a7c15ULL;
-    h ^= b + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return (h << 2) | (std::uint64_t(aw) << 1) | std::uint64_t(bw);
-  }
+  /// The set of reported races, keyed exactly on (smaller sid, larger sid,
+  /// prev kind, cur kind): symmetric in the pair, keeping the kind bits as
+  /// reported.  Open addressing over a power-of-two table of 16-byte
+  /// entries, at most half full, grown by rehashing; no per-race node.
+  class PairSet {
+   public:
+    /// Inserts the race; false when it was already present.
+    bool insert(std::uint64_t a, std::uint64_t b, bool aw, bool bw) {
+      if (a > b) std::swap(a, b);
+      // b << 3 | kinds | 1: never 0, the empty slot (sids stay below 2^61).
+      const Entry e{a, (b << 3) | (std::uint64_t(aw) << 2) |
+                           (std::uint64_t(bw) << 1) | 1u};
+      if (2 * (size_ + 1) > slots_.size()) grow();
+      Entry* at = find(e);
+      if (at->tagged_hi != 0) return false;
+      *at = e;
+      ++size_;
+      return true;
+    }
+    void clear() {
+      slots_.clear();
+      size_ = 0;
+    }
+
+   private:
+    struct Entry {
+      std::uint64_t lo = 0;
+      std::uint64_t tagged_hi = 0;  // 0 = empty
+    };
+
+    // The slot holding `e`, or the empty slot where it belongs.
+    Entry* find(const Entry& e) {
+      const std::size_t mask = slots_.size() - 1;
+      std::uint64_t h = (e.lo ^ (e.tagged_hi * 0x9e3779b97f4a7c15ULL)) *
+                        0xbf58476d1ce4e5b9ULL;
+      std::size_t i = std::size_t(h >> 32) & mask;
+      while (slots_[i].tagged_hi != 0 &&
+             (slots_[i].lo != e.lo || slots_[i].tagged_hi != e.tagged_hi)) {
+        i = (i + 1) & mask;
+      }
+      return &slots_[i];
+    }
+    void grow() {
+      std::vector<Entry> old(slots_.empty() ? 64 : 2 * slots_.size());
+      old.swap(slots_);
+      for (const Entry& e : old) {
+        if (e.tagged_hi != 0) *find(e) = e;
+      }
+    }
+
+    std::vector<Entry> slots_;
+    std::size_t size_ = 0;
+  };
 
   const std::size_t max_records_;
   mutable Spinlock mu_;
-  std::unordered_set<std::uint64_t> dedup_;
+  PairSet dedup_;
   std::vector<RaceRecord> records_;
   std::atomic<std::uint64_t> distinct_{0};
   std::atomic<std::uint64_t> raw_reports_{0};

@@ -130,8 +130,8 @@ struct Strand {
   }
 
   /// Makes the sub-record of lockset `id` the active one, creating it on
-  /// first use.  Invalidates pointers into `more`: flush the access cursor
-  /// first.
+  /// first use.  Creating one may move `more`: the access cursor's lanes
+  /// over it must be rebound (note_lock_event).
   void enter(lockset_t id) {
     for (std::uint32_t i = 0; i < nrecs; ++i) {
       if (record(i).lsid == id) {
@@ -164,27 +164,50 @@ struct Strand {
 // (STINT and PINT) so their recording cannot drift apart.
 // ---------------------------------------------------------------------------
 
-/// The access cursor records into the strand's active sub-record.
+/// The access cursor records into the strand's active sub-record, the
+/// first of its lock lanes.
 inline void install_cursor(Strand& s, bool coalesce) {
-  cursor_install(&s.active().reads, &s.active().writes, coalesce);
+  cursor_install(&s.active().reads, &s.active().writes, coalesce, s.held(),
+                 s.cur);
 }
 
-/// Lock hook: when the event changes the held lockset, runs flush_cursor()
-/// (the cursor points into the strand's sub-records), moves the strand to
-/// the sub-record of the new lockset and returns true; the caller then
-/// reinstalls the cursor.  Recursive acquires and unmatched releases
-/// return false.
-template <class Flush>
-inline bool note_lock_event(Strand& s, addr_t lock, bool acquire,
-                            Flush&& flush_cursor) {
+/// Detaches the access cursor from `s`, draining every lock lane into its
+/// sub-record, and makes `cur` the sub-record the cursor ended in: lock
+/// events the cursor switched itself never reached the strand.  Run it
+/// before reading held() at a strand's end (the lockset a continuation
+/// inherits) and before seal_strand().
+inline CursorFlush detach_cursor(Strand& s) {
+  const CursorFlush fl = cursor_invalidate();
+  if (fl.record != CursorFlush::kNoRecord) s.cur = fl.record;
+  return fl;
+}
+
+/// Lock hook of the interval detectors: the route of every lock event the
+/// access cursor does not switch itself (a transition it has not seen, a
+/// lockset new to its lanes, or no cursor installed).  Runs the
+/// transition through the table and moves the strand to the sub-record of
+/// the new held lockset; a recursive acquire or an unmatched release
+/// changes nothing.  Then hands the transition to the cursor, which
+/// memoizes it and switches to that sub-record's lane.
+inline void note_lock_event(Strand& s, addr_t lock, bool acquire) {
+  const std::uint32_t rec = cursor_record();
+  if (rec != CursorFlush::kNoRecord) s.cur = rec;
   auto& tbl = LocksetTable::instance();
   const lockset_t held = s.held();
   const lockset_t nid =
       acquire ? tbl.acquire(held, lock) : tbl.release(held, lock);
-  if (nid == held) return false;
-  flush_cursor();
-  s.enter(nid);
-  return true;
+  if (nid != held) {
+    const LockRecord* more = s.more.data();
+    s.enter(nid);
+    if (s.more.data() != more) {
+      // The lanes parked over `more` follow its storage.
+      for (std::uint32_t i = 2; i + 1 < s.nrecs; ++i) {
+        cursor_rebind(i, &s.record(i).reads, &s.record(i).writes);
+      }
+    }
+  }
+  cursor_lock_transition(held, lock, acquire, nid, &s.active().reads,
+                         &s.active().writes, s.cur);
 }
 
 /// Seal-time tallies of one detector's strands, folded into Stats at run
@@ -197,7 +220,7 @@ struct SealTally {
   std::uint64_t lock_splits = 0;
 };
 
-/// Ends a strand's recording (its cursor already flushed): finalizes every
+/// Ends a strand's recording (its cursor already detached): finalizes every
 /// sub-record and puts them in apply order - non-increasing lockset size,
 /// ties in creation order - so the unguarded sub-record is applied last.
 inline void seal_strand(Strand& s, bool coalesce, SealTally& t) {

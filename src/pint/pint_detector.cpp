@@ -365,8 +365,8 @@ void PintDetector::seal_strand(CoreWS& ws, Strand* s) {
   detect::seal_strand(*s, opt_.coalesce, ws.seal);
 }
 
-void PintDetector::cursor_flush(CoreWS& ws) {
-  const detect::CursorFlush fl = detect::cursor_invalidate();
+void PintDetector::cursor_flush(CoreWS& ws, Strand& s) {
+  const detect::CursorFlush fl = detect::detach_cursor(s);
   ws.raw_reads += fl.raw_reads;
   ws.raw_writes += fl.raw_writes;
   ws.fast_accesses += fl.raw_reads + fl.raw_writes;
@@ -402,26 +402,20 @@ void PintDetector::on_heap_free(rt::Worker&, rt::TaskFrame& f, void* base,
   s->frees.push_back({base, lo, hi});
 }
 
-void PintDetector::on_lock_event(rt::Worker& w, rt::TaskFrame& f,
-                                 detect::addr_t lock, bool acquire) {
-  auto* u = static_cast<Strand*>(f.det_strand);
-  PINT_ASSERT(u != nullptr);
-  auto& ws = *static_cast<CoreWS*>(w.det_worker);
-  if (detect::note_lock_event(*u, lock, acquire, [&] { cursor_flush(ws); })) {
-    detect::install_cursor(*u, opt_.coalesce);
-  }
-}
-
-void PintDetector::on_lock_acquire(rt::Worker& w, rt::TaskFrame& f,
+// Lock events reach the detector only when the access cursor cannot switch
+// lanes itself (detect::note_lock_event).
+void PintDetector::on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
                                    detect::addr_t lock) {
   if (!opt_.tuning.lock_edges) return;
-  on_lock_event(w, f, lock, true);
+  PINT_ASSERT(f.det_strand != nullptr);
+  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, true);
 }
 
-void PintDetector::on_lock_release(rt::Worker& w, rt::TaskFrame& f,
+void PintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
                                    detect::addr_t lock) {
   if (!opt_.tuning.lock_edges) return;
-  on_lock_event(w, f, lock, false);
+  PINT_ASSERT(f.det_strand != nullptr);
+  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +434,7 @@ void PintDetector::on_root_start(rt::Worker& w, rt::TaskFrame& f) {
 void PintDetector::on_root_end(rt::Worker& w, rt::TaskFrame& f) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws);
+  cursor_flush(ws, *u);
   seal_strand(ws, u);
   u->clears.push_back({f.fiber->stack_lo(), f.fiber->stack_hi() - 1});
   // trace insertion happens at on_task_retire, off this fiber's stack
@@ -452,10 +446,10 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   auto* u = static_cast<Strand*>(parent.det_strand);
   // Lockset rule (same as every detector): the continuation still holds the
   // parent's locks; the child may run on a worker that does not, so it
-  // starts empty (as does the sync node).  Read before the seal reorders
-  // u's sub-records.
+  // starts empty (as does the sync node).  Read after the cursor hands back
+  // u's last lock lane and before the seal reorders u's sub-records.
+  cursor_flush(ws, *u);
   const detect::lockset_t held = u->held();
-  cursor_flush(ws);
   seal_strand(ws, u);
 
   auto* j = static_cast<Strand*>(blk.det_sync);
@@ -488,7 +482,7 @@ void PintDetector::on_spawn_return(rt::Worker& w, rt::TaskFrame& child,
                                    bool continuation_stolen) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(child.det_strand);  // the return node
-  cursor_flush(ws);
+  cursor_flush(ws, *u);
   seal_strand(ws, u);
   if (continuation_stolen) {
     // Algorithm 1, lines 15-17: this return node becomes a predecessor of
@@ -529,7 +523,7 @@ void PintDetector::on_sync(rt::Worker& w, rt::TaskFrame& f, rt::SyncBlock& blk,
   // (strand u continues - its cursor stays installed)
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws);
+  cursor_flush(ws, *u);
   seal_strand(ws, u);
   if (!trivial) {
     // Algorithm 1, lines 29-31.

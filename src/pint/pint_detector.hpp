@@ -171,14 +171,11 @@ class PintDetector final : public detect::Detector,
   void trace_push(CoreWS& ws, detect::Strand* s);
   void start_new_trace(CoreWS& ws);
   void seal_strand(CoreWS& ws, detect::Strand* s);
-  /// Invalidates the calling thread's AccessCursor, folding its drained
-  /// counters into ws.  Must run before seal_strand() of the cursor's
-  /// strand (pending cursor intervals land in the strand's AccessBuffers).
-  void cursor_flush(CoreWS& ws);
-  /// Lockset transition: moves the strand's cursor to the sub-record of
-  /// the new held lockset (detect/strand.hpp).
-  void on_lock_event(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lock,
-                     bool acquire);
+  /// Detaches the calling thread's AccessCursor from its strand `s`,
+  /// folding its drained counters into ws.  Must run before seal_strand()
+  /// of `s` (pending cursor intervals land in its sub-records, and its
+  /// current sub-record becomes the cursor's last lock lane).
+  void cursor_flush(CoreWS& ws, detect::Strand& s);
 
   // graceful degradation (allocation-failure paths)
   void note_oom(const char* what);

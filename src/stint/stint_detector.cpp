@@ -48,8 +48,8 @@ void StintDetector::recycle_strand(Strand* s) {
   free_list_ = s;
 }
 
-void StintDetector::cursor_flush() {
-  const detect::CursorFlush fl = detect::cursor_invalidate();
+void StintDetector::cursor_flush(Strand& s) {
+  const detect::CursorFlush fl = detect::detach_cursor(s);
   raw_reads_ += fl.raw_reads;
   raw_writes_ += fl.raw_writes;
   fast_accesses_ += fl.raw_reads + fl.raw_writes;
@@ -58,7 +58,7 @@ void StintDetector::cursor_flush() {
 }
 
 void StintDetector::process_strand(Strand* s) {
-  cursor_flush();  // pending cursor intervals land in s before the seal
+  cursor_flush(*s);  // pending cursor intervals land in s before the seal
   detect::seal_strand(*s, opt_.coalesce, seal_);
   // Empty-strand skip (DESIGN.md §13): no accesses, clears or frees means
   // the history phases would be no-ops - skip their stopwatch reads and
@@ -97,25 +97,20 @@ void StintDetector::process_strand(Strand* s) {
 
 // --- lock events (DESIGN.md §12) ---------------------------------------
 
-void StintDetector::on_lock_event(rt::TaskFrame& f, detect::addr_t lock,
-                                  bool acquire) {
-  auto* u = static_cast<Strand*>(f.det_strand);
-  PINT_ASSERT(u != nullptr);
-  if (detect::note_lock_event(*u, lock, acquire, [&] { cursor_flush(); })) {
-    detect::install_cursor(*u, opt_.coalesce);
-  }
-}
-
+// Reached only when the access cursor cannot switch lanes itself
+// (detect::note_lock_event).
 void StintDetector::on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
                                     detect::addr_t lock) {
   if (!opt_.tuning.lock_edges) return;
-  on_lock_event(f, lock, true);
+  PINT_ASSERT(f.det_strand != nullptr);
+  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, true);
 }
 
 void StintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
                                     detect::addr_t lock) {
   if (!opt_.tuning.lock_edges) return;
-  on_lock_event(f, lock, false);
+  PINT_ASSERT(f.det_strand != nullptr);
+  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, false);
 }
 
 // --- memory events -----------------------------------------------------
@@ -182,6 +177,9 @@ void StintDetector::on_spawn(rt::Worker&, rt::TaskFrame& parent,
   // The continuation still holds whatever the parent held at the spawn; the
   // child starts with an empty lockset (it may run on another worker that
   // does NOT hold the parent's mutexes - inheriting would hide real races).
+  // u's current sub-record is its held lockset once the cursor hands back
+  // its last lock lane.
+  cursor_flush(*u);
   t->active().lsid = u->held();
   child.det_strand = g;
   parent.det_cont = t;

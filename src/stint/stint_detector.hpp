@@ -80,10 +80,9 @@ class StintDetector final : public detect::Detector,
   /// recycle the record.  Drains the execution thread's AccessCursor first
   /// (process_strand is only ever called on the current strand).
   void process_strand(detect::Strand* s);
-  void cursor_flush();
-  /// Lockset transition: moves the strand's cursor to the sub-record of
-  /// the new held lockset (DESIGN.md §12.3).
-  void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
+  /// Detaches the AccessCursor from `s` (detect::detach_cursor), folding
+  /// its counters.
+  void cursor_flush(detect::Strand& s);
 
   Options opt_;
   reach::Engine reach_;

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -155,9 +156,7 @@ TEST(AccessCursor, HotStreamsSurviveCyclingRows) {
 // Streams re-read from their start every round spill with the same start
 // each time; the cursor extends the interval spilled earlier in place
 // instead of appending a duplicate, so the buffer holds one interval per
-// stream plus at most the end-of-strand drain.  The 1 KiB stride keeps the
-// streams' starts in distinct slots of the cursor's spill index for any
-// arena base.
+// stream plus at most the end-of-strand drain.
 TEST(AccessCursor, RepeatedSpillsMergeInPlace) {
   FastPathGuard g;
   detect::set_access_fast_path(true);
@@ -186,6 +185,135 @@ TEST(AccessCursor, RepeatedSpillsMergeInPlace) {
   for (const auto& iv : reads.items()) {
     EXPECT_EQ(iv.hi - iv.lo + 1, kLen * sizeof(double));
   }
+}
+
+// The same-start index is exact-keyed, so which spills merge depends on the
+// spill sequence alone: the same streams at different heap placements give
+// the same buffer, merge for merge (a hashed index that lets colliding
+// starts evict each other made tail_hit_rate vary with the arena base).
+TEST(AccessCursor, SpillMergesDoNotDependOnPlacement) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  constexpr std::size_t kStreams = 40, kLen = 8, kRounds = 4, kStride = 24;
+  std::vector<double> arena(kStreams * kStride + 64);
+  std::vector<std::uint64_t> hits, counts;
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    detect::AccessBuffer reads, writes;
+    detect::cursor_install(&reads, &writes, true);
+    const double* base = arena.data() + shift * 7;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        for (std::size_t j = 0; j < kLen; ++j) {
+          detail::record_access(base + s * kStride + j, sizeof(double), false);
+        }
+      }
+    }
+    detect::cursor_invalidate();
+    hits.push_back(reads.tail_hits());
+    counts.push_back(reads.raw_count());
+  }
+  for (std::size_t i = 1; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], hits[0]) << "shift " << i;
+    EXPECT_EQ(counts[i], counts[0]) << "shift " << i;
+  }
+  // Every round after the first merges each stream's spill in place.
+  EXPECT_LE(counts[0], kStreams + detect::AccessBuffer::kTails);
+}
+
+// Lock lanes (DESIGN.md §9.1), driven through the detector route's entry
+// point: cursor_lock_transition registers and switches lanes; the lsids are
+// arbitrary tags here (the cursor never reads the lockset table).
+TEST(AccessCursor, LockLanesKeepTheirStreamsAcrossSwitches) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  static int mu;  // this test's own transitions in the thread's memo
+  const std::uint64_t lock = detect::addr_of(&mu);
+  constexpr std::uint32_t kHeld = 0x7ff001;
+  detect::AccessBuffer r0, w0, r1, w1;
+  alignas(8) unsigned char a[512] = {}, b[512] = {};
+  detect::cursor_install(&r0, &w0, true, /*lsid=*/0, /*record=*/0);
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      detail::record_access(a + (round * 8 + i) * 8, 8, false);
+    }
+    detect::cursor_lock_transition(0, lock, true, kHeld, &r1, &w1, 1);
+    EXPECT_EQ(detect::cursor_record(), 1u);
+    for (int i = 0; i < 8; ++i) {
+      detail::record_access(b + (round * 8 + i) * 8, 8, true);
+    }
+    detect::cursor_lock_transition(kHeld, lock, false, 0, &r0, &w0, 0);
+    EXPECT_EQ(detect::cursor_record(), 0u);
+  }
+  // A switch writes nothing: both lanes' streams are still open.
+  EXPECT_TRUE(r0.empty() && w0.empty() && r1.empty() && w1.empty());
+  const detect::CursorFlush fl = detect::cursor_invalidate();
+  EXPECT_EQ(fl.record, 0u);
+  EXPECT_EQ(fl.spills, 0u);
+  EXPECT_EQ(fl.hits, 128u);
+  ASSERT_EQ(r0.items().size(), 1u);
+  ASSERT_EQ(w1.items().size(), 1u);
+  EXPECT_TRUE(w0.empty() && r1.empty());
+  EXPECT_EQ(r0.items()[0], (detect::Interval{detect::addr_of(a),
+                                             detect::addr_of(a) + 511}));
+  EXPECT_EQ(w1.items()[0], (detect::Interval{detect::addr_of(b),
+                                             detect::addr_of(b) + 511}));
+}
+
+TEST(AccessCursor, LeastRecentLockLaneDrainsWhenLanesRunOut) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  static int mu[8];
+  constexpr int kSets = 6;  // beyond the cursor's four lanes
+  std::vector<detect::AccessBuffer> reads(kSets), writes(kSets);
+  std::uint64_t word[kSets * 2] = {};
+  auto lsid = [](int i) { return i == 0 ? 0u : std::uint32_t(0x7ff100 + i); };
+  detect::cursor_install(&reads[0], &writes[0], true, lsid(0), 0);
+  detail::record_access(&word[0], 8, false);
+  for (int i = 1; i < kSets; ++i) {
+    detect::cursor_lock_transition(lsid(i - 1), detect::addr_of(&mu[i]), true,
+                                   lsid(i), &reads[i], &writes[i],
+                                   std::uint32_t(i));
+    detail::record_access(&word[2 * i], 8, false);
+  }
+  // Lanes 0 and 1 were the least recently current: drained into their own
+  // buffers when lanes 4 and 5 needed room; the rest are still parked.
+  for (int i = 0; i < kSets; ++i) {
+    EXPECT_EQ(reads[i].raw_count(), i < 2 ? 1u : 0u) << i;
+  }
+  const detect::CursorFlush fl = detect::cursor_invalidate();
+  EXPECT_EQ(fl.record, std::uint32_t(kSets - 1));
+  for (int i = 0; i < kSets; ++i) {
+    ASSERT_EQ(reads[i].raw_count(), 1u) << i;
+    EXPECT_EQ(reads[i].items()[0].lo, detect::addr_of(&word[2 * i]));
+  }
+}
+
+TEST(AccessCursor, RebindFollowsMovedSubRecordBuffers) {
+  FastPathGuard g;
+  detect::set_access_fast_path(true);
+  static int mu;
+  const std::uint64_t lock = detect::addr_of(&mu);
+  detect::AccessBuffer r0, w0;
+  auto moved = std::make_unique<detect::AccessBuffer[]>(4);
+  std::uint64_t word[4] = {};
+  detect::cursor_install(&r0, &w0, true, 0, 0);
+  detect::cursor_lock_transition(0, lock, true, 0x7ff201, &moved[0],
+                                 &moved[1], 2);
+  detail::record_access(&word[0], 8, true);
+  detect::cursor_lock_transition(0x7ff201, lock, false, 0, &r0, &w0, 0);
+  // Record 2's storage moves while its lane is parked, then again while
+  // current.
+  detect::cursor_rebind(2, &moved[2], &moved[3]);
+  detect::cursor_lock_transition(0, lock, true, 0x7ff201, &moved[2],
+                                 &moved[3], 2);
+  detail::record_access(&word[1], 8, true);
+  detect::cursor_rebind(2, &moved[0], &moved[1]);
+  detect::cursor_invalidate();
+  EXPECT_TRUE(moved[3].empty());
+  ASSERT_EQ(moved[1].raw_count(), 1u);
+  EXPECT_EQ(moved[1].items()[0],
+            (detect::Interval{detect::addr_of(&word[0]),
+                              detect::addr_of(&word[1]) + 7}));
 }
 
 TEST(AccessCursor, CoalesceOffRecordsEveryAccessRaw) {
@@ -243,7 +371,7 @@ TEST(AccessCursor, ZeroLengthAccessesAreDiscardedByTheWrappers) {
 // Full record: (prev_sid, cur_sid, prev_write, cur_write, lo, hi).
 using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
                               std::uint64_t, std::uint64_t>;
-// Dedup identity: symmetric strand pair + kind bits (report.hpp pair_key).
+// Dedup identity: symmetric strand pair + kind bits (RaceReporter).
 using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
 enum class Sys { kStint, kPintSeq, kPint1, kPintShard };

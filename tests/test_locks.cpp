@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "detect/lockset.hpp"
+#include "detect/strand.hpp"
 #include "kernels/kernels.hpp"
 #include "oracle/oracle_detector.hpp"
 #include "pint/pint_detector.hpp"
@@ -88,6 +91,148 @@ TEST(LocksetTable, Intersects) {
   // Memoized second query must agree.
   EXPECT_TRUE(detect::locksets_share(sa, sab));
   EXPECT_FALSE(detect::locksets_share(sc, sab));
+}
+
+// ---------------------------------------------------------------------------
+// A recording detector over the shared sub-record helpers
+// ---------------------------------------------------------------------------
+
+/// One finalized sub-record, as seal_strand() leaves it.
+struct SealedRecord {
+  std::uint64_t sid = 0;
+  detect::lockset_t lsid = 0;
+  std::vector<detect::Interval> reads, writes;
+  bool operator==(const SealedRecord&) const = default;
+};
+
+/// A one-worker detector built from the recording helpers STINT and PINT
+/// share (detect/strand.hpp), so it records through the same access cursor
+/// and lock lanes.  It keeps no history and reports nothing: it keeps every
+/// sealed strand's sub-records in apply order, and counts the lock events
+/// that reached it rather than being switched inside the cursor.
+class SubRecordRecorder final : public detect::Detector,
+                                public rt::SchedulerHooks {
+ public:
+  std::vector<SealedRecord> sealed;
+  std::uint64_t lock_calls = 0;
+
+  void run(const std::function<void()>& body) {
+    rt::Scheduler::Options so;
+    so.workers = 1;
+    so.hooks = this;
+    rt::Scheduler sched(so);
+    detect::set_active_detector(this);
+    sched.run(body);
+    detect::set_active_detector(nullptr);
+  }
+
+  // detect::Detector: the slow route of accesses, and lock events.
+  void on_access(rt::Worker&, rt::TaskFrame& f, detect::addr_t lo,
+                 detect::addr_t hi, bool is_write) override {
+    detect::LockRecord& r = strand(f).active();
+    (is_write ? r.writes : r.reads).add(lo, hi);
+  }
+  void on_heap_free(rt::Worker&, rt::TaskFrame&, void* base, detect::addr_t,
+                    detect::addr_t) override {
+    std::free(base);
+  }
+  void on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
+                       detect::addr_t lock) override {
+    ++lock_calls;
+    detect::note_lock_event(strand(f), lock, true);
+  }
+  void on_lock_release(rt::Worker&, rt::TaskFrame& f,
+                       detect::addr_t lock) override {
+    ++lock_calls;
+    detect::note_lock_event(strand(f), lock, false);
+  }
+  const char* name() const override { return "subrecords"; }
+
+  // rt::SchedulerHooks: STINT's strand boundaries.
+  void on_root_start(rt::Worker&, rt::TaskFrame& f) override {
+    f.det_strand = begin(fresh());
+  }
+  void on_root_end(rt::Worker&, rt::TaskFrame& f) override {
+    seal(strand(f));
+  }
+  void on_spawn(rt::Worker&, rt::TaskFrame& parent, rt::SyncBlock& blk,
+                rt::TaskFrame& child) override {
+    detect::Strand& u = strand(parent);
+    detect::detach_cursor(u);  // u's current sub-record: its held lockset
+    detect::Strand* t = fresh();
+    t->active().lsid = u.held();
+    seal(u);
+    if (blk.det_sync == nullptr) blk.det_sync = fresh();
+    parent.det_cont = t;
+    child.det_strand = begin(fresh());
+  }
+  void on_spawn_return(rt::Worker&, rt::TaskFrame& child, bool) override {
+    seal(strand(child));
+  }
+  void on_continuation(rt::Worker&, rt::TaskFrame& parent, bool) override {
+    parent.det_strand = begin(static_cast<detect::Strand*>(parent.det_cont));
+    parent.det_cont = nullptr;
+  }
+  void on_sync(rt::Worker&, rt::TaskFrame& f, rt::SyncBlock& blk,
+               bool) override {
+    if (blk.det_sync != nullptr) seal(strand(f));
+  }
+  void on_after_sync(rt::Worker&, rt::TaskFrame& f, rt::SyncBlock& blk,
+                     bool) override {
+    if (blk.det_sync == nullptr) return;
+    f.det_strand = begin(static_cast<detect::Strand*>(blk.det_sync));
+    blk.det_sync = nullptr;
+  }
+
+ private:
+  static detect::Strand& strand(rt::TaskFrame& f) {
+    return *static_cast<detect::Strand*>(f.det_strand);
+  }
+  detect::Strand* fresh() {
+    strands_.push_back(std::make_unique<detect::Strand>());
+    strands_.back()->reset(strands_.size());
+    return strands_.back().get();
+  }
+  static detect::Strand* begin(detect::Strand* s) {
+    detect::install_cursor(*s, /*coalesce=*/true);
+    return s;
+  }
+  void seal(detect::Strand& s) {
+    detect::detach_cursor(s);
+    detect::seal_strand(s, /*coalesce=*/true, tally_);
+    s.for_each_record([&](const detect::LockRecord& r) {
+      sealed.push_back({s.sid, r.lsid, r.reads.items(), r.writes.items()});
+    });
+  }
+
+  std::vector<std::unique_ptr<detect::Strand>> strands_;
+  detect::SealTally tally_;
+};
+
+// RAII: the lock-lane tests flip the global fast-path knob.
+struct FastPathGuard {
+  bool saved = detect::access_fast_path();
+  ~FastPathGuard() { detect::set_access_fast_path(saved); }
+};
+
+/// The recorder's run of `body` on the cursor route (fast) or with the
+/// fast path off, where every access and lock event takes the detector
+/// route.
+SubRecordRecorder record_under(bool fast, const std::function<void()>& body) {
+  FastPathGuard g;
+  detect::set_access_fast_path(fast);
+  SubRecordRecorder rec;
+  rec.run(body);
+  return rec;
+}
+
+/// The lockset id of a set of lock addresses.
+detect::lockset_t lockset_of(std::initializer_list<const void*> locks) {
+  detect::lockset_t id = 0;
+  for (const void* m : locks) {
+    id = detect::LocksetTable::instance().acquire(id, detect::addr_of(m));
+  }
+  return id;
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +424,53 @@ TEST(LockSegments, ContinuationInheritsTheHeldLockset) {
     });
     EXPECT_GT(r.distinct, 0u) << "continuation race missed under "
                               << det_name(d);
+  }
+}
+
+TEST(LockSegments, ContinuationStartsInTheHeldLocksetsLane) {
+  // mu held across the spawn: the continuation starts in the {mu} lane,
+  // the child in the empty one.  The hooks are called without a real lock
+  // (the child runs first on this worker while the parent "holds" mu), and
+  // the accesses are recorded, not performed.
+  static int mu;
+  std::uint64_t bare = 0, guarded = 0;
+  // `bare`: the child's unguarded write against the continuation's write
+  // under the inherited {mu} - a race.  `guarded`: both sides hold mu -
+  // none, which a continuation starting empty would report.
+  const auto body = [&](bool touch_bare) {
+    lock_acquire(&mu);
+    rt::SpawnScope sc;
+    sc.spawn([&] {
+      if (touch_bare) record_write(&bare, sizeof(bare));
+      lock_acquire(&mu);
+      if (!touch_bare) record_write(&guarded, sizeof(guarded));
+      lock_release(&mu);
+    });
+    record_write(touch_bare ? &bare : &guarded, sizeof(bare));
+    lock_release(&mu);
+    sc.sync();
+  };
+  for (Det d : kIntervalDetectors) {
+    EXPECT_GT(run_under(d, [&] { body(true); }).distinct, 0u)
+        << "child inherited the parent's lockset under " << det_name(d);
+    EXPECT_EQ(run_under(d, [&] { body(false); }).distinct, 0u)
+        << "continuation lost the held lockset under " << det_name(d);
+  }
+  // The sub-records themselves: the child's bare write sits in a {} record,
+  // the continuation's in a {mu} record, on either route.
+  const detect::lockset_t held = lockset_of({&mu});
+  const detect::Interval word{detect::addr_of(&bare),
+                              detect::addr_of(&bare) + sizeof(bare) - 1};
+  for (const bool fast : {true, false}) {
+    const SubRecordRecorder rec = record_under(fast, [&] { body(true); });
+    std::vector<detect::lockset_t> holders;
+    for (const SealedRecord& r : rec.sealed) {
+      if (r.writes == std::vector<detect::Interval>{word}) {
+        holders.push_back(r.lsid);
+      }
+    }
+    EXPECT_EQ(holders, (std::vector<detect::lockset_t>{0, held}))
+        << "fast=" << fast;  // child sealed first
   }
 }
 
@@ -573,6 +765,209 @@ TEST(RandomLockProgram, NoFalsePositivesAndBoundedMisses) {
   }
   for (std::size_t i = 0; i < all_detectors().size(); ++i) {
     EXPECT_LE(missed[i], kMaxMissed[i]) << det_name(all_detectors()[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lock lanes (DESIGN.md §9.1, §12.3): a repeated lockset transition is a
+// lane switch inside the access cursor.  The cursor route and the
+// fast-path-off route must seal bit-identical sub-records.
+// ---------------------------------------------------------------------------
+
+TEST(LockLanes, CursorRouteSealsTheSameSubRecordsOnRandomLockPrograms) {
+  // locks = 2 is RandomLockProgram's shape (at most 4 locksets per strand,
+  // the cursor's lane count); locks = 5 visits more locksets than lanes.
+  for (const int locks : {2, 5}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      ProgramConfig cfg;
+      cfg.max_depth = 2;
+      cfg.pool_bytes = 32;
+      cfg.locks = locks;
+      auto prog = ProgramGen(seed, cfg).generate();
+      std::vector<unsigned char> mem(program_pool_bytes(cfg), 0);
+      unsigned char* base = mem.data();
+      const PNode* p = prog.get();
+      const auto body = [p, base] { exec_node(*p, base); };
+      const SubRecordRecorder fast = record_under(true, body);
+      const SubRecordRecorder slow = record_under(false, body);
+      EXPECT_EQ(fast.sealed, slow.sealed)
+          << "locks=" << locks << " seed=" << seed;
+      EXPECT_LE(fast.lock_calls, slow.lock_calls);
+    }
+  }
+}
+
+TEST(LockLanes, AStrandVisitingMoreLocksetsThanLanes) {
+  // Seven locks taken in overlapping pairs - {i}, {i, i+1}, {i+1}, {} for
+  // each i - give one strand 15 locksets, so lanes are evicted and
+  // re-registered, and the strand's sub-record vector reallocates under
+  // parked lanes.  Three rounds: later rounds repeat memoized transitions.
+  constexpr int kLocks = 7;
+  static int mu[kLocks];
+  std::vector<std::uint64_t> words(8 * kLocks, 0);
+  const auto body = [&] {
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < kLocks; ++i) {
+        const int j = (i + 1) % kLocks;
+        std::uint64_t* w = &words[8 * i];
+        lock_acquire(&mu[i]);
+        record_write(&w[0], 8);
+        lock_acquire(&mu[j]);
+        record_read(&w[2], 8);
+        lock_release(&mu[i]);  // non-LIFO: {i, j} -> {j}
+        record_write(&w[4], 8);
+        lock_release(&mu[j]);
+        record_read(&w[6], 8);
+      }
+    }
+  };
+  const SubRecordRecorder fast = record_under(true, body);
+  const SubRecordRecorder slow = record_under(false, body);
+  EXPECT_EQ(fast.sealed, slow.sealed);
+  ASSERT_EQ(slow.sealed.size(), 2u * kLocks + 1);  // {i}, {i, j}, {} per strand
+  EXPECT_EQ(slow.lock_calls, 3u * kLocks * 4);
+  EXPECT_LT(fast.lock_calls, slow.lock_calls);
+  // Apply order: the seven pairs, then the seven singletons, then {}.
+  for (std::size_t r = 0; r < fast.sealed.size(); ++r) {
+    const std::size_t size =
+        detect::LocksetTable::instance().locks(fast.sealed[r].lsid).size();
+    EXPECT_EQ(size, r < kLocks ? 2u : r < 2 * kLocks ? 1u : 0u) << r;
+  }
+}
+
+TEST(LockLanes, NonLifoReleaseOrder) {
+  // acquire A, acquire B, release A, release B: {} -> {A} -> {A,B} -> {B}
+  // -> {}, an access under each, twice (the second pass on memoized
+  // transitions).
+  static int a, b;
+  std::uint64_t w[10] = {};
+  const auto body = [&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      lock_acquire(&a);
+      record_write(&w[0], 8);
+      lock_acquire(&b);
+      record_write(&w[2], 8);
+      lock_release(&a);
+      record_write(&w[4], 8);
+      lock_release(&b);
+      record_write(&w[6], 8);
+    }
+  };
+  auto one = [&](int i) {
+    return std::vector<detect::Interval>{
+        {detect::addr_of(&w[i]), detect::addr_of(&w[i]) + 7}};
+  };
+  const std::vector<SealedRecord> want = {
+      {1, lockset_of({&a, &b}), {}, one(2)},
+      {1, lockset_of({&a}), {}, one(0)},
+      {1, lockset_of({&b}), {}, one(4)},
+      {1, 0, {}, one(6)}};
+  const SubRecordRecorder fast = record_under(true, body);
+  const SubRecordRecorder slow = record_under(false, body);
+  EXPECT_EQ(fast.sealed, want);
+  EXPECT_EQ(slow.sealed, want);
+  EXPECT_EQ(slow.lock_calls, 8u);
+  EXPECT_EQ(fast.lock_calls, 4u);  // the second pass never left the cursor
+
+  // The verdict: the continuation's access under {B} alone races with a
+  // child holding only A, and not with one holding B.
+  for (Det d : kIntervalDetectors) {
+    for (const bool child_holds_b : {false, true}) {
+      std::uint64_t shared = 0;
+      const DetRun r = run_under(d, [&] {
+        rt::SpawnScope sc;
+        sc.spawn([&] {
+          const void* m = child_holds_b ? &b : &a;
+          lock_acquire(m);
+          record_write(&shared, sizeof(shared));
+          lock_release(m);
+        });
+        lock_acquire(&a);
+        lock_acquire(&b);
+        lock_release(&a);
+        record_write(&shared, sizeof(shared));
+        lock_release(&b);
+        sc.sync();
+      });
+      EXPECT_EQ(r.distinct > 0, !child_holds_b)
+          << det_name(d) << " child_holds_b=" << child_holds_b;
+    }
+  }
+}
+
+TEST(LockLanes, RecursiveAndUnmatchedEventsChangeNothing) {
+  // With the {} lane parked, a recursive acquire of A and an unmatched
+  // release of B leave the strand in {A}; back in {}, an unmatched release
+  // of A leaves it there.  Three passes: the later ones are all switched
+  // inside the cursor.
+  static int a, b;
+  std::uint64_t w[10] = {};
+  const auto body = [&] {
+    for (int pass = 0; pass < 3; ++pass) {
+      lock_acquire(&a);
+      record_write(&w[0], 8);
+      lock_acquire(&a);
+      record_write(&w[2], 8);
+      lock_release(&b);
+      record_write(&w[4], 8);
+      lock_release(&a);
+      record_write(&w[6], 8);
+      lock_release(&a);
+      record_write(&w[8], 8);
+    }
+  };
+  auto words = [&](std::initializer_list<int> is) {
+    std::vector<detect::Interval> out;
+    for (int i : is) {
+      out.push_back({detect::addr_of(&w[i]), detect::addr_of(&w[i]) + 7});
+    }
+    return out;
+  };
+  const std::vector<SealedRecord> want = {
+      {1, lockset_of({&a}), {}, words({0, 2, 4})},
+      {1, 0, {}, words({6, 8})}};
+  const SubRecordRecorder fast = record_under(true, body);
+  const SubRecordRecorder slow = record_under(false, body);
+  EXPECT_EQ(fast.sealed, want);
+  EXPECT_EQ(slow.sealed, want);
+  EXPECT_EQ(slow.lock_calls, 15u);
+  EXPECT_EQ(fast.lock_calls, 5u);
+}
+
+TEST(LockAblation, LockEdgesOffIgnoresEventsOnTheCursorRoute) {
+  // A lock-edges run first memoizes the kernel's transitions on this
+  // thread's cursor; the lock-edges-off runs of the same instance (same
+  // mutex) must still ignore every lock event: the fork-join verdict, and
+  // no sub-record beyond each strand's first.
+  kernels::KernelConfig kc;
+  kc.scale = 0.5;
+  auto k = kernels::make_kernel("lktwin", kc);
+  for (Det d : {Det::kStint, Det::kPintSeq}) {
+    k->prepare();
+    const DetRun warm = run_under(d, [&] { k->run(); });
+    EXPECT_FALSE(warm.any_race) << det_name(d);
+    EXPECT_GT(warm.stats.lock_splits, 0u) << det_name(d);
+    k->prepare();
+    DetRun off;
+    if (d == Det::kStint) {
+      stint::StintDetector::Options o;
+      o.tuning.lock_edges = false;
+      stint::StintDetector det(o);
+      det.run([&] { k->run(); });
+      off.any_race = det.reporter().any();
+      off.stats = det.stats().snapshot();
+    } else {
+      pintd::PintDetector::Options o;
+      o.core_workers = 1;
+      o.parallel_history = false;
+      o.tuning.lock_edges = false;
+      pintd::PintDetector det(o);
+      det.run([&] { k->run(); });
+      off.any_race = det.reporter().any();
+      off.stats = det.stats().snapshot();
+    }
+    EXPECT_TRUE(off.any_race) << det_name(d);
+    EXPECT_EQ(off.stats.lock_splits, 0u) << det_name(d);
   }
 }
 
