@@ -53,6 +53,13 @@
 //   prefetches; deep_backoffs the Backoff waits that reached the bounded
 //   sleep tier (process-wide delta attributed to the run).
 //
+//   Lane parking (DESIGN.md §6.6), pipelined PINT only.  lane_parks counts
+//   the futex waits idle history lanes (writer, reader, shards) entered,
+//   lane_wakes the wakes producers and finish events issued while a lane
+//   was parked, lane_park_ns the wall time (CLOCK_MONOTONIC) lanes spent
+//   parked: the "sleeping" part of a lane's busy / spinning / sleeping
+//   split.
+//
 //   Computation shape: strands, traces, steals, reachability queries, and
 //   lock_splits - the non-empty lock sub-records beyond each strand's first
 //   (STINT and PINT, DESIGN.md §12.3): a strand that recorded under k
@@ -81,6 +88,7 @@
   X(finalize_sorted_skips)                                                 \
   X(bulk_runs) X(bulk_run_intervals) X(batch_drains) X(batch_strands)      \
   X(prefetch_issues) X(deep_backoffs)                                      \
+  X(lane_parks) X(lane_wakes) X(lane_park_ns)                              \
   X(strands) X(lock_splits) X(traces) X(steals) X(reach_queries)           \
   X(stalled_pushes) X(backoff_pauses) X(dropped_strands) X(oom_events)     \
   X(watchdog_trips)                                                        \

@@ -208,7 +208,9 @@ Strand* PintDetector::strand_fallback(CoreWS& ws) {
   // strands into this worker's free list as consumers finish with them.
   // Sequential mode has no concurrent drain, and a cancelled pipeline will
   // never refill the list: both are unsurvivable dead-ends, reported
-  // cleanly through the error sink instead of hanging.
+  // cleanly through the error sink instead of hanging.  Each pause wakes
+  // the lanes: a lane parked short of a wake batch has nothing else coming
+  // to wake it while this worker waits.
   const std::uint64_t give_up_at = now_ns() + kAllocWaitNs;
   Backoff bo;
   for (;;) {
@@ -229,6 +231,7 @@ Strand* PintDetector::strand_fallback(CoreWS& ws) {
       fatal_errorf("strand pool exhausted and the pipeline drain made no "
                    "progress; giving up cleanly\n");
     }
+    wake_lanes();
     bo.pause();
   }
 }
@@ -262,6 +265,7 @@ Trace* PintDetector::trace_fallback() {
       fatal_errorf("trace pool exhausted and the pipeline drain made no "
                    "progress; giving up cleanly\n");
     }
+    wake_lanes();
     bo.pause();
   }
 }
@@ -299,6 +303,7 @@ TraceChunk* PintDetector::chunk_fallback() {
       fatal_errorf("chunk pool exhausted and the pipeline drain made no "
                    "progress; giving up cleanly\n");
     }
+    wake_lanes();
     bo.pause();
   }
 }
@@ -348,6 +353,17 @@ void PintDetector::recycle_chunk(TraceChunk* c) {
 void PintDetector::trace_push(CoreWS& ws, Strand* s) {
   if (ws.cur->push_needs_chunk()) ws.cur->supply_chunk(alloc_chunk());
   ws.cur->push(s);
+  // A parked writer wakes to a batch (DESIGN.md §6.6): one fence and one
+  // load of its parked count every kWakeBatch pushes.
+  if (!seq_history_ && ++ws.wake_tick == kWakeBatch) {
+    ws.wake_tick = 0;
+    writer_wake_.wake_if_parked();
+  }
+}
+
+void PintDetector::wake_lanes() {
+  writer_wake_.wake();
+  lane_wake_.wake();
 }
 
 void PintDetector::start_new_trace(CoreWS& ws) {
@@ -358,6 +374,8 @@ void PintDetector::start_new_trace(CoreWS& ws) {
   old->set_next_trace(t);  // after mark_finished: consumer sees both in order
   ws.cur = t;
   ws.traces++;
+  // Not batched: a finished trace may be what a parked writer waits for.
+  if (!seq_history_) writer_wake_.wake_if_parked();
 }
 
 void PintDetector::seal_strand(CoreWS& ws, Strand* s) {
@@ -634,6 +652,10 @@ void PintDetector::collect(Strand* s) {
     // wedge collection forever.
     hb_backoff_.set_idle(false);
     hb_backoff_.beat();
+    // A consumer parked short of a wake batch may hold the slots this push
+    // waits for (a ring smaller than kWakeBatch fills before any batched
+    // wake), so every pause wakes the consumers.
+    lane_wake_.wake_if_parked();
     stats_.backoff_pauses.fetch_add(1, std::memory_order_relaxed);
     PINT_TCOUNT("collect.backoff");
     if (PINT_UNLIKELY(cancel_.load(std::memory_order_relaxed))) {
@@ -651,6 +673,11 @@ void PintDetector::collect(Strand* s) {
   if (PINT_LIKELY(published)) {
     pushed_.fetch_add(1, std::memory_order_relaxed);
     if (opt_.record_collection_order) collection_log_.push_back(s->label);
+    // Batched wake of parked consumers, as trace_push does for the writer.
+    if (!seq_history_ && ++publish_tick_ == kWakeBatch) {
+      publish_tick_ = 0;
+      lane_wake_.wake_if_parked();
+    }
   }
   // Algorithm 2, lines 42-44.  Runs even for shed strands: successors must
   // still become collectable.
@@ -664,7 +691,8 @@ void PintDetector::collect(Strand* s) {
 }
 
 void PintDetector::process_writer(Strand* s) {
-  if (!phase_watch_) writer_watch_.start();
+  const bool strand_watch = watch_ == Watch::kStrand;
+  if (strand_watch) writer_watch_.start();
   {
     // Span nested just inside the watch so the watch's CLOCK_THREAD_CPUTIME
     // reads (hundreds of ns each) stay out of the span; the exported
@@ -691,7 +719,7 @@ void PintDetector::process_writer(Strand* s) {
       s->retired_frame = nullptr;
     }
   }
-  if (!phase_watch_) writer_watch_.stop();
+  if (strand_watch) writer_watch_.stop();
 }
 
 bool PintDetector::collect_from(CoreWS& ws, bool* drained) {
@@ -734,10 +762,14 @@ void PintDetector::writer_loop() {
   // calling thread in the phased one-core mode; either way this is the
   // "writer" track from here on.
   telem::set_thread_role("writer");
-  Backoff bo;
+  const bool batch_watch = watch_ == Watch::kBatch;
+  LaneIdle idle(writer_wake_);
   for (;;) {
     if (PINT_UNLIKELY(cancel_.load(std::memory_order_relaxed))) break;
     const bool done_before_scan = core_done_.load(std::memory_order_acquire);
+    // Batch watch: one clock read per scan; only a scan that collected
+    // something adds its time (an empty scan is idle, not busy).
+    if (batch_watch) writer_watch_.start();
     bool progress = false;
     bool all_drained = true;
     for (auto& ws : ws_) {
@@ -749,43 +781,60 @@ void PintDetector::writer_loop() {
     // batched cursor publication (each scan collects up to kBatch strands
     // per worker, so both ends of the ring amortize their atomics).
     queue_.reclaim([this](Strand* d) { recycle_strand(d); });
+    if (batch_watch && progress) writer_watch_.stop();
     if (done_before_scan && all_drained) break;
     if (progress) {
+      idle.busy();
       hb_writer_.set_idle(false);
       hb_writer_.beat();
-      bo.reset();
+      continue;
+    }
+    // Nothing collectable right now: the core workers haven't produced
+    // (or a first-strand pred gate is closed).  A legitimate wait, not a
+    // stall - the watchdog must not blame the writer for a slow core.
+    hb_writer_.set_idle(true);
+    if (done_before_scan) {
+      // Nothing will wake this thread once the core is done, so it never
+      // parks then (an empty scan after the core ended is transient).
+      idle.busy();
+      relax_round(kRelaxRounds - 1);
     } else {
-      // Nothing collectable right now: the core workers haven't produced
-      // (or a first-strand pred gate is closed).  A legitimate wait, not a
-      // stall - the watchdog must not blame the writer for a slow core.
-      hb_writer_.set_idle(true);
-      bo.pause();
+      // Sleeps until a core worker's wake batch or a finish event once the
+      // spin is over and a scan after prepare_park() also came up empty.
+      idle.idle();
     }
   }
   // Set even on cancellation so consumer loops drain what was published
-  // and exit instead of spinning on a writer that is gone.
+  // and exit instead of waiting on a writer that is gone.
   collecting_done_.store(true, std::memory_order_release);
+  lane_wake_.wake();
 }
 
 template <class ProcessFn>
-void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
+void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
+                                ProcessFn&& process) {
   queue_.register_consumer();
+  const bool strand_watch = watch_ == Watch::kStrand;
+  const bool batch_watch = watch_ == Watch::kBatch;
   std::uint64_t cursor = 0;
   std::uint64_t batches = 0, drained = 0, prefetches = 0;
-  Backoff bo;
+  LaneIdle idle(lane_wake_);
   for (;;) {
     const std::uint64_t h = queue_.head();
     if (cursor == h) {
-      if (collecting_done_.load(std::memory_order_acquire) &&
-          cursor == queue_.head()) {
-        break;
+      if (collecting_done_.load(std::memory_order_acquire)) {
+        if (cursor == queue_.head()) break;
+        continue;  // the last publishes landed after h was read
       }
+      // Parks (after the spin and a re-check) until the writer's wake
+      // batch, a full-ring backoff, or collection ending.
       lane.hb.set_idle(true);
-      bo.pause();
+      idle.idle();
       continue;
     }
+    idle.busy();
     lane.hb.set_idle(false);
-    bo.reset();
+    if (batch_watch) watch.start();
     while (cursor < h) {
       // Batched drain (DESIGN.md §10): process up to kConsumeBatch strands
       // per head snapshot, prefetching the next strand's records behind the
@@ -802,7 +851,9 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
           prefetch_strand_records(queue_.at(i + 1));
           ++prefetches;
         }
+        if (strand_watch) watch.start();
         process(queue_.at(i));
+        if (strand_watch) watch.stop();
       }
       // Deferred RECYCLE handoffs: each strand's last use above is still
       // sequenced before its own fetch_sub, so the release/acquire pairing
@@ -817,6 +868,7 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
       lane.cursor.store(cursor, std::memory_order_relaxed);
       lane.hb.beat();
     }
+    if (batch_watch) watch.stop();
   }
   lane.hb.set_idle(true);
   queue_.unregister_consumer();
@@ -830,19 +882,14 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
 void PintDetector::reader_loop() {
   telem::set_thread_role("reader");
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
-  const bool pw = phase_watch_;
-  consume_loop(*lanes_[0], [&](Strand* s) {
-    if (!pw) reader_watch_.start();
-    {
-      // Nested inside the watch (see process_writer): span sum ~= *_ns.
-      PINT_TSPAN("reader.strand");
-      if (use_treap) {
-        detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
-      } else {
-        detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
-      }
+  consume_loop(*lanes_[0], reader_watch_, [&](Strand* s) {
+    // Nested inside the watch (see process_writer): span sum ~= *_ns.
+    PINT_TSPAN("reader.strand");
+    if (use_treap) {
+      detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
+    } else {
+      detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
     }
-    if (!pw) reader_watch_.stop();
   });
 }
 
@@ -854,29 +901,20 @@ void PintDetector::shard_loop(int shard) {
   }
   HistoryShard& hs = *shards_[std::size_t(shard)];
   const int n = int(shards_.size());
-  ConsumerLane& lane = *lanes_[std::size_t(shard)];
-  const bool pw = phase_watch_;
-  consume_loop(lane, [&](Strand* s) {
-    if (!pw) hs.watch.start();
-    {
-      PINT_TSPAN("shard.strand");
-      hs.process(*s, shard, n, reach_, rep_, stats_);
-    }
-    if (!pw) hs.watch.stop();
+  consume_loop(*lanes_[std::size_t(shard)], hs.watch, [&](Strand* s) {
+    PINT_TSPAN("shard.strand");
+    hs.process(*s, shard, n, reach_, rep_, stats_);
   });
 }
 
 void PintDetector::finish_history_sequential() {
   // Each lane is one uninterrupted phase on this thread, so the stopwatches
-  // wrap the phases instead of every strand (see phase_watch_).  The writer
+  // wrap the phases instead of every strand (see watch_).  The writer
   // phase's watch covers collection too - which is the writer worker's job
   // in the paper's breakdown anyway.  Traced runs keep the per-strand
-  // watches: the exported *.strand span sums are documented to agree with
-  // the *_ns stats, which requires both to bracket the same code (the phase
-  // watch also counts loop bookkeeping between strands), and a traced run
-  // is diagnostic anyway - it already pays per-strand span records.
-  phase_watch_ = !telem::enabled();
-  const bool pw = phase_watch_;
+  // watches (the phase watch also counts loop bookkeeping between strands).
+  watch_ = telem::enabled() ? Watch::kStrand : Watch::kPhase;
+  const bool pw = watch_ == Watch::kPhase;
   // Phase 1: collection (+ writer treap in the classic configuration).
   if (pw) writer_watch_.start();
   writer_loop();
@@ -1036,6 +1074,9 @@ RunResult PintDetector::run(std::function<void()> fn) {
 
   std::thread writer;
   std::vector<std::thread> history;
+  // Pipelined lanes time drained batches (phased mode decides its own watch
+  // in finish_history_sequential); the spawn gate publishes this.
+  watch_ = telem::enabled() ? Watch::kStrand : Watch::kBatch;
   if (!seq_history_ && !spawn_history_threads(&writer, &history)) {
     // Graceful fallback: the paper's phased one-core history mode needs no
     // extra threads.  Detection stays exact; only the asynchrony is lost.
@@ -1090,6 +1131,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
     wd.set_on_stall([this](const char*) {
       stats_.watchdog_trips.fetch_add(1, std::memory_order_relaxed);
       cancel_.store(true, std::memory_order_release);
+      wake_lanes();  // a parked lane must see the cancel, not sleep on
     });
     wd.arm();
   }
@@ -1106,6 +1148,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
 
     for (auto& ws : ws_) ws->cur->mark_finished();
     core_done_.store(true, std::memory_order_release);
+    writer_wake_.wake();
     writer.join();
     for (auto& t : history) t.join();
   } else {
@@ -1158,6 +1201,10 @@ RunResult PintDetector::run(std::function<void()> fn) {
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);
+  stats_.lane_parks.fetch_add(writer_wake_.parks() + lane_wake_.parks());
+  stats_.lane_wakes.fetch_add(writer_wake_.wakes() + lane_wake_.wakes());
+  stats_.lane_park_ns.fetch_add(writer_wake_.park_ns() +
+                                lane_wake_.park_ns());
   stats_.export_telemetry();
 
   detect::set_active_detector(nullptr);

@@ -38,6 +38,7 @@
 #include "pint/ah_queue.hpp"
 #include "pint/sharded_history.hpp"
 #include "pint/trace.hpp"
+#include "pint/wake_word.hpp"
 #include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
@@ -143,6 +144,9 @@ class PintDetector final : public detect::Detector,
     // Intervals, lock sub-records, AccessBuffer::add tail-probe outcomes and
     // finalize route tallies (DESIGN.md §13), folded at seal time.
     detect::SealTally seal;
+    // Pushes since the last check of the writer's parked count (pipelined
+    // mode only; DESIGN.md §6.6).
+    std::uint32_t wake_tick = 0;
     // consumer side (owned by the writer treap worker)
     Trace* ccur = nullptr;
     // Strand pool: owner pops, writer treap worker returns.  Same
@@ -195,9 +199,12 @@ class PintDetector final : public detect::Detector,
   void process_writer(detect::Strand* s);
   void finish_history_sequential();
   /// Drains one consumer lane's cursor against the queue; shared by
-  /// reader_loop and shard_loop.
+  /// reader_loop and shard_loop.  `watch` is the lane's busy-time stopwatch.
   template <class ProcessFn>
-  void consume_loop(ConsumerLane& lane, ProcessFn&& process);
+  void consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
+                    ProcessFn&& process);
+  /// Wakes every parked lane (not batched): OOM waits, watchdog cancel.
+  void wake_lanes();
 
   // run orchestration / robustness
   bool spawn_history_threads(std::thread* writer,
@@ -223,18 +230,28 @@ class PintDetector final : public detect::Detector,
   std::atomic<bool> collecting_done_{false};
   // Writer-owned; atomic so the watchdog snapshot can read it.
   std::atomic<std::uint64_t> pushed_{0};
+  // Lane parking (DESIGN.md §6.6): core workers wake the writer, the writer
+  // wakes the reader or the shards.  publish_tick_ is writer-owned: queue
+  // publishes since the last check of the consumers' parked count.
+  WakeWord writer_wake_;
+  WakeWord lane_wake_;
+  std::uint32_t publish_tick_ = 0;
 
   // --- robustness state ---
   /// Effective history mode for this run: starts as !opt_.parallel_history
   /// and flips to true if history-thread spawn fails (graceful fallback).
   bool seq_history_ = false;
-  /// Phased one-core mode hoists the CPU-clock stopwatches from per-strand
-  /// to per-phase (finish_history_sequential): each lane runs as one
-  /// uninterrupted phase on the calling thread, so two clock reads bound the
-  /// same work that thousands of per-strand reads did - at ~200ns per read
-  /// that is a measurable slice of the Fig. 2 overhead.  Written before the
-  /// phases start, read on the same thread (seq mode is single-threaded).
-  bool phase_watch_ = false;
+  /// What the lane stopwatches (CLOCK_THREAD_CPUTIME_ID, ~330 ns a read)
+  /// bracket.  Traced runs time each strand: the exported *.strand span
+  /// sums are documented to agree with the *_ns stats, which needs both to
+  /// bracket the same code.  Untraced runs hoist the reads out of the strand
+  /// loop: a pipelined lane times each drained batch (a writer scan that
+  /// collected something, a consumer head snapshot), and the phased one-core
+  /// mode times each lane's whole phase (finish_history_sequential).  Set
+  /// before the history threads are released (the gate orders it) or, in
+  /// phased mode, on the one thread that runs the phases.
+  enum class Watch : std::uint8_t { kStrand, kBatch, kPhase };
+  Watch watch_ = Watch::kStrand;
   /// Set by the watchdog's on-stall action (or an unsurvivable allocation
   /// wait): pipeline loops wind down promptly instead of spinning forever.
   std::atomic<bool> cancel_{false};

@@ -294,8 +294,12 @@ TEST_F(FailPointTest, PoolAllocFailureDegradesToCleanOom) {
   ASSERT_TRUE(fail::configure("pool.alloc=once"));
   bool faulty_any = false;
   detect::Stats::Snapshot st{};
+  const auto t0 = std::chrono::steady_clock::now();
   const RunResult r =
       run_pint(o, [&] { racy_tree(4, pool.data()); }, &faulty_any, &st);
+  // The allocation wait gives up after 10 s (kAllocWaitNs); a degraded run
+  // must end long before that, parked lanes included.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
   // The emergency reserve absorbs the failed allocation: the run finishes,
   // reports kOutOfMemory, and detection still matches the clean run.  The
   // ASan lane additionally proves the degradation path leaks nothing.
@@ -305,6 +309,33 @@ TEST_F(FailPointTest, PoolAllocFailureDegradesToCleanOom) {
   EXPECT_EQ(fail::fire_count("pool.alloc"), 1u);
   EXPECT_EQ(faulty_any, clean_any);
   EXPECT_NE(cap.text().find("allocation"), std::string::npos);
+}
+
+TEST_F(FailPointTest, ExhaustedPoolDrainsThroughParkedLanes) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  // Every pool miss fails, so once the 32-strand reserve is gone each spawn
+  // waits in strand_fallback for the pipeline to recycle strands.  Fewer
+  // than a wake batch may be in flight then: only the wait's own wakes can
+  // get a parked writer and reader to drain, so the run must still finish
+  // (with kOutOfMemory and the clean verdict) long before the 10 s wait
+  // deadline.
+  CaptureErrors cap;
+  ASSERT_TRUE(fail::configure("pool.alloc=always"));
+  PintDetector::Options o;
+  o.core_workers = 1;
+  std::vector<unsigned char> pool(64, 0);
+  bool any = false;
+  detect::Stats::Snapshot st{};
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r =
+      run_pint(o, [&] { racy_tree(6, pool.data()); }, &any, &st);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+  EXPECT_EQ(r.status, RunStatus::kOutOfMemory);
+  EXPECT_TRUE(any);
+  EXPECT_EQ(r.dropped_strands, 0u);
+  EXPECT_GT(fail::fire_count("pool.alloc"), 0u);
+  // More fallbacks than the reserve holds: the wait path really ran.
+  EXPECT_GT(st.oom_events, 32u);
 }
 
 TEST_F(FailPointTest, SpawnFailureFallsBackToSequentialHistory) {
@@ -369,6 +400,77 @@ TEST_F(FailPointTest, QueueFullStormKeepsDetectionExact) {
       run_pint(o, [&] { disjoint_tree(4, pool.data(), 0); }, &clean_any);
   EXPECT_EQ(r2.status, RunStatus::kOk);
   EXPECT_FALSE(clean_any);  // and the race-free tree stays race-free
+}
+
+TEST_F(FailPointTest, RingSmallerThanWakeBatchStaysExact) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  // An 8-slot ring fills before the writer's 32-publish wake check, so a
+  // parked reader is woken only by the full-ring backoff; injected
+  // full-ring hits put that path on top.  The run must neither hang nor
+  // lose a race: the verdicts and race counts match an unconstrained run.
+  PintDetector::Options big;
+  big.core_workers = 1;
+  PintDetector::Options tiny = big;
+  tiny.queue_capacity = 8;
+  tiny.watchdog_ms = 2000;
+  static_assert(8 < pintd::kWakeBatch, "the ring must be below a wake batch");
+  std::vector<unsigned char> pool(1024, 0);
+  for (const bool racy : {true, false}) {
+    const auto body = [&] {
+      if (racy) {
+        racy_tree(6, pool.data());
+      } else {
+        disjoint_tree(6, pool.data(), 0);
+      }
+    };
+    fail::reset();
+    PintDetector ref(big);
+    ASSERT_EQ(ref.run(body).status, RunStatus::kOk);
+
+    ASSERT_TRUE(fail::configure("ahqueue.push.full=every:3"));
+    PintDetector det(tiny);
+    const RunResult r = det.run(body);
+    const detect::Stats::Snapshot st = det.stats().snapshot();
+    EXPECT_EQ(r.status, RunStatus::kOk) << "racy=" << racy;
+    EXPECT_FALSE(r.watchdog_tripped);
+    EXPECT_EQ(det.reporter().any(), racy);
+    EXPECT_EQ(det.reporter().distinct_races(),
+              ref.reporter().distinct_races());
+    EXPECT_GT(st.stalled_pushes, 0u);
+    EXPECT_GT(fail::fire_count("ahqueue.push.full"), 0u);
+  }
+}
+
+TEST_F(FailPointTest, WatchdogTripWithParkedLanesReturnsPromptly) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  CaptureErrors cap;
+  // Two shards: the first strand a shard processes stalls it for 300 ms
+  // while busy.  The other shard and the writer run dry and park (the core
+  // sleeps after its tree), so the trip lands on a pipeline whose other
+  // lanes are asleep: the cancel must wake them, and run() returns
+  // kStalled once the core and the stalled shard are done.
+  ASSERT_TRUE(fail::configure("reader.stall=once,delay:300"));
+  PintDetector::Options o;
+  o.core_workers = 1;
+  o.history_shards = 2;
+  o.watchdog_ms = 50;
+  std::vector<unsigned char> pool(64, 0);
+  bool any = false;
+  detect::Stats::Snapshot st{};
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = run_pint(
+      o,
+      [&] {
+        racy_tree(6, pool.data());
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      },
+      &any, &st);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+  EXPECT_EQ(r.status, RunStatus::kStalled);
+  EXPECT_TRUE(r.watchdog_tripped);
+  EXPECT_EQ(st.watchdog_trips, 1u);
+  EXPECT_GT(st.lane_parks, 0u);
+  EXPECT_NE(cap.text().find("WATCHDOG"), std::string::npos);
 }
 
 TEST_F(FailPointTest, TransientBackoffDoesNotTripWatchdogLater) {

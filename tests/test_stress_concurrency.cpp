@@ -348,6 +348,42 @@ TEST(PintStress, SeededRaceKernelCaughtUnderTwoWorkers) {
   EXPECT_TRUE(det.reporter().any()) << "missed the seeded race";
 }
 
+// Lane parking (DESIGN.md §6.6): a run shorter than one wake batch never
+// reaches a batched wake, so every parked lane depends on the finish-event
+// wakes (core done, collection done).  A lost one hangs the run - the
+// watchdog cannot catch it, parked lanes are idle - so run many tiny
+// pipelined programs back to back, racy and race-free, with the watchdog
+// armed: each must finish with the exact verdict and no trip.
+TEST(PintStress, TinyPipelinedRunsBelowOneWakeBatchAllFinish) {
+  constexpr int kRuns = 1000;
+  std::uint64_t trips = 0, wrong = 0, strands = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    pintd::PintDetector::Options o;
+    o.seed = std::uint64_t(i);
+    o.core_workers = 1;
+    o.parallel_history = true;
+    o.watchdog_ms = 2000;
+    pintd::PintDetector det(o);
+    std::uint64_t cells[2] = {0, 0};
+    const bool racy = (i % 2) == 0;
+    const detect::RunResult r = det.run([&] {
+      rt::SpawnScope sc;
+      sc.spawn([&] { record_write(&cells[0], 8); });
+      sc.spawn([&] { record_write(&cells[racy ? 0 : 1], 8); });
+      sc.sync();
+    });
+    const auto st = det.stats().snapshot();
+    strands = std::max(strands, st.strands);
+    trips += r.watchdog_tripped ? 1 : 0;
+    if (r.status != detect::RunStatus::kOk || det.reporter().any() != racy) {
+      ++wrong;
+    }
+  }
+  EXPECT_LT(strands, pintd::kWakeBatch);
+  EXPECT_EQ(trips, 0u);
+  EXPECT_EQ(wrong, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Stats: clear()/snapshot() are only meaningful at quiescence
 // ---------------------------------------------------------------------------
