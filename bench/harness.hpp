@@ -50,8 +50,8 @@ struct BenchResult {
   double seconds = 0.0;            // best wall time of the detection run
   /// Detector construction time for the reported rep (reserve carving, store
   /// setup).  Separated from `seconds` so the steady-state overhead figure
-  /// is not padded with setup - and so the arena's cross-instance recycling
-  /// (DESIGN.md §13) is visible as setup shrinking after the first rep.
+  /// is not padded with setup.  Every rep builds a fresh detector from
+  /// fresh memory, so no rep's setup is cheaper for following another.
   double setup_seconds = 0.0;
   std::uint64_t races = 0;         // distinct races reported (should be 0)
   detect::Stats::Snapshot stats{}; // from the reported rep (zeros for baseline)

@@ -37,10 +37,11 @@
 //   ring).  The flush is where most of racy-seq's hits come from, so these
 //   are not the cursor's misses; cursor_spills is.
 //
-//   Allocation-free hot path (DESIGN.md §13).  arena_reuses / arena_fresh
-//   are the per-run delta of the process-wide recycler counters (objects +
-//   slabs served from a freelist vs from the system allocator; concurrent
-//   detectors blur the attribution, same caveat as deep_backoffs).
+//   Allocation and finalize (DESIGN.md §13).  arena_reuses / arena_fresh
+//   always read 0: the process-wide arena they counted is deleted (each
+//   detector now frees its memory at destruction, §13.1), and the repo
+//   benchmark still reads both fields for its arena.reuses / arena.fresh
+//   keys - the memo_queries precedent above.  They go with those keys.
 //   empty_strand_skips counts strands collected with no recorded work that
 //   skipped queue publication entirely.  finalize_sorted_skips counts
 //   AccessBuffer seals whose items were already sorted (no sort at all).

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "detect/history.hpp"
-#include "support/arena.hpp"
 
 namespace pint::detect {
 
@@ -38,7 +37,6 @@ Tuning Tuning::current() {
   Tuning t;
   t.bulk_apply = detect::bulk_apply();
   t.access_fast_path = detect::access_fast_path();
-  t.arena = support::arena_recycle();
   return t;
 }
 
@@ -60,7 +58,6 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     if (key == "bulk") ok = parse_bool(val, &base.bulk_apply);
     else if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
-    else if (key == "arena") ok = parse_bool(val, &base.arena);
     if (!ok) warn_once(item);
   }
   return base;
@@ -76,7 +73,6 @@ Tuning Tuning::from_env() {
 void Tuning::apply_globals() const {
   set_bulk_apply(bulk_apply);
   set_access_fast_path(access_fast_path);
-  support::set_arena_recycle(arena);
 }
 
 }  // namespace pint::detect

@@ -2,7 +2,7 @@
 
 // One struct for every cross-cutting detector knob (DESIGN.md §12.5).
 //
-// The bulk-apply, access-fast-path and arena toggles are process globals
+// The bulk-apply and access-fast-path toggles are process globals
 // (the fast path lives next to the thread-local cursor machinery); the
 // lock-edge toggle is per-detector.  Tuning gathers all of them so
 // callers set knobs in ONE place - `options.tuning.bulk_apply = false` -
@@ -29,26 +29,21 @@ struct Tuning {
   /// conflicts whose segments share a mutex.  Per-detector: off ignores
   /// lock events entirely (records keep lsid 0, the pre-lock behavior).
   bool lock_edges = true;
-  /// Arena-batched allocation (DESIGN.md §13): strand/trace/chunk pools and
-  /// interval-store node chunks draw from process-wide recyclers and retire
-  /// wholesale.  Global knob; changes allocation provenance only, never
-  /// stored bytes - results are bit-identical either way.
-  bool arena = true;
 
   /// Snapshot of the live global knobs + per-detector defaults.
   static Tuning current();
 
   /// current() overlaid with the PINT_TUNING environment variable, e.g.
-  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off,arena=off
+  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off
   /// Unknown keys/values warn once on stderr and are ignored, as are the
-  /// removed knobs' keys (cursor=, memo=, simd=).
+  /// removed knobs' keys (cursor=, memo=, simd=, arena=).
   static Tuning from_env();
 
   /// Overlay a spec string ("bulk=off,locks=on,...") onto `base`.
   static Tuning parse(const char* spec, Tuning base);
 
-  /// Push the global knobs (bulk_apply / access_fast_path / arena)
-  /// into their process globals.  Call only at quiescence.
+  /// Push the global knobs (bulk_apply / access_fast_path) into their
+  /// process globals.  Call only at quiescence.
   void apply_globals() const;
 
   bool operator==(const Tuning&) const = default;

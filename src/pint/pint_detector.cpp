@@ -8,7 +8,6 @@
 
 #include "detect/history.hpp"
 #include "detect/instrument.hpp"
-#include "support/arena.hpp"
 #include "support/error_sink.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry.hpp"
@@ -58,11 +57,8 @@ constexpr std::size_t kReserveTraces = 4;
 // Shared pool-take: reuse from `pool`, or allocate fresh into `owned`.  One
 // lock acquisition either way (the old per-pool copies dropped and re-took
 // the lock on the miss path).  `on_reuse` reinitialises a recycled object
-// and runs under the lock, before the object escapes the pool.  A same-run
-// pool miss first tries the process-wide arena recycler (DESIGN.md §13) -
-// objects retired by a previous detector instance, reused here with their
-// grown container capacities intact; the recycler sits AFTER the failpoint
-// so injected allocation failures behave identically with the arena on.
+// and runs under the lock, before the object escapes the pool.  The pool
+// recycles within one run only; `owned` frees everything with the detector.
 // Returns nullptr when the fresh allocation fails - really (bad_alloc) or
 // by injection ("pool.alloc" fires only on the miss path, so `once` mode
 // deterministically fails one true allocation).
@@ -77,14 +73,7 @@ T* pool_take(Spinlock& mu, std::vector<T*>& pool,
     return t;
   }
   if (PINT_UNLIKELY(PINT_FAILPOINT("pool.alloc"))) return nullptr;
-  if (auto rec = support::Recycler<T>::instance().take()) {
-    T* t = rec.get();
-    owned.push_back(std::move(rec));
-    on_reuse(t);
-    return t;
-  }
   try {
-    support::note_arena_fresh();
     auto fresh = std::make_unique<T>();
     T* p = fresh.get();
     owned.push_back(std::move(fresh));
@@ -148,20 +137,9 @@ PintDetector::PintDetector(const Options& opt)
   }
 }
 
-PintDetector::~PintDetector() {
-  // Arena retirement (DESIGN.md §13): hand every owned pool object to the
-  // process-wide recyclers wholesale so the next detector instance starts
-  // warm.  Recycler::give_all checks the live knob itself (off -> plain
-  // destruction); objects are retired as-is - takers reinitialize.
-  for (auto& ws : ws_) {
-    support::Recycler<Strand>::instance().give_all(&ws->owned);
-  }
-  support::Recycler<Strand>::instance().give_all(&reserve_strands_owned_);
-  support::Recycler<Trace>::instance().give_all(&all_traces_);
-  support::Recycler<Trace>::instance().give_all(&reserve_traces_owned_);
-  support::Recycler<TraceChunk>::instance().give_all(&all_chunks_);
-  support::Recycler<TraceChunk>::instance().give_all(&reserve_chunks_owned_);
-}
+// Every pool object, trace and chunk is held by a unique_ptr member, so
+// destruction frees them all: nothing outlives the detector.
+PintDetector::~PintDetector() = default;
 
 // ---------------------------------------------------------------------------
 // Pools
@@ -1039,8 +1017,8 @@ void PintDetector::dump_progress(const char* stalled) {
 RunResult PintDetector::run(std::function<void()> fn) {
   PINT_CHECK_MSG(!used_, "PintDetector instances are single-use");
   used_ = true;
-  // Tuning snapshot -> process globals (access fast path, bulk apply,
-  // arena); the per-detector knobs are read from opt_.tuning directly.
+  // Tuning snapshot -> process globals (access fast path, bulk apply);
+  // the per-detector knobs are read from opt_.tuning directly.
   opt_.tuning.apply_globals();
   RunResult result;
 
@@ -1070,7 +1048,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
   // run's share as a delta (concurrent detector runs would blur it - fine
   // for a monitoring counter).
   const std::uint64_t deep_backoffs_at_start = Backoff::deep_entries();
-  const support::ArenaCounters arena_at_start = support::arena_counters();
 
   std::thread writer;
   std::vector<std::thread> history;
@@ -1194,11 +1171,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.tail_probe_misses.fetch_add(ws->seal.tail_misses);
     stats_.finalize_sorted_skips.fetch_add(ws->seal.fin_sorted);
   }
-  // Arena counters are process-wide monotonic; attribute this run's delta
-  // (same pattern as deep_backoffs below).
-  const support::ArenaCounters arena_now = support::arena_counters();
-  stats_.arena_reuses.fetch_add(arena_now.reuses - arena_at_start.reuses);
-  stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);
   stats_.lane_parks.fetch_add(writer_wake_.parks() + lane_wake_.parks());

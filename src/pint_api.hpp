@@ -81,7 +81,7 @@ inline const char* detector_kind_name(DetectorKind k) {
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kPint;
   /// Shared knobs, including detect::Tuning (bulk apply, access fast path,
-  /// lock edges, arena) - see detect/run_result.hpp.
+  /// lock edges) - see detect/run_result.hpp.
   detect::CommonOptions common;
   /// Program workers: PINT core workers / C-RACER workers.  STINT and the
   /// oracle are sequential by construction and ignore it.

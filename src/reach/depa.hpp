@@ -29,11 +29,12 @@
 //                       same-label lockset segments)
 //
 // Symbols are appended at the tail word of the label; when a word fills it
-// is frozen into an immutable, reverse-linked PathChunk drawn from the
-// process slab arena (support/arena.hpp).  Chunks below a fork are SHARED by every descendant label, so
-// (a) a label costs O(1) amortized space per spawn and (b) relation() can
-// stop its word-compare loop the moment both sides reach the same chunk
-// object - everything below the fork is identical by construction.
+// is frozen into an immutable, reverse-linked PathChunk carved from one of
+// the engine's 64 KiB slabs.  Chunks below a fork are SHARED by every
+// descendant label, so (a) a label costs O(1) amortized space per spawn
+// and (b) relation() can stop its word-compare loop the moment both sides
+// reach the same chunk object - everything below the fork is identical by
+// construction.
 //
 // Consequences the detectors rely on:
 //   * on_spawn touches no shared mutable state (one spinlocked slab bump
@@ -46,9 +47,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/spinlock.hpp"
 
@@ -65,7 +66,7 @@ struct Relation {
 };
 
 /// One frozen 64-bit word of a label's path, reverse-linked toward the root.
-/// Immutable after publication; allocated from the engine's slab arena and
+/// Immutable after publication; carved from the engine's slabs and
 /// shared by every label that extends the path below it.
 struct DePaPathChunk {
   const DePaPathChunk* prev;  // word `index - 1`, null when index == 0
@@ -98,7 +99,7 @@ class DePaEngine {
   DePaEngine& operator=(const DePaEngine&) = delete;
 
   ~DePaEngine() {
-    for (void* s : slabs_) support::SlabSource::instance().give(s, kSlabBytes);
+    for (void* s : slabs_) ::operator delete(s);
   }
 
   /// Label of the computation's initial strand: the empty path.
@@ -179,7 +180,7 @@ class DePaEngine {
                                  std::uint32_t index) {
     LockGuard<Spinlock> g(mu_);
     if (slab_used_ == kChunksPerSlab) {
-      slabs_.push_back(support::SlabSource::instance().take(kSlabBytes));
+      slabs_.push_back(::operator new(kSlabBytes));
       slab_used_ = 0;
     }
     auto* base = static_cast<DePaPathChunk*>(slabs_.back());

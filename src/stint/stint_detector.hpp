@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "detect/detector.hpp"
@@ -94,7 +95,7 @@ class StintDetector final : public detect::Detector,
   detect::GranuleMap reader_map_;
 
   detect::Strand* free_list_ = nullptr;
-  std::vector<detect::Strand*> owned_;
+  std::vector<std::unique_ptr<detect::Strand>> owned_;
   std::uint64_t next_sid_ = 0;
   std::uint64_t raw_reads_ = 0, raw_writes_ = 0;
   std::uint64_t strands_ = 0;

@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "reach/depa.hpp"
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 
 namespace pint::store {
@@ -309,9 +308,9 @@ class BasicIntervalStore {
     Leaf* leaf;
   };
 
-  /// Fixed-size node pool.  Chunks of kChunk nodes come from the
-  /// process-wide SlabSource (DESIGN.md §13.1) and go back wholesale when
-  /// the store dies; released nodes wait on a free list.
+  /// Fixed-size node pool.  Chunks of kChunk nodes come from
+  /// ::operator new and are freed wholesale when the store dies; released
+  /// nodes wait on a free list.
   template <class T>
   class Pool {
    public:
@@ -319,7 +318,7 @@ class BasicIntervalStore {
     Pool(const Pool&) = delete;
     Pool& operator=(const Pool&) = delete;
     ~Pool() {
-      for (T* c : chunks_) support::SlabSource::instance().give(c, kBytes);
+      for (T* c : chunks_) ::operator delete(c);
     }
     T* take() {
       T* t;
@@ -328,8 +327,7 @@ class BasicIntervalStore {
         free_.pop_back();
       } else {
         if (used_ == kChunk) {
-          chunks_.push_back(static_cast<T*>(
-              support::SlabSource::instance().take(kBytes)));
+          chunks_.push_back(static_cast<T*>(::operator new(kBytes)));
           used_ = 0;
         }
         t = chunks_.back() + used_++;

@@ -1,29 +1,38 @@
-// Hot-path equivalence suite (DESIGN.md §13): the arena recycler is pure
-// mechanism - it must be invisible to detection results - and finalize
-// must produce the canonical interval set.  Checked at two strengths:
+// Hot-path equivalence suite (DESIGN.md §13): finalize must produce the
+// canonical interval set, and a detector must neither see nor keep anything
+// of the instances run before it in the same process.  Checked at three
+// strengths:
 //
 //  * finalize-level: finalize_intervals against a byte model over
 //    adversarial interval shapes (near-zero addresses, addresses that wrap
 //    past kMaxAddr and ranges ending on it, wide spreads, nested / adjacent
 //    / duplicate intervals) - identical canonical output;
-//  * whole-detector: race RECORDS bit-identical on the deterministic
-//    detectors (STINT, phased one-core PINT) with the arena on and off, on
-//    the kernel suite and on random series-parallel programs; pipelined /
-//    sharded PINT agree on the verdict (same caveat as test_access_path.cpp).
+//  * whole-detector: race RECORDS bit-identical between two instances run
+//    back to back on the deterministic detectors (STINT, phased one-core
+//    PINT), on the kernel suite and on random series-parallel programs
+//    (which must also match the oracle); pipelined / sharded PINT agree on
+//    the verdict (same caveat as test_access_path.cpp);
+//  * retention: five back-to-back instances leave the heap where the first
+//    one left it - each detector frees what it allocated (DESIGN.md §13.1).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <tuple>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common.hpp"
 #include "detect/tuning.hpp"
 #include "detect/types.hpp"
 #include "kernels/kernels.hpp"
-#include "support/arena.hpp"
+#include "support/sanitizer.hpp"
 
 using namespace pint;
 
@@ -165,15 +174,8 @@ TEST(Finalize, AlreadySortedInputSkipsTheSort) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-detector knob bit-identity
+// Whole-detector bit-identity across instances
 // ---------------------------------------------------------------------------
-
-// RAII: tests push Tuning combos into the process globals via the detector's
-// apply_globals(); never leak the settings.
-struct TuningGuard {
-  detect::Tuning saved = detect::Tuning::current();
-  ~TuningGuard() { saved.apply_globals(); }
-};
 
 // Full record: (prev_sid, cur_sid, prev_write, cur_write, lo, hi).
 using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
@@ -221,22 +223,17 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
   return out;
 }
 
-RunOut run_config(Sys sys, bool arena, const std::function<void()>& body,
+RunOut run_config(Sys sys, const std::function<void()>& body,
                   std::uint64_t seed = 7) {
-  TuningGuard g;
-  detect::Tuning t = g.saved;
-  t.arena = arena;
   if (sys == Sys::kStint) {
     stint::StintDetector::Options o;
     o.seed = seed;
-    o.tuning = t;
     stint::StintDetector det(o);
     det.run(body);
     return summarize(det.reporter(), det.stats());
   }
   pintd::PintDetector::Options o;
   o.seed = seed;
-  o.tuning = t;
   o.parallel_history = sys != Sys::kPintSeq;
   o.core_workers = 1;  // deterministic strand ids (see test_bulk_apply.cpp)
   if (sys == Sys::kShard3) o.history_shards = 3;
@@ -247,7 +244,7 @@ RunOut run_config(Sys sys, bool arena, const std::function<void()>& body,
 
 class KernelHotpathKnobs : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(KernelHotpathKnobs, ArenaFlipIsBitIdentical) {
+TEST_P(KernelHotpathKnobs, BackToBackInstancesAreBitIdentical) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
   cfg.seeded_race = true;  // non-trivial race sets to compare
@@ -258,12 +255,11 @@ TEST_P(KernelHotpathKnobs, ArenaFlipIsBitIdentical) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
+    const RunOut ref = run_config(sys, [&] { kr->run(); });
     auto kf = fresh();
-    const RunOut out = run_config(sys, false, [&] { kf->run(); });
+    const RunOut out = run_config(sys, [&] { kf->run(); });
     EXPECT_EQ(ref.rebased, out.rebased) << "records diverge, sys=" << int(sys);
     EXPECT_EQ(ref.distinct, out.distinct);
-    EXPECT_EQ(out.stats.arena_reuses, 0u) << "arena off still recycled";
   }
 }
 
@@ -278,9 +274,9 @@ TEST_P(KernelHotpathKnobs, PipelinedAndShardedAgreeOnTheVerdict) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
+    const RunOut ref = run_config(sys, [&] { kr->run(); });
     auto kf = fresh();
-    const RunOut out = run_config(sys, false, [&] { kf->run(); });
+    const RunOut out = run_config(sys, [&] { kf->run(); });
     EXPECT_EQ(ref.distinct, out.distinct) << "sys=" << int(sys);
     if (ref.dropped == 0 && out.dropped == 0) {
       EXPECT_EQ(ref.pairs, out.pairs) << "sys=" << int(sys);
@@ -292,11 +288,11 @@ INSTANTIATE_TEST_SUITE_P(All, KernelHotpathKnobs,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
 
-// Both arena settings on random series-parallel programs: cheap enough to
-// compare bit-exactly (same pool address every run, so the rebase is the
-// identity).
-TEST(RandomProgramHotpathKnobs, ArenaOnOffAgreesAndMatchesTheOracle) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+// Two instances on random series-parallel programs: cheap enough to compare
+// bit-exactly (same pool address every run, so the rebase is the identity).
+void expect_instances_agree_with_the_oracle(Sys sys, std::uint64_t first,
+                                            std::uint64_t last) {
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
     test::ProgramConfig pc;
     auto prog = test::ProgramGen(seed, pc).generate();
     std::vector<unsigned char> pool(test::program_pool_bytes(pc), 0);
@@ -304,8 +300,8 @@ TEST(RandomProgramHotpathKnobs, ArenaOnOffAgreesAndMatchesTheOracle) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    const RunOut ref = run_config(Sys::kStint, true, body);
-    const RunOut out = run_config(Sys::kStint, false, body);
+    const RunOut ref = run_config(sys, body);
+    const RunOut out = run_config(sys, body);
     EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
     EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
     EXPECT_EQ(ref.distinct > 0,
@@ -314,41 +310,63 @@ TEST(RandomProgramHotpathKnobs, ArenaOnOffAgreesAndMatchesTheOracle) {
   }
 }
 
-TEST(RandomProgramHotpathKnobs, PhasedPintArenaOnOff) {
-  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-    test::ProgramConfig pc;
-    auto prog = test::ProgramGen(seed, pc).generate();
-    std::vector<unsigned char> pool(test::program_pool_bytes(pc), 0);
-    unsigned char* base = pool.data();
-    const test::PNode* p = prog.get();
-    const auto body = [p, base] { test::exec_node(*p, base); };
-
-    const RunOut ref = run_config(Sys::kPintSeq, true, body);
-    const RunOut out = run_config(Sys::kPintSeq, false, body);
-    EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
-  }
+TEST(RandomProgramHotpathKnobs, StintInstancesAgreeAndMatchTheOracle) {
+  expect_instances_agree_with_the_oracle(Sys::kStint, 1, 10);
 }
 
-TEST(ArenaKnob, RecyclerActuallyReusesAcrossDetectorInstances) {
-  // Two arena-on runs back to back: the second draws its strand records
-  // from the recycler the first retired into.  (Process-wide counters; the
-  // per-run stats field is the delta, see pint_detector.cpp.)
+TEST(RandomProgramHotpathKnobs, PhasedPintInstancesAgreeAndMatchTheOracle) {
+  expect_instances_agree_with_the_oracle(Sys::kPintSeq, 11, 16);
+}
+
+// ---------------------------------------------------------------------------
+// Retention: a detector frees what it allocated
+// ---------------------------------------------------------------------------
+
+TEST(Retention, BackToBackInstancesReturnTheHeap) {
+#if defined(PINT_TSAN) || defined(PINT_ASAN) || !defined(__GLIBC__)
+  // The sanitizer allocators replace malloc (LeakSanitizer covers the ASan
+  // lane); mallinfo2 is glibc's.
+  GTEST_SKIP() << "needs glibc malloc";
+#else
+  // Five instances each of STINT, phased PINT and pipelined PINT, one after
+  // the other.  The level after the very first absorbs one-time growth
+  // (thread locals, lazily built tables); after every later instance the
+  // heap must be back at it, whichever detector ran.  A process-wide
+  // recycler that parked retired strands, traces and store chunks for the
+  // next instance left 0.8-1.1 MB here from the first PINT instance on,
+  // growing with each one.
+  constexpr std::size_t kSlack = std::size_t(256) << 10;
   kernels::KernelConfig cfg;
-  cfg.scale = 0.05;
-  auto body = [&](const char* name) {
-    auto k = kernels::make_kernel(name, cfg);
-    k->prepare();
-    return run_config(Sys::kStint, true, [&] { k->run(); });
-  };
-  (void)body("sort");  // warm the recycler
-  const RunOut second = body("sort");
-  EXPECT_GT(second.stats.arena_reuses, 0u)
-      << "second arena-on run allocated everything fresh";
+  cfg.scale = 1.0;
+  std::size_t first = 0;
+  for (Sys sys : {Sys::kStint, Sys::kPintSeq, Sys::kPint1}) {
+    for (int i = 0; i < 5; ++i) {
+      {
+        auto k = kernels::make_kernel("sort", cfg);
+        k->prepare();
+        const RunOut out = run_config(sys, [&] { k->run(); });
+        EXPECT_EQ(out.distinct, 0u) << "sys=" << int(sys);
+      }
+      // Bytes malloc has handed out and not had back, over all arenas;
+      // thread caches count as in use, so a few KiB of noise remain.
+      const std::size_t now = mallinfo2().uordblks;
+      if (first == 0) {
+        first = now;
+        continue;
+      }
+      EXPECT_LE(now, first + kSlack)
+          << "sys=" << int(sys) << " instance " << i << " left "
+          << (now - first) << " bytes above the first";
+    }
+  }
+#endif
 }
 
 TEST(TuningKnobs, DefaultsMatchTheDocumentedContract) {
   const detect::Tuning t;
-  EXPECT_TRUE(t.arena);  // recycling on: provenance only, never bytes
+  EXPECT_TRUE(t.bulk_apply);
+  EXPECT_TRUE(t.access_fast_path);
+  EXPECT_TRUE(t.lock_edges);
 }
 
 }  // namespace
