@@ -9,9 +9,24 @@
 //
 //   ./micro_access [--json FILE] [--accesses N] [--scale S]
 //
+// Each kernel runs at its own scale (kKernelScales), chosen so that its
+// uninstrumented run takes at least ~20 ms: setup and timer jitter are
+// then noise next to the overhead ratio.  --scale multiplies every
+// kernel's scale (default 1).  The kernels and the lock loop are timed in
+// kRounds rounds, each round running every kernel's baseline and PINT run
+// back to back and a share of the lock loop's reps.  A kernel's overhead
+// is the median over the rounds of each round's PINT / baseline ratio, and
+// a lock event's cost the median of its paired differences, so a load
+// phase on a shared host shifts both sides of a sample and an outlier
+// round does not move the figure.  glibc's mmap and trim thresholds are
+// pinned, so a kernel's large temporaries are recycled from the heap
+// instead of faulting in fresh pages on some runs and not on others.
+//
 // Exit status is non-zero when the cursor fast path fails its acceptance
 // bar (>= 3x lower ns/access than the slow route), so the lane catches a
 // regression that silently falls off the fast path.
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <cmath>
@@ -88,29 +103,43 @@ RouteTimings time_access_routes(std::uint64_t accesses) {
   return best;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0.0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
 struct LockTiming {
   double section_ns = 0.0;    // acquire, read, write, release
   double unguarded_ns = 0.0;  // the same read and write, no lock events
   double per_event_ns = 0.0;  // (section - unguarded) / 2
 };
 
-constexpr int kLockReps = 25;
+/// Paired samples of the lock loop, one per rep.
+struct LockSamples {
+  std::vector<double> section_ns;    // acquire, read, write, release
+  std::vector<double> unguarded_ns;  // the same read and write, no locks
+  std::vector<double> per_event_ns;  // (section - unguarded) / 2
+};
+
+constexpr int kRounds = 9;
+constexpr int kLockRepsPerRound = 4;
 
 /// Times `iters` critical sections - lock_acquire, a read and a write of one
-/// word, lock_release - inside one strand of one-core phased PINT, best of
-/// kLockReps, next to the same loop without the lock hooks.  The hooks alone are
-/// called (no real mutex): the loop is single-threaded, and what is timed
-/// is the detector's cost of a lock event, not the lock's.
-LockTiming time_lock_loop(std::uint64_t iters) {
+/// word, lock_release - inside one strand of one-core phased PINT, each rep
+/// next to the same loop without the lock hooks, kLockRepsPerRound reps.
+/// The hooks alone are called (no real mutex): the loop is single-threaded,
+/// and what is timed is the detector's cost of a lock event, not the
+/// lock's.
+void time_lock_loop(std::uint64_t iters, LockSamples* out) {
   pintd::PintDetector::Options opt;
   opt.core_workers = 1;
   opt.parallel_history = false;
   pintd::PintDetector det(opt);
   int mu = 0;
   std::uint64_t word = 0;
-  double best_section = 1e300, best_bare = 1e300;
   det.run([&] {
-    for (int rep = 0; rep < kLockReps; ++rep) {
+    for (int rep = 0; rep < kLockRepsPerRound; ++rep) {
       Timer t;
       for (std::uint64_t i = 0; i < iters; ++i) {
         lock_acquire(&mu);
@@ -118,61 +147,90 @@ LockTiming time_lock_loop(std::uint64_t iters) {
         record_write(&word, sizeof(word));
         lock_release(&mu);
       }
-      best_section = std::min(best_section, t.elapsed_s());
+      const double section = t.elapsed_s() * 1e9 / double(iters);
       Timer u;
       for (std::uint64_t i = 0; i < iters; ++i) {
         record_read(&word, sizeof(word));
         record_write(&word, sizeof(word));
       }
-      best_bare = std::min(best_bare, u.elapsed_s());
+      const double bare = u.elapsed_s() * 1e9 / double(iters);
+      out->section_ns.push_back(section);
+      out->unguarded_ns.push_back(bare);
+      out->per_event_ns.push_back((section - bare) / 2.0);
     }
   });
-  LockTiming out;
-  out.section_ns = best_section * 1e9 / double(iters);
-  out.unguarded_ns = best_bare * 1e9 / double(iters);
-  out.per_event_ns = (out.section_ns - out.unguarded_ns) / 2.0;
-  return out;
 }
 
 struct KernelRow {
   std::string name;
-  double base_s = 0.0;
-  double pint_s = 0.0;
+  double base_s = 0.0;    // median over the rounds
+  double pint_s = 0.0;    // median over the rounds
   double setup_s = 0.0;   // detector construction (outside the steady state)
-  double overhead = 0.0;  // pint_s / base_s
+  double overhead = 0.0;  // median over the rounds of pint / baseline
   double cursor_hit_rate = 0.0;
   double tail_hit_rate = 0.0;
   std::uint64_t cursor_spills = 0;
+  std::vector<double> bases, pints, ratios, setups;  // one per round
 };
 
-KernelRow run_kernel(const std::string& name, double scale) {
+/// Per-kernel scale: a step of each kernel's size ladder whose baseline
+/// takes 25-75 ms on a 4-vCPU x86-64 host.
+/// At the old common scale 0.2 the bases were 0.1-2.5 ms, and a kernel's
+/// ratio swung 10-40% between runs of the same code.
+struct KernelScale {
+  const char* name;
+  double scale;
+};
+constexpr KernelScale kKernelScales[] = {
+    {"chol", 64},  {"heat", 24},  {"mmul", 8},     {"sort", 2},
+    {"stra", 8},   {"straz", 8},  {"fft", 16},     {"lkcache", 4096},
+    {"lktwin", 4096}};
+
+double kernel_scale(const std::string& name) {
+  for (const KernelScale& k : kKernelScales) {
+    if (name == k.name) return k.scale;
+  }
+  std::fprintf(stderr, "micro_access: no scale for kernel %s\n",
+               name.c_str());
+  std::exit(2);
+}
+
+/// One round of a kernel: its baseline and PINT runs back to back, in the
+/// order `base_first`.  The counters are the same in every run.
+void sample_kernel(KernelRow* row, double scale, bool base_first) {
   bench::RunSpec spec;
-  spec.kernel = name;
+  spec.kernel = row->name;
   spec.scale = scale;
-  // Best-of: these kernels are sub-ms at bench scale, so reps are nearly
-  // free, and on a shared 1-core host the best-of-3 minimum still carried
-  // ~10% geomean jitter between runs - 7 reps converges it to the true min.
-  spec.reps = 7;
-  KernelRow row;
-  row.name = name;
-  spec.system = bench::System::kBaseline;
-  row.base_s = bench::run_spec(spec).seconds;
-  spec.system = bench::System::kPintSeq;
-  const bench::BenchResult r = bench::run_spec(spec);
-  row.pint_s = r.seconds;
-  row.setup_s = r.setup_seconds;
-  row.overhead = row.base_s > 0 ? row.pint_s / row.base_s : 0.0;
+  double base = 0.0;
+  bench::BenchResult r;
+  for (const bool baseline : {base_first, !base_first}) {
+    spec.system =
+        baseline ? bench::System::kBaseline : bench::System::kPintSeq;
+    bench::BenchResult x = bench::run_spec(spec);
+    if (baseline) {
+      base = x.seconds;
+    } else {
+      r = std::move(x);
+    }
+  }
+  row->bases.push_back(base);
+  row->pints.push_back(r.seconds);
+  row->ratios.push_back(base > 0 ? r.seconds / base : 0.0);
+  row->setups.push_back(r.setup_seconds);
+  row->base_s = median(row->bases);
+  row->pint_s = median(row->pints);
+  row->overhead = median(row->ratios);
+  row->setup_s = median(row->setups);
   if (r.stats.fastpath_accesses > 0) {
-    row.cursor_hit_rate =
+    row->cursor_hit_rate =
         double(r.stats.fastpath_hits) / double(r.stats.fastpath_accesses);
   }
   const std::uint64_t tails =
       r.stats.tail_probe_hits + r.stats.tail_probe_misses;
   if (tails > 0) {
-    row.tail_hit_rate = double(r.stats.tail_probe_hits) / double(tails);
+    row->tail_hit_rate = double(r.stats.tail_probe_hits) / double(tails);
   }
-  row.cursor_spills = r.stats.cursor_spills;
-  return row;
+  row->cursor_spills = r.stats.cursor_spills;
 }
 
 void write_rows(std::FILE* f, const std::vector<KernelRow>& rows) {
@@ -224,14 +282,12 @@ bool write_json(const std::string& path, const AccessTiming& fast,
   return true;
 }
 
-constexpr double kLockScale = 16.0;
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_access.json";
   std::uint64_t accesses = std::uint64_t(1) << 22;
-  double scale = 0.2;
+  double scale = 1.0;
   for (int i = 1; i < argc; ++i) {
     const char* s = argv[i];
     auto next = [&]() -> const char* {
@@ -255,6 +311,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The largest mmap threshold glibc accepts on 64-bit, and no trimming.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
   bench::print_environment_note("micro_access: hot-path cost");
 
   const RouteTimings routes = time_access_routes(accesses);
@@ -270,24 +329,46 @@ int main(int argc, char** argv) {
               slow.ns_per_access);
   std::printf("%-28s %10.2fx\n", "speedup", speedup);
 
-  const LockTiming lock = time_lock_loop(accesses / 16);
-  std::printf("# %llu critical sections, best of %d reps, one-core PINT\n",
-              (unsigned long long)(accesses / 16), kLockReps);
+  // Full seven-kernel sweep (paper table order), then the guarded lock
+  // kernels, outside the geomean, which keeps its seven-kernel meaning.
+  // Older snapshots covered only {mmul, heat, sort}; a separate geomean
+  // over that subset is kept in the JSON so the perf gate can compare
+  // across the switch.
+  const std::vector<std::string>& kernel_set = kernels::kernel_names();
+  std::vector<KernelRow> rows, lock_rows;
+  for (const auto& name : kernel_set) rows.emplace_back().name = name;
+  for (const char* name : {"lkcache", "lktwin"}) {
+    lock_rows.emplace_back().name = name;
+  }
+  LockSamples lock_samples;
+  for (int round = 0; round < kRounds; ++round) {
+    time_lock_loop(accesses / 16, &lock_samples);
+    for (std::vector<KernelRow>* set : {&rows, &lock_rows}) {
+      for (KernelRow& r : *set) {
+        sample_kernel(&r, scale * kernel_scale(r.name), round % 2 == 0);
+      }
+    }
+  }
+  LockTiming lock;
+  lock.section_ns = median(lock_samples.section_ns);
+  lock.unguarded_ns = median(lock_samples.unguarded_ns);
+  lock.per_event_ns = median(lock_samples.per_event_ns);
+
+  std::printf("# %llu critical sections, median of %d paired reps, one-core "
+              "PINT\n",
+              (unsigned long long)(accesses / 16),
+              kRounds * kLockRepsPerRound);
   std::printf("%-28s %10.3f ns/section\n", "acquire+read+write+release",
               lock.section_ns);
   std::printf("%-28s %10.3f ns/section\n", "read+write, unguarded",
               lock.unguarded_ns);
   std::printf("%-28s %10.3f ns/event\n", "lock event", lock.per_event_ns);
 
-  // Full seven-kernel sweep (paper table order).  Older snapshots covered
-  // only {mmul, heat, sort}; a separate geomean over that subset is kept in
-  // the JSON so the perf gate can compare across the switch.
-  const std::vector<std::string>& kernel_set = kernels::kernel_names();
-  std::vector<KernelRow> rows;
   double log_sum = 0.0, log_sum3 = 0.0;
   std::size_t n3 = 0;
-  std::printf("\n# kernels at scale %.2f (baseline vs one-core phased PINT)\n",
-              scale);
+  std::printf("\n# kernels at their bench scales x %.2f (baseline vs one-core "
+              "phased PINT, median of %d rounds)\n",
+              scale, kRounds);
   std::printf("%-8s %10s %10s %9s %9s %12s %10s %9s\n", "kernel", "base_s",
               "pint_s", "setup_s", "overhead", "cursor_hit", "tail_hit",
               "spills");
@@ -297,9 +378,7 @@ int main(int argc, char** argv) {
                 r.cursor_hit_rate, r.tail_hit_rate,
                 (unsigned long long)r.cursor_spills);
   };
-  for (const auto& name : kernel_set) {
-    rows.push_back(run_kernel(name, scale));
-    const KernelRow& r = rows.back();
+  for (const KernelRow& r : rows) {
     log_sum += std::log(r.overhead);
     if (r.name == "mmul" || r.name == "heat" || r.name == "sort") {
       log_sum3 += std::log(r.overhead);
@@ -311,17 +390,8 @@ int main(int argc, char** argv) {
   const double geomean3 = n3 > 0 ? std::exp(log_sum3 / double(n3)) : 0.0;
   std::printf("%-8s %31.2fx  (3-kernel equivalent %.2fx)\n", "geomean",
               geomean, geomean3);
-
-  // The guarded lock kernels, at a scale that gives them hundreds of
-  // tasks (both clamp to 8 tasks below scale 0.5).  Outside the geomean,
-  // which keeps its seven-kernel meaning.
-  std::vector<KernelRow> lock_rows;
-  std::printf("\n# lock kernels at scale %.2f (outside the geomean)\n",
-              kLockScale);
-  for (const char* name : {"lkcache", "lktwin"}) {
-    lock_rows.push_back(run_kernel(name, kLockScale));
-    print_row(lock_rows.back());
-  }
+  std::printf("\n# lock kernels (outside the geomean)\n");
+  for (const KernelRow& r : lock_rows) print_row(r);
 
   if (!write_json(json_path, fast, slow, speedup, lock, rows, lock_rows,
                   geomean, geomean3)) {

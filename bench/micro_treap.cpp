@@ -18,7 +18,15 @@
 //    the process exits non-zero if the footprint exceeds kFootprintBar;
 //  * fft_strided_two_sided: the same traffic on PINT's two-sided reader
 //    store, whose segments carry a (left, right) pair of reader handles.
-//    Its footprint bar is kTwoSidedFootprintBar.
+//    Its footprint bar is kTwoSidedFootprintBar;
+//  * fft_growth / fft_growth_two_sided: the same runs applied to an empty
+//    store, the shape a reader lane sees on fft's first pass.  Every
+//    interval is a new segment, so leaves fill and overflow throughout
+//    (the steady-state rows above never overflow).  Reports ns per
+//    interval of the build and the grown store's bytes per segment;
+//  * append_ascending: disjoint writer runs in address order from empty,
+//    the coalesced-record shape, for the footprint of ascending appends.
+//  Every row carrying a footprint is gated against its own bar.
 
 #include <benchmark/benchmark.h>
 
@@ -158,6 +166,13 @@ constexpr double kSpeedupBar = 1.2;    // enforced on the dense-run rows
 // reader treaps spent on the same bytes.
 constexpr double kFootprintBar = 32.0;
 constexpr double kTwoSidedFootprintBar = 38.0;
+// The growth rows' bars sit at their measured footprints plus about 5%:
+// fft growth 22.0 / 26.0 B per segment, ascending appends 22.6 (full
+// leaves under half-full inner nodes).  A leaf policy that leaves them
+// emptier fails here first.
+constexpr double kGrowthFootprintBar = 23.0;
+constexpr double kTwoSidedGrowthFootprintBar = 27.5;
+constexpr double kAppendFootprintBar = 23.5;
 
 /// Layout of one pass: run r holds kRunLen intervals of kLen bytes spaced
 /// `gap` bytes apart (gap 0 = adjacent, the coalesced-record shape).
@@ -372,6 +387,67 @@ Row bench_fft(const char* name, double footprint_bar) {
   return row;
 }
 
+/// Times building a store from empty with `body(store)`, best of kReps, and
+/// returns ns per interval; `footprint` gets the grown store's bytes per
+/// segment.
+template <class Store, class Body>
+double time_growth(const Runs& runs, Body&& body, double* footprint) {
+  double best = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Store t;
+    const double t0 = now_ns();
+    body(t);
+    const double ns = now_ns() - t0;
+    if (rep == 0 || ns < best) best = ns;
+    *footprint = double(t.node_bytes()) / double(t.size());
+  }
+  return best / double(count(runs));
+}
+
+/// fft's first pass: its reader runs applied to an empty store, per
+/// interval and as runs.  Both builds yield the same tree.
+template <class Store = store::IntervalStore>
+Row bench_fft_growth(const char* name, double footprint_bar) {
+  const Runs runs = make_fft_runs();
+  Row row{name, 0, 0, false};
+  row.footprint_bar = footprint_bar;
+  row.per_record_ns = time_growth<Store>(runs, [&](Store& t) {
+    for (const auto& run : runs) {
+      for (const Iv& iv : run) {
+        t.insert_reader(iv.lo, iv.hi, owner(t, 2), resolve_odd(t));
+      }
+    }
+  }, &row.bytes_per_segment);
+  row.bulk_ns = time_growth<Store>(runs, [&](Store& t) {
+    for (const auto& run : runs) {
+      t.insert_reader_run(run.data(), run.size(), owner(t, 2),
+                          resolve_odd(t));
+    }
+  }, &row.bytes_per_segment);
+  return row;
+}
+
+/// Disjoint writer runs in address order, from empty: every interval lands
+/// past the last segment.
+Row bench_append(const char* name) {
+  const Runs runs = make_runs(64);
+  Row row{name, 0, 0, false};
+  row.footprint_bar = kAppendFootprintBar;
+  row.per_record_ns = time_growth<store::IntervalStore>(
+      runs, [&](store::IntervalStore& t) {
+        for (const auto& run : runs) {
+          for (const Iv& iv : run) {
+            t.insert_writer(iv.lo, iv.hi, owner(t, 1),
+                            [](auto, auto, const auto&) {});
+          }
+        }
+      }, &row.bytes_per_segment);
+  row.bulk_ns = time_growth<store::IntervalStore>(
+      runs, [&](store::IntervalStore& t) { populate(t, runs); },
+      &row.bytes_per_segment);
+  return row;
+}
+
 int run_bulk_bench(const std::string& json_path) {
   if (!bulk_matches_per_record(make_runs(64)) ||
       !bulk_matches_per_record(make_runs(0)) ||
@@ -387,6 +463,10 @@ int run_bulk_bench(const std::string& json_path) {
   rows.push_back(bench_fft("fft_strided", kFootprintBar));
   rows.push_back(bench_fft<store::ReaderStore>("fft_strided_two_sided",
                                                kTwoSidedFootprintBar));
+  rows.push_back(bench_fft_growth("fft_growth", kGrowthFootprintBar));
+  rows.push_back(bench_fft_growth<store::ReaderStore>(
+      "fft_growth_two_sided", kTwoSidedGrowthFootprintBar));
+  rows.push_back(bench_append("append_ascending"));
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {

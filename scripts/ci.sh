@@ -14,7 +14,7 @@
 #                            # fast-path bar or the 0.5 sort cursor-hit
 #                            # bar), emits BENCH_access.json; micro_treap
 #                            # --bulk-json (fails below the 1.2x run-finger
-#                            # bar or above the 32 B/segment footprint
+#                            # bar or above a row's B/segment footprint
 #                            # bar), emits BENCH_treap.json; micro_reach
 #                            # (DePa spawn/query throughput under
 #                            # concurrent spawns), emits BENCH_reach.json;
@@ -133,8 +133,10 @@ run_lane() {
       echo "validated BENCH_access.json"
       # micro_treap --bulk-json enforces the store bars itself: exits
       # non-zero if the run API is under 1.2x the per-record loop on an
-      # enforced dense-run row, if the fft-strided store needs more than
-      # 88 bytes per segment, or if the two paths diverge.
+      # enforced dense-run row, if a row's store needs more bytes per
+      # segment than its bar (fft-strided 32 one-sided and 38 two-sided,
+      # fft growth 23 and 27.5, ascending appends 23.5), or if the two
+      # paths diverge.
       ./build/bench/micro_treap --bulk-json BENCH_treap.json
       python3 -m json.tool BENCH_treap.json > /dev/null
       echo "validated BENCH_treap.json"

@@ -631,12 +631,24 @@ class BasicIntervalStore {
     return true;
   }
 
-  /// L[0, i) + pieces_ + L[j, n) no longer fits one leaf: balance it with
-  /// a sibling of the same parent when the pair has room, else split it
-  /// evenly.  Sibling balancing is what keeps leaves ~80% full under both
-  /// ascending and random insertion.
+  /// L[0, i) + pieces_ + L[j, n) no longer fits one leaf.  Three cases:
+  ///  * the pieces land past L's last segment (i == n, an ascending
+  ///    append): L is filled up and the rest opens fresh leaves after it;
+  ///  * a sibling of the same parent can take part of it and the pair then
+  ///    ends at most 3/4 full: the two are balanced;
+  ///  * otherwise L splits evenly.
+  /// Each case leaves room where the next insert is likely to land.
+  /// Balancing into a pair that ends nearly full would leave both leaves
+  /// ~15/16 full, and the next insert into either would overflow again.
   void overflow(Cursor* c, std::uint32_t i, std::uint32_t j) {
     Leaf* L = c->leaf;
+    if (i == L->n) {
+      const std::uint32_t fit = kLeaf - L->n;
+      put_all(L, L->n, pieces_.data(), fit);
+      L->n = kLeaf;
+      spread(nullptr, pieces_.data() + fit, pieces_.size() - fit);
+      return;
+    }
     stage_.clear();
     for (std::uint32_t k = 0; k < i; ++k) {
       stage_.push_back({L->lo[k], L->hi[k], L->who[k]});
@@ -645,27 +657,36 @@ class BasicIntervalStore {
     for (std::uint32_t k = j; k < L->n; ++k) {
       stage_.push_back({L->lo[k], L->hi[k], L->who[k]});
     }
-    const std::size_t total = stage_.size();
-    if (height_ > 0 && shift_to_sibling(*c, total)) return;
+    if (height_ > 0 && shift_to_sibling(*c, stage_.size())) return;
+    spread(L, stage_.data(), stage_.size());
+  }
+
+  /// Writes s[0, total) evenly over as few leaves as hold it: the first
+  /// into `first` when given, every other into a fresh leaf linked after
+  /// its left neighbour.
+  void spread(Leaf* first, const Seg* s, std::size_t total) {
     const std::size_t parts = (total + kLeaf - 1) / kLeaf;
     std::size_t at = 0;
     for (std::size_t p = 0; p < parts; ++p) {
       const std::size_t take = (total - at + (parts - p) - 1) / (parts - p);
-      Leaf* dst = p == 0 ? L : leaves_.take();
-      put_all(dst, 0, stage_.data() + at, take);
+      Leaf* dst = p == 0 && first != nullptr ? first : leaves_.take();
+      put_all(dst, 0, s + at, take);
       dst->n = std::uint32_t(take);
-      if (p > 0) insert_leaf_after(dst);
+      if (dst != first) insert_leaf_after(dst);
       at += take;
     }
   }
 
+  /// Balances the staged segments with a sibling of the same parent when
+  /// the pair then ends at most 3/4 full.
   bool shift_to_sibling(const Cursor& c, std::size_t total) {
+    constexpr std::size_t kPairMax = 2 * kLeaf - kLeaf / 2;
     Inner* U = c.path[height_ - 1].node;
     const std::uint32_t idx = c.path[height_ - 1].idx;
     Leaf* L = c.leaf;
     if (idx + 1 < U->n) {
       Leaf* R = as_leaf(U->child[idx + 1]);
-      if (total + R->n <= 2 * kLeaf) {
+      if (total + R->n <= kPairMax) {
         const std::size_t keep = (total + R->n + 1) / 2;
         const std::uint32_t moved = std::uint32_t(total - keep);
         shift(R, moved, 0, R->n);
@@ -679,7 +700,7 @@ class BasicIntervalStore {
     }
     if (idx > 0) {
       Leaf* S = as_leaf(U->child[idx - 1]);
-      if (total + S->n <= 2 * kLeaf) {
+      if (total + S->n <= kPairMax) {
         const std::size_t keep = (total + S->n) / 2;
         const std::size_t moved = total - keep;
         put_all(S, S->n, stage_.data(), moved);

@@ -256,6 +256,42 @@ void fill(IntervalStore& t, std::uint64_t n) {
   }
 }
 
+std::uint64_t bitrev(std::uint64_t x, int bits) {
+  std::uint64_t r = 0;
+  for (int i = 0; i < bits; ++i) r |= ((x >> i) & 1) << (bits - 1 - i);
+  return r;
+}
+
+/// fft's reader traffic: run r reads the 8-byte granule bitrev(r) of each
+/// of `per_run` blocks of 2^bits granules.
+std::vector<Iv> fft_run(std::uint64_t r, int bits, std::uint64_t per_run) {
+  std::vector<Iv> iv;
+  const std::uint64_t off = bitrev(r, bits) * 8;
+  for (std::uint64_t j = 0; j < per_run; ++j) {
+    const std::uint64_t lo = (j << bits) * 8 + off;
+    iv.push_back({lo, lo + 7});
+  }
+  return iv;
+}
+
+/// Grows t from empty with fft's first pass, 2^bits runs of `per_run`
+/// granules, run r owned by strand r+1: every interval is a new segment
+/// landing between two earlier ones.
+template <class Store>
+void fft_fill(Store& t, int bits, std::uint64_t per_run) {
+  for (std::uint64_t r = 0; r < (std::uint64_t(1) << bits); ++r) {
+    const std::vector<Iv> iv = fft_run(r, bits, per_run);
+    typename Store::Payload who;
+    if constexpr (std::is_same_v<Store, ReaderStore>) {
+      who = pair_of(t, r + 1, r + 1);
+    } else {
+      who = own(t, r + 1);
+    }
+    t.insert_reader_run(iv.data(), iv.size(), who,
+                        [](const auto& prev, const auto&) { return prev; });
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -509,12 +545,15 @@ TEST(IntervalStore, EmptiedLeavesAreReclaimed) {
 }
 
 TEST(IntervalStore, FootprintStaysUnderTheTreapNode) {
-  // Sibling balancing keeps leaves well filled whether segments arrive in
-  // address order (coalesced records) or scattered (strided reads): the
-  // footprint per segment stays under the 88-byte treap node it replaced,
-  // even with one accessor per segment in the table.  The tree's own bytes
-  // (measured 22.5 and 26.5 per segment) have a bar of their own.
-  IntervalStore ascending, scattered;
+  // Leaves stay well filled whether segments arrive in address order
+  // (coalesced records: appends fill a leaf and open the next), scattered
+  // (random writes) or bit-reversed (fft's reads, each landing between two
+  // earlier ones): the footprint per segment stays under the 88-byte treap
+  // node it replaced, even with one accessor per segment in the table.
+  // The tree's own bytes have a bar of their own: 33 for the first two
+  // fills (measured 22.5 and 26.5 per segment), and 23 for the fft fill
+  // (measured 22.0).
+  IntervalStore ascending, scattered, fft;
   fill(ascending, 64 * B);
   Xoshiro256 rng(5);
   std::vector<std::uint64_t> order(64 * B);
@@ -531,6 +570,13 @@ TEST(IntervalStore, FootprintStaysUnderTheTreapNode) {
     EXPECT_LT(double(t->node_bytes() - t->table().bytes()) / double(t->size()),
               33.0);
   }
+  fft_fill(fft, 8, 16);
+  ASSERT_EQ(fft.size(), 256u * 16u);
+  EXPECT_TRUE(fft.check_invariants());
+  EXPECT_LT(double(fft.node_bytes()) / double(fft.size()), 88.0);
+  EXPECT_LT(double(fft.node_bytes() - fft.table().bytes()) /
+                double(fft.size()),
+            23.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -554,11 +600,14 @@ std::vector<Iv> make_run(Xoshiro256& rng, std::uint64_t span, std::size_t kmax,
   return run;
 }
 
-/// Applies one random op (single or run form) to both the store and the
-/// model, logging callbacks and resolver calls into ev_t / ev_m.
-void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
-               const std::vector<Iv>& r, std::uint64_t sid,
-               std::vector<Ev>* ev_t, std::vector<Ev>* ev_m) {
+enum OpKind { kWrite, kRead, kQuery, kErase };
+
+/// Applies op `kind` (the run form when `run`, else r[0] alone) to both the
+/// store and the model, logging callbacks and resolver calls into ev_t /
+/// ev_m.
+void apply_op(OpKind kind, bool run, IntervalStore& t, ByteModel& m,
+              const std::vector<Iv>& r, std::uint64_t sid,
+              std::vector<Ev>* ev_t, std::vector<Ev>* ev_m) {
   auto log_t = [ev_t, &t](char tag) {
     return [ev_t, &t, tag](auto lo, auto hi, Handle w) {
       ev_t->push_back({tag, lo, hi, sid_of(t, w)});
@@ -572,9 +621,8 @@ void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
     ev_m->push_back({'r', p, a, 0});
     return resolve_by_sid(p, a);
   };
-  const bool run = r.size() > 1 || rng.next_below(2) == 0;
-  switch (rng.next_below(4)) {
-    case 0:
+  switch (kind) {
+    case kWrite:
       if (run) {
         t.insert_writer_run(r.data(), r.size(), own(t, sid), log_t('w'));
       } else {
@@ -582,7 +630,7 @@ void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
       }
       for (const Iv& iv : r) m.write(iv.lo, iv.hi, sid, ev_m);
       break;
-    case 1:
+    case kRead:
       if (run) {
         t.insert_reader_run(r.data(), r.size(), own(t, sid), resolve_t);
       } else {
@@ -590,7 +638,7 @@ void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
       }
       for (const Iv& iv : r) m.read(iv.lo, iv.hi, sid, resolve_m);
       break;
-    case 2:
+    case kQuery:
       if (run) {
         t.query_run(r.data(), r.size(), log_t('q'));
       } else {
@@ -598,7 +646,7 @@ void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
       }
       for (const Iv& iv : r) m.query(iv.lo, iv.hi, ev_m);
       break;
-    case 3:
+    case kErase:
       if (run) {
         t.erase_run(r.data(), r.size());
       } else {
@@ -607,6 +655,15 @@ void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
       for (const Iv& iv : r) m.erase(iv.lo, iv.hi);
       break;
   }
+}
+
+/// apply_op of a random kind, in the run form for runs of two or more and
+/// at random for one interval.
+void random_op(Xoshiro256& rng, IntervalStore& t, ByteModel& m,
+               const std::vector<Iv>& r, std::uint64_t sid,
+               std::vector<Ev>* ev_t, std::vector<Ev>* ev_m) {
+  const bool run = r.size() > 1 || rng.next_below(2) == 0;
+  apply_op(OpKind(rng.next_below(4)), run, t, m, r, sid, ev_t, ev_m);
 }
 
 }  // namespace
@@ -656,6 +713,43 @@ TEST(IntervalStoreDifferential, WideErasesAndCoversMatchTheByteModel) {
       }
     }
     EXPECT_EQ(contents(t), m.segments()) << "seed=" << seed;
+  }
+}
+
+TEST(IntervalStoreDifferential, FftRunsAndAscendingAppendsMatchTheByteModel) {
+  // The shapes that overflow leaves.  fft's bit-reversed strided runs land
+  // between earlier segments (full leaves split evenly or balance into a
+  // roomy sibling), half-granule re-reads split every segment in three,
+  // and runs past the current top append (a full leaf opens the next).
+  constexpr int kBits = 6;
+  constexpr std::uint64_t kPerRun = 24;
+  for (std::uint64_t seed = 21; seed <= 23; ++seed) {
+    Xoshiro256 rng(seed);
+    IntervalStore t;
+    ByteModel m;
+    std::vector<Ev> ev_t, ev_m;
+    std::uint64_t top = (kPerRun << kBits) * 8;  // past the fft region
+    std::uint64_t sid = 2;
+    for (int stage = 0; stage < 2; ++stage) {
+      for (std::uint64_t r = 0; r < (1u << kBits); ++r, ++sid) {
+        std::vector<Iv> run = fft_run(r, kBits, kPerRun);
+        if (stage == 1) {
+          for (Iv& iv : run) iv = {iv.lo + 2, iv.lo + 5};
+        }
+        const OpKind kind = rng.next_below(4) == 0 ? kWrite : kRead;
+        apply_op(kind, true, t, m, run, sid, &ev_t, &ev_m);
+        ASSERT_EQ(ev_t, ev_m) << "seed=" << seed << " run=" << r;
+        // An ascending append: a run starting past everything stored.
+        std::vector<Iv> tail = make_run(rng, 1, 24, 12, 6);
+        for (Iv& iv : tail) iv = {iv.lo + top, iv.hi + top};
+        top = tail.back().hi + 1 + rng.next_below(16);
+        apply_op(rng.next_below(2) == 0 ? kWrite : kRead, true, t, m, tail,
+                 sid, &ev_t, &ev_m);
+        ASSERT_EQ(ev_t, ev_m) << "seed=" << seed << " tail=" << r;
+      }
+      ASSERT_TRUE(t.check_invariants()) << "seed=" << seed;
+      ASSERT_EQ(contents(t), m.segments()) << "seed=" << seed;
+    }
   }
 }
 
@@ -728,11 +822,6 @@ TEST(IntervalStore, FftStridedRunsMatchPerIntervalTwin) {
   // form (leaf finger) and the per-interval loop must agree event for event,
   // and the store must end up one segment per granule.
   constexpr std::uint64_t kRuns = 64, kPerRun = 32, kStride = 4096;
-  auto bitrev = [](std::uint64_t x, int bits) {
-    std::uint64_t r = 0;
-    for (int i = 0; i < bits; ++i) r |= ((x >> i) & 1) << (bits - 1 - i);
-    return r;
-  };
   IntervalStore run, per;
   std::vector<Ev> ev_run, ev_per;
   auto resolve_into = [](const IntervalStore& t, std::vector<Ev>* ev) {
@@ -1001,9 +1090,11 @@ TEST(ReaderStore, FootprintStaysUnderTwoTreapNodes) {
   // A two-sided segment holds what two one-sided segments held in the
   // paper's two reader treaps, so its bar is two 88-byte treap nodes less
   // a margin; the one-sided bar above stays as it is.  The tree's own bytes
-  // (measured 26.5 and 31.2 per segment) have a bar of their own.
+  // (measured 26.5 and 31.2 per segment; 26.0 for fft's bit-reversed
+  // growth) have bars of their own.
   constexpr double kTwoSidedBar = 160.0;
   constexpr double kTwoSidedTreeBar = 39.0;
+  constexpr double kTwoSidedFftTreeBar = 27.5;
   ReaderStore ascending, scattered;
   const std::uint64_t n = 64 * B;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -1026,6 +1117,14 @@ TEST(ReaderStore, FootprintStaysUnderTwoTreapNodes) {
     EXPECT_LT(double(t->node_bytes() - t->table().bytes()) / double(t->size()),
               kTwoSidedTreeBar);
   }
+  ReaderStore fft;
+  fft_fill(fft, 8, 16);
+  ASSERT_EQ(fft.size(), 256u * 16u);
+  EXPECT_TRUE(fft.check_invariants());
+  EXPECT_LT(double(fft.node_bytes()) / double(fft.size()), kTwoSidedBar);
+  EXPECT_LT(double(fft.node_bytes() - fft.table().bytes()) /
+                double(fft.size()),
+            kTwoSidedFftTreeBar);
 }
 
 // ---------------------------------------------------------------------------
