@@ -253,39 +253,40 @@ def main():
     with open(opts.baseline_fig3) as f:
         base_fig3 = json.load(f)
 
-    tmp = None
-    if opts.bench_dir:
-        tmp = tempfile.mkdtemp(prefix="perfgate.")
-        opts.fresh_access = os.path.join(tmp, "access.json")
-        opts.fresh_treap = os.path.join(tmp, "treap.json")
-        run_bench(opts.bench_dir, "micro_access", ["--json"],
-                  opts.fresh_access)
-        run_bench(opts.bench_dir, "micro_treap", ["--bulk-json"],
-                  opts.fresh_treap)
-        # Replay the committed snapshot's exact sweep (scale + kernels) so
-        # the efficiency comparison is apples-to-apples.
-        opts.fresh_fig3 = os.path.join(tmp, "fig3.json")
-        fig3_args = ["--scale", str(base_fig3.get("scale", 8)),
-                     "--reps", "3"]
-        for k in base_fig3.get("kernels", []):
-            fig3_args += ["--kernel", k["name"]]
-        fig3_args += ["--json"]
-        run_bench(opts.bench_dir, "fig3_strong_scaling", fig3_args,
-                  opts.fresh_fig3)
-    if not opts.fresh_access or not opts.fresh_treap or not opts.fresh_fig3:
-        ap.error("need --bench-dir or all of --fresh-access, --fresh-treap "
-                 "and --fresh-fig3")
+    # --bench-dir runs write their fresh JSONs to a directory removed on exit.
+    with tempfile.TemporaryDirectory(prefix="perfgate.") as tmp:
+        if opts.bench_dir:
+            opts.fresh_access = os.path.join(tmp, "access.json")
+            opts.fresh_treap = os.path.join(tmp, "treap.json")
+            run_bench(opts.bench_dir, "micro_access", ["--json"],
+                      opts.fresh_access)
+            run_bench(opts.bench_dir, "micro_treap", ["--bulk-json"],
+                      opts.fresh_treap)
+            # Replay the committed snapshot's exact sweep (scale + kernels)
+            # so the efficiency comparison is apples-to-apples.
+            opts.fresh_fig3 = os.path.join(tmp, "fig3.json")
+            fig3_args = ["--scale", str(base_fig3.get("scale", 8)),
+                         "--reps", "3"]
+            for k in base_fig3.get("kernels", []):
+                fig3_args += ["--kernel", k["name"]]
+            fig3_args += ["--json"]
+            run_bench(opts.bench_dir, "fig3_strong_scaling", fig3_args,
+                      opts.fresh_fig3)
+        if (not opts.fresh_access or not opts.fresh_treap
+                or not opts.fresh_fig3):
+            ap.error("need --bench-dir or all of --fresh-access, "
+                     "--fresh-treap and --fresh-fig3")
 
-    with open(opts.baseline_access) as f:
-        base_access = json.load(f)
-    with open(opts.fresh_access) as f:
-        fresh_access = json.load(f)
-    with open(opts.baseline_treap) as f:
-        base_treap = json.load(f)
-    with open(opts.fresh_treap) as f:
-        fresh_treap = json.load(f)
-    with open(opts.fresh_fig3) as f:
-        fresh_fig3 = json.load(f)
+        with open(opts.baseline_access) as f:
+            base_access = json.load(f)
+        with open(opts.fresh_access) as f:
+            fresh_access = json.load(f)
+        with open(opts.baseline_treap) as f:
+            base_treap = json.load(f)
+        with open(opts.fresh_treap) as f:
+            fresh_treap = json.load(f)
+        with open(opts.fresh_fig3) as f:
+            fresh_fig3 = json.load(f)
 
     failures = gate_access(base_access, fresh_access, opts.tolerance,
                            opts.kernel_tolerance)

@@ -1,16 +1,12 @@
 #pragma once
 
-// Shared access-history processing: how one strand record is applied to a
-// writer / reader interval store (the paper's treaps; DESIGN.md §15).  Used
-// by PINT's two history workers and by STINT's synchronous processing - the
-// semantics are identical, only *when* and *on which thread* they run
-// differs (paper §III-A).
+// Access-history semantics: the race check run on every overlapped stored
+// segment and the reader retention rules, shared by every store and every
+// schedule (the driver in detect/history_driver.hpp applies them; DESIGN.md
+// §15 has the stores).
 
 #include <atomic>
-#include <type_traits>
-#include <utility>
 
-#include "detect/granule_map.hpp"
 #include "detect/lockset.hpp"
 #include "detect/report.hpp"
 #include "detect/stats.hpp"
@@ -20,44 +16,12 @@
 
 namespace pint::detect {
 
-// ---------------------------------------------------------------------------
-// Bulk-run knob (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-//
-// When on (the default), a strand whose record list is canonical (sorted +
-// disjoint, see AccessBuffer::canonical) is applied through the stores' bulk
-// *_run API - one amortized carve per list instead of one root walk per
-// interval.  The callback/resolver sequence is identical either way, so race
-// reports are bit-identical; the equivalence suite (tests/test_bulk_apply)
-// flips this off to prove it.  Same global-knob shape as
-// set_access_fast_path: flip only while no detector is running.
-
-inline std::atomic<bool>& bulk_apply_knob() {
-  static std::atomic<bool> on{true};
-  return on;
-}
-inline void set_bulk_apply(bool on) {
-  bulk_apply_knob().store(on, std::memory_order_relaxed);
-}
-inline bool bulk_apply() {
-  return bulk_apply_knob().load(std::memory_order_relaxed);
-}
-
-/// One *_run call of k intervals issued to a history store.
-inline void note_bulk_run(Stats& stats, std::size_t k) {
-  stats.bulk_runs.fetch_add(1, std::memory_order_relaxed);
-  stats.bulk_run_intervals.fetch_add(k, std::memory_order_relaxed);
-}
-
 /// One sub-record's accessor: the strand's identity, the sub-record's
 /// lockset.
 inline store::Accessor accessor_of(const Strand& s, const LockRecord& r) {
   return {s.label, s.sid, s.tag, r.lsid};
 }
 
-// HistoryKind (treap vs granule-map store) lives in detect/types.hpp so the
-// ablation knob is nameable without this header's treap dependency.
-//
 // Stores hold handles (DESIGN.md §15.2).  The callbacks and resolvers below
 // read the stored accessors from the store's table `tab`; a resolver also
 // takes me's handle in that table, since it returns handles.
@@ -154,93 +118,6 @@ inline auto make_reader_resolver(const store::AccessorTable& tab,
     }
     return out;
   };
-}
-
-/// Hands a record list to run(intervals, k): as one sorted run when bulk
-/// apply is on and the list is canonical, else one interval at a time.
-template <class Run>
-inline void for_each_run(const AccessBuffer& buf, Stats& stats, Run&& run) {
-  const auto& items = buf.items();
-  if (items.empty()) return;
-  if (bulk_apply() && buf.canonical()) {
-    note_bulk_run(stats, items.size());
-    run(items.data(), items.size());
-  } else {
-    for (const Interval& iv : items) run(&iv, 1);
-  }
-}
-
-/// Reads checked against the last-writer history, then writes checked
-/// against and inserted into it (query-before-insert, per Theorem 5's
-/// proof), then clears applied.  Each pass walks the strand's sub-records
-/// in apply order, so the last writer kept is the least-guarded one.
-/// Works with any store exposing the query/insert_writer/insert_reader/
-/// erase_range interface of store::IntervalStore.
-template <class History>
-inline void process_writer_treap(History& t, const Strand& s,
-                                 reach::Engine& reach, RaceReporter& rep,
-                                 Stats& stats) {
-  s.for_each_record([&](const LockRecord& r) {
-    const auto on_read = make_conflict_cb(t.table(), accessor_of(s, r), true,
-                                          false, reach, rep, stats);
-    for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
-      t.query_run(iv, k, on_read);
-    });
-  });
-  s.for_each_record([&](const LockRecord& r) {
-    if (r.writes.items().empty()) return;
-    const store::Accessor me = accessor_of(s, r);
-    const store::Handle h = t.intern(me);
-    const auto on_write = make_conflict_cb(t.table(), me, true, true, reach,
-                                           rep, stats);
-    for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
-      t.insert_writer_run(iv, k, h, on_write);
-    });
-  });
-  for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
-  for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);
-}
-
-/// Writes checked against the reader history, then reads inserted with its
-/// retention rule, then clears applied.  The store's payload picks the rule:
-/// a ReaderPair store keeps both extremes (PINT), a one-sided store keeps
-/// the serial reader (STINT).
-template <class History>
-inline void process_reader_treap(History& t, const Strand& s,
-                                 reach::Engine& reach, RaceReporter& rep,
-                                 Stats& stats) {
-  constexpr bool kTwoSided =
-      std::is_same_v<typename History::Payload, store::ReaderPair>;
-  s.for_each_record([&](const LockRecord& r) {
-    const store::Accessor me = accessor_of(s, r);
-    const auto check = [&] {
-      if constexpr (kTwoSided) {
-        return make_reader_conflict_cb(t.table(), me, reach, rep, stats);
-      } else {
-        return make_conflict_cb(t.table(), me, false, true, reach, rep, stats);
-      }
-    }();
-    for_each_run(r.writes, stats, [&](const Interval* iv, std::size_t k) {
-      t.query_run(iv, k, check);
-    });
-  });
-  s.for_each_record([&](const LockRecord& r) {
-    if (r.reads.items().empty()) return;
-    const store::Handle me = t.intern(accessor_of(s, r));
-    const auto [fresh, resolve] = [&] {
-      if constexpr (kTwoSided) {
-        return std::pair{store::ReaderPair{me, me},
-                         make_reader_resolver(t.table(), me, reach, stats)};
-      } else {
-        return std::pair{me, make_serial_resolver(t.table(), me, reach, stats)};
-      }
-    }();
-    for_each_run(r.reads, stats, [&](const Interval* iv, std::size_t k) {
-      t.insert_reader_run(iv, k, fresh, resolve);
-    });
-  });
-  for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
-  for (const HeapFree& f : s.frees) t.erase_range(f.lo, f.hi);
 }
 
 }  // namespace pint::detect

@@ -19,6 +19,7 @@
 
 #include "detect/instrument.hpp"
 #include "detect/lockset.hpp"
+#include "detect/stats.hpp"
 #include "detect/types.hpp"
 #include "reach/depa.hpp"
 
@@ -250,5 +251,70 @@ inline void seal_strand(Strand& s, bool coalesce, SealTally& t) {
     }
   }
 }
+
+/// The core-side tally of one interval-detector thread (STINT's worker,
+/// each PINT core worker) and the recording steps that feed it, shared so
+/// the two detectors' counters cannot drift apart.  Plain counters, owned
+/// by that thread; fold() adds them into Stats at run end.
+struct CoreTally {
+  std::uint64_t raw_reads = 0, raw_writes = 0, strands = 0;
+  // AccessCursor effectiveness (DESIGN.md §9): raw accesses recorded via
+  // the thread-local cursor, the subset its inline caches absorbed, the
+  // spills, and accesses that took the classic virtual-dispatch route.
+  std::uint64_t fast_accesses = 0, fast_hits = 0, cursor_spills = 0;
+  std::uint64_t slow_accesses = 0;
+  SealTally seal;
+
+  /// Classic on_access route: taken only when the AccessCursor fast path
+  /// is disabled.
+  void access(Strand* s, addr_t lo, addr_t hi, bool is_write, bool coalesce) {
+    PINT_ASSERT(s != nullptr);
+    ++slow_accesses;
+    ++(is_write ? raw_writes : raw_reads);
+    AccessBuffer& buf = is_write ? s->active().writes : s->active().reads;
+    if (coalesce) {
+      buf.add(lo, hi);
+    } else {
+      buf.add_raw(lo, hi);
+    }
+  }
+
+  /// Detaches the access cursor from `s` (detach_cursor), folding its
+  /// counters.  Runs before s's seal and before reading s.held().
+  void cursor_flush(Strand& s) {
+    const CursorFlush fl = detach_cursor(s);
+    raw_reads += fl.raw_reads;
+    raw_writes += fl.raw_writes;
+    fast_accesses += fl.raw_reads + fl.raw_writes;
+    fast_hits += fl.hits;
+    cursor_spills += fl.spills;
+  }
+
+  /// on_lock_acquire / on_lock_release: reached only when the access
+  /// cursor cannot switch lanes itself (note_lock_event); ignored with the
+  /// lock_edges knob off.
+  static void lock_event(bool lock_edges, Strand* s, addr_t lock,
+                         bool acquire) {
+    if (!lock_edges) return;
+    PINT_ASSERT(s != nullptr);
+    note_lock_event(*s, lock, acquire);
+  }
+
+  void fold(Stats& st) const {
+    st.raw_reads.fetch_add(raw_reads);
+    st.raw_writes.fetch_add(raw_writes);
+    st.read_intervals.fetch_add(seal.read_intervals);
+    st.write_intervals.fetch_add(seal.write_intervals);
+    st.strands.fetch_add(strands);
+    st.fastpath_accesses.fetch_add(fast_accesses);
+    st.fastpath_hits.fetch_add(fast_hits);
+    st.cursor_spills.fetch_add(cursor_spills);
+    st.slowpath_accesses.fetch_add(slow_accesses);
+    st.lock_splits.fetch_add(seal.lock_splits);
+    st.tail_probe_hits.fetch_add(seal.tail_hits);
+    st.tail_probe_misses.fetch_add(seal.tail_misses);
+    st.finalize_sorted_skips.fetch_add(seal.fin_sorted);
+  }
+};
 
 }  // namespace pint::detect

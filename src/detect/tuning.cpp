@@ -5,8 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "detect/history.hpp"
-
 namespace pint::detect {
 
 namespace {
@@ -35,7 +33,6 @@ void warn_once(const std::string& what) {
 
 Tuning Tuning::current() {
   Tuning t;
-  t.bulk_apply = detect::bulk_apply();
   t.access_fast_path = detect::access_fast_path();
   return t;
 }
@@ -55,8 +52,7 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     bool ok = false;
-    if (key == "bulk") ok = parse_bool(val, &base.bulk_apply);
-    else if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
+    if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
     if (!ok) warn_once(item);
   }
@@ -71,7 +67,6 @@ Tuning Tuning::from_env() {
 }
 
 void Tuning::apply_globals() const {
-  set_bulk_apply(bulk_apply);
   set_access_fast_path(access_fast_path);
 }
 

@@ -16,8 +16,8 @@ using addr_t = std::uint64_t;
 /// Which backing store holds the access history. kTreap is the paper's
 /// design; kGranuleMap is the conventional per-location hashmap, kept as an
 /// ablation that isolates the data structure under the identical pipeline.
-/// (Lives here rather than history.hpp so light headers - detector options,
-/// the bench harness - can name it without pulling in the treap.)
+/// (Lives here rather than history_driver.hpp so light headers - detector
+/// options, the bench harness - can name it without pulling in the treap.)
 enum class HistoryKind { kTreap, kGranuleMap };
 
 /// Inclusive byte range [lo, hi].

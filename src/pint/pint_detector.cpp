@@ -6,7 +6,6 @@
 #include <system_error>
 #include <thread>
 
-#include "detect/history.hpp"
 #include "detect/instrument.hpp"
 #include "support/error_sink.hpp"
 #include "support/failpoint.hpp"
@@ -86,14 +85,10 @@ T* pool_take(Spinlock& mu, std::vector<T*>& pool,
 
 PintDetector::PintDetector(const Options& opt)
     : opt_(opt),
-      queue_(opt.queue_capacity) {
+      queue_(opt.queue_capacity),
+      history_(opt.history, opt.history_shards, detect::Schedule::kPipelined,
+               reach_, rep_, stats_) {
   rep_.set_verbose(opt_.verbose_races);
-  PINT_CHECK_MSG(
-      opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
-      "sharded history supports the treap store only");
-  for (int k = 0; k < opt_.history_shards; ++k) {
-    shards_.push_back(std::make_unique<HistoryShard>());
-  }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();
     ws->index = std::uint32_t(i);
@@ -102,10 +97,9 @@ PintDetector::PintDetector(const Options& opt)
   seq_history_ = !opt_.parallel_history;
 
   // One monitored lane per queue consumer (the reader, or N shards).
-  const int nlanes = shards_.empty() ? 1 : int(shards_.size());
-  for (int i = 0; i < nlanes; ++i) {
+  for (int i = 0; i + 1 < int(history_.lanes()); ++i) {
     auto lane = std::make_unique<ConsumerLane>();
-    if (shards_.empty()) {
+    if (opt_.history_shards == 0) {
       std::snprintf(lane->name, sizeof(lane->name), "reader");
     } else {
       std::snprintf(lane->name, sizeof(lane->name), "shard%d", i);
@@ -153,7 +147,7 @@ Strand* PintDetector::alloc_strand(CoreWS& ws) {
       (std::uint64_t(ws.index + 1) << 40) | ++ws.next_sid;
   s->reset(sid);
   s->owner_worker = ws.index;
-  ws.strands++;
+  ws.tally.strands++;
   strands_outstanding_.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
@@ -356,18 +350,15 @@ void PintDetector::start_new_trace(CoreWS& ws) {
   if (!seq_history_) writer_wake_.wake_if_parked();
 }
 
-void PintDetector::seal_strand(CoreWS& ws, Strand* s) {
+detect::lockset_t PintDetector::seal_strand(CoreWS& ws, Strand* s) {
   PINT_TCOUNT("core.seal");
-  detect::seal_strand(*s, opt_.coalesce, ws.seal);
-}
-
-void PintDetector::cursor_flush(CoreWS& ws, Strand& s) {
-  const detect::CursorFlush fl = detect::detach_cursor(s);
-  ws.raw_reads += fl.raw_reads;
-  ws.raw_writes += fl.raw_writes;
-  ws.fast_accesses += fl.raw_reads + fl.raw_writes;
-  ws.fast_hits += fl.hits;
-  ws.cursor_spills += fl.spills;
+  // Pending cursor intervals land in s's sub-records, and its current
+  // sub-record becomes the cursor's last lock lane, before held() is read
+  // and before the seal reorders the sub-records.
+  ws.tally.cursor_flush(*s);
+  const detect::lockset_t held = s->held();
+  detect::seal_strand(*s, opt_.coalesce, ws.tally.seal);
+  return held;
 }
 
 // ---------------------------------------------------------------------------
@@ -376,19 +367,9 @@ void PintDetector::cursor_flush(CoreWS& ws, Strand& s) {
 
 void PintDetector::on_access(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lo,
                              detect::addr_t hi, bool is_write) {
-  // Classic route: taken only when the AccessCursor fast path is disabled.
-  auto& ws = *static_cast<CoreWS*>(w.det_worker);
-  auto* s = static_cast<Strand*>(f.det_strand);
-  PINT_ASSERT(s != nullptr);
-  ws.slow_accesses++;
-  detect::AccessBuffer& buf =
-      is_write ? s->active().writes : s->active().reads;
-  (is_write ? ws.raw_writes : ws.raw_reads)++;
-  if (opt_.coalesce) {
-    buf.add(lo, hi);
-  } else {
-    buf.add_raw(lo, hi);
-  }
+  static_cast<CoreWS*>(w.det_worker)
+      ->tally.access(static_cast<Strand*>(f.det_strand), lo, hi, is_write,
+                     opt_.coalesce);
 }
 
 void PintDetector::on_heap_free(rt::Worker&, rt::TaskFrame& f, void* base,
@@ -398,20 +379,18 @@ void PintDetector::on_heap_free(rt::Worker&, rt::TaskFrame& f, void* base,
   s->frees.push_back({base, lo, hi});
 }
 
-// Lock events reach the detector only when the access cursor cannot switch
-// lanes itself (detect::note_lock_event).
 void PintDetector::on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
                                    detect::addr_t lock) {
-  if (!opt_.tuning.lock_edges) return;
-  PINT_ASSERT(f.det_strand != nullptr);
-  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, true);
+  detect::CoreTally::lock_event(opt_.tuning.lock_edges,
+                                static_cast<Strand*>(f.det_strand), lock,
+                                true);
 }
 
 void PintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
                                    detect::addr_t lock) {
-  if (!opt_.tuning.lock_edges) return;
-  PINT_ASSERT(f.det_strand != nullptr);
-  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, false);
+  detect::CoreTally::lock_event(opt_.tuning.lock_edges,
+                                static_cast<Strand*>(f.det_strand), lock,
+                                false);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,7 +409,6 @@ void PintDetector::on_root_start(rt::Worker& w, rt::TaskFrame& f) {
 void PintDetector::on_root_end(rt::Worker& w, rt::TaskFrame& f) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws, *u);
   seal_strand(ws, u);
   u->clears.push_back({f.fiber->stack_lo(), f.fiber->stack_hi() - 1});
   // trace insertion happens at on_task_retire, off this fiber's stack
@@ -442,11 +420,8 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   auto* u = static_cast<Strand*>(parent.det_strand);
   // Lockset rule (same as every detector): the continuation still holds the
   // parent's locks; the child may run on a worker that does not, so it
-  // starts empty (as does the sync node).  Read after the cursor hands back
-  // u's last lock lane and before the seal reorders u's sub-records.
-  cursor_flush(ws, *u);
-  const detect::lockset_t held = u->held();
-  seal_strand(ws, u);
+  // starts empty (as does the sync node).
+  const detect::lockset_t held = seal_strand(ws, u);
 
   auto* j = static_cast<Strand*>(blk.det_sync);
   if (j == nullptr) {
@@ -478,7 +453,6 @@ void PintDetector::on_spawn_return(rt::Worker& w, rt::TaskFrame& child,
                                    bool continuation_stolen) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(child.det_strand);  // the return node
-  cursor_flush(ws, *u);
   seal_strand(ws, u);
   if (continuation_stolen) {
     // Algorithm 1, lines 15-17: this return node becomes a predecessor of
@@ -519,7 +493,6 @@ void PintDetector::on_sync(rt::Worker& w, rt::TaskFrame& f, rt::SyncBlock& blk,
   // (strand u continues - its cursor stays installed)
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws, *u);
   seal_strand(ws, u);
   if (!trivial) {
     // Algorithm 1, lines 29-31.
@@ -597,7 +570,7 @@ void PintDetector::collect(Strand* s) {
   // between the two on the writer track.
   PINT_TSPAN("collect.strand");
   const std::int32_t nconsumers =
-      shards_.empty() ? 2 : std::int32_t(shards_.size());
+      opt_.history_shards == 0 ? 2 : std::int32_t(opt_.history_shards);
   s->consumers.store(nconsumers, std::memory_order_release);
   bool published = true;
   Backoff bo;
@@ -663,31 +636,17 @@ void PintDetector::collect(Strand* s) {
     s->collect_child->pred.fetch_sub(1, std::memory_order_acq_rel);
   }
   process_writer(s);
-  if (shards_.empty() && published) {
+  if (opt_.history_shards == 0 && published) {
     s->consumers.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
 void PintDetector::process_writer(Strand* s) {
-  const bool strand_watch = watch_ == Watch::kStrand;
-  if (strand_watch) writer_watch_.start();
-  {
-    // Span nested just inside the watch so the watch's CLOCK_THREAD_CPUTIME
-    // reads (hundreds of ns each) stay out of the span; the exported
-    // writer.strand sum then tracks Stats::writer_ns (the Fig. 2 "writer"
-    // bar) to within the much cheaper span-record overhead.
-    PINT_TSPAN("writer.strand");
-    if (!shards_.empty()) {
-      // Sharded mode: the collector does no history work itself; shards own
-      // both stores. Deferred resources are still released here (the
-      // queue-order argument of paper SIII-F is unchanged).
-    } else if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
-    } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
-    }
-    // Deferred frees become real here: any later reuse of this memory is by
-    // a strand collected after s, so each treap erases the range before
+  // The writer lane's roles (none when sharded: the shards own both
+  // stores), then the deferred resources, inside its watch and span.
+  history_.strand(history_.lane(0), *s, [&] {
+    // Deferred frees become real here: any later reuse of this memory is
+    // by a strand collected after s, so each store erases the range before
     // seeing the new owner's accesses (paper §III-F).
     for (const detect::HeapFree& hf : s->frees) std::free(hf.base);
     if (s->retired_frame != nullptr) {
@@ -696,8 +655,7 @@ void PintDetector::process_writer(Strand* s) {
       sched_->release_frame(s->retired_frame);
       s->retired_frame = nullptr;
     }
-  }
-  if (strand_watch) writer_watch_.stop();
+  });
 }
 
 bool PintDetector::collect_from(CoreWS& ws, bool* drained) {
@@ -740,14 +698,14 @@ void PintDetector::writer_loop() {
   // calling thread in the phased one-core mode; either way this is the
   // "writer" track from here on.
   telem::set_thread_role("writer");
-  const bool batch_watch = watch_ == Watch::kBatch;
+  auto& lane = history_.lane(0);
   LaneIdle idle(writer_wake_);
   for (;;) {
     if (PINT_UNLIKELY(cancel_.load(std::memory_order_relaxed))) break;
     const bool done_before_scan = core_done_.load(std::memory_order_acquire);
     // Batch watch: one clock read per scan; only a scan that collected
     // something adds its time (an empty scan is idle, not busy).
-    if (batch_watch) writer_watch_.start();
+    history_.begin(lane, detect::Watch::kBatch);
     bool progress = false;
     bool all_drained = true;
     for (auto& ws : ws_) {
@@ -759,7 +717,7 @@ void PintDetector::writer_loop() {
     // batched cursor publication (each scan collects up to kBatch strands
     // per worker, so both ends of the ring amortize their atomics).
     queue_.reclaim([this](Strand* d) { recycle_strand(d); });
-    if (batch_watch && progress) writer_watch_.stop();
+    if (progress) history_.end(lane, detect::Watch::kBatch);
     if (done_before_scan && all_drained) break;
     if (progress) {
       idle.busy();
@@ -788,12 +746,11 @@ void PintDetector::writer_loop() {
   lane_wake_.wake();
 }
 
-template <class ProcessFn>
-void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
-                                ProcessFn&& process) {
+void PintDetector::consume_loop(int k) {
+  ConsumerLane& lane = *lanes_[std::size_t(k)];
+  auto& hl = history_.lane(std::size_t(k) + 1);
+  telem::set_thread_role(lane.name);
   queue_.register_consumer();
-  const bool strand_watch = watch_ == Watch::kStrand;
-  const bool batch_watch = watch_ == Watch::kBatch;
   std::uint64_t cursor = 0;
   std::uint64_t batches = 0, drained = 0, prefetches = 0;
   LaneIdle idle(lane_wake_);
@@ -812,7 +769,7 @@ void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
     }
     idle.busy();
     lane.hb.set_idle(false);
-    if (batch_watch) watch.start();
+    history_.begin(hl, detect::Watch::kBatch);
     while (cursor < h) {
       // Batched drain (DESIGN.md §10): process up to kConsumeBatch strands
       // per head snapshot, prefetching the next strand's records behind the
@@ -829,9 +786,7 @@ void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
           prefetch_strand_records(queue_.at(i + 1));
           ++prefetches;
         }
-        if (strand_watch) watch.start();
-        process(queue_.at(i));
-        if (strand_watch) watch.stop();
+        history_.strand(hl, *queue_.at(i));
       }
       // Deferred RECYCLE handoffs: each strand's last use above is still
       // sequenced before its own fetch_sub, so the release/acquire pairing
@@ -846,7 +801,7 @@ void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
       lane.cursor.store(cursor, std::memory_order_relaxed);
       lane.hb.beat();
     }
-    if (batch_watch) watch.stop();
+    history_.end(hl, detect::Watch::kBatch);
   }
   lane.hb.set_idle(true);
   queue_.unregister_consumer();
@@ -857,59 +812,23 @@ void PintDetector::consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
   stats_.prefetch_issues.fetch_add(prefetches, std::memory_order_relaxed);
 }
 
-void PintDetector::reader_loop() {
-  telem::set_thread_role("reader");
-  const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
-  consume_loop(*lanes_[0], reader_watch_, [&](Strand* s) {
-    // Nested inside the watch (see process_writer): span sum ~= *_ns.
-    PINT_TSPAN("reader.strand");
-    if (use_treap) {
-      detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
-    } else {
-      detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
-    }
-  });
-}
-
-void PintDetector::shard_loop(int shard) {
-  if (telem::enabled()) {
-    char role[16];
-    std::snprintf(role, sizeof(role), "shard%d", shard);
-    telem::set_thread_role(role);
-  }
-  HistoryShard& hs = *shards_[std::size_t(shard)];
-  const int n = int(shards_.size());
-  consume_loop(*lanes_[std::size_t(shard)], hs.watch, [&](Strand* s) {
-    PINT_TSPAN("shard.strand");
-    hs.process(*s, shard, n, reach_, rep_, stats_);
-  });
-}
-
 void PintDetector::finish_history_sequential() {
-  // Each lane is one uninterrupted phase on this thread, so the stopwatches
-  // wrap the phases instead of every strand (see watch_).  The writer
-  // phase's watch covers collection too - which is the writer worker's job
-  // in the paper's breakdown anyway.  Traced runs keep the per-strand
-  // watches (the phase watch also counts loop bookkeeping between strands).
-  watch_ = telem::enabled() ? Watch::kStrand : Watch::kPhase;
-  const bool pw = watch_ == Watch::kPhase;
-  // Phase 1: collection (+ writer treap in the classic configuration).
-  if (pw) writer_watch_.start();
-  writer_loop();
-  if (pw) writer_watch_.stop();
-  if (!shards_.empty()) {
-    for (int k = 0; k < int(shards_.size()); ++k) {
-      HistoryShard& hs = *shards_[std::size_t(k)];
-      if (pw) hs.watch.start();
-      shard_loop(k);
-      if (pw) hs.watch.stop();
+  // Each lane is one uninterrupted phase on this thread: the collection
+  // phase (which applies the writer role unless sharded), then the reader
+  // or each shard over the same global order.  The driver picks what the
+  // lanes' watches bracket; the writer phase's covers collection too -
+  // which is the writer worker's job in the paper's breakdown anyway.
+  history_.set_schedule(detect::Schedule::kPhased);
+  for (std::size_t i = 0; i < history_.lanes(); ++i) {
+    auto& lane = history_.lane(i);
+    history_.begin(lane, detect::Watch::kPhase);
+    if (i == 0) {
+      writer_loop();
+    } else {
+      consume_loop(int(i) - 1);
     }
-    return;
+    history_.end(lane, detect::Watch::kPhase);
   }
-  // Phase 2: the two-sided reader store over the same global order.
-  if (pw) reader_watch_.start();
-  reader_loop();
-  if (pw) reader_watch_.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -953,12 +872,7 @@ bool PintDetector::spawn_history_threads(std::thread* writer,
             "injected history.spawn failure");
       }
       history->emplace_back([this, k] {
-        if (!wait_gate(gate_)) return;
-        if (shards_.empty()) {
-          reader_loop();
-        } else {
-          shard_loop(k);
-        }
+        if (wait_gate(gate_)) consume_loop(k);
       });
     }
   } catch (const std::exception& e) {
@@ -1024,7 +938,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
 
   set_run_context("seed=%llu cw=%d shards=%d mode=%s",
                   (unsigned long long)opt_.seed, opt_.core_workers,
-                  int(shards_.size()), seq_history_ ? "seq" : "par");
+                  opt_.history_shards, seq_history_ ? "seq" : "par");
 
   rt::Scheduler::Options so;
   so.workers = opt_.core_workers;
@@ -1051,9 +965,9 @@ RunResult PintDetector::run(std::function<void()> fn) {
 
   std::thread writer;
   std::vector<std::thread> history;
-  // Pipelined lanes time drained batches (phased mode decides its own watch
-  // in finish_history_sequential); the spawn gate publishes this.
-  watch_ = telem::enabled() ? Watch::kStrand : Watch::kBatch;
+  // Pipelined lanes' watch granularity (phased mode re-picks it in
+  // finish_history_sequential); the spawn gate publishes it.
+  history_.set_schedule(detect::Schedule::kPipelined);
   if (!seq_history_ && !spawn_history_threads(&writer, &history)) {
     // Graceful fallback: the paper's phased one-core history mode needs no
     // extra threads.  Detection stays exact; only the asynchrony is lost.
@@ -1061,7 +975,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
     result.degraded_sequential_history = true;
     set_run_context("seed=%llu cw=%d shards=%d mode=seq-fallback",
                     (unsigned long long)opt_.seed, opt_.core_workers,
-                    int(shards_.size()));
+                    opt_.history_shards);
   }
 
   // Background telemetry sampler: turns the monitoring-safe atomics (the
@@ -1140,36 +1054,11 @@ RunResult PintDetector::run(std::function<void()> fn) {
 
   wd.disarm();
   sampler.stop();
-  stats_.writer_ns.store(writer_watch_.total_ns());
-  if (shards_.empty()) {
-    // One reader lane: it is lreader_ns, and rreader_ns stays 0.
-    stats_.lreader_ns.store(reader_watch_.total_ns());
-  } else {
-    // Sharded mode: lreader_ns = busiest shard, rreader_ns = total shard work.
-    std::uint64_t mx = 0, sum = 0;
-    for (const auto& sh : shards_) {
-      mx = std::max(mx, sh->watch.total_ns());
-      sum += sh->watch.total_ns();
-    }
-    stats_.lreader_ns.store(mx);
-    stats_.rreader_ns.store(sum);
-  }
+  history_.fold(stats_);
   stats_.steals.store(sched.total_steals());
   for (auto& ws : ws_) {
-    stats_.raw_reads.fetch_add(ws->raw_reads);
-    stats_.raw_writes.fetch_add(ws->raw_writes);
-    stats_.read_intervals.fetch_add(ws->seal.read_intervals);
-    stats_.write_intervals.fetch_add(ws->seal.write_intervals);
-    stats_.strands.fetch_add(ws->strands);
+    ws->tally.fold(stats_);
     stats_.traces.fetch_add(ws->traces);
-    stats_.fastpath_accesses.fetch_add(ws->fast_accesses);
-    stats_.fastpath_hits.fetch_add(ws->fast_hits);
-    stats_.cursor_spills.fetch_add(ws->cursor_spills);
-    stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
-    stats_.lock_splits.fetch_add(ws->seal.lock_splits);
-    stats_.tail_probe_hits.fetch_add(ws->seal.tail_hits);
-    stats_.tail_probe_misses.fetch_add(ws->seal.tail_misses);
-    stats_.finalize_sorted_skips.fetch_add(ws->seal.fin_sorted);
   }
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);

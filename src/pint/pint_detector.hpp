@@ -17,10 +17,18 @@
 //    one two-sided store holding both the left-most and the right-most
 //    reader of every segment (the paper's two reader treaps; DESIGN.md §3).
 //
+// Both history workers run the history driver (detect/history_driver.hpp),
+// the same object STINT calls inline: the writer lane applies its writer
+// role and the reader lane its reader role.  The §VI extension
+// (`history_shards` = N) replaces the reader lane with N lanes that each
+// apply both roles to one address stripe, and the writer lane only
+// collects.  Queue hand-off, deferred frees, fiber release, lane parking,
+// the watchdog and the OOM fallbacks are pipeline work and live here.
+//
 // One-core mode (`parallel_history = false`) reproduces the paper's
 // single-core PINT measurement: the core component runs to completion first
-// and the two history phases run afterwards on the calling thread, which
-// makes the Fig. 2 work breakdown directly measurable.
+// and the history lanes run afterwards, one phase each, on the calling
+// thread, which makes the Fig. 2 work breakdown directly measurable.
 
 #include <atomic>
 #include <cstdint>
@@ -30,18 +38,16 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/history.hpp"
+#include "detect/history_driver.hpp"
 #include "detect/report.hpp"
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
 #include "pint/ah_queue.hpp"
-#include "pint/sharded_history.hpp"
 #include "pint/trace.hpp"
 #include "pint/wake_word.hpp"
 #include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
-#include "support/timer.hpp"
 #include "support/watchdog.hpp"
 #include "store/interval_store.hpp"
 
@@ -134,16 +140,10 @@ class PintDetector final : public detect::Detector,
     // producer side (owned by the core worker)
     Trace* cur = nullptr;
     std::uint64_t next_sid = 0;
-    std::uint64_t raw_reads = 0, raw_writes = 0;
-    std::uint64_t strands = 0, traces = 0;
-    // AccessCursor effectiveness (DESIGN.md §9): raw accesses recorded via
-    // the thread-local cursor, the subset its inline caches absorbed, and
-    // accesses that took the classic virtual-dispatch route.
-    std::uint64_t fast_accesses = 0, fast_hits = 0, slow_accesses = 0;
-    std::uint64_t cursor_spills = 0;
-    // Intervals, lock sub-records, AccessBuffer::add tail-probe outcomes and
-    // finalize route tallies (DESIGN.md §13), folded at seal time.
-    detect::SealTally seal;
+    std::uint64_t traces = 0;
+    // Raw accesses, cursor counters, strands and seal tallies (DESIGN.md
+    // §9, §13), folded into Stats at run end.
+    detect::CoreTally tally;
     // Pushes since the last check of the writer's parked count (pipelined
     // mode only; DESIGN.md §6.6).
     std::uint32_t wake_tick = 0;
@@ -174,12 +174,9 @@ class PintDetector final : public detect::Detector,
   void recycle_chunk(TraceChunk* c);
   void trace_push(CoreWS& ws, detect::Strand* s);
   void start_new_trace(CoreWS& ws);
-  void seal_strand(CoreWS& ws, detect::Strand* s);
-  /// Detaches the calling thread's AccessCursor from its strand `s`,
-  /// folding its drained counters into ws.  Must run before seal_strand()
-  /// of `s` (pending cursor intervals land in its sub-records, and its
-  /// current sub-record becomes the cursor's last lock lane).
-  void cursor_flush(CoreWS& ws, detect::Strand& s);
+  /// Detaches the calling thread's AccessCursor from `s`, then seals it.
+  /// Returns the lockset s ended under (what a continuation inherits).
+  detect::lockset_t seal_strand(CoreWS& ws, detect::Strand* s);
 
   // graceful degradation (allocation-failure paths)
   void note_oom(const char* what);
@@ -189,8 +186,9 @@ class PintDetector final : public detect::Detector,
 
   // access-history component
   void writer_loop();
-  void reader_loop();
-  void shard_loop(int shard);
+  /// Consumer lane k (the reader, or shard k): drains the queue through
+  /// history lane k + 1.
+  void consume_loop(int k);
   /// Collects ready strands from one worker's traces (bounded batch).
   /// Returns true if progress was made; sets *drained when nothing can ever
   /// come from this worker again.
@@ -198,11 +196,6 @@ class PintDetector final : public detect::Detector,
   void collect(detect::Strand* s);
   void process_writer(detect::Strand* s);
   void finish_history_sequential();
-  /// Drains one consumer lane's cursor against the queue; shared by
-  /// reader_loop and shard_loop.  `watch` is the lane's busy-time stopwatch.
-  template <class ProcessFn>
-  void consume_loop(ConsumerLane& lane, StopwatchAccum& watch,
-                    ProcessFn&& process);
   /// Wakes every parked lane (not batched): OOM waits, watchdog cancel.
   void wake_lanes();
 
@@ -216,11 +209,7 @@ class PintDetector final : public detect::Detector,
   detect::RaceReporter rep_;
   detect::Stats stats_;
   AhQueue queue_;
-  store::IntervalStore writer_treap_;
-  store::ReaderStore reader_treap_;
-  detect::GranuleMap writer_map_;
-  detect::ReaderGranuleMap reader_map_;
-  std::vector<std::unique_ptr<HistoryShard>> shards_;
+  detect::HistoryDriver<store::ReaderPair> history_;
 
   std::vector<std::unique_ptr<CoreWS>> ws_;
   rt::Scheduler* sched_ = nullptr;
@@ -241,17 +230,6 @@ class PintDetector final : public detect::Detector,
   /// Effective history mode for this run: starts as !opt_.parallel_history
   /// and flips to true if history-thread spawn fails (graceful fallback).
   bool seq_history_ = false;
-  /// What the lane stopwatches (CLOCK_THREAD_CPUTIME_ID, ~330 ns a read)
-  /// bracket.  Traced runs time each strand: the exported *.strand span
-  /// sums are documented to agree with the *_ns stats, which needs both to
-  /// bracket the same code.  Untraced runs hoist the reads out of the strand
-  /// loop: a pipelined lane times each drained batch (a writer scan that
-  /// collected something, a consumer head snapshot), and the phased one-core
-  /// mode times each lane's whole phase (finish_history_sequential).  Set
-  /// before the history threads are released (the gate orders it) or, in
-  /// phased mode, on the one thread that runs the phases.
-  enum class Watch : std::uint8_t { kStrand, kBatch, kPhase };
-  Watch watch_ = Watch::kStrand;
   /// Set by the watchdog's on-stall action (or an unsurvivable allocation
   /// wait): pipeline loops wind down promptly instead of spinning forever.
   std::atomic<bool> cancel_{false};
@@ -292,7 +270,6 @@ class PintDetector final : public detect::Detector,
   std::atomic<std::int64_t> chunks_outstanding_{0};
   std::atomic<std::int64_t> strands_outstanding_{0};
 
-  StopwatchAccum writer_watch_, reader_watch_;
   std::vector<reach::Engine::Label> collection_log_;  // writer-thread only
 };
 

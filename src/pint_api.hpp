@@ -80,8 +80,8 @@ inline const char* detector_kind_name(DetectorKind k) {
 /// detector that understands them and are ignored by the others.
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kPint;
-  /// Shared knobs, including detect::Tuning (bulk apply, access fast path,
-  /// lock edges) - see detect/run_result.hpp.
+  /// Shared knobs, including detect::Tuning (access fast path, lock
+  /// edges) - see detect/run_result.hpp.
   detect::CommonOptions common;
   /// Program workers: PINT core workers / C-RACER workers.  STINT and the
   /// oracle are sequential by construction and ignore it.

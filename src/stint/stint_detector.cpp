@@ -4,14 +4,15 @@
 #include <memory>
 
 #include "detect/instrument.hpp"
-#include "support/telemetry.hpp"
 
 namespace pint::stint {
 
 using detect::Strand;
 
 StintDetector::StintDetector(const Options& opt)
-    : opt_(opt) {
+    : opt_(opt),
+      history_(opt.history, 0, detect::Schedule::kInline, reach_, rep_,
+               stats_) {
   rep_.set_verbose(opt_.verbose_races);
 }
 
@@ -26,7 +27,7 @@ Strand* StintDetector::alloc_strand() {
     s = owned_.back().get();
   }
   s->reset(++next_sid_);
-  ++strands_;
+  ++tally_.strands;
   return s;
 }
 
@@ -35,87 +36,46 @@ void StintDetector::recycle_strand(Strand* s) {
   free_list_ = s;
 }
 
-void StintDetector::cursor_flush(Strand& s) {
-  const detect::CursorFlush fl = detect::detach_cursor(s);
-  raw_reads_ += fl.raw_reads;
-  raw_writes_ += fl.raw_writes;
-  fast_accesses_ += fl.raw_reads + fl.raw_writes;
-  fast_hits_ += fl.hits;
-  cursor_spills_ += fl.spills;
-}
-
 void StintDetector::process_strand(Strand* s) {
-  cursor_flush(*s);  // pending cursor intervals land in s before the seal
-  detect::seal_strand(*s, opt_.coalesce, seal_);
+  tally_.cursor_flush(*s);  // pending cursor intervals land in s first
+  detect::seal_strand(*s, opt_.coalesce, tally_.seal);
   // Empty-strand skip (DESIGN.md §13): no accesses, clears or frees means
-  // the history phases would be no-ops - skip their stopwatch reads and
+  // the history passes would be no-ops - skip their stopwatch reads and
   // spans entirely.
   if (!s->has_work()) {
     stats_.empty_strand_skips.fetch_add(1, std::memory_order_relaxed);
     recycle_strand(s);
     return;
   }
-  // STINT's history runs inline on the execution thread; the two spans make
-  // its writer/reader phases comparable with PINT's asynchronous tracks.
-  writer_watch_.start();
-  {
-    // Span nested inside the watch so the CPU-clock reads stay out of it
-    // (same reasoning as PintDetector::process_writer).
-    PINT_TSPAN("stint.writer");
-    if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
-    } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
-    }
-  }
-  writer_watch_.stop();
-  reader_watch_.start();
-  {
-    PINT_TSPAN("stint.reader");
-    if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_);
-    } else {
-      detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_);
-    }
-  }
-  reader_watch_.stop();
+  // STINT's history runs inline on the execution thread; its two lanes'
+  // spans make the writer/reader passes comparable with PINT's tracks.
+  history_.strand(history_.lane(0), *s);
+  history_.strand(history_.lane(1), *s);
   recycle_strand(s);
 }
 
 // --- lock events (DESIGN.md §12) ---------------------------------------
 
-// Reached only when the access cursor cannot switch lanes itself
-// (detect::note_lock_event).
 void StintDetector::on_lock_acquire(rt::Worker&, rt::TaskFrame& f,
                                     detect::addr_t lock) {
-  if (!opt_.tuning.lock_edges) return;
-  PINT_ASSERT(f.det_strand != nullptr);
-  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, true);
+  detect::CoreTally::lock_event(opt_.tuning.lock_edges,
+                                static_cast<Strand*>(f.det_strand), lock,
+                                true);
 }
 
 void StintDetector::on_lock_release(rt::Worker&, rt::TaskFrame& f,
                                     detect::addr_t lock) {
-  if (!opt_.tuning.lock_edges) return;
-  PINT_ASSERT(f.det_strand != nullptr);
-  detect::note_lock_event(*static_cast<Strand*>(f.det_strand), lock, false);
+  detect::CoreTally::lock_event(opt_.tuning.lock_edges,
+                                static_cast<Strand*>(f.det_strand), lock,
+                                false);
 }
 
 // --- memory events -----------------------------------------------------
 
 void StintDetector::on_access(rt::Worker&, rt::TaskFrame& f, detect::addr_t lo,
                               detect::addr_t hi, bool is_write) {
-  // Classic route: taken only when the AccessCursor fast path is disabled.
-  auto* s = static_cast<Strand*>(f.det_strand);
-  PINT_ASSERT(s != nullptr);
-  ++slow_accesses_;
-  detect::AccessBuffer& buf =
-      is_write ? s->active().writes : s->active().reads;
-  ++(is_write ? raw_writes_ : raw_reads_);
-  if (opt_.coalesce) {
-    buf.add(lo, hi);
-  } else {
-    buf.add_raw(lo, hi);
-  }
+  tally_.access(static_cast<Strand*>(f.det_strand), lo, hi, is_write,
+                opt_.coalesce);
 }
 
 void StintDetector::on_heap_free(rt::Worker&, rt::TaskFrame& f, void* base,
@@ -166,7 +126,7 @@ void StintDetector::on_spawn(rt::Worker&, rt::TaskFrame& parent,
   // does NOT hold the parent's mutexes - inheriting would hide real races).
   // u's current sub-record is its held lockset once the cursor hands back
   // its last lock lane.
-  cursor_flush(*u);
+  tally_.cursor_flush(*u);
   t->active().lsid = u->held();
   child.det_strand = g;
   parent.det_cont = t;
@@ -231,23 +191,10 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.total_ns.store(total.elapsed_ns());
   detect::set_active_detector(nullptr);
 
-  stats_.raw_reads.store(raw_reads_);
-  stats_.raw_writes.store(raw_writes_);
-  stats_.read_intervals.store(seal_.read_intervals);
-  stats_.write_intervals.store(seal_.write_intervals);
-  stats_.strands.store(strands_);
-  stats_.fastpath_accesses.store(fast_accesses_);
-  stats_.fastpath_hits.store(fast_hits_);
-  stats_.cursor_spills.store(cursor_spills_);
-  stats_.slowpath_accesses.store(slow_accesses_);
-  stats_.lock_splits.store(seal_.lock_splits);
-  stats_.tail_probe_hits.store(seal_.tail_hits);
-  stats_.tail_probe_misses.store(seal_.tail_misses);
-  stats_.finalize_sorted_skips.store(seal_.fin_sorted);
-  stats_.writer_ns.store(writer_watch_.total_ns());
-  stats_.lreader_ns.store(reader_watch_.total_ns());
-  stats_.core_ns.store(total.elapsed_ns() - writer_watch_.total_ns() -
-                       reader_watch_.total_ns());
+  tally_.fold(stats_);
+  history_.fold(stats_);
+  stats_.core_ns.store(stats_.total_ns.load() - stats_.writer_ns.load() -
+                       stats_.lreader_ns.load());
   stats_.export_telemetry();
   return {};
 }

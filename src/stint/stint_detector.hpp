@@ -11,7 +11,8 @@
 // reader replaces the stored one only when the stored one precedes it).
 //
 // Everything - race checks, inserts, stack clearing, heap frees - happens
-// inline at the end of each strand, on the single execution thread.
+// inline at the end of each strand, on the single execution thread: STINT
+// calls the history driver (detect/history_driver.hpp) at every seal.
 
 #include <cstdint>
 #include <functional>
@@ -19,14 +20,13 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/history.hpp"
+#include "detect/history_driver.hpp"
 #include "detect/report.hpp"
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
 #include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
-#include "support/timer.hpp"
 #include "store/interval_store.hpp"
 
 namespace pint::stint {
@@ -81,28 +81,17 @@ class StintDetector final : public detect::Detector,
   /// recycle the record.  Drains the execution thread's AccessCursor first
   /// (process_strand is only ever called on the current strand).
   void process_strand(detect::Strand* s);
-  /// Detaches the AccessCursor from `s` (detect::detach_cursor), folding
-  /// its counters.
-  void cursor_flush(detect::Strand& s);
 
   Options opt_;
   reach::Engine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
-  store::IntervalStore writer_treap_;
-  store::IntervalStore reader_treap_;
-  detect::GranuleMap writer_map_;
-  detect::GranuleMap reader_map_;
+  detect::HistoryDriver<store::Handle> history_;
 
   detect::Strand* free_list_ = nullptr;
   std::vector<std::unique_ptr<detect::Strand>> owned_;
   std::uint64_t next_sid_ = 0;
-  std::uint64_t raw_reads_ = 0, raw_writes_ = 0;
-  std::uint64_t strands_ = 0;
-  std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
-  std::uint64_t cursor_spills_ = 0;
-  detect::SealTally seal_;
-  StopwatchAccum writer_watch_, reader_watch_;
+  detect::CoreTally tally_;
   bool used_ = false;
 };
 

@@ -157,6 +157,7 @@ class BasicIntervalStore {
  public:
   using Payload = P;
   static constexpr std::uint32_t kLeaf = 16;  // segments per leaf
+  static constexpr std::uint32_t kFan = 32;   // children per internal node
   static constexpr std::size_t kSlots = sizeof(P) / sizeof(Handle);
 
   BasicIntervalStore() = default;
@@ -252,6 +253,9 @@ class BasicIntervalStore {
     return leaves_.live() * sizeof(Leaf) + inners_.live() * sizeof(Inner) +
            table_.bytes();
   }
+  /// Live leaves and internal nodes (fill accounting).
+  std::size_t leaf_count() const { return leaves_.live(); }
+  std::size_t inner_count() const { return inners_.live(); }
 
   /// In-order traversal of all stored intervals: cb(lo, hi, payload).
   template <class F>
@@ -271,7 +275,6 @@ class BasicIntervalStore {
   }
 
  private:
-  static constexpr std::uint32_t kFan = 32;   // children per internal node
   static constexpr int kMaxDepth = 12;        // > log_16(any reachable size)
 
   enum class Op { kWrite, kRead, kErase };
@@ -621,7 +624,8 @@ class BasicIntervalStore {
       return false;
     }
     if (n == 0 && height_ > 0) {
-      remove_leaf(c);
+      const int d = remove_leaf(c);
+      if (d > 0) merge_inner(c, d);
       return false;
     }
     shift(L, i + std::uint32_t(o), j, L->n - j);
@@ -715,8 +719,9 @@ class BasicIntervalStore {
   }
 
   /// Folds an under-quarter-full leaf into a sibling of the same parent when
-  /// the two fit in three quarters of a leaf.  Returns whether the cursor
-  /// survives (it does when the right sibling folds into L).
+  /// the two fit in three quarters of a leaf, then lets the parent fold the
+  /// same way (merge_inner).  Returns whether the cursor survives (it does
+  /// when the right sibling folds into L and no inner node folds).
   bool merge_small(Cursor* c) {
     constexpr std::uint32_t kFoldMax = kLeaf - kLeaf / 4;
     Inner* U = c->path[height_ - 1].node;
@@ -728,7 +733,7 @@ class BasicIntervalStore {
         append(L, R);
         remove_child(U, idx + 1);
         leaves_.give(R);
-        return true;
+        return merge_inner(c, height_ - 1);
       }
     }
     if (idx > 0) {
@@ -737,10 +742,49 @@ class BasicIntervalStore {
         append(S, L);
         remove_child(U, idx);
         leaves_.give(L);
+        merge_inner(c, height_ - 1);
         return false;
       }
     }
     return true;
+  }
+
+  /// The inner-node analogue, from path[d] upward: an under-quarter-full
+  /// node folds into a sibling of the same parent when the two fit in three
+  /// quarters of a node, and then its parent may fold in turn.  Without it
+  /// erases that thin the tree leave chains of one-child nodes behind.
+  /// Returns whether no node folded (the cursor's path is unchanged).
+  bool merge_inner(Cursor* c, int d) {
+    constexpr std::uint32_t kFoldMax = kFan - kFan / 4;
+    bool same = true;
+    for (; d > 0 && c->path[d].node->n <= kFan / 4; --d) {
+      Inner* U = c->path[d].node;
+      Inner* G = c->path[d - 1].node;
+      const std::uint32_t gi = c->path[d - 1].idx;
+      Inner* R = gi + 1 < G->n ? as_inner(G->child[gi + 1]) : nullptr;
+      Inner* S = gi > 0 ? as_inner(G->child[gi - 1]) : nullptr;
+      if (R != nullptr && U->n + R->n <= kFoldMax) {
+        append(U, G->key[gi], R);
+        remove_child(G, gi + 1);
+        inners_.give(R);
+      } else if (S != nullptr && S->n + U->n <= kFoldMax) {
+        append(S, G->key[gi - 1], U);
+        remove_child(G, gi);
+        inners_.give(U);
+      } else {
+        break;
+      }
+      same = false;
+    }
+    return same;
+  }
+
+  /// Appends src's children to dst; `sep` separates the two ranges.
+  static void append(Inner* dst, addr_t sep, const Inner* src) {
+    dst->key[dst->n - 1] = sep;
+    std::memcpy(&dst->key[dst->n], src->key, (src->n - 1) * sizeof(addr_t));
+    std::memcpy(&dst->child[dst->n], src->child, src->n * sizeof(void*));
+    dst->n += src->n;
   }
 
   static void append(Leaf* dst, const Leaf* src) {
@@ -771,7 +815,9 @@ class BasicIntervalStore {
   }
 
   /// Inserts `child` right after path[d]'s child, separated by `key`,
-  /// splitting full nodes upward.
+  /// splitting full nodes upward.  A full node splits evenly, except when
+  /// the new child lands past its last one (an ascending append, as at a
+  /// leaf): then it stays full and the new node starts with that child.
   void insert_child(Cursor* c, int d, addr_t key, void* child) {
     Inner* N = c->path[d].node;
     const std::uint32_t pos = c->path[d].idx + 1;
@@ -793,7 +839,7 @@ class BasicIntervalStore {
     for (std::uint32_t k = 0, s = 0; k < kFan; ++k) {
       keys[k] = k == pos - 1 ? key : N->key[s++];
     }
-    constexpr std::uint32_t h = (kFan + 1) / 2;  // children kept in N
+    const std::uint32_t h = pos == kFan ? kFan : (kFan + 1) / 2;  // kept in N
     Inner* M = inners_.take();
     N->n = h;
     std::memcpy(N->child, kids, h * sizeof(void*));
@@ -831,16 +877,19 @@ class BasicIntervalStore {
   }
 
   /// Unlinks and frees the cursor's leaf and every ancestor it empties.
-  void remove_leaf(Cursor* c) {
+  /// Returns the depth of the ancestor that lost a child and survived, or
+  /// -1 when the store emptied.
+  int remove_leaf(Cursor* c) {
     leaves_.give(c->leaf);
     for (int d = height_ - 1; d >= 0; --d) {
       Inner* in = c->path[d].node;
       remove_child(in, c->path[d].idx);
-      if (in->n > 0) return;
+      if (in->n > 0) return d;
       inners_.give(in);
     }
     root_ = nullptr;
     height_ = 0;
+    return -1;
   }
 
   void collapse_root() {

@@ -1,18 +1,14 @@
 // Equivalence regression for the bulk sorted-run apply (DESIGN.md §10): the
-// *_run store operations and the batched history-lane consumption must be
-// invisible to detection results.  Checked at three strengths:
-//
-//  * store unit tests: randomized interleaved runs/erases compare the run
-//    API against per-interval loops - exact callback/resolver sequences,
-//    final contents and invariants - plus targeted edge shapes (segments
-//    spanning several run intervals, runs ending at kMaxAddr, the
-//    no-cross-interval coalescing rule, the GranuleMap shims);
-//  * deterministic detectors (STINT, phased one-core PINT): full race
-//    RECORDS are bit-identical with the bulk knob on vs off;
-//  * pipelined / sharded PINT: the distinct count always matches and the
-//    pair set matches whenever the reporter cap was not hit (same caveat as
-//    test_access_path.cpp - sharded mode interleaves the three stores per
-//    batch, which moves records() sampling order but never the set).
+// *_run store operations must be invisible to detection results.  The
+// store tests are the reference: randomized interleaved runs/erases compare
+// the run API against per-interval loops - exact callback/resolver
+// sequences, final contents and invariants - plus targeted edge shapes
+// (segments spanning several run intervals, runs ending at kMaxAddr, the
+// no-cross-interval coalescing rule, the GranuleMap shims).  The detector
+// tests check the one apply path against the oracle's verdict in every
+// history schedule, and the per-interval route (raw, non-canonical lists)
+// against the run route.  tests/test_history.cpp holds the driver's
+// schedule-equivalence test.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +20,7 @@
 
 #include "common.hpp"
 #include "detect/granule_map.hpp"
-#include "detect/history.hpp"
 #include "kernels/kernels.hpp"
-#include "pint/sharded_history.hpp"
 #include "store/interval_store.hpp"
 
 using namespace pint;
@@ -320,102 +314,15 @@ TEST(GranuleMapRunShims, MatchPerIntervalLoops) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-detector equivalence (bulk knob on vs off)
+// Whole detectors: the one apply path against the oracle and the verdict
 // ---------------------------------------------------------------------------
 
-// RAII: tests flip the global bulk-apply knob; never leak the setting.
-struct BulkGuard {
-  bool saved = detect::bulk_apply();
-  ~BulkGuard() { detect::set_bulk_apply(saved); }
-};
-
-// History-layer twin: one strand sequence applied to the role stores and
-// to two shards, bulk on and off.  With bulk off a sub-record is handed to
-// its stores one interval (a shard: one piece) at a time, and the shards
-// intern it per call; the reuse of the last table entry must leave the
-// same tables as the run path, one entry per sub-record and store.
-struct HistoryTables {
-  std::vector<std::size_t> sizes;  // writer, reader, then each shard's two
-  std::uint64_t distinct = 0, queries = 0;
-};
-
-HistoryTables apply_history(bool bulk, std::uint64_t nstrands) {
-  BulkGuard g;
-  detect::set_bulk_apply(bulk);
-  reach::Engine reach;
-  detect::RaceReporter rep;
-  detect::Stats stats;
-  store::IntervalStore writer;
-  store::ReaderStore reader;
-  pintd::HistoryShard shards[2];
-  detect::SealTally tally;
-  const detect::lockset_t guarded =
-      detect::LocksetTable::instance().acquire(0, 0x1000);
-  Xoshiro256 rng(3);
-  reach::Engine::Label cont = reach.root_label();
-  std::vector<std::unique_ptr<detect::Strand>> strands;
-  for (std::uint64_t i = 1; i <= nstrands; ++i) {
-    reach::Engine::Label sync;
-    const reach::Engine::SpawnLabels l = reach.on_spawn(cont, &sync);
-    cont = l.cont;
-    auto s = std::make_unique<detect::Strand>();
-    s->reset(i);
-    s->label = l.child;
-    for (const detect::lockset_t lsid : {detect::lockset_t(0), guarded}) {
-      s->enter(lsid);
-      // Short intervals over four 64 KiB stripes: many per sub-record, and
-      // each shard sees several pieces of most lists.
-      for (int k = 0; k < 12; ++k) {
-        const std::uint64_t lo = rng.next_below(4 * pintd::kShardStripeBytes);
-        const std::uint64_t hi = lo + rng.next_below(64);
-        if (rng.next_below(2) == 0) {
-          s->active().reads.add(lo, hi);
-        } else {
-          s->active().writes.add(lo, hi);
-        }
-      }
-    }
-    detect::seal_strand(*s, true, tally);
-    detect::process_writer_treap(writer, *s, reach, rep, stats);
-    detect::process_reader_treap(reader, *s, reach, rep, stats);
-    for (int k = 0; k < 2; ++k) shards[k].process(*s, k, 2, reach, rep, stats);
-    strands.push_back(std::move(s));
-  }
-  HistoryTables out;
-  out.sizes = {writer.table().size(), reader.table().size()};
-  for (const pintd::HistoryShard& sh : shards) {
-    out.sizes.push_back(sh.writer.table().size());
-    out.sizes.push_back(sh.reader.table().size());
-  }
-  out.distinct = rep.distinct_races();
-  out.queries = stats.reach_queries.load();
-  return out;
-}
-
-TEST(HistoryBulkApply, BulkOnAndOffEndWithEqualTables) {
-  constexpr std::uint64_t kStrands = 300;
-  const HistoryTables on = apply_history(true, kStrands);
-  const HistoryTables off = apply_history(false, kStrands);
-  EXPECT_EQ(on.sizes, off.sizes);
-  EXPECT_EQ(on.distinct, off.distinct);
-  EXPECT_EQ(on.queries, off.queries);
-  EXPECT_GT(on.distinct, 0u);
-  for (const std::size_t n : on.sizes) {
-    EXPECT_GT(n, kStrands);      // both sub-records of most strands
-    EXPECT_LE(n, 2 * kStrands);  // never more than one per sub-record
-  }
-}
-
-// Full record: (prev_sid, cur_sid, prev_write, cur_write, lo, hi).
-using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
-                              std::uint64_t, std::uint64_t>;
 using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
 enum class Sys { kStint, kStintMap, kPintSeq, kPint1, kShard3 };
 
 struct RunOut {
-  std::vector<FullRecord> rebased;  // sorted, addresses rebased to run min
-  std::vector<PairKey> pairs;       // sorted + deduped
+  std::vector<PairKey> pairs;  // sorted + deduped
   std::uint64_t distinct = 0;
   std::uint64_t dropped = 0;
   detect::Stats::Snapshot stats{};
@@ -423,12 +330,7 @@ struct RunOut {
 
 RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
   RunOut out;
-  std::uint64_t min_lo = ~std::uint64_t(0);
-  std::vector<FullRecord> full;
   for (const detect::RaceRecord& r : rep.records()) {
-    full.push_back(
-        {r.prev_sid, r.cur_sid, r.prev_write, r.cur_write, r.lo, r.hi});
-    min_lo = std::min(min_lo, r.lo);
     std::uint64_t a = r.prev_sid, b = r.cur_sid;
     int aw = r.prev_write, bw = r.cur_write;
     if (a > b) {
@@ -436,12 +338,6 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
       std::swap(aw, bw);
     }
     out.pairs.push_back({a, b, aw, bw});
-  }
-  std::sort(full.begin(), full.end());
-  out.rebased = std::move(full);
-  for (auto& [ps, cs, pw, cw, lo, hi] : out.rebased) {
-    lo -= min_lo;
-    hi -= min_lo;
   }
   std::sort(out.pairs.begin(), out.pairs.end());
   out.pairs.erase(std::unique(out.pairs.begin(), out.pairs.end()),
@@ -452,10 +348,8 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
   return out;
 }
 
-RunOut run_config(Sys sys, bool bulk, const std::function<void()>& body,
+RunOut run_config(Sys sys, const std::function<void()>& body,
                   bool coalesce = true, std::uint64_t seed = 7) {
-  BulkGuard g;
-  detect::set_bulk_apply(bulk);
   if (sys == Sys::kStint || sys == Sys::kStintMap) {
     stint::StintDetector::Options o;
     o.seed = seed;
@@ -471,8 +365,8 @@ RunOut run_config(Sys sys, bool bulk, const std::function<void()>& body,
   o.parallel_history = sys != Sys::kPintSeq;
   // One core worker always: with 2+, work stealing makes strand ids
   // nondeterministic and the pair sets incomparable across runs.  The
-  // bulk-sensitive machinery under test (history lanes / shard workers)
-  // is fully parallel regardless.
+  // history lanes / shard workers under test are fully parallel
+  // regardless.
   o.core_workers = 1;
   if (sys == Sys::kShard3) o.history_shards = 3;
   pintd::PintDetector det(o);
@@ -482,48 +376,42 @@ RunOut run_config(Sys sys, bool bulk, const std::function<void()>& body,
 
 class KernelBulkApply : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(KernelBulkApply, BulkIsBitIdenticalOnDeterministicDetectors) {
+// Every history schedule of the seeded kernel gives the oracle's verdict;
+// the deterministic ones take the run path (canonical lists), and the
+// pipelined and sharded PINT histories report the phased one's races.
+TEST_P(KernelBulkApply, EveryScheduleMatchesTheOracleVerdict) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.1;
   cfg.seeded_race = true;  // non-trivial race sets to compare
-  for (Sys sys : {Sys::kStint, Sys::kStintMap, Sys::kPintSeq}) {
-    auto fresh = [&] {
-      auto k = kernels::make_kernel(GetParam(), cfg);
-      k->prepare();
-      return k;
-    };
-    auto kb = fresh();
-    const RunOut on = run_config(sys, true, [&] { kb->run(); });
-    auto kp = fresh();
-    const RunOut off = run_config(sys, false, [&] { kp->run(); });
-    EXPECT_EQ(on.rebased, off.rebased)
-        << "bulk on/off records diverge, sys=" << int(sys);
-    EXPECT_EQ(on.distinct, off.distinct);
-    // The route split must be total: runs counted with the knob on, none
-    // with it off, and the interval totals must cover at least the runs.
-    EXPECT_GT(on.stats.bulk_runs, 0u) << "sys=" << int(sys);
-    EXPECT_GE(on.stats.bulk_run_intervals, on.stats.bulk_runs);
-    EXPECT_EQ(off.stats.bulk_runs, 0u);
+  auto fresh = [&] {
+    auto k = kernels::make_kernel(GetParam(), cfg);
+    k->prepare();
+    return k;
+  };
+  bool oracle_race = false;
+  {
+    auto k = fresh();
+    oracle::OracleDetector det;
+    det.run([&] { k->run(); });
+    oracle_race = det.any_race();
   }
-}
-
-TEST_P(KernelBulkApply, PipelinedAndShardedAgreeOnTheVerdict) {
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  for (Sys sys : {Sys::kPint1, Sys::kShard3}) {
-    auto fresh = [&] {
-      auto k = kernels::make_kernel(GetParam(), cfg);
-      k->prepare();
-      return k;
-    };
-    auto kb = fresh();
-    const RunOut on = run_config(sys, true, [&] { kb->run(); });
-    auto kp = fresh();
-    const RunOut off = run_config(sys, false, [&] { kp->run(); });
-    EXPECT_EQ(on.distinct, off.distinct) << "sys=" << int(sys);
-    if (on.dropped == 0 && off.dropped == 0) {
-      EXPECT_EQ(on.pairs, off.pairs) << "sys=" << int(sys);
+  EXPECT_TRUE(oracle_race);
+  RunOut phased;
+  for (Sys sys :
+       {Sys::kStint, Sys::kStintMap, Sys::kPintSeq, Sys::kPint1, Sys::kShard3}) {
+    auto k = fresh();
+    const RunOut out = run_config(sys, [&] { k->run(); });
+    EXPECT_EQ(out.distinct > 0, oracle_race) << "sys=" << int(sys);
+    if (sys == Sys::kStint || sys == Sys::kStintMap || sys == Sys::kPintSeq) {
+      EXPECT_GT(out.stats.bulk_runs, 0u) << "sys=" << int(sys);
+      EXPECT_GE(out.stats.bulk_run_intervals, out.stats.bulk_runs);
+    }
+    if (sys == Sys::kPintSeq) phased = out;
+    if (sys == Sys::kPint1 || sys == Sys::kShard3) {
+      EXPECT_EQ(out.distinct, phased.distinct) << "sys=" << int(sys);
+      if (out.dropped == 0 && phased.dropped == 0) {
+        EXPECT_EQ(out.pairs, phased.pairs) << "sys=" << int(sys);
+      }
     }
   }
 }
@@ -533,7 +421,7 @@ TEST_P(KernelBulkApply, RaceFreeKernelStaysRaceFreeUnderBulk) {
   cfg.scale = 0.1;
   auto k = kernels::make_kernel(GetParam(), cfg);
   k->prepare();
-  const RunOut out = run_config(Sys::kShard3, true, [&] { k->run(); });
+  const RunOut out = run_config(Sys::kShard3, [&] { k->run(); });
   EXPECT_EQ(out.distinct, 0u) << "bulk apply introduced a false race";
   EXPECT_TRUE(k->verify());
 }
@@ -544,7 +432,10 @@ INSTANTIATE_TEST_SUITE_P(All, KernelBulkApply,
 
 // Random series-parallel programs: denser spawn/sync structure and irregular
 // interval lists (single-interval and empty records mixed with long runs).
-TEST(RandomProgramBulkApply, BulkOnOffAgreeAndMatchTheOracle) {
+// Coalescing off leaves raw (non-canonical) buffers, which the driver hands
+// to the stores one interval at a time: both routes must give the oracle's
+// verdict and the same race pairs.
+TEST(RandomProgramBulkApply, RunAndPerIntervalRoutesMatchTheOracle) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     test::ProgramConfig pc;
     auto prog = test::ProgramGen(seed, pc).generate();
@@ -553,31 +444,20 @@ TEST(RandomProgramBulkApply, BulkOnOffAgreeAndMatchTheOracle) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    // Same pool every run: records compare at absolute addresses, so the
-    // rebase is the identity and the comparison is fully bit-exact.
-    const RunOut on = run_config(Sys::kStint, true, body);
-    const RunOut off = run_config(Sys::kStint, false, body);
-    EXPECT_EQ(on.rebased, off.rebased) << "seed=" << seed;
-    EXPECT_EQ(on.distinct, off.distinct) << "seed=" << seed;
-    // Coalescing off leaves raw (non-canonical) buffers: the run API must
-    // gate itself off and still agree with the per-record path.
-    const RunOut raw_on = run_config(Sys::kStint, true, body, false);
-    const RunOut raw_off = run_config(Sys::kStint, false, body, false);
-    EXPECT_EQ(raw_on.rebased, raw_off.rebased) << "seed=" << seed;
-    EXPECT_EQ(on.distinct > 0,
-              test::oracle_any_race(*p, test::program_pool_bytes(pc)))
+    const bool oracle_race =
+        test::oracle_any_race(*p, test::program_pool_bytes(pc));
+    const RunOut runs = run_config(Sys::kStint, body);
+    const RunOut raw = run_config(Sys::kStint, body, false);
+    EXPECT_EQ(runs.distinct > 0, oracle_race) << "seed=" << seed;
+    EXPECT_EQ(raw.distinct > 0, oracle_race) << "seed=" << seed;
+    EXPECT_EQ(runs.distinct, raw.distinct) << "seed=" << seed;
+    if (runs.dropped == 0 && raw.dropped == 0) {
+      EXPECT_EQ(runs.pairs, raw.pairs) << "seed=" << seed;
+    }
+    // Only single-interval raw lists are canonical: every run holds one.
+    EXPECT_EQ(raw.stats.bulk_run_intervals, raw.stats.bulk_runs)
         << "seed=" << seed;
   }
-}
-
-TEST(BulkKnob, DefaultsOnAndGuardsRestore) {
-  EXPECT_TRUE(detect::bulk_apply());  // paper-faithful default
-  {
-    BulkGuard g;
-    detect::set_bulk_apply(false);
-    EXPECT_FALSE(detect::bulk_apply());
-  }
-  EXPECT_TRUE(detect::bulk_apply());
 }
 
 }  // namespace

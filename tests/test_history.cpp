@@ -1,16 +1,20 @@
-// Typed tests for the strand-processing semantics (detect/history.hpp):
-// identical behaviour is required from the interval treap and the granule
-// map, and from the address-sharded composition (pint/sharded_history.hpp).
+// Typed tests for the strand-processing semantics (detect/history.hpp),
+// applied through the history driver (detect/history_driver.hpp):
+// identical behaviour is required from the interval store and the granule
+// map, and from every schedule the driver serves - role lanes, both roles
+// at once, and the address-sharded stripes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
-#include "detect/granule_map.hpp"
-#include "detect/history.hpp"
-#include "pint/sharded_history.hpp"
+#include "detect/history_driver.hpp"
 #include "store/interval_store.hpp"
+#include "support/rng.hpp"
 
 using namespace pint;
 using detect::Strand;
@@ -55,27 +59,17 @@ void add_write(Strand* s, std::uint64_t lo, std::uint64_t hi) {
 
 }  // namespace
 
-/// The two stores of one history kind: last writer and two-sided reader.
-struct TreapStores {
-  using Writer = store::IntervalStore;
-  using Reader = store::ReaderStore;
-};
-struct MapStores {
-  using Writer = detect::GranuleMap;
-  using Reader = detect::ReaderGranuleMap;
-};
+template <detect::HistoryKind K>
+using Kind = std::integral_constant<detect::HistoryKind, K>;
 
-template <class Stores>
+template <class K>
 class HistoryStore : public ::testing::Test {
  public:
-  typename Stores::Writer writer_store;
-  typename Stores::Reader reader_store;
   HistoryFixture fx;
+  detect::HistoryDriver<store::ReaderPair> history{
+      K::value, 0, detect::Schedule::kPhased, fx.reach, fx.rep, fx.stats};
 
-  void process(Strand* s) {
-    detect::process_writer_treap(writer_store, *s, fx.reach, fx.rep, fx.stats);
-    detect::process_reader_treap(reader_store, *s, fx.reach, fx.rep, fx.stats);
-  }
+  void process(Strand* s) { history.apply(*s, detect::kBothRoles, 0); }
 
   /// The one distinct race reported so far must be `prev` read vs `cur`
   /// write: it names which retained reader caught it.
@@ -90,7 +84,8 @@ class HistoryStore : public ::testing::Test {
   }
 };
 
-using StoreKinds = ::testing::Types<TreapStores, MapStores>;
+using StoreKinds = ::testing::Types<Kind<detect::HistoryKind::kTreap>,
+                                    Kind<detect::HistoryKind::kGranuleMap>>;
 TYPED_TEST_SUITE(HistoryStore, StoreKinds);
 
 TYPED_TEST(HistoryStore, ParallelWriteWriteRaces) {
@@ -264,11 +259,9 @@ TYPED_TEST(HistoryStore, OneReaderStrandCostsOneReachQuery) {
   add_read(b.child, 0, 7);
   add_write(b.cont, 0, 7);
   this->process(b.child);
-  detect::process_writer_treap(this->writer_store, *b.cont, fx.reach, fx.rep,
-                               fx.stats);
+  this->history.apply(*b.cont, detect::kWriterRole, 0);
   const std::uint64_t before = fx.stats.reach_queries.load();
-  detect::process_reader_treap(this->reader_store, *b.cont, fx.reach, fx.rep,
-                               fx.stats);
+  this->history.apply(*b.cont, detect::kReaderRole, 0);
   EXPECT_EQ(fx.stats.reach_queries.load() - before, 1u);
   this->expect_only_race(b.child, b.cont);
 }
@@ -288,19 +281,20 @@ TYPED_TEST(HistoryStore, SerialReaderAfterParallelSetReplaces) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded composition equivalence
+// Schedule equivalence: role lanes, both roles, stripes
 // ---------------------------------------------------------------------------
 
 TEST(ShardedHistory, PieceDecompositionCoversExactly) {
   // The shard pieces of [lo, hi] across all shards must partition it.
-  const std::uint64_t lo = 3 * pintd::kShardStripeBytes - 17;
-  const std::uint64_t hi = 7 * pintd::kShardStripeBytes + 123;
+  const std::uint64_t lo = 3 * detect::kShardStripeBytes - 17;
+  const std::uint64_t hi = 7 * detect::kShardStripeBytes + 123;
   for (int n : {1, 2, 3, 4, 8}) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pieces;
     for (int k = 0; k < n; ++k) {
-      pintd::for_shard_pieces(lo, hi, k, n, [&](std::uint64_t a, std::uint64_t b) {
-        pieces.push_back({a, b});
-      });
+      detect::for_shard_pieces(lo, hi, k, n,
+                               [&](std::uint64_t a, std::uint64_t b) {
+                                 pieces.push_back({a, b});
+                               });
     }
     std::sort(pieces.begin(), pieces.end());
     ASSERT_FALSE(pieces.empty());
@@ -312,63 +306,160 @@ TEST(ShardedHistory, PieceDecompositionCoversExactly) {
   }
 }
 
-TEST(ShardedHistory, MatchesRoleWorkersOnScriptedStrands) {
-  // Apply the same strand sequence to (a) the two role stores and (b) 3
-  // shards; both must reach the same any-race verdict on a spread of
-  // scripted conflict patterns.
-  for (int variant = 0; variant < 6; ++variant) {
-    HistoryFixture fx_a, fx_b;
-    store::IntervalStore w;
-    store::ReaderStore r;
-    pintd::HistoryShard s0, s1, s2;
-    pintd::HistoryShard* shards[3] = {&s0, &s1, &s2};
+namespace {
 
-    auto drive = [&](HistoryFixture& fx, auto&& apply) {
-      Strand* u = fx.root();
-      auto b = fx.spawn_from(u);
-      const std::uint64_t base = pintd::kShardStripeBytes;  // cross stripes
-      const std::uint64_t span = 3 * pintd::kShardStripeBytes;
-      switch (variant) {
-        case 0:  // overlapping parallel writes across stripes
-          add_write(b.child, base, base + span);
-          add_write(b.cont, base + span / 2, base + span + span / 2);
-          break;
-        case 1:  // disjoint parallel writes
-          add_write(b.child, base, base + span);
-          add_write(b.cont, base + 2 * span, base + 3 * span);
-          break;
-        case 2:  // read vs parallel write, small overlap at a stripe edge
-          add_read(b.child, base, 2 * base - 1);
-          add_write(b.cont, 2 * base - 8, 2 * base + 8);
-          break;
-        case 3:  // series through the sync node
-          add_write(b.child, base, base + span);
-          add_write(b.sync, base, base + span);
-          break;
-        case 4:  // clears break the history
-          add_write(b.child, base, base + span);
-          b.child->clears.push_back({base, base + span});
-          add_write(b.cont, base, base + span);
-          break;
-        default:  // parallel read-read
-          add_read(b.child, base, base + span);
-          add_read(b.cont, base, base + span);
-          break;
+using PintHistory = detect::HistoryDriver<store::ReaderPair>;
+
+/// A scripted sealed-strand sequence in DAG-conforming order: blocks of
+/// parallel children plus the block's last continuation, each block
+/// closed by a sync strand in series after all of them.  Accesses spread
+/// over four stripes, under two locksets, with stack clears and frees.
+std::vector<Strand*> scripted_strands(HistoryFixture& fx, bool coalesce) {
+  const detect::lockset_t guarded =
+      detect::LocksetTable::instance().acquire(0, 0x1000);
+  Xoshiro256 rng(11);
+  detect::SealTally tally;
+  std::vector<Strand*> out;
+  auto record = [&](Strand* s) {
+    for (const detect::lockset_t lsid : {guarded, detect::lockset_t(0)}) {
+      s->enter(lsid);
+      for (int k = 0; k < 10; ++k) {
+        const std::uint64_t lo = rng.next_below(4 * detect::kShardStripeBytes);
+        const std::uint64_t hi = lo + rng.next_below(3000);
+        detect::AccessBuffer& buf = rng.next_below(2) == 0
+                                        ? s->active().reads
+                                        : s->active().writes;
+        if (coalesce) {
+          buf.add(lo, hi);
+        } else {
+          buf.add_raw(lo, hi);
+        }
       }
-      apply(fx, b.child);
-      apply(fx, b.cont);
-      apply(fx, b.sync);
+    }
+    if (rng.next_below(4) == 0) {
+      const std::uint64_t lo = rng.next_below(4 * detect::kShardStripeBytes);
+      s->clears.push_back({lo, lo + rng.next_below(1 << 17)});
+    }
+    if (rng.next_below(4) == 0) {
+      const std::uint64_t lo = rng.next_below(4 * detect::kShardStripeBytes);
+      s->frees.push_back({nullptr, lo, lo + rng.next_below(512)});
+    }
+    detect::seal_strand(*s, coalesce, tally);
+    out.push_back(s);
+  };
+  reach::Engine::Label cont = fx.reach.root_label();
+  for (int block = 0; block < 6; ++block) {
+    Strand* sync = fx.strand({});
+    for (int c = 0; c < 3; ++c) {
+      const auto l = fx.reach.on_spawn(cont, &sync->label);
+      record(fx.strand(l.child));
+      cont = l.cont;
+    }
+    record(fx.strand(cont));
+    record(sync);
+    cont = sync->label;
+  }
+  return out;
+}
+
+/// One schedule's outcome: its race pairs and its stores' segments, split
+/// at stripe boundaries and concatenated over the stripes in address order.
+struct Outcome {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, int, int>> races;
+  std::uint64_t distinct = 0, dropped = 0;
+  // (lo, hi, sid, lsid) and (lo, hi, left sid, left lsid, right sid,
+  // right lsid).
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t>>
+      writer;
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, std::uint64_t>>
+      reader;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+template <class F>
+void split_at_stripes(std::uint64_t lo, std::uint64_t hi, F&& fn) {
+  detect::for_shard_pieces(lo, hi, 0, 1, fn);
+}
+
+Outcome outcome_of(const HistoryFixture& fx, const PintHistory& h,
+                   int nstripes) {
+  Outcome o;
+  for (const detect::RaceRecord& r : fx.rep.records()) {
+    o.races.push_back({r.prev_sid, r.cur_sid, r.prev_write, r.cur_write});
+  }
+  std::sort(o.races.begin(), o.races.end());
+  o.distinct = fx.rep.distinct_races();
+  o.dropped = fx.rep.dropped_records();
+  for (int k = 0; k < nstripes; ++k) {
+    h.inspect(k, [&](const store::IntervalStore& w,
+                     const store::ReaderStore& r) {
+      w.for_each([&](std::uint64_t lo, std::uint64_t hi, store::Handle x) {
+        const store::Accessor& a = w.table()[x];
+        split_at_stripes(lo, hi, [&](std::uint64_t a_lo, std::uint64_t a_hi) {
+          o.writer.push_back({a_lo, a_hi, a.sid, a.lsid});
+        });
+      });
+      r.for_each([&](std::uint64_t lo, std::uint64_t hi,
+                     const store::ReaderPair& p) {
+        const store::Accessor& l = r.table()[p.left];
+        const store::Accessor& rt = r.table()[p.right];
+        split_at_stripes(lo, hi, [&](std::uint64_t a_lo, std::uint64_t a_hi) {
+          o.reader.push_back({a_lo, a_hi, l.sid, l.lsid, rt.sid, rt.lsid});
+        });
+      });
+    });
+  }
+  std::sort(o.writer.begin(), o.writer.end());
+  std::sort(o.reader.begin(), o.reader.end());
+  return o;
+}
+
+}  // namespace
+
+TEST(HistoryDriver, EverySchedulePicksTheSameRacesAndSegments) {
+  // One scripted sequence through (a) role lanes - the writer pass over
+  // every strand, then the reader pass, as phased PINT runs them; (b) both
+  // roles per strand; (c) 2, 3 and 4 stripes, each stripe's lane applying
+  // both roles to every strand.  Each must report the same races and leave
+  // the same segments.  With coalescing off the lists are not canonical
+  // and go to the stores one interval at a time.
+  for (const bool coalesce : {true, false}) {
+    HistoryFixture script;
+    const std::vector<Strand*> strands = scripted_strands(script, coalesce);
+    auto run = [&](int shards, auto&& schedule) {
+      HistoryFixture fx;
+      PintHistory h(detect::HistoryKind::kTreap, shards,
+                    detect::Schedule::kPhased, script.reach, fx.rep,
+                    fx.stats);
+      schedule(h);
+      return outcome_of(fx, h, shards == 0 ? 1 : shards);
     };
-
-    drive(fx_a, [&](HistoryFixture& fx, Strand* s) {
-      detect::process_writer_treap(w, *s, fx.reach, fx.rep, fx.stats);
-      detect::process_reader_treap(r, *s, fx.reach, fx.rep, fx.stats);
+    const Outcome roles = run(0, [&](PintHistory& h) {
+      for (Strand* s : strands) h.apply(*s, detect::kWriterRole, 0);
+      for (Strand* s : strands) h.apply(*s, detect::kReaderRole, 0);
     });
-    drive(fx_b, [&](HistoryFixture& fx, Strand* s) {
-      for (int k = 0; k < 3; ++k) {
-        shards[k]->process(*s, k, 3, fx.reach, fx.rep, fx.stats);
-      }
+    ASSERT_GT(roles.distinct, 0u);
+    ASSERT_EQ(roles.dropped, 0u);  // the race sets compare in full
+    ASSERT_FALSE(roles.writer.empty());
+    ASSERT_FALSE(roles.reader.empty());
+    const Outcome both = run(0, [&](PintHistory& h) {
+      for (Strand* s : strands) h.apply(*s, detect::kBothRoles, 0);
     });
-    EXPECT_EQ(fx_a.rep.any(), fx_b.rep.any()) << "variant=" << variant;
+    EXPECT_EQ(both, roles) << "coalesce=" << coalesce;
+    for (int n : {2, 3, 4}) {
+      const Outcome striped = run(n, [&](PintHistory& h) {
+        for (int k = 0; k < n; ++k) {
+          for (Strand* s : strands) h.apply(*s, detect::kBothRoles, k);
+        }
+      });
+      EXPECT_EQ(striped.races, roles.races)
+          << "stripes=" << n << " coalesce=" << coalesce;
+      EXPECT_EQ(striped.distinct, roles.distinct) << "stripes=" << n;
+      EXPECT_EQ(striped.writer, roles.writer) << "stripes=" << n;
+      EXPECT_EQ(striped.reader, roles.reader) << "stripes=" << n;
+    }
   }
 }

@@ -364,7 +364,6 @@ TEST(Retention, BackToBackInstancesReturnTheHeap) {
 
 TEST(TuningKnobs, DefaultsMatchTheDocumentedContract) {
   const detect::Tuning t;
-  EXPECT_TRUE(t.bulk_apply);
   EXPECT_TRUE(t.access_fast_path);
   EXPECT_TRUE(t.lock_edges);
 }

@@ -332,12 +332,12 @@ TEST(LockAblation, EnvSpecTogglesLockEdges) {
   EXPECT_FALSE(t.lock_edges);
   t = detect::Tuning::parse("locks=on,memo=off", t);
   EXPECT_TRUE(t.lock_edges);
-  // The removed knobs' keys (cursor=, memo=, simd=, arena=) are ignored
-  // (warn-once); the other keys apply.
+  // The removed knobs' keys (cursor=, memo=, simd=, arena=, bulk=) are
+  // ignored (warn-once); the other keys apply.
   detect::Tuning want;
   want.lock_edges = false;
   EXPECT_EQ(detect::Tuning::parse(
-                "cursor=wide,memo=off,locks=off,simd=off,arena=off",
+                "cursor=wide,memo=off,locks=off,simd=off,arena=off,bulk=off",
                 detect::Tuning{}),
             want);
   EXPECT_EQ(detect::Tuning::parse("memo=on", detect::Tuning{}),

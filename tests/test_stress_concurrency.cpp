@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "common.hpp"
+#include "detect/history_driver.hpp"
 #include "detect/strand.hpp"
 #include "kernels/kernels.hpp"
 #include "pint/ah_queue.hpp"
-#include "pint/sharded_history.hpp"
 
 using namespace pint;
 
@@ -210,17 +210,18 @@ void check_piece_tiling(detect::addr_t lo, detect::addr_t hi, int nshards) {
   };
   std::vector<Piece> pieces;
   for (int shard = 0; shard < nshards; ++shard) {
-    pintd::for_shard_pieces(lo, hi, shard, nshards,
-                            [&](detect::addr_t plo, detect::addr_t phi) {
-                              pieces.push_back({plo, phi});
-                              // Piece lies in one stripe owned by `shard`.
-                              EXPECT_LE(plo, phi);
-                              EXPECT_EQ(plo / pintd::kShardStripeBytes,
-                                        phi / pintd::kShardStripeBytes);
-                              EXPECT_EQ(int((plo / pintd::kShardStripeBytes) %
-                                            std::uint64_t(nshards)),
-                                        shard);
-                            });
+    detect::for_shard_pieces(lo, hi, shard, nshards,
+                             [&](detect::addr_t plo, detect::addr_t phi) {
+                               pieces.push_back({plo, phi});
+                               // Piece lies in one stripe owned by `shard`.
+                               EXPECT_LE(plo, phi);
+                               EXPECT_EQ(plo / detect::kShardStripeBytes,
+                                         phi / detect::kShardStripeBytes);
+                               EXPECT_EQ(
+                                   int((plo / detect::kShardStripeBytes) %
+                                       std::uint64_t(nshards)),
+                                   shard);
+                             });
   }
   std::sort(pieces.begin(), pieces.end(),
             [](const Piece& a, const Piece& b) { return a.lo < b.lo; });
@@ -237,9 +238,9 @@ void check_piece_tiling(detect::addr_t lo, detect::addr_t hi, int nshards) {
 TEST(ShardPieces, TilesSmallIntervals) {
   for (int nshards = 1; nshards <= 4; ++nshards) {
     check_piece_tiling(0, 0, nshards);
-    check_piece_tiling(0, pintd::kShardStripeBytes - 1, nshards);
-    check_piece_tiling(5, 5 * pintd::kShardStripeBytes + 123, nshards);
-    check_piece_tiling(pintd::kShardStripeBytes - 1, pintd::kShardStripeBytes,
+    check_piece_tiling(0, detect::kShardStripeBytes - 1, nshards);
+    check_piece_tiling(5, 5 * detect::kShardStripeBytes + 123, nshards);
+    check_piece_tiling(detect::kShardStripeBytes - 1, detect::kShardStripeBytes,
                        nshards);
   }
 }
@@ -252,8 +253,8 @@ TEST(ShardPieces, TilesIntervalsTouchingAddrMax) {
     check_piece_tiling(kMax, kMax, nshards);
     check_piece_tiling(kMax - 10, kMax, nshards);
     // Crossing into the last stripe.
-    check_piece_tiling(kMax - pintd::kShardStripeBytes - 5, kMax, nshards);
-    check_piece_tiling(kMax - 3 * pintd::kShardStripeBytes, kMax - 1, nshards);
+    check_piece_tiling(kMax - detect::kShardStripeBytes - 5, kMax, nshards);
+    check_piece_tiling(kMax - 3 * detect::kShardStripeBytes, kMax - 1, nshards);
   }
 }
 

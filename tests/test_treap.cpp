@@ -532,7 +532,8 @@ TEST(IntervalStore, EmptiedLeavesAreReclaimed) {
   EXPECT_EQ(t.size(), 10 * B);
   EXPECT_LT(tree_bytes(), full / 2);
   // Thinning the rest to one segment per old leaf folds small leaves into
-  // their siblings instead of keeping a leaf per survivor.
+  // their siblings instead of keeping a leaf per survivor, and the parents
+  // left with a child or two into theirs.
   for (std::uint64_t i = 30 * B; i < 40 * B; ++i) {
     if (i % B != 0) t.erase_range(i * 10, i * 10 + 3);
   }
@@ -551,7 +552,7 @@ TEST(IntervalStore, FootprintStaysUnderTheTreapNode) {
   // earlier ones): the footprint per segment stays under the 88-byte treap
   // node it replaced, even with one accessor per segment in the table.
   // The tree's own bytes have a bar of their own: 33 for the first two
-  // fills (measured 22.5 and 26.5 per segment), and 23 for the fft fill
+  // fills (measured 20.6 and 26.5 per segment), and 23 for the fft fill
   // (measured 22.0).
   IntervalStore ascending, scattered, fft;
   fill(ascending, 64 * B);
@@ -570,6 +571,21 @@ TEST(IntervalStore, FootprintStaysUnderTheTreapNode) {
     EXPECT_LT(double(t->node_bytes() - t->table().bytes()) / double(t->size()),
               33.0);
   }
+  // Ascending appends fill inner nodes as they fill leaves: a node the
+  // appends pass stays full, so every level holds full nodes and one last
+  // partial one (an even split would leave them at 16-17 of 32 children).
+  IntervalStore deep;
+  constexpr std::uint64_t F = IntervalStore::kFan;
+  const std::uint64_t leaves = 2 * F * F + 5;
+  fill(deep, leaves * B);
+  EXPECT_TRUE(deep.check_invariants());
+  EXPECT_EQ(deep.leaf_count(), leaves);
+  std::size_t want = 0;
+  for (std::uint64_t n = leaves; n > 1;) {
+    n = (n + F - 1) / F;
+    want += n;
+  }
+  EXPECT_EQ(deep.inner_count(), want);
   fft_fill(fft, 8, 16);
   ASSERT_EQ(fft.size(), 256u * 16u);
   EXPECT_TRUE(fft.check_invariants());
@@ -1118,6 +1134,21 @@ TEST(ReaderStore, FootprintStaysUnderTwoTreapNodes) {
               kTwoSidedTreeBar);
   }
   ReaderStore fft;
+  // Ascending appends fill inner nodes as they fill leaves: a node the
+  // appends pass stays full, so every level holds full nodes and one last
+  // partial one (an even split would leave them at 16-17 of 32 children).
+  IntervalStore deep;
+  constexpr std::uint64_t F = IntervalStore::kFan;
+  const std::uint64_t leaves = 2 * F * F + 5;
+  fill(deep, leaves * B);
+  EXPECT_TRUE(deep.check_invariants());
+  EXPECT_EQ(deep.leaf_count(), leaves);
+  std::size_t want = 0;
+  for (std::uint64_t n = leaves; n > 1;) {
+    n = (n + F - 1) / F;
+    want += n;
+  }
+  EXPECT_EQ(deep.inner_count(), want);
   fft_fill(fft, 8, 16);
   ASSERT_EQ(fft.size(), 256u * 16u);
   EXPECT_TRUE(fft.check_invariants());
