@@ -6,7 +6,7 @@
 #   scripts/ci.sh tsan       # -DPINT_SAN=thread build + ctest -L tsan
 #   scripts/ci.sh asan       # -DPINT_SAN=address build + ctest -L asan
 #   scripts/ci.sh faults     # fault-injection suite (ctest -L faults) in
-#                            # the plain AND the TSan builds
+#                            # the plain, the TSan AND the ASan builds
 #   scripts/ci.sh telemetry  # telemetry suite + traced fig2 run with JSON
 #                            # validation, then a -DPINT_TELEMETRY=OFF build
 #                            # proving the zero-cost path still compiles
@@ -64,12 +64,16 @@ run_lane() {
     asan)  dir=build-asan; san=address;   label="-L asan" ;;
     faults)
       # The fault suite must give the same verdict with and without the
-      # race detector watching the robustness machinery itself.
-      echo "=== lane: faults (build dirs: build, build-tsan) ==="
+      # race detector watching the robustness machinery itself, and ASan
+      # leak-checks the out-of-memory path: the pools own the reserves and
+      # everything they hand out.
+      echo "=== lane: faults (build dirs: build, build-tsan, build-asan) ==="
       build_dir build ""
       (cd build && ctest --output-on-failure -L faults)
       build_dir build-tsan thread
       (cd build-tsan && ctest --output-on-failure -L faults)
+      build_dir build-asan address
+      (cd build-asan && ctest --output-on-failure -L faults)
       return
       ;;
     bulkapply)

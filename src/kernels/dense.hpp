@@ -6,7 +6,7 @@
 // them once per element, the way compiler-inserted hooks would; the runtime
 // coalescer (DESIGN.md §9.1) merges each stream into one interval.  A
 // per-row-segment front end, the granularity a compile-time coalescing pass
-// produces, is ROADMAP item 5.
+// produces, is ROADMAP item 3.
 
 #include <cmath>
 #include <cstddef>

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <system_error>
 #include <thread>
 
@@ -17,7 +16,7 @@ namespace pint::pintd {
 using detect::Strand;
 
 namespace {
-// How long an allocation-failure fallback waits for the pipeline to recycle
+// How long an allocation-failure wait gives the pipeline to recycle
 // an object before declaring the run unsurvivable (clean abort through the
 // error sink rather than a silent hang).
 constexpr std::uint64_t kAllocWaitNs = 10ull * 1000 * 1000 * 1000;
@@ -52,35 +51,6 @@ inline void prefetch_strand_records(const Strand* s) {
 constexpr std::size_t kReserveStrands = 32;
 constexpr std::size_t kReserveChunks = 8;
 constexpr std::size_t kReserveTraces = 4;
-
-// Shared pool-take: reuse from `pool`, or allocate fresh into `owned`.  One
-// lock acquisition either way (the old per-pool copies dropped and re-took
-// the lock on the miss path).  `on_reuse` reinitialises a recycled object
-// and runs under the lock, before the object escapes the pool.  The pool
-// recycles within one run only; `owned` frees everything with the detector.
-// Returns nullptr when the fresh allocation fails - really (bad_alloc) or
-// by injection ("pool.alloc" fires only on the miss path, so `once` mode
-// deterministically fails one true allocation).
-template <class T, class Reuse>
-T* pool_take(Spinlock& mu, std::vector<T*>& pool,
-             std::vector<std::unique_ptr<T>>& owned, Reuse&& on_reuse) {
-  LockGuard<Spinlock> g(mu);
-  if (!pool.empty()) {
-    T* t = pool.back();
-    pool.pop_back();
-    on_reuse(t);
-    return t;
-  }
-  if (PINT_UNLIKELY(PINT_FAILPOINT("pool.alloc"))) return nullptr;
-  try {
-    auto fresh = std::make_unique<T>();
-    T* p = fresh.get();
-    owned.push_back(std::move(fresh));
-    return p;
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
 }  // namespace
 
 PintDetector::PintDetector(const Options& opt)
@@ -114,24 +84,12 @@ PintDetector::PintDetector(const Options& opt)
 
   // Emergency reserves: carved out now so an allocation failure mid-run has
   // a cushion while the pipeline drain catches up.
-  reserve_strands_owned_.reserve(kReserveStrands);
-  for (std::size_t i = 0; i < kReserveStrands; ++i) {
-    reserve_strands_owned_.push_back(std::make_unique<Strand>());
-    reserve_strands_.push_back(reserve_strands_owned_.back().get());
-  }
-  reserve_chunks_owned_.reserve(kReserveChunks);
-  for (std::size_t i = 0; i < kReserveChunks; ++i) {
-    reserve_chunks_owned_.push_back(std::make_unique<TraceChunk>());
-    reserve_chunks_.push_back(reserve_chunks_owned_.back().get());
-  }
-  reserve_traces_owned_.reserve(kReserveTraces);
-  for (std::size_t i = 0; i < kReserveTraces; ++i) {
-    reserve_traces_owned_.push_back(std::make_unique<Trace>());
-    reserve_traces_.push_back(reserve_traces_owned_.back().get());
-  }
+  strand_reserve_.fill(kReserveStrands);
+  chunk_reserve_.fill(kReserveChunks);
+  trace_reserve_.fill(kReserveTraces);
 }
 
-// Every pool object, trace and chunk is held by a unique_ptr member, so
+// Every strand, trace and chunk is owned by one of the pools, so
 // destruction frees them all: nothing outlives the detector.
 PintDetector::~PintDetector() = default;
 
@@ -139,21 +97,40 @@ PintDetector::~PintDetector() = default;
 // Pools
 // ---------------------------------------------------------------------------
 
+template <class T>
+T* PintDetector::take(Pool<T>& pool, Pool<T>& reserve) {
+  T* t = pool.take();
+  return PINT_LIKELY(t != nullptr) ? t : take_after_oom(pool, reserve);
+}
+
 Strand* PintDetector::alloc_strand(CoreWS& ws) {
-  Strand* s = pool_take(ws.pool_mu, ws.pool, ws.owned,
-                        [](Strand*) { /* reset(sid) below */ });
-  if (PINT_UNLIKELY(s == nullptr)) s = strand_fallback(ws);
+  Strand* s = take(ws.strands, strand_reserve_);
   const std::uint64_t sid =
       (std::uint64_t(ws.index + 1) << 40) | ++ws.next_sid;
   s->reset(sid);
   s->owner_worker = ws.index;
   ws.tally.strands++;
-  strands_outstanding_.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
 
+void PintDetector::recycle_strand(Strand* s) {
+  ws_[s->owner_worker]->strands.give(s);
+}
+
+Trace* PintDetector::alloc_trace() { return take(traces_, trace_reserve_); }
+
+TraceChunk* PintDetector::alloc_chunk() {
+  TraceChunk* c = take(chunks_, chunk_reserve_);
+  c->reset();
+  return c;
+}
+
+void PintDetector::recycle_trace(Trace* t) { traces_.give(t); }
+
+void PintDetector::recycle_chunk(TraceChunk* c) { chunks_.give(c); }
+
 // ---------------------------------------------------------------------------
-// Graceful degradation: allocation-failure fallbacks
+// Graceful degradation: the allocation-failure wait
 // ---------------------------------------------------------------------------
 
 void PintDetector::note_oom(const char* what) {
@@ -166,156 +143,36 @@ void PintDetector::note_oom(const char* what) {
   stats_.oom_events.fetch_add(1, std::memory_order_relaxed);
 }
 
-Strand* PintDetector::strand_fallback(CoreWS& ws) {
-  note_oom("strand pool");
-  {
-    LockGuard<Spinlock> g(reserve_mu_);
-    if (!reserve_strands_.empty()) {
-      Strand* s = reserve_strands_.back();
-      reserve_strands_.pop_back();
-      return s;
-    }
-  }
+template <class T>
+PINT_NOINLINE T* PintDetector::take_after_oom(Pool<T>& pool,
+                                              Pool<T>& reserve) {
+  note_oom(pool.name());
+  if (T* t = reserve.reuse()) return t;
   // Reserve exhausted: block on the pipeline drain - the writer recycles
-  // strands into this worker's free list as consumers finish with them.
-  // Sequential mode has no concurrent drain, and a cancelled pipeline will
-  // never refill the list: both are unsurvivable dead-ends, reported
-  // cleanly through the error sink instead of hanging.  Each pause wakes
-  // the lanes: a lane parked short of a wake batch has nothing else coming
-  // to wake it while this worker waits.
+  // into `pool` as consumers finish with its objects.  Sequential mode has
+  // no concurrent drain, and a cancelled pipeline will never refill the
+  // pool: both are unsurvivable dead-ends, reported cleanly through the
+  // error sink instead of hanging.  Each pause wakes the lanes: a lane
+  // parked short of a wake batch has nothing else coming to wake it while
+  // this worker waits.
   const std::uint64_t give_up_at = now_ns() + kAllocWaitNs;
   Backoff bo;
   for (;;) {
-    {
-      LockGuard<Spinlock> g(ws.pool_mu);
-      if (!ws.pool.empty()) {
-        Strand* s = ws.pool.back();
-        ws.pool.pop_back();
-        return s;
-      }
-    }
+    if (T* t = pool.reuse()) return t;
     if (seq_history_) {
-      fatal_errorf("strand allocation failed in sequential-history mode "
-                   "(nothing recycles until the reader phases; cannot "
-                   "degrade further)\n");
+      fatal_errorf("%s allocation failed in sequential-history mode "
+                   "(nothing recycles until the history phases run; cannot "
+                   "degrade further)\n",
+                   pool.name());
     }
     if (cancel_.load(std::memory_order_relaxed) || now_ns() > give_up_at) {
-      fatal_errorf("strand pool exhausted and the pipeline drain made no "
-                   "progress; giving up cleanly\n");
+      fatal_errorf("%s exhausted and the pipeline drain made no "
+                   "progress; giving up cleanly\n",
+                   pool.name());
     }
     wake_lanes();
     bo.pause();
   }
-}
-
-Trace* PintDetector::trace_fallback() {
-  note_oom("trace pool");
-  {
-    LockGuard<Spinlock> g(reserve_mu_);
-    if (!reserve_traces_.empty()) {
-      Trace* t = reserve_traces_.back();
-      reserve_traces_.pop_back();
-      return t;
-    }
-  }
-  const std::uint64_t give_up_at = now_ns() + kAllocWaitNs;
-  Backoff bo;
-  for (;;) {
-    {
-      LockGuard<Spinlock> g(tp_mu_);
-      if (!trace_pool_.empty()) {
-        Trace* t = trace_pool_.back();
-        trace_pool_.pop_back();
-        return t;
-      }
-    }
-    if (seq_history_) {
-      fatal_errorf("trace allocation failed in sequential-history mode; "
-                   "cannot degrade further\n");
-    }
-    if (cancel_.load(std::memory_order_relaxed) || now_ns() > give_up_at) {
-      fatal_errorf("trace pool exhausted and the pipeline drain made no "
-                   "progress; giving up cleanly\n");
-    }
-    wake_lanes();
-    bo.pause();
-  }
-}
-
-TraceChunk* PintDetector::chunk_fallback() {
-  note_oom("chunk pool");
-  {
-    LockGuard<Spinlock> g(reserve_mu_);
-    if (!reserve_chunks_.empty()) {
-      TraceChunk* c = reserve_chunks_.back();
-      reserve_chunks_.pop_back();
-      return c;  // freshly constructed: already clean
-    }
-  }
-  const std::uint64_t give_up_at = now_ns() + kAllocWaitNs;
-  Backoff bo;
-  for (;;) {
-    {
-      LockGuard<Spinlock> g(cp_mu_);
-      if (!chunk_pool_.empty()) {
-        TraceChunk* c = chunk_pool_.back();
-        chunk_pool_.pop_back();
-        for (auto& slot : c->slots) {
-          slot.store(nullptr, std::memory_order_relaxed);
-        }
-        c->next.store(nullptr, std::memory_order_relaxed);
-        return c;
-      }
-    }
-    if (seq_history_) {
-      fatal_errorf("chunk allocation failed in sequential-history mode; "
-                   "cannot degrade further\n");
-    }
-    if (cancel_.load(std::memory_order_relaxed) || now_ns() > give_up_at) {
-      fatal_errorf("chunk pool exhausted and the pipeline drain made no "
-                   "progress; giving up cleanly\n");
-    }
-    wake_lanes();
-    bo.pause();
-  }
-}
-
-void PintDetector::recycle_strand(Strand* s) {
-  CoreWS& ws = *ws_[s->owner_worker];
-  strands_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  LockGuard<Spinlock> g(ws.pool_mu);
-  ws.pool.push_back(s);
-}
-
-Trace* PintDetector::alloc_trace() {
-  Trace* t = pool_take(tp_mu_, trace_pool_, all_traces_,
-                       [](Trace*) { /* callers init() before use */ });
-  traces_outstanding_.fetch_add(1, std::memory_order_relaxed);
-  return PINT_LIKELY(t != nullptr) ? t : trace_fallback();
-}
-
-TraceChunk* PintDetector::alloc_chunk() {
-  TraceChunk* c =
-      pool_take(cp_mu_, chunk_pool_, all_chunks_, [](TraceChunk* ch) {
-        for (auto& slot : ch->slots) {
-          slot.store(nullptr, std::memory_order_relaxed);
-        }
-        ch->next.store(nullptr, std::memory_order_relaxed);
-      });
-  chunks_outstanding_.fetch_add(1, std::memory_order_relaxed);
-  return PINT_LIKELY(c != nullptr) ? c : chunk_fallback();
-}
-
-void PintDetector::recycle_trace(Trace* t) {
-  traces_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  LockGuard<Spinlock> g(tp_mu_);
-  trace_pool_.push_back(t);
-}
-
-void PintDetector::recycle_chunk(TraceChunk* c) {
-  chunks_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-  LockGuard<Spinlock> g(cp_mu_);
-  chunk_pool_.push_back(c);
 }
 
 // ---------------------------------------------------------------------------
@@ -849,11 +706,12 @@ bool wait_gate(const std::atomic<int>& gate) {
 }  // namespace
 
 bool PintDetector::spawn_history_threads(std::thread* writer,
-                                         std::vector<std::thread>* history) {
-  // Threads hold at the gate until the whole batch spawned: none of them
-  // touches the queue (producer pin, consumer registration) or the trace
-  // cursors before release, so a partial batch can be joined and the run
-  // rolled over to sequential-history mode with no shared state poisoned.
+                                         std::vector<std::thread>* history,
+                                         std::string* why) {
+  // Threads hold at the gate until run() opens it: none of them touches
+  // the queue (producer pin, consumer registration) or the trace cursors
+  // before release, so a partial batch can be joined and the run rolled
+  // over to sequential-history mode with no shared state poisoned.
   gate_.store(0, std::memory_order_release);
   try {
     history->reserve(lanes_.size());  // one thread per consumer lane
@@ -885,12 +743,9 @@ bool PintDetector::spawn_history_threads(std::thread* writer,
       if (t.joinable()) t.join();
     }
     history->clear();
-    error_headerf("history thread spawn failed (%s): falling back to the "
-                  "sequential one-core history mode\n",
-                  e.what());
+    *why = e.what();
     return false;
   }
-  gate_.store(1, std::memory_order_release);
   return true;
 }
 
@@ -931,14 +786,10 @@ void PintDetector::dump_progress(const char* stalled) {
 RunResult PintDetector::run(std::function<void()> fn) {
   PINT_CHECK_MSG(!used_, "PintDetector instances are single-use");
   used_ = true;
-  // Tuning snapshot -> process globals (access fast path, bulk apply);
-  // the per-detector knobs are read from opt_.tuning directly.
+  // Tuning snapshot -> process globals (the access fast path); the
+  // per-detector knobs are read from opt_.tuning directly.
   opt_.tuning.apply_globals();
   RunResult result;
-
-  set_run_context("seed=%llu cw=%d shards=%d mode=%s",
-                  (unsigned long long)opt_.seed, opt_.core_workers,
-                  opt_.history_shards, seq_history_ ? "seq" : "par");
 
   rt::Scheduler::Options so;
   so.workers = opt_.core_workers;
@@ -948,6 +799,33 @@ RunResult PintDetector::run(std::function<void()> fn) {
   rt::Scheduler sched(so);
   sched_ = &sched;
 
+  // Nothing between the spawn and the gate's release below can throw, so
+  // no exception can leave the spawned threads unjoined.
+  std::thread writer;
+  std::vector<std::thread> history;
+  // Pipelined lanes' watch granularity (phased mode re-picks it in
+  // finish_history_sequential); the spawn gate publishes it.
+  history_.set_schedule(detect::Schedule::kPipelined);
+  std::string spawn_error;
+  if (!seq_history_ &&
+      !spawn_history_threads(&writer, &history, &spawn_error)) {
+    // Graceful fallback: the paper's phased one-core history mode needs no
+    // extra threads.  Detection stays exact; only the asynchrony is lost.
+    seq_history_ = true;
+    result.degraded_sequential_history = true;
+  }
+  set_run_context("seed=%llu cw=%d shards=%d mode=%s",
+                  (unsigned long long)opt_.seed, opt_.core_workers,
+                  opt_.history_shards,
+                  result.degraded_sequential_history ? "seq-fallback"
+                  : seq_history_                     ? "seq"
+                                                     : "par");
+  if (result.degraded_sequential_history) {
+    error_headerf("history thread spawn failed (%s): falling back to the "
+                  "sequential one-core history mode\n",
+                  spawn_error.c_str());
+  }
+
   for (int i = 0; i < opt_.core_workers; ++i) {
     sched.worker(i).det_worker = ws_[i].get();
     Trace* t = alloc_trace();
@@ -956,27 +834,14 @@ RunResult PintDetector::run(std::function<void()> fn) {
     ws_[i]->ccur = t;
     ws_[i]->traces = 1;
   }
+  // The history threads read the trace cursors set up above.
+  if (!seq_history_) gate_.store(1, std::memory_order_release);
 
   detect::set_active_detector(this);
   // Deep-backoff attribution: the counter is process-wide, so record the
   // run's share as a delta (concurrent detector runs would blur it - fine
   // for a monitoring counter).
   const std::uint64_t deep_backoffs_at_start = Backoff::deep_entries();
-
-  std::thread writer;
-  std::vector<std::thread> history;
-  // Pipelined lanes' watch granularity (phased mode re-picks it in
-  // finish_history_sequential); the spawn gate publishes it.
-  history_.set_schedule(detect::Schedule::kPipelined);
-  if (!seq_history_ && !spawn_history_threads(&writer, &history)) {
-    // Graceful fallback: the paper's phased one-core history mode needs no
-    // extra threads.  Detection stays exact; only the asynchrony is lost.
-    seq_history_ = true;
-    result.degraded_sequential_history = true;
-    set_run_context("seed=%llu cw=%d shards=%d mode=seq-fallback",
-                    (unsigned long long)opt_.seed, opt_.core_workers,
-                    opt_.history_shards);
-  }
 
   // Background telemetry sampler: turns the monitoring-safe atomics (the
   // same ones dump_progress reads) into a queue-pressure time series.  A
@@ -998,15 +863,16 @@ RunResult PintDetector::run(std::function<void()> fn) {
     }
     sink.gauge("idle.writer", hb_writer_.idle() ? 1 : 0);
     sink.gauge("beats.writer", hb_writer_.beats());
-    sink.gauge("pool.strands", std::uint64_t(std::max<std::int64_t>(
-                                   0, strands_outstanding_.load(
-                                          std::memory_order_relaxed))));
-    sink.gauge("pool.traces", std::uint64_t(std::max<std::int64_t>(
-                                  0, traces_outstanding_.load(
-                                         std::memory_order_relaxed))));
-    sink.gauge("pool.chunks", std::uint64_t(std::max<std::int64_t>(
-                                  0, chunks_outstanding_.load(
-                                         std::memory_order_relaxed))));
+    // Objects in use, summed over every pool of a kind (reserve objects
+    // recycle into the pools that took them).
+    std::int64_t strands = strand_reserve_.in_use();
+    for (const auto& ws : ws_) strands += ws->strands.in_use();
+    const auto in_use = [](std::int64_t n) {
+      return std::uint64_t(std::max<std::int64_t>(0, n));
+    };
+    sink.gauge("pool.strands", in_use(strands));
+    sink.gauge("pool.traces", in_use(traces_.in_use() + trace_reserve_.in_use()));
+    sink.gauge("pool.chunks", in_use(chunks_.in_use() + chunk_reserve_.in_use()));
     sink.gauge("dropped.strands",
                dropped_strands_.load(std::memory_order_relaxed));
   });
@@ -1032,23 +898,17 @@ RunResult PintDetector::run(std::function<void()> fn) {
   // elapsed read - so total_ns (the overhead-figure numerator) is not
   // padded with monitoring scaffolding.
   Timer total;
-  if (!seq_history_) {
-    Timer core;
-    sched.run([&] { fn(); });
-    stats_.core_ns.store(core.elapsed_ns());
-
-    for (auto& ws : ws_) ws->cur->mark_finished();
-    core_done_.store(true, std::memory_order_release);
+  Timer core;
+  sched.run([&] { fn(); });
+  stats_.core_ns.store(core.elapsed_ns());
+  for (auto& ws : ws_) ws->cur->mark_finished();
+  core_done_.store(true, std::memory_order_release);
+  if (seq_history_) {
+    finish_history_sequential();
+  } else {
     writer_wake_.wake();
     writer.join();
     for (auto& t : history) t.join();
-  } else {
-    Timer core;
-    sched.run([&] { fn(); });
-    stats_.core_ns.store(core.elapsed_ns());
-    for (auto& ws : ws_) ws->cur->mark_finished();
-    core_done_.store(true, std::memory_order_release);
-    finish_history_sequential();
   }
   stats_.total_ns.store(total.elapsed_ns());
 

@@ -23,7 +23,7 @@
 // (`history_shards` = N) replaces the reader lane with N lanes that each
 // apply both roles to one address stripe, and the writer lane only
 // collects.  Queue hand-off, deferred frees, fiber release, lane parking,
-// the watchdog and the OOM fallbacks are pipeline work and live here.
+// the watchdog and the out-of-memory wait are pipeline work and live here.
 //
 // One-core mode (`parallel_history = false`) reproduces the paper's
 // single-core PINT measurement: the core component runs to completion first
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
 #include "pint/ah_queue.hpp"
+#include "pint/pool.hpp"
 #include "pint/trace.hpp"
 #include "pint/wake_word.hpp"
 #include "reach/depa.hpp"
@@ -149,13 +151,9 @@ class PintDetector final : public detect::Detector,
     std::uint32_t wake_tick = 0;
     // consumer side (owned by the writer treap worker)
     Trace* ccur = nullptr;
-    // Strand pool: owner pops, writer treap worker returns.  Same
-    // vector-pool shape as the trace/chunk pools so all three share the
-    // pool_take() idiom (and ownership stays with the unique_ptrs - the
-    // Trace doc contract: callers allocate, pools never own ad hoc).
-    Spinlock pool_mu;
-    std::vector<detect::Strand*> pool;
-    std::vector<std::unique_ptr<detect::Strand>> owned;
+    // The owner takes; a strand goes back to the pool of the worker that
+    // took it last, once the history workers are done with it.
+    Pool<detect::Strand> strands{"strand pool"};
   };
 
   /// One queue consumer's monitored state: a heartbeat for the watchdog
@@ -180,9 +178,13 @@ class PintDetector final : public detect::Detector,
 
   // graceful degradation (allocation-failure paths)
   void note_oom(const char* what);
-  detect::Strand* strand_fallback(CoreWS& ws);
-  Trace* trace_fallback();
-  TraceChunk* chunk_fallback();
+  /// pool.take(), else take_after_oom().
+  template <class T>
+  T* take(Pool<T>& pool, Pool<T>& reserve);
+  /// After a failed pool.take(): the shared reserve, else a bounded wait
+  /// for the pipeline to recycle into `pool`.
+  template <class T>
+  T* take_after_oom(Pool<T>& pool, Pool<T>& reserve);
 
   // access-history component
   void writer_loop();
@@ -200,8 +202,11 @@ class PintDetector final : public detect::Detector,
   void wake_lanes();
 
   // run orchestration / robustness
+  /// Spawns the history threads behind a closed gate; on failure joins
+  /// them back, describes why in *why and returns false.
   bool spawn_history_threads(std::thread* writer,
-                             std::vector<std::thread>* history);
+                             std::vector<std::thread>* history,
+                             std::string* why);
   void dump_progress(const char* stalled);
 
   Options opt_;
@@ -246,29 +251,15 @@ class PintDetector final : public detect::Detector,
   Heartbeat hb_writer_;
   Heartbeat hb_backoff_;
   std::vector<std::unique_ptr<ConsumerLane>> lanes_;
-  // Emergency reserves, allocated up-front and tapped only after a real or
-  // injected allocation failure (then the pipeline drain takes over).
-  Spinlock reserve_mu_;
-  std::vector<std::unique_ptr<detect::Strand>> reserve_strands_owned_;
-  std::vector<detect::Strand*> reserve_strands_;
-  std::vector<std::unique_ptr<TraceChunk>> reserve_chunks_owned_;
-  std::vector<TraceChunk*> reserve_chunks_;
-  std::vector<std::unique_ptr<Trace>> reserve_traces_owned_;
-  std::vector<Trace*> reserve_traces_;
-
-  // trace / chunk pools (core workers allocate, writer recycles)
-  Spinlock tp_mu_;
-  std::vector<Trace*> trace_pool_;
-  std::vector<std::unique_ptr<Trace>> all_traces_;
-  Spinlock cp_mu_;
-  std::vector<TraceChunk*> chunk_pool_;
-  std::vector<std::unique_ptr<TraceChunk>> all_chunks_;
-  // Pool-occupancy gauges for the telemetry sampler: the pool vectors and
-  // per-worker free lists are lock-protected, so the sampler thread reads
-  // these relaxed mirrors instead (allocated-and-in-use object counts).
-  std::atomic<std::int64_t> traces_outstanding_{0};
-  std::atomic<std::int64_t> chunks_outstanding_{0};
-  std::atomic<std::int64_t> strands_outstanding_{0};
+  // Trace and chunk pools (core workers take, the writer gives back), and
+  // the emergency reserves: carved out at construction, shared by every
+  // core worker, and tapped only after a real or injected allocation
+  // failure (then the pipeline drain takes over).
+  Pool<Trace> traces_{"trace pool"};
+  Pool<TraceChunk> chunks_{"chunk pool"};
+  Pool<detect::Strand> strand_reserve_{"strand reserve"};
+  Pool<Trace> trace_reserve_{"trace reserve"};
+  Pool<TraceChunk> chunk_reserve_{"chunk reserve"};
 
   std::vector<reach::Engine::Label> collection_log_;  // writer-thread only
 };

@@ -33,6 +33,13 @@ struct TraceChunk {
   static constexpr std::size_t kSlots = 128;
   std::atomic<detect::Strand*> slots[kSlots] = {};
   std::atomic<TraceChunk*> next{nullptr};
+
+  /// Empties a recycled chunk (alloc_chunk applies it to every chunk it
+  /// hands out, fresh ones included).
+  void reset() {
+    for (auto& slot : slots) slot.store(nullptr, std::memory_order_relaxed);
+    next.store(nullptr, std::memory_order_relaxed);
+  }
 };
 
 class Trace {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "pint/pool.hpp"
 #include "support/error_sink.hpp"
 #include "support/failpoint.hpp"
 #include "support/watchdog.hpp"
@@ -228,6 +229,95 @@ TEST(WatchdogTest, IdleAndBeatingHeartbeatsDoNotTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// The pool behind PINT's strands, traces and trace chunks
+// ---------------------------------------------------------------------------
+
+struct PoolObj {
+  int v = 0;
+};
+
+TEST(PoolTest, TakeGiveRoundTripCountsObjectsInUse) {
+  pintd::Pool<PoolObj> p("obj pool");
+  EXPECT_STREQ(p.name(), "obj pool");
+  PoolObj* a = p.take();
+  PoolObj* b = p.take();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(p.in_use(), 2);  // what the pool.* gauges read
+  a->v = 7;
+  p.give(a);
+  EXPECT_EQ(p.in_use(), 1);
+  EXPECT_EQ(p.take(), a);  // the free list first, as it was left
+  EXPECT_EQ(a->v, 7);
+  EXPECT_EQ(p.reuse(), nullptr);  // reuse() never allocates
+  EXPECT_EQ(p.in_use(), 2);
+  p.give(a);
+  p.give(b);
+  EXPECT_EQ(p.in_use(), 0);
+}
+
+TEST_F(FailPointTest, PoolAllocFiresOnAFreshAllocationOnly) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  pintd::Pool<PoolObj> p("obj pool");
+  PoolObj* a = p.take();
+  ASSERT_NE(a, nullptr);
+  p.give(a);
+  ASSERT_TRUE(fail::configure("pool.alloc=once"));
+  // A free-list reuse never reaches the fail point.
+  EXPECT_EQ(p.take(), a);
+  EXPECT_EQ(fail::hit_count("pool.alloc"), 0u);
+  // The first miss does, and `once` fails it; the next miss allocates.
+  EXPECT_EQ(p.take(), nullptr);
+  PoolObj* b = p.take();
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(fail::hit_count("pool.alloc"), 2u);
+  EXPECT_EQ(fail::fire_count("pool.alloc"), 1u);
+  EXPECT_EQ(p.in_use(), 2);  // the failed take counted nothing
+  p.give(a);
+  p.give(b);
+}
+
+TEST_F(FailPointTest, PoolReserveServesOnlyAfterAFailedTake) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  ASSERT_TRUE(fail::configure("pool.alloc=always"));
+  pintd::Pool<PoolObj> pool("obj pool");
+  pintd::Pool<PoolObj> reserve("obj reserve");
+  reserve.fill(2);  // carved past the fail point
+  EXPECT_EQ(fail::hit_count("pool.alloc"), 0u);
+  ASSERT_EQ(pool.take(), nullptr);
+  PoolObj* r = reserve.reuse();
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(fail::hit_count("pool.alloc"), 1u);  // the reserve never allocates
+  // A reserve object recycles into the pool that took it; the gauges sum
+  // the pools of a kind.
+  pool.give(r);
+  EXPECT_EQ(pool.reuse(), r);
+  EXPECT_EQ(pool.in_use() + reserve.in_use(), 1);
+  pool.give(r);
+  EXPECT_EQ(pool.in_use() + reserve.in_use(), 0);
+
+  // In the detector: a clean run never reaches the reserve, and one failed
+  // allocation reaches it exactly once (one out-of-memory event, no wait).
+  fail::reset();
+  PintDetector::Options o;
+  o.core_workers = 2;
+  std::vector<unsigned char> bytes(64, 0);
+  bool any = false;
+  detect::Stats::Snapshot st{};
+  EXPECT_EQ(run_pint(o, [&] { racy_tree(4, bytes.data()); }, &any, &st).status,
+            RunStatus::kOk);
+  EXPECT_EQ(st.oom_events, 0u);
+  CaptureErrors cap;
+  ASSERT_TRUE(fail::configure("pool.alloc=once"));
+  EXPECT_EQ(run_pint(o, [&] { racy_tree(4, bytes.data()); }, &any, &st).status,
+            RunStatus::kOutOfMemory);
+  EXPECT_EQ(st.oom_events, 1u);
+  EXPECT_NE(cap.text().find("allocation failure (trace pool)"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Pipeline fault scenarios
 // ---------------------------------------------------------------------------
 
@@ -336,6 +426,24 @@ TEST_F(FailPointTest, ExhaustedPoolDrainsThroughParkedLanes) {
   EXPECT_GT(fail::fire_count("pool.alloc"), 0u);
   // More fallbacks than the reserve holds: the wait path really ran.
   EXPECT_GT(st.oom_events, 32u);
+}
+
+TEST_F(FailPointTest, SequentialModeAllocationWaitDiesNamingThePool) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  // Sequential-history mode recycles nothing before the core phase ends,
+  // so once the 32 reserve strands are gone the wait has nothing to wait
+  // for; racy_tree(6) takes far more strands than that.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_TRUE(fail::configure("pool.alloc=always"));
+  PintDetector::Options o;
+  o.parallel_history = false;
+  std::vector<unsigned char> pool(64, 0);
+  EXPECT_DEATH(
+      {
+        bool any = false;
+        run_pint(o, [&] { racy_tree(6, pool.data()); }, &any);
+      },
+      "strand pool allocation failed in sequential-history mode");
 }
 
 TEST_F(FailPointTest, SpawnFailureFallsBackToSequentialHistory) {
