@@ -28,8 +28,8 @@ struct Interval {
 };
 
 /// A heap block whose free() was deferred to the writer treap worker
-/// (paper §III-F): `base` is passed to ::free, [lo, hi] is the byte range to
-/// clear from the access history.
+/// (paper §III-F): `base` is passed to ::free (null once a detector freed
+/// it earlier), [lo, hi] is the byte range to clear from the access history.
 struct HeapFree {
   void* base = nullptr;
   addr_t lo = 0;

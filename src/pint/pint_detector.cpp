@@ -215,6 +215,15 @@ detect::lockset_t PintDetector::seal_strand(CoreWS& ws, Strand* s) {
   ws.tally.cursor_flush(*s);
   const detect::lockset_t held = s->held();
   detect::seal_strand(*s, opt_.coalesce, ws.tally.seal);
+  if (one_trace()) {
+    // The strand's frees happen now, not at the writer: any reuse of the
+    // block is by a later strand of the one trace, which every lane
+    // processes after this strand's erase of [lo, hi] (paper §III-F).
+    for (detect::HeapFree& hf : s->frees) {
+      std::free(hf.base);
+      hf.base = nullptr;
+    }
+  }
   return held;
 }
 
@@ -378,19 +387,20 @@ void PintDetector::on_after_sync(rt::Worker& w, rt::TaskFrame& f,
 
 bool PintDetector::on_task_retire(rt::Worker& w, rt::TaskFrame& f) {
   // Runs on the worker loop, after the finished fiber was switched away
-  // from - only now is it safe to publish the return-node strand (and with
-  // it the fiber, whose stack must not be reused until the writer treap
-  // worker processes this strand).
+  // from - only now is it safe to publish the return-node strand.
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  if (seq_history_) {
-    // Phased one-core mode: the whole run is a single trace, so any reuse of
-    // this fiber's stack is by a strand strictly later in trace order - the
+  if (one_trace()) {
+    // One core worker means one trace in execution order, so any reuse of
+    // this fiber's stack is by a strand strictly later in that trace: the
     // clear recorded on this return node is processed first (paper §III-F).
-    // The fiber can be pooled immediately; only the strand record is held.
+    // The fiber is pooled now; only the strand record is held.
     trace_push(ws, u);
     return false;
   }
+  // Several traces are collected in a DAG order, not execution order: a
+  // strand that reuses the stack may be collected before this clear, so
+  // the fiber waits for the writer to process this strand.
   u->retired_frame = &f;
   trace_push(ws, u);
   return true;
@@ -504,7 +514,8 @@ void PintDetector::process_writer(Strand* s) {
   history_.strand(history_.lane(0), *s, [&] {
     // Deferred frees become real here: any later reuse of this memory is
     // by a strand collected after s, so each store erases the range before
-    // seeing the new owner's accesses (paper §III-F).
+    // seeing the new owner's accesses (paper §III-F).  A one-trace run
+    // freed them at seal and left null bases.
     for (const detect::HeapFree& hf : s->frees) std::free(hf.base);
     if (s->retired_frame != nullptr) {
       // Same argument for the fiber stack: reuse is only possible for
@@ -901,6 +912,8 @@ RunResult PintDetector::run(std::function<void()> fn) {
   Timer core;
   sched.run([&] { fn(); });
   stats_.core_ns.store(core.elapsed_ns());
+  // The strand-end releases (seal_strand, on_task_retire) rely on this.
+  PINT_ASSERT(!one_trace() || ws_[0]->traces == 1);
   for (auto& ws : ws_) ws->cur->mark_finished();
   core_done_.store(true, std::memory_order_release);
   if (seq_history_) {

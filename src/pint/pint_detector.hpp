@@ -12,7 +12,8 @@
 //    WRITER worker collects ready strands from the traces in a
 //    DAG-conforming order (Algorithm 2 + collection rules), appends them to
 //    the shared access-history queue, maintains the last-writer store,
-//    performs deferred heap frees, and releases retired fiber stacks.  The
+//    and, when several core workers make several traces, performs deferred
+//    heap frees and releases retired fiber stacks.  The
 //    READER worker follows the queue with a private cursor and maintains
 //    one two-sided store holding both the left-most and the right-most
 //    reader of every segment (the paper's two reader treaps; DESIGN.md §3).
@@ -175,6 +176,10 @@ class PintDetector final : public detect::Detector,
   /// Detaches the calling thread's AccessCursor from `s`, then seals it.
   /// Returns the lockset s ended under (what a continuation inherits).
   detect::lockset_t seal_strand(CoreWS& ws, detect::Strand* s);
+  /// One core worker never steals or passes a non-trivial sync, so the run
+  /// is one trace in execution order: freed heap blocks and retired fibers
+  /// are released at strand end instead of by the writer (DESIGN.md §6.2).
+  bool one_trace() const { return opt_.core_workers == 1; }
 
   // graceful degradation (allocation-failure paths)
   void note_oom(const char* what);

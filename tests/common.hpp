@@ -26,6 +26,7 @@ enum class Det {
   kStint,
   kStintMap,  // STINT with the per-granule hashmap history (ablation)
   kPintSeq,   // one-core phased PINT
+  kPintSeq4,  // phased PINT, 4 core workers (several traces)
   kPint1,     // PINT, 1 core worker + 2 history workers
   kPint2,
   kPint4,
@@ -40,6 +41,7 @@ inline const char* det_name(Det d) {
     case Det::kStint: return "stint";
     case Det::kStintMap: return "stint_map";
     case Det::kPintSeq: return "pint_seq";
+    case Det::kPintSeq4: return "pint_seq_w4";
     case Det::kPint1: return "pint_w1";
     case Det::kPint2: return "pint_w2";
     case Det::kPint4: return "pint_w4";
@@ -53,9 +55,9 @@ inline const char* det_name(Det d) {
 
 inline const std::vector<Det>& all_detectors() {
   static const std::vector<Det> v = {
-      Det::kStint,   Det::kStintMap, Det::kPintSeq,    Det::kPint1,
-      Det::kPint2,   Det::kPint4,    Det::kPintMap,    Det::kPintShard3,
-      Det::kCracer1, Det::kCracer4};
+      Det::kStint,      Det::kStintMap, Det::kPintSeq, Det::kPintSeq4,
+      Det::kPint1,      Det::kPint2,    Det::kPint4,   Det::kPintMap,
+      Det::kPintShard3, Det::kCracer1,  Det::kCracer4};
   return v;
 }
 
@@ -83,6 +85,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       break;
     }
     case Det::kPintSeq:
+    case Det::kPintSeq4:
     case Det::kPint1:
     case Det::kPint2:
     case Det::kPint4:
@@ -90,11 +93,11 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
     case Det::kPintShard3: {
       pintd::PintDetector::Options o;
       o.seed = seed;
-      o.parallel_history = d != Det::kPintSeq;
+      o.parallel_history = d != Det::kPintSeq && d != Det::kPintSeq4;
       o.core_workers =
-          d == Det::kPint2 || d == Det::kPintMap || d == Det::kPintShard3
-              ? 2
-              : d == Det::kPint4 ? 4 : 1;
+          d == Det::kPint2 || d == Det::kPintMap || d == Det::kPintShard3 ? 2
+          : d == Det::kPint4 || d == Det::kPintSeq4                       ? 4
+                                                                          : 1;
       if (d == Det::kPintMap) o.history = detect::HistoryKind::kGranuleMap;
       if (d == Det::kPintShard3) o.history_shards = 3;
       pintd::PintDetector det(o);

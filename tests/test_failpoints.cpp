@@ -404,11 +404,11 @@ TEST_F(FailPointTest, PoolAllocFailureDegradesToCleanOom) {
 TEST_F(FailPointTest, ExhaustedPoolDrainsThroughParkedLanes) {
   if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
   // Every pool miss fails, so once the 32-strand reserve is gone each spawn
-  // waits in strand_fallback for the pipeline to recycle strands.  Fewer
-  // than a wake batch may be in flight then: only the wait's own wakes can
-  // get a parked writer and reader to drain, so the run must still finish
-  // (with kOutOfMemory and the clean verdict) long before the 10 s wait
-  // deadline.
+  // waits in PintDetector::take_after_oom for the pipeline to recycle
+  // strands.  Fewer than a wake batch may be in flight then: only the
+  // wait's own wakes can get a parked writer and reader to drain, so the
+  // run must still finish (with kOutOfMemory and the clean verdict) long
+  // before the 10 s wait deadline.
   CaptureErrors cap;
   ASSERT_TRUE(fail::configure("pool.alloc=always"));
   PintDetector::Options o;

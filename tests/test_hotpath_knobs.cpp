@@ -13,7 +13,9 @@
 //    (which must also match the oracle); pipelined / sharded PINT agree on
 //    the verdict (same caveat as test_access_path.cpp);
 //  * retention: five back-to-back instances leave the heap where the first
-//    one left it - each detector frees what it allocated (DESIGN.md §13.1).
+//    one left it - each detector frees what it allocated (DESIGN.md §13.1) -
+//    and a one-core-worker PINT run returns freed blocks at strand end
+//    (DESIGN.md §6.2).
 
 #include <gtest/gtest.h>
 
@@ -358,6 +360,46 @@ TEST(Retention, BackToBackInstancesReturnTheHeap) {
           << "sys=" << int(sys) << " instance " << i << " left "
           << (now - first) << " bytes above the first";
     }
+  }
+#endif
+}
+
+TEST(Retention, OneCoreWorkerFreesHeapBlocksAtStrandEnd) {
+#if defined(PINT_TSAN) || defined(PINT_ASAN) || !defined(__GLIBC__)
+  // ASan quarantines freed blocks; mallinfo2 is glibc's.
+  GTEST_SKIP() << "needs glibc malloc";
+#else
+  // One core worker runs one trace, so a freed block goes back to malloc
+  // when its strand ends, not when the writer gets to that strand.  64
+  // serial tasks each allocate, write and free 64 KiB: the heap sampled
+  // inside the loop must stay near where it started, phased (where the
+  // writer runs only after the whole core phase) and pipelined alike.
+  // Holding every block until the writer would add at least 4 MiB.
+  constexpr std::size_t kBlock = std::size_t(64) << 10;
+  constexpr std::size_t kSlack = std::size_t(512) << 10;
+  for (bool parallel : {false, true}) {
+    pintd::PintDetector::Options o;
+    o.core_workers = 1;
+    o.parallel_history = parallel;
+    pintd::PintDetector det(o);
+    std::size_t start = 0, peak = 0;
+    det.run([&] {
+      start = peak = mallinfo2().uordblks;
+      rt::SpawnScope sc;
+      for (int i = 0; i < 64; ++i) {
+        sc.spawn([] {
+          void* p = dmalloc(kBlock);
+          record_write(p, kBlock);
+          dfree(p);
+        });
+        sc.sync();
+        peak = std::max(peak, mallinfo2().uordblks);
+      }
+    });
+    EXPECT_FALSE(det.reporter().any());
+    EXPECT_LT(peak - start, kSlack)
+        << (parallel ? "pipelined" : "phased") << " run held "
+        << (peak - start) << " heap bytes";
   }
 #endif
 }

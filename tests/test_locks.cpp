@@ -736,7 +736,7 @@ TEST(LockSubRecords, OracleFlagsEveryMixedShape) {
 // sub-records they miss none.  C-RACER still misses 2 (1 to 2 on four
 // workers).
 constexpr std::uint64_t kLockSeeds = 200;
-constexpr int kMaxMissed[] = {0, 0, 0, 0, 0, 0, 0, 0, 2, 2};
+constexpr int kMaxMissed[] = {0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2};
 
 TEST(RandomLockProgram, NoFalsePositivesAndBoundedMisses) {
   ASSERT_EQ(std::size(kMaxMissed), all_detectors().size());
