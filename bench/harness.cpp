@@ -44,7 +44,6 @@ std::string spec_tag(const RunSpec& spec) {
                   std::to_string(spec.workers);
   if (spec.history_shards > 0) t += "-s" + std::to_string(spec.history_shards);
   if (!spec.coalesce) t += "-raw";
-  if (spec.history == detect::HistoryKind::kGranuleMap) t += "-hash";
   return t;
 }
 
@@ -58,7 +57,6 @@ std::unique_ptr<detect::DetectorRunner> make_runner(const RunSpec& spec) {
     case System::kStint: {
       stint::StintDetector::Options o;
       o.coalesce = spec.coalesce;
-      o.history = spec.history;
       o.seed = spec.seed;
       return std::make_unique<stint::StintDetector>(o);
     }
@@ -68,7 +66,6 @@ std::unique_ptr<detect::DetectorRunner> make_runner(const RunSpec& spec) {
       o.core_workers = spec.workers;
       o.parallel_history = spec.system == System::kPint;
       o.coalesce = spec.coalesce;
-      o.history = spec.history;
       o.history_shards = spec.history_shards;
       o.seed = spec.seed;
       return std::make_unique<pintd::PintDetector>(o);

@@ -30,8 +30,6 @@ struct RunSpec {
   /// (the two history workers come on top: P-2 here, the paper's P-3).
   int workers = 1;
   bool coalesce = true;
-  /// Access-history store (treap vs per-granule hashmap ablation).
-  detect::HistoryKind history = detect::HistoryKind::kTreap;
   /// PINT only: >0 replaces the 2 role-workers with N address shards.
   int history_shards = 0;
   std::uint64_t seed = 12345;

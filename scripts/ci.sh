@@ -34,11 +34,20 @@
 #                            # and runs one tiny pass of every workload, so
 #                            # a Stats or API change that breaks the
 #                            # benchmark driver fails here
+#   scripts/ci.sh digest     # race-report identity against a base commit:
+#                            # exports ${DIGEST_BASE:-HEAD} with git archive
+#                            # into build-digest/base, builds it and the
+#                            # working tree (build/), runs ctest -L
+#                            # reachmatrix in both with PINT_REACH_DIGEST
+#                            # set, and fails unless the two digest files
+#                            # are byte-identical.  Not in the default set:
+#                            # it proves that a change kept every race
+#                            # report, e.g. DIGEST_BASE=main
 #
 # Each lane builds into its own directory (build/, build-tsan/, build-asan/,
-# build-notelem/, build-bench/) so switching lanes never churns another
-# lane's objects.  A sanitizer report exits the test non-zero, so a green
-# lane means zero reports.
+# build-notelem/, build-bench/, build-digest/) so switching lanes never
+# churns another lane's objects.  A sanitizer report exits the test
+# non-zero, so a green lane means zero reports.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -162,6 +171,38 @@ run_lane() {
         -DPINT_PERFGATE=ON
       cmake --build build -j "$JOBS"
       (cd build && ctest --output-on-failure -L perfgate)
+      return
+      ;;
+    digest)
+      local base="${DIGEST_BASE:-HEAD}" rev
+      rev="$(git rev-parse --verify "$base^{commit}")"
+      echo "=== lane: digest (build dirs: build, build-digest @ $rev) ==="
+      # A fresh export per base commit: git archive stamps files with the
+      # commit time, so reusing objects across bases could skip rebuilds.
+      if [ "$(cat build-digest/rev 2>/dev/null)" != "$rev" ]; then
+        rm -rf build-digest
+        mkdir -p build-digest/base
+        git archive "$rev" | tar -x -C build-digest/base
+        echo "$rev" > build-digest/rev
+      fi
+      cmake -B build-digest/build -S build-digest/base \
+        -DCMAKE_BUILD_TYPE=Release -DPINT_SAN=""
+      cmake --build build-digest/build -j "$JOBS"
+      build_dir build ""
+      local want="$PWD/build-digest/reach_digest.txt"
+      local got="$PWD/build/reach_digest.txt"
+      rm -f "$want" "$got"
+      (cd build-digest/build &&
+        PINT_REACH_DIGEST="$want" ctest --output-on-failure -L reachmatrix)
+      (cd build &&
+        PINT_REACH_DIGEST="$got" ctest --output-on-failure -L reachmatrix)
+      [ -s "$got" ] || { echo "empty digest: $got" >&2; exit 1; }
+      if ! cmp "$want" "$got"; then
+        echo "race reports differ from $base (< base, > working tree):" >&2
+        diff "$want" "$got" | head -20 >&2 || true
+        exit 1
+      fi
+      echo "digests identical: $(wc -l < "$got") lines"
       return
       ;;
     bench)

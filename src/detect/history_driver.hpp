@@ -11,13 +11,13 @@
 //   * pipelined PINT calls it from the writer lane and the reader lane;
 //   * sharded PINT calls it from lanes that each own one address stripe.
 //
-// The driver owns the store set - a writer store and a reader store per
-// address stripe, each the interval store or the GranuleMap ablation - and
-// applies the writer role, the reader role or both to one strand.  It is
-// the only place that branches on HistoryKind, chooses what a lane's
-// stopwatch brackets, opens the per-strand history spans and writes the
-// lanes' busy time into Stats.  The reader payload picks the reader rule:
-// ReaderPair keeps PINT's two extremes, Handle STINT's serial reader.
+// The driver owns the store sets - a writer interval store and a reader
+// interval store per address stripe - and applies the writer role, the
+// reader role or both to one strand.  It is the only place that chooses
+// what a lane's stopwatch brackets, opens the per-strand history spans and
+// writes the lanes' busy time into Stats.  The reader payload picks the
+// reader rule: ReaderPair keeps PINT's two extremes, Handle STINT's serial
+// reader.
 
 #include <algorithm>
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "detect/granule_map.hpp"
 #include "detect/history.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
@@ -105,19 +104,13 @@ class HistoryDriver {
   /// N > 0: N stripe lanes, each applying both roles to the pieces of
   /// every interval in its stripes (64 KiB stripes, round-robin), beside a
   /// writer lane that applies none.
-  HistoryDriver(HistoryKind kind, int shards, Schedule schedule,
-                reach::Engine& reach, RaceReporter& rep, Stats& stats)
+  HistoryDriver(int shards, Schedule schedule, reach::Engine& reach,
+                RaceReporter& rep, Stats& stats)
       : shards_(shards), reach_(reach), rep_(rep), stats_(stats) {
-    PINT_CHECK_MSG(shards == 0 || kind == HistoryKind::kTreap,
-                   "sharded history supports the treap store only");
     const bool stint = schedule == Schedule::kInline;
     const int nsets = shards == 0 ? 1 : shards;
     for (int k = 0; k < nsets; ++k) {
-      if (kind == HistoryKind::kTreap) {
-        treaps_.push_back(std::make_unique<TreapSet>());
-      } else {
-        maps_.push_back(std::make_unique<MapSet>());
-      }
+      sets_.push_back(std::make_unique<StoreSet>());
     }
     lanes_ = std::vector<Lane>(std::size_t(shards == 0 ? 2 : shards + 1));
     lanes_[0].span = stint ? "stint.writer" : "writer.strand";
@@ -177,11 +170,9 @@ class HistoryDriver {
 
   /// Applies `roles` to s on `stripe`'s stores, on the calling thread.
   void apply(const Strand& s, Roles roles, int stripe) {
-    if (!treaps_.empty()) {
-      apply_to(*treaps_[std::size_t(stripe)], s, roles, stripe);
-    } else {
-      apply_to(*maps_[std::size_t(stripe)], s, roles, stripe);
-    }
+    StoreSet& set = *sets_[std::size_t(stripe)];
+    if (roles & kWriterRole) writer_pass(set, s, stripe);
+    if (roles & kReaderRole) reader_pass(set, s, stripe);
   }
 
   /// Lane busy time into Stats: writer_ns is the writer lane, lreader_ns
@@ -202,31 +193,21 @@ class HistoryDriver {
     st.rreader_ns.store(sum);
   }
 
-  /// fn(writer, reader) with `stripe`'s treap stores (kTreap only): for
-  /// tests that compare store contents.
+  /// fn(writer, reader) with `stripe`'s stores: for tests that compare
+  /// store contents.
   template <class F>
   void inspect(int stripe, F&& fn) const {
-    const TreapSet& set = *treaps_[std::size_t(stripe)];
+    const StoreSet& set = *sets_[std::size_t(stripe)];
     fn(set.writer, set.reader);
   }
 
  private:
-  template <class W, class R>
   struct StoreSet {
-    W writer;
-    R reader;
+    store::IntervalStore writer;
+    store::BasicIntervalStore<P> reader;
     std::vector<Interval> pieces;  // its stripe lane's scratch (sharded)
   };
-  using TreapSet =
-      StoreSet<store::IntervalStore, store::BasicIntervalStore<P>>;
-  using MapSet = StoreSet<GranuleMap, BasicGranuleMap<P>>;
   static constexpr bool kTwoSided = std::is_same_v<P, store::ReaderPair>;
-
-  template <class Set>
-  void apply_to(Set& set, const Strand& s, Roles roles, int stripe) {
-    if (roles & kWriterRole) writer_pass(set, s, stripe);
-    if (roles & kReaderRole) reader_pass(set, s, stripe);
-  }
 
   /// Hands n intervals of one list to run(first, k) as sorted disjoint
   /// runs: a canonical list as one run, any other one interval at a time.
@@ -256,8 +237,8 @@ class HistoryDriver {
 
   /// One record list through runs(); each run of a canonical list counts
   /// as one bulk run.
-  template <class Set, class Run>
-  void records(Set& set, const AccessBuffer& buf, int stripe, Run&& run) {
+  template <class Run>
+  void records(StoreSet& set, const AccessBuffer& buf, int stripe, Run&& run) {
     const bool canonical = buf.canonical();
     runs(set.pieces, buf.items().data(), buf.items().size(), canonical,
          stripe, [&](const auto* iv, std::size_t k) {
@@ -269,8 +250,8 @@ class HistoryDriver {
          });
   }
 
-  template <class Set, class Store>
-  void erase(Set& set, Store& t, const Strand& s, int stripe) {
+  template <class Store>
+  void erase(StoreSet& set, Store& t, const Strand& s, int stripe) {
     const auto erase_run = [&t](const auto* iv, std::size_t k) {
       t.erase_run(iv, k);
     };
@@ -285,8 +266,7 @@ class HistoryDriver {
   /// proof).  Each pass walks the strand's sub-records in apply order, so
   /// the last writer kept is the least-guarded one.  A sub-record is
   /// interned at its first run; later runs reuse that entry.
-  template <class Set>
-  void writer_pass(Set& set, const Strand& s, int stripe) {
+  void writer_pass(StoreSet& set, const Strand& s, int stripe) {
     auto& t = set.writer;
     s.for_each_record([&](const LockRecord& r) {
       const auto on_read = make_conflict_cb(t.table(), accessor_of(s, r),
@@ -308,8 +288,7 @@ class HistoryDriver {
 
   /// Writes checked against the reader store, then reads inserted with
   /// its retention rule.
-  template <class Set>
-  void reader_pass(Set& set, const Strand& s, int stripe) {
+  void reader_pass(StoreSet& set, const Strand& s, int stripe) {
     auto& t = set.reader;
     s.for_each_record([&](const LockRecord& r) {
       const store::Accessor me = accessor_of(s, r);
@@ -347,8 +326,7 @@ class HistoryDriver {
   reach::Engine& reach_;
   RaceReporter& rep_;
   Stats& stats_;
-  std::vector<std::unique_ptr<TreapSet>> treaps_;
-  std::vector<std::unique_ptr<MapSet>> maps_;
+  std::vector<std::unique_ptr<StoreSet>> sets_;
   std::vector<Lane> lanes_;
   Watch watch_ = Watch::kStrand;
 };

@@ -64,14 +64,11 @@ struct RunResult {
 /// this, so callers keep writing `o.coalesce = ...` while the harness can
 /// fill the common knobs without knowing which detector it holds.  Detectors
 /// that have no use for a field ignore it (C-RACER checks per access, so
-/// `coalesce`/`history` are inert there; the oracle ignores everything but
+/// `coalesce` is inert there; the oracle ignores everything but
 /// `stack_bytes`).
 struct CommonOptions {
   /// Runtime coalescing of accesses into intervals (ablation knob).
   bool coalesce = true;
-  /// Access-history store: the paper's interval treap, or a per-granule
-  /// hashmap under the identical pipeline (ablation knob).
-  HistoryKind history = HistoryKind::kTreap;
   std::size_t stack_bytes = std::size_t(1) << 18;
   bool verbose_races = false;
   std::uint64_t seed = 42;

@@ -56,8 +56,8 @@ constexpr std::size_t kReserveTraces = 4;
 PintDetector::PintDetector(const Options& opt)
     : opt_(opt),
       queue_(opt.queue_capacity),
-      history_(opt.history, opt.history_shards, detect::Schedule::kPipelined,
-               reach_, rep_, stats_) {
+      history_(opt.history_shards, detect::Schedule::kPipelined, reach_, rep_,
+               stats_) {
   rep_.set_verbose(opt_.verbose_races);
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();

@@ -73,7 +73,7 @@ class PintDetector final : public detect::Detector,
     bool parallel_history = true;
     /// 0 = the two role-workers (writer, two-sided reader).
     /// N > 0 = the §VI extension: N address-sharded history workers, each
-    /// owning both stores for its stripes (requires kTreap).
+    /// owning both stores for its stripes.
     int history_shards = 0;
     std::size_t queue_capacity = std::size_t(1) << 16;
     /// Sequential one-core mode buffers the whole run in the ring and grows

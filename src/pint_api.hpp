@@ -75,8 +75,8 @@ inline const char* detector_kind_name(DetectorKind k) {
   return "?";
 }
 
-/// One spec for any detector.  The common block (seed, coalesce, history
-/// store, tuning) applies everywhere; the remaining knobs map onto the
+/// One spec for any detector.  The common block (seed, coalesce, stack
+/// size, tuning) applies everywhere; the remaining knobs map onto the
 /// detector that understands them and are ignored by the others.
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kPint;
@@ -88,7 +88,8 @@ struct DetectorSpec {
   int workers = 1;
   /// PINT only: false = the paper's phased one-core history mode.
   bool parallel_history = true;
-  /// PINT only: 0 = the paper's 3 role workers, N > 0 = address-sharded.
+  /// PINT only: 0 = a writer lane (the collector) and one two-sided reader
+  /// lane, N > 0 = a collecting writer lane and N address-sharded lanes.
   int history_shards = 0;
 };
 

@@ -11,8 +11,7 @@ using detect::Strand;
 
 StintDetector::StintDetector(const Options& opt)
     : opt_(opt),
-      history_(opt.history, 0, detect::Schedule::kInline, reach_, rep_,
-               stats_) {
+      history_(0, detect::Schedule::kInline, reach_, rep_, stats_) {
   rep_.set_verbose(opt_.verbose_races);
 }
 

@@ -35,8 +35,7 @@ class StintDetector final : public detect::Detector,
                             public detect::DetectorRunner,
                             public rt::SchedulerHooks {
  public:
-  /// All knobs are the shared ones (`history` selects the STINT treap vs the
-  /// per-granule hashmap ablation).
+  /// All knobs are the shared ones.
   struct Options : detect::CommonOptions {};
 
   StintDetector() : StintDetector(Options{}) {}

@@ -24,13 +24,11 @@ namespace pint::test {
 
 enum class Det {
   kStint,
-  kStintMap,  // STINT with the per-granule hashmap history (ablation)
   kPintSeq,   // one-core phased PINT
   kPintSeq4,  // phased PINT, 4 core workers (several traces)
   kPint1,     // PINT, 1 core worker + 2 history workers
   kPint2,
   kPint4,
-  kPintMap,   // PINT pipeline over the hashmap history (ablation)
   kPintShard3,  // SVI extension: 3 address-sharded history workers
   kCracer1,
   kCracer4,
@@ -39,13 +37,11 @@ enum class Det {
 inline const char* det_name(Det d) {
   switch (d) {
     case Det::kStint: return "stint";
-    case Det::kStintMap: return "stint_map";
     case Det::kPintSeq: return "pint_seq";
     case Det::kPintSeq4: return "pint_seq_w4";
     case Det::kPint1: return "pint_w1";
     case Det::kPint2: return "pint_w2";
     case Det::kPint4: return "pint_w4";
-    case Det::kPintMap: return "pint_map";
     case Det::kPintShard3: return "pint_shard3";
     case Det::kCracer1: return "cracer_w1";
     case Det::kCracer4: return "cracer_w4";
@@ -55,9 +51,8 @@ inline const char* det_name(Det d) {
 
 inline const std::vector<Det>& all_detectors() {
   static const std::vector<Det> v = {
-      Det::kStint,      Det::kStintMap, Det::kPintSeq, Det::kPintSeq4,
-      Det::kPint1,      Det::kPint2,    Det::kPint4,   Det::kPintMap,
-      Det::kPintShard3, Det::kCracer1,  Det::kCracer4};
+      Det::kStint, Det::kPintSeq,    Det::kPintSeq4, Det::kPint1,  Det::kPint2,
+      Det::kPint4, Det::kPintShard3, Det::kCracer1,  Det::kCracer4};
   return v;
 }
 
@@ -72,11 +67,9 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
                         std::uint64_t seed = 7) {
   DetRun out;
   switch (d) {
-    case Det::kStint:
-    case Det::kStintMap: {
+    case Det::kStint: {
       stint::StintDetector::Options o;
       o.seed = seed;
-      if (d == Det::kStintMap) o.history = detect::HistoryKind::kGranuleMap;
       stint::StintDetector det(o);
       det.run(body);
       out.any_race = det.reporter().any();
@@ -89,16 +82,13 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
     case Det::kPint1:
     case Det::kPint2:
     case Det::kPint4:
-    case Det::kPintMap:
     case Det::kPintShard3: {
       pintd::PintDetector::Options o;
       o.seed = seed;
       o.parallel_history = d != Det::kPintSeq && d != Det::kPintSeq4;
-      o.core_workers =
-          d == Det::kPint2 || d == Det::kPintMap || d == Det::kPintShard3 ? 2
-          : d == Det::kPint4 || d == Det::kPintSeq4                       ? 4
-                                                                          : 1;
-      if (d == Det::kPintMap) o.history = detect::HistoryKind::kGranuleMap;
+      o.core_workers = d == Det::kPint2 || d == Det::kPintShard3   ? 2
+                       : d == Det::kPint4 || d == Det::kPintSeq4 ? 4
+                                                                 : 1;
       if (d == Det::kPintShard3) o.history_shards = 3;
       pintd::PintDetector det(o);
       det.run(body);

@@ -1,9 +1,9 @@
 #pragma once
 
-// Shared driver for the accessor-table compaction tests of the interval
-// stores (test_treap.cpp) and the granule maps (test_granule_map.cpp):
-// thousands of strands over one small region, far more accessors than the
-// store ever keeps segments.
+// Driver for the accessor-table compaction test of the interval stores
+// (test_treap.cpp): thousands of strands over one small region, far more
+// accessors than the store ever keeps segments.  One template serves the
+// one-sided writer store and the two-sided reader store.
 
 #include <gtest/gtest.h>
 

@@ -4,7 +4,7 @@
 // the run API against per-interval loops - exact callback/resolver
 // sequences, final contents and invariants - plus targeted edge shapes
 // (segments spanning several run intervals, runs ending at kMaxAddr, the
-// no-cross-interval coalescing rule, the GranuleMap shims).  The detector
+// no-cross-interval coalescing rule).  The detector
 // tests check the one apply path against the oracle's verdict in every
 // history schedule, and the per-interval route (raw, non-canonical lists)
 // against the run route.  tests/test_history.cpp holds the driver's
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "detect/granule_map.hpp"
 #include "kernels/kernels.hpp"
 #include "store/interval_store.hpp"
 
@@ -40,8 +39,7 @@ using Ev = std::tuple<char, std::uint64_t, std::uint64_t, std::uint64_t>;
 // Stored interval: (lo, hi, sid).
 using Seg = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
-template <class Store>
-std::uint64_t sid_of(const Store& t, store::Handle h) {
+std::uint64_t sid_of(const store::IntervalStore& t, store::Handle h) {
   return t.table()[h].sid;
 }
 
@@ -59,15 +57,13 @@ bool new_wins(std::uint64_t prev_sid, std::uint64_t sid) {
 }
 
 /// Callback logging (tag, lo, hi, sid) of t's segments into ev.
-template <class Store>
-auto log_to(const Store& t, std::vector<Ev>& ev, char tag) {
+auto log_to(const store::IntervalStore& t, std::vector<Ev>& ev, char tag) {
   return [&t, &ev, tag](auto lo, auto hi, store::Handle w) {
     ev.push_back({tag, lo, hi, sid_of(t, w)});
   };
 }
 /// Resolver applying new_wins to t's handles, logging each call into ev.
-template <class Store>
-auto resolve_logged(const Store& t, std::vector<Ev>& ev) {
+auto resolve_logged(const store::IntervalStore& t, std::vector<Ev>& ev) {
   return [&t, &ev](store::Handle p, store::Handle a) {
     ev.push_back({'r', sid_of(t, p), sid_of(t, a), 0});
     return new_wins(sid_of(t, p), sid_of(t, a)) ? a : p;
@@ -96,9 +92,9 @@ std::vector<Iv> random_run(Xoshiro256& rng, std::uint64_t span) {
 /// per-interval twin interns the accessor once per interval, the run twin
 /// once per run: the table's reuse of its last entry must make the two
 /// tables equal.
-template <class Store>
-void twin_op(int kind, const std::vector<Iv>& r, std::uint64_t sid, Store& per,
-             Store& run, std::vector<Ev>& ev_per, std::vector<Ev>& ev_run) {
+void twin_op(int kind, const std::vector<Iv>& r, std::uint64_t sid,
+             store::IntervalStore& per, store::IntervalStore& run,
+             std::vector<Ev>& ev_per, std::vector<Ev>& ev_run) {
   switch (kind) {
     case 0:  // writer insert
       for (const Iv& iv : r) {
@@ -299,27 +295,13 @@ TEST(TreapRunApi, EraseRunPreservesGapCoverage) {
   EXPECT_TRUE(t.check_invariants());
 }
 
-TEST(GranuleMapRunShims, MatchPerIntervalLoops) {
-  Xoshiro256 rng(21);
-  detect::GranuleMap per, bulk;
-  std::vector<Ev> ev_per, ev_run;
-  for (int step = 0; step < 60; ++step) {
-    const auto r = random_run(rng, 1 << 12);
-    const std::uint64_t sid = 2 + std::uint64_t(step);
-    twin_op(int(rng.next_below(4)), r, sid, per, bulk, ev_per, ev_run);
-    ASSERT_EQ(ev_per, ev_run) << "step=" << step;
-    ASSERT_EQ(per.size(), bulk.size()) << "step=" << step;
-    ASSERT_EQ(per.table().size(), bulk.table().size()) << "step=" << step;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Whole detectors: the one apply path against the oracle and the verdict
 // ---------------------------------------------------------------------------
 
 using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
-enum class Sys { kStint, kStintMap, kPintSeq, kPint1, kShard3 };
+enum class Sys { kStint, kPintSeq, kPint1, kShard3 };
 
 struct RunOut {
   std::vector<PairKey> pairs;  // sorted + deduped
@@ -350,11 +332,10 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
 
 RunOut run_config(Sys sys, const std::function<void()>& body,
                   bool coalesce = true, std::uint64_t seed = 7) {
-  if (sys == Sys::kStint || sys == Sys::kStintMap) {
+  if (sys == Sys::kStint) {
     stint::StintDetector::Options o;
     o.seed = seed;
     o.coalesce = coalesce;
-    if (sys == Sys::kStintMap) o.history = detect::HistoryKind::kGranuleMap;
     stint::StintDetector det(o);
     det.run(body);
     return summarize(det.reporter(), det.stats());
@@ -397,12 +378,11 @@ TEST_P(KernelBulkApply, EveryScheduleMatchesTheOracleVerdict) {
   }
   EXPECT_TRUE(oracle_race);
   RunOut phased;
-  for (Sys sys :
-       {Sys::kStint, Sys::kStintMap, Sys::kPintSeq, Sys::kPint1, Sys::kShard3}) {
+  for (Sys sys : {Sys::kStint, Sys::kPintSeq, Sys::kPint1, Sys::kShard3}) {
     auto k = fresh();
     const RunOut out = run_config(sys, [&] { k->run(); });
     EXPECT_EQ(out.distinct > 0, oracle_race) << "sys=" << int(sys);
-    if (sys == Sys::kStint || sys == Sys::kStintMap || sys == Sys::kPintSeq) {
+    if (sys == Sys::kStint || sys == Sys::kPintSeq) {
       EXPECT_GT(out.stats.bulk_runs, 0u) << "sys=" << int(sys);
       EXPECT_GE(out.stats.bulk_run_intervals, out.stats.bulk_runs);
     }

@@ -1,15 +1,13 @@
-// Typed tests for the strand-processing semantics (detect/history.hpp),
-// applied through the history driver (detect/history_driver.hpp):
-// identical behaviour is required from the interval store and the granule
-// map, and from every schedule the driver serves - role lanes, both roles
-// at once, and the address-sharded stripes.
+// Tests for the strand-processing semantics (detect/history.hpp), applied
+// through the history driver (detect/history_driver.hpp): identical
+// behaviour is required from every schedule the driver serves - role
+// lanes, both roles at once, and the address-sharded stripes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "detect/history_driver.hpp"
@@ -59,15 +57,11 @@ void add_write(Strand* s, std::uint64_t lo, std::uint64_t hi) {
 
 }  // namespace
 
-template <detect::HistoryKind K>
-using Kind = std::integral_constant<detect::HistoryKind, K>;
-
-template <class K>
 class HistoryStore : public ::testing::Test {
  public:
   HistoryFixture fx;
   detect::HistoryDriver<store::ReaderPair> history{
-      K::value, 0, detect::Schedule::kPhased, fx.reach, fx.rep, fx.stats};
+      0, detect::Schedule::kPhased, fx.reach, fx.rep, fx.stats};
 
   void process(Strand* s) { history.apply(*s, detect::kBothRoles, 0); }
 
@@ -84,93 +78,81 @@ class HistoryStore : public ::testing::Test {
   }
 };
 
-using StoreKinds = ::testing::Types<Kind<detect::HistoryKind::kTreap>,
-                                    Kind<detect::HistoryKind::kGranuleMap>>;
-TYPED_TEST_SUITE(HistoryStore, StoreKinds);
-
-TYPED_TEST(HistoryStore, ParallelWriteWriteRaces) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, ParallelWriteWriteRaces) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_write(t.child, 0, 63);
   add_write(t.cont, 32, 95);
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_TRUE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, SeriesWriteWriteClean) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, SeriesWriteWriteClean) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_write(t.child, 0, 63);
   add_write(t.sync, 0, 63);  // sync node: in series with the child
-  this->process(t.child);
-  this->process(t.sync);
+  process(t.child);
+  process(t.sync);
   EXPECT_FALSE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, ParallelReadReadClean) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, ParallelReadReadClean) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_read(t.child, 0, 63);
   add_read(t.cont, 0, 63);
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_FALSE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, ReadThenParallelWriteRaces) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, ReadThenParallelWriteRaces) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_read(t.child, 16, 23);
   add_write(t.cont, 16, 23);
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_TRUE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, WriteThenParallelReadRaces) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, WriteThenParallelReadRaces) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_write(t.child, 16, 23);
   add_read(t.cont, 16, 23);
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_TRUE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, ClearsBreakHistory) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, ClearsBreakHistory) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_write(t.child, 0, 63);
   t.child->clears.push_back({0, 63});  // e.g. its stack frame dies
   add_write(t.cont, 0, 63);            // parallel, but history was cleared
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_FALSE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, DeferredFreeRangeCleared) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, DeferredFreeRangeCleared) {
   Strand* u = fx.root();
   auto t = fx.spawn_from(u);
   add_write(t.child, 100, 163);
   t.child->frees.push_back({nullptr, 100, 163});
   add_write(t.cont, 100, 163);
-  this->process(t.child);
-  this->process(t.cont);
+  process(t.child);
+  process(t.cont);
   EXPECT_FALSE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, LeftmostRightmostCatchMiddleWriter) {
+TEST_F(HistoryStore, LeftmostRightmostCatchMiddleWriter) {
   // Three parallel readers; a later writer parallel to all of them must be
   // caught through the two retained extremes.
-  auto& fx = this->fx;
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   auto b2 = fx.spawn_from(b.cont);   // same block: second spawn
@@ -179,18 +161,17 @@ TYPED_TEST(HistoryStore, LeftmostRightmostCatchMiddleWriter) {
   add_read(b2.child, 0, 7);
   add_read(b3.child, 0, 7);
   add_write(b3.cont, 0, 7);  // parallel with all three readers
-  this->process(b.child);
-  this->process(b2.child);
-  this->process(b3.child);
-  this->process(b3.cont);
+  process(b.child);
+  process(b2.child);
+  process(b3.child);
+  process(b3.cont);
   EXPECT_TRUE(fx.rep.any());
 }
 
-TYPED_TEST(HistoryStore, OnlyRightmostReaderIsParallelToWriter) {
+TEST_F(HistoryStore, OnlyRightmostReaderIsParallelToWriter) {
   // Inside P = b.child: spawn A, sync, then W writes.  B = b.cont reads in
   // parallel with all of P.  A is left of B, so the left slot keeps A and
   // the right slot takes B; A precedes W, so only the right slot races.
-  auto& fx = this->fx;
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   auto p = fx.spawn_from(b.child);
@@ -200,17 +181,16 @@ TYPED_TEST(HistoryStore, OnlyRightmostReaderIsParallelToWriter) {
   add_read(a, 0, 7);
   add_read(r, 0, 7);
   add_write(w, 0, 7);
-  this->process(a);
-  this->process(r);
-  this->process(w);
-  this->expect_only_race(r, w);
+  process(a);
+  process(r);
+  process(w);
+  expect_only_race(r, w);
 }
 
-TYPED_TEST(HistoryStore, OnlyLeftmostReaderIsParallelToWriter) {
+TEST_F(HistoryStore, OnlyLeftmostReaderIsParallelToWriter) {
   // The mirror: B = b.child reads; inside b.cont spawn A, sync, then W
   // writes.  B is left of A, so the left slot keeps B and the right slot
   // takes A; A precedes W, so only the left slot races.
-  auto& fx = this->fx;
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   auto c = fx.spawn_from(b.cont);
@@ -220,19 +200,18 @@ TYPED_TEST(HistoryStore, OnlyLeftmostReaderIsParallelToWriter) {
   add_read(l, 0, 7);
   add_read(a, 0, 7);
   add_write(w, 0, 7);
-  this->process(l);
-  this->process(a);
-  this->process(w);
-  this->expect_only_race(l, w);
+  process(l);
+  process(a);
+  process(w);
+  expect_only_race(l, w);
 }
 
-TYPED_TEST(HistoryStore, ReaderBetweenTheExtremesLeavesBothSlots) {
+TEST_F(HistoryStore, ReaderBetweenTheExtremesLeavesBothSlots) {
   // Inside X = b.child: spawn A, then the continuation B reads, sync, W
   // writes; C = b.cont reads.  English order A < B < C.  B arrives after A
   // and C and is neither slot's extreme, so the pair stays (A, C): each
   // slot is judged by its own relation to B.  W follows A and B but not C,
   // so only the right slot's C races.
-  auto& fx = this->fx;
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   auto x = fx.spawn_from(b.child);
@@ -244,39 +223,37 @@ TYPED_TEST(HistoryStore, ReaderBetweenTheExtremesLeavesBothSlots) {
   add_read(c, 0, 7);
   add_read(mid, 0, 7);
   add_write(w, 0, 7);
-  this->process(a);
-  this->process(c);
-  this->process(mid);
-  this->process(w);
-  this->expect_only_race(c, w);
+  process(a);
+  process(c);
+  process(mid);
+  process(w);
+  expect_only_race(c, w);
 }
 
-TYPED_TEST(HistoryStore, OneReaderStrandCostsOneReachQuery) {
+TEST_F(HistoryStore, OneReaderStrandCostsOneReachQuery) {
   // A segment whose two slots hold the same strand is checked once.
-  auto& fx = this->fx;
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   add_read(b.child, 0, 7);
   add_write(b.cont, 0, 7);
-  this->process(b.child);
-  this->history.apply(*b.cont, detect::kWriterRole, 0);
+  process(b.child);
+  history.apply(*b.cont, detect::kWriterRole, 0);
   const std::uint64_t before = fx.stats.reach_queries.load();
-  this->history.apply(*b.cont, detect::kReaderRole, 0);
+  history.apply(*b.cont, detect::kReaderRole, 0);
   EXPECT_EQ(fx.stats.reach_queries.load() - before, 1u);
-  this->expect_only_race(b.child, b.cont);
+  expect_only_race(b.child, b.cont);
 }
 
-TYPED_TEST(HistoryStore, SerialReaderAfterParallelSetReplaces) {
-  auto& fx = this->fx;
+TEST_F(HistoryStore, SerialReaderAfterParallelSetReplaces) {
   Strand* u = fx.root();
   auto b = fx.spawn_from(u);
   add_read(b.child, 0, 7);
   add_read(b.cont, 0, 7);
   add_read(b.sync, 0, 7);   // in series after both readers: replaces them
   add_write(b.sync, 0, 7);  // same strand writing is fine
-  this->process(b.child);
-  this->process(b.cont);
-  this->process(b.sync);
+  process(b.child);
+  process(b.cont);
+  process(b.sync);
   EXPECT_FALSE(fx.rep.any());
 }
 
@@ -431,8 +408,7 @@ TEST(HistoryDriver, EverySchedulePicksTheSameRacesAndSegments) {
     const std::vector<Strand*> strands = scripted_strands(script, coalesce);
     auto run = [&](int shards, auto&& schedule) {
       HistoryFixture fx;
-      PintHistory h(detect::HistoryKind::kTreap, shards,
-                    detect::Schedule::kPhased, script.reach, fx.rep,
+      PintHistory h(shards, detect::Schedule::kPhased, script.reach, fx.rep,
                     fx.stats);
       schedule(h);
       return outcome_of(fx, h, shards == 0 ? 1 : shards);

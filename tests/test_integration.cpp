@@ -58,20 +58,6 @@ TEST_P(KernelModerate, ShardedHistoryEndToEnd) {
   }
 }
 
-TEST_P(KernelModerate, GranuleMapHistoryEndToEnd) {
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.12;  // the per-granule store is slow by design
-  auto k = kernels::make_kernel(GetParam(), cfg);
-  k->prepare();
-  pintd::PintDetector::Options o;
-  o.core_workers = 2;
-  o.history = detect::HistoryKind::kGranuleMap;
-  pintd::PintDetector d(o);
-  d.run([&] { k->run(); });
-  EXPECT_FALSE(d.reporter().any());
-  EXPECT_TRUE(k->verify());
-}
-
 INSTANTIATE_TEST_SUITE_P(All, KernelModerate,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
@@ -123,19 +109,6 @@ TEST(StressConfig, BackToBackDetectorRuns) {
   }
 }
 
-TEST(StressConfig, StintMapKernelEndToEnd) {
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.12;
-  auto k = kernels::make_kernel("stra", cfg);
-  k->prepare();
-  stint::StintDetector::Options o;
-  o.history = detect::HistoryKind::kGranuleMap;
-  stint::StintDetector d(o);
-  d.run([&] { k->run(); });
-  EXPECT_FALSE(d.reporter().any());
-  EXPECT_TRUE(k->verify());
-}
-
 TEST(StressConfig, CoalescingOffEndToEnd) {
   // Per-access intervals all the way through the pipeline.
   kernels::KernelConfig cfg;
@@ -169,12 +142,4 @@ TEST(StressConfig, PhasedHistoryWithParallelCore) {
   d.run([&] { k->run(); });
   EXPECT_FALSE(d.reporter().any());
   EXPECT_TRUE(k->verify());
-}
-
-TEST(StressConfig, ShardedHistoryRejectsGranuleMap) {
-  pintd::PintDetector::Options o;
-  o.history = detect::HistoryKind::kGranuleMap;
-  o.history_shards = 4;
-  EXPECT_DEATH({ pintd::PintDetector d(o); },
-               "sharded history supports the treap store only");
 }

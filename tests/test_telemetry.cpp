@@ -497,9 +497,8 @@ TEST(RunnerSeam, SharedOptionsReachEveryDetector) {
   so.seed = 99;
   EXPECT_FALSE(static_cast<detect::CommonOptions&>(so).coalesce);
   pintd::PintDetector::Options po;
-  po.history = detect::HistoryKind::kGranuleMap;
-  EXPECT_EQ(static_cast<detect::CommonOptions&>(po).history,
-            detect::HistoryKind::kGranuleMap);
+  po.seed = 77;
+  EXPECT_EQ(static_cast<detect::CommonOptions&>(po).seed, 77u);
   cracer::CracerDetector::Options co;
   co.verbose_races = true;
   EXPECT_TRUE(static_cast<detect::CommonOptions&>(co).verbose_races);
